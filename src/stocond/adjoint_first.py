@@ -43,7 +43,8 @@ class TranspositionSolution:
 class DiscreteBVMeasure:
     """Finite sum of grid atoms: psi(t) = sum_{t_k <= t} mu_k, psi(0) = 0.
 
-    Atoms may be deterministic vectors (n,) or per-path arrays (M, n).
+    Atoms may be deterministic vectors (n,) or per-path arrays (M, n); for
+    a solve with a trailing component axis they are (n, C) or (M, n, C).
     Atoms must sit at indices 0..N-1 so the terminal datum stays untouched.
     """
 
@@ -89,6 +90,12 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
 
     yT is the pathwise terminal datum (M, n) or deterministic (n,);
     f is an optional forcing ensemble (M, N+1, n) or broadcastable.
+
+    Trailing component axis: a yT of shape (M, n, C) solves C independent
+    equations in one sweep, sharing each step's regression projector (the
+    equation is linear in (yT, f, psi)).  Then f broadcasts to
+    (M, N+1, n, C), psi atoms are (M, n, C) (or (n, C)), and the solution
+    carries the axis last: y is (M, N+1, n, C) and Y is (M, N+1, n, d, C).
     """
     M, d, n = paths.M, paths.d, spec.n
     basis = basis or PolynomialBasis(2)
@@ -96,36 +103,42 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     psi = psi or DiscreteBVMeasure()
     if psi.atoms and max(psi.atoms) >= grid.N:
         raise ValueError("psi atoms must sit at indices 0..N-1")
+    yT = np.asarray(yT, dtype=float)
+    comp = yT.shape[2:]                  # () or (C,)
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     ts = grid.times
 
-    y = np.zeros((M, grid.N + 1, n))
-    Y = np.zeros((M, grid.N + 1, n, d))
-    y[:, grid.N, :] = np.broadcast_to(np.asarray(yT, dtype=float), (M, n))
+    y = np.zeros((M, grid.N + 1, n) + comp)
+    Y = np.zeros((M, grid.N + 1, n, d) + comp)
+    y[:, grid.N] = np.broadcast_to(yT, (M, n) + comp)
     if f is None:
         f_arr = None
     else:
-        f_arr = np.broadcast_to(np.asarray(f, dtype=float), (M, grid.N + 1, n))
+        f_arr = np.broadcast_to(np.asarray(f, dtype=float),
+                                (M, grid.N + 1, n) + comp)
 
     for k in range(grid.N - 1, -1, -1):
         xk = base_state.values[:, k, :]
         uk = u_bar[:, k, :]
         reg = ConditionalRegression(basis.features(xk), ridge=ridge)
-        Sy = y[:, k + 1, :] @ E          # (E* y_{k+1})_i = sum_j E_ji y_j
+        # (E* y_{k+1})_i = sum_j E_ji y_j, with the state axis moved last
+        Sy = np.moveaxis(np.moveaxis(y[:, k + 1], 1, -1) @ E, -1, 1)
         m_next = reg.fit(Sy)
         # centered-increment regression for the martingale part
         dW = paths.increments[:, k, :]
-        target_Y = np.einsum("pi,pl->pil", Sy - m_next, dW) / dt
+        target_Y = np.einsum("pi...,pl->pil...", Sy - m_next, dW) / dt
         Yk = reg.fit(target_Y)
-        Y[:, k, :, :] = Yk
+        Y[:, k] = Yk
         a1, b1 = _coeffs_at(spec, ts[k], xk, uk, M, d)
-        drift = np.einsum("pij,pi->pj", a1, y[:, k + 1, :]) \
-            + np.einsum("pilj,pil->pj", b1, Yk)
+        drift = np.einsum("pij,pi...->pj...", a1, y[:, k + 1]) \
+            + np.einsum("pilj,pil...->pj...", b1, Yk)
         if f_arr is not None:
-            drift = drift - f_arr[:, k, :]
-        target_y = Sy + drift * dt - psi.atom(k, M, n)
-        y[:, k, :] = reg.fit(target_y)
+            drift = drift - f_arr[:, k]
+        target_y = Sy + drift * dt
+        if k in psi.atoms:
+            target_y = target_y - psi.atom(k, M, n)
+        y[:, k] = reg.fit(target_y)
 
     return TranspositionSolution(y=PathEnsemble(y, grid), Y=PathEnsemble(Y, grid))
 

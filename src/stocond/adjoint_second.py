@@ -160,6 +160,19 @@ def simulate_phi(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     return PathEnsemble(phi, grid)
 
 
+def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
+           adjoint: bool = False) -> PathEnsemble:
+    """Channel l at time s is Q_l(s) phi(s) (Q_l(s)^T phi(s) for the hat
+    family) for a given test process phi, zero before t_index."""
+    Q = sol.Qtensor.values
+    if adjoint:
+        out = np.einsum("pkjil,pkj->pkil", Q, phi.values)
+    else:
+        out = np.einsum("pkijl,pkj->pkil", Q, phi.values)
+    out[:, :t_index] = 0.0
+    return PathEnsemble(out, phi.grid)
+
+
 def apply_Q(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
             sol: RelaxedSolution, data: SecondAdjointData, t_index: int,
             xi, f_tilde, f_hat, adjoint: bool = False) -> PathEnsemble:
@@ -170,13 +183,7 @@ def apply_Q(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     process for (xi, f_tilde, f_hat) started at t_index.
     """
     phi = simulate_phi(spec, grid, paths, data, t_index, xi, f_tilde, f_hat)
-    Q = sol.Qtensor.values
-    if adjoint:
-        out = np.einsum("pkjil,pkj->pkil", Q, phi.values)
-    else:
-        out = np.einsum("pkijl,pkj->pkil", Q, phi.values)
-    out[:, :t_index] = 0.0
-    return PathEnsemble(out, grid)
+    return q_view(sol, phi, t_index, adjoint)
 
 
 def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -193,9 +200,8 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     xi2, ft2, fh2 = data2
     phi1 = simulate_phi(spec, grid, paths, data, t_index, xi1, ft1, fh1)
     phi2 = simulate_phi(spec, grid, paths, data, t_index, xi2, ft2, fh2)
-    Qv1 = apply_Q(spec, grid, paths, sol, data, t_index, xi1, ft1, fh1)
-    Qv2_hat = apply_Q(spec, grid, paths, sol, data, t_index, xi2, ft2, fh2,
-                      adjoint=True)
+    Qv1 = q_view(sol, phi1, t_index)
+    Qv2_hat = q_view(sol, phi2, t_index, adjoint=True)
     P = sol.P.values
     PT = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
 

@@ -22,7 +22,7 @@ import scipy.optimize
 from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
-from .adjoint_second import RelaxedSolution, SecondAdjointData, apply_Q
+from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
 from .errors import AdjointMismatch, Infeasible, NotCritical
 from .forward import simulate_first_variation
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
@@ -104,6 +104,11 @@ def hamiltonian(spec: ProblemSpec, t: float, x: np.ndarray, u: np.ndarray,
     return np.einsum("pi,pi->p", p, a) + np.einsum("pil,pil->p", q, b)
 
 
+def _hamiltonian_u(a2, b2, p, q):
+    """H_u = a_u* p + b_u* q; p and q may carry a trailing component axis."""
+    return np.einsum("pij,pi...->pj...", a2, p) + np.einsum("pilj,pil...->pj...", b2, q)
+
+
 def hamiltonian_gradients(spec: ProblemSpec, t, x, u, p, q):
     """(H_x, H_u) assembled from the spec derivative maps."""
     M = x.shape[0]
@@ -113,8 +118,7 @@ def hamiltonian_gradients(spec: ProblemSpec, t, x, u, p, q):
     b1 = np.broadcast_to(np.asarray(spec.diffusion_x(t, x, u)), (M, n, d, n))
     b2 = np.broadcast_to(np.asarray(spec.diffusion_u(t, x, u)), (M, n, d, m))
     Hx = np.einsum("pij,pi->pj", a1, p) + np.einsum("pilj,pil->pj", b1, q)
-    Hu = np.einsum("pij,pi->pj", a2, p) + np.einsum("pilj,pil->pj", b2, q)
-    return Hx, Hu
+    return Hx, _hamiltonian_u(a2, b2, p, q)
 
 
 def hamiltonian_hessians(spec: ProblemSpec, t, x, u, p, q):
@@ -137,16 +141,22 @@ def hamiltonian_hessians(spec: ProblemSpec, t, x, u, p, q):
 
 def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
                         u_bar, sol: TranspositionSolution) -> np.ndarray:
-    """H_u along the base ensemble, (M, N, m), frozen at left grid points."""
+    """H_u along the base ensemble, (M, N, m), frozen at left grid points.
+
+    A solution with a trailing component axis (y of shape (M, N+1, n, C))
+    gives one field per component, (M, N, m, C).
+    """
     M = base.M
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
+    n, m, d = spec.n, spec.m, spec.d
+    u_arr = as_control_array(u_bar, grid, M, m)
     ts = grid.times
-    out = np.zeros((M, grid.N, spec.m))
+    y, Y = sol.y.values, sol.Y.values
+    out = np.zeros((M, grid.N, m) + y.shape[3:])
     for k in range(grid.N):
-        _, Hu = hamiltonian_gradients(
-            spec, ts[k], base.values[:, k, :], u_arr[:, k, :],
-            sol.y.values[:, k, :], sol.Y.values[:, k, :, :])
-        out[:, k, :] = Hu
+        xk, uk = base.values[:, k, :], u_arr[:, k, :]
+        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
+        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
+        out[:, k] = _hamiltonian_u(a2, b2, y[:, k], Y[:, k])
     return out
 
 
@@ -454,8 +464,11 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
                        rng: np.random.Generator | None = None):
     """Least-squares stationarity fit over the multiplier parametrization.
 
-    The adjoint is linear in (lambda_0, lambda_j, m_k), so basis adjoints are
-    solved once per component and combined.  The normal branch (lambda_0=1)
+    The adjoint is linear in (lambda_0, lambda_j, m_k), so the basis
+    adjoints of all 1 + |I| + |I0| components are solved together in one
+    backward sweep, stacked on a trailing component axis (see
+    ``solve_first_adjoint``), and combined; one more sweep solves for the
+    chosen multiplier.  The normal branch (lambda_0=1)
     is attempted first; if its stationarity residual exceeds tol an abnormal
     branch (lambda_0=0, multipliers normalized to unit size) is fit as well
     and returned when markedly better.
@@ -473,29 +486,25 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         return solve_first_adjoint(spec, grid, paths, base, u_arr, yT,
                                    psi=psi, basis=basis)
 
-    # component 0: the cost
-    sol_cost = solve_for(-np.asarray(spec.terminal_cost.grad(xT)), None)
-    Hu_cost = hamiltonian_u_field(spec, grid, base, u_arr, sol_cost)
-
-    comp_sols, comp_Hu, comp_kind = [], [], []
-    for j in analysis.I:
-        g = spec.terminal_constraints[j]
-        sol_j = solve_for(-np.asarray(g.grad(xT)), None)
-        comp_sols.append(sol_j)
-        comp_Hu.append(hamiltonian_u_field(spec, grid, base, u_arr, sol_j))
-        comp_kind.append(("terminal", j))
+    # components on a trailing axis: the cost, then the active terminal
+    # constraints, then unit atoms along g0_x at the active times
     atom_indices = [k for k in analysis.I0 if k < N][::atom_stride]
-    for k in atom_indices:
-        psi_k = state_constraint_measure(spec, base, {k: 1.0})
-        sol_k = solve_for(np.zeros((M, n)), psi_k)
-        comp_sols.append(sol_k)
-        comp_Hu.append(hamiltonian_u_field(spec, grid, base, u_arr, sol_k))
-        comp_kind.append(("atom", k))
+    comp_kind = [("terminal", j) for j in analysis.I] \
+        + [("atom", k) for k in atom_indices]
+    yT = np.zeros((M, n, 1 + len(comp_kind)))
+    yT[..., 0] = -np.asarray(spec.terminal_cost.grad(xT))
+    for c, j in enumerate(analysis.I, start=1):
+        yT[..., c] = -np.asarray(spec.terminal_constraints[j].grad(xT))
+    atoms = {}
+    for c, k in enumerate(atom_indices, start=1 + len(analysis.I)):
+        atoms[k] = np.zeros_like(yT)
+        atoms[k][..., c] = spec.state_constraint.grad(base.values[:, k, :])
+    Hu = hamiltonian_u_field(spec, grid, base, u_arr,
+                             solve_for(yT, DiscreteBVMeasure(atoms)))
 
     weight = np.sqrt(grid.dt / M)
-    F = np.column_stack([(Hu * weight).ravel() for Hu in comp_Hu]) \
-        if comp_Hu else np.zeros((Hu_cost.size, 0))
-    g_vec = (Hu_cost * weight).ravel()
+    g_vec = (Hu[..., 0] * weight).ravel()
+    F = (Hu[..., 1:] * weight).reshape(g_vec.size, -1)
 
     def build(theta, lambda0):
         lambdas, masses = {}, {}
@@ -674,9 +683,9 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
         ft[:, k] = np.einsum("pij,pj->pi", a2, u1_arr[:, k, :])
         fh[:, k] = np.einsum("pilj,pj->pil", b2, u1_arr[:, k, :])
-    Qview = apply_Q(spec, grid, paths, relaxed, data, 0, np.zeros(n), ft, fh)
-    Qview_hat = apply_Q(spec, grid, paths, relaxed, data, 0, np.zeros(n), ft, fh,
-                        adjoint=True)
+    phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
+    Qview = q_view(relaxed, phi, 0)
+    Qview_hat = q_view(relaxed, phi, 0, adjoint=True)
 
     per_path = np.zeros(M)
     for k in range(N):
@@ -687,10 +696,10 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         Pk = relaxed.P.values[:, k, :, :]
         u1k = u1_arr[:, k, :]
         x1k = x1.values[:, k, :]
-        _, Hu = hamiltonian_gradients(spec, ts[k], xk, uk, yk, Yk)
         _, Hxu, Huu = hamiltonian_hessians(spec, ts[k], xk, uk, yk, Yk)
         a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
         b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
+        Hu = _hamiltonian_u(a2, b2, yk, Yk)
         b1 = np.broadcast_to(np.asarray(spec.diffusion_x(ts[k], xk, uk)), (M, n, d, n))
         term = np.zeros(M)
         if u2_arr is not None:

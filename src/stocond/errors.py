@@ -49,5 +49,9 @@ class RiccatiBlowup(StocondError):
     """The Riccati backward integration left the configured norm cap."""
 
 
+class TranscriptionMismatch(StocondError):
+    """A simulated candidate does not reproduce its transcription oracle's states."""
+
+
 class ConfigError(StocondError):
     """A scenario configuration is missing keys or references unknown names."""

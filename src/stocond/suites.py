@@ -14,9 +14,10 @@ from . import cones
 from .adjoint_first import (DiscreteBVMeasure, check_transposition_identity, solve_first_adjoint)
 from .adjoint_second import (SecondAdjointData, check_relaxed_identity,
                              solve_second_adjoint)
-from .benchmarks import (LQSpec, adjoint_oracle_lq, double_integrator_state_constrained,
-                         lq_box_constrained, lq_reduced_spec, lq_terminal_constrained,
-                         lq_to_spec, lq_unconstrained, make_bilinear_scalar,
+from .benchmarks import (LQSpec, RiccatiSolution, adjoint_oracle_lq,
+                         double_integrator_state_constrained, lq_box_constrained,
+                         lq_reduced_spec, lq_terminal_constrained, lq_to_spec,
+                         lq_unconstrained, make_bilinear_scalar,
                          make_polynomial_scalar, solve_lq_riccati)
 from .conditions import (ConditionReport, MultiplierSet, analyze_active_sets,
                          dt_bias_fit, first_order_integral_check,
@@ -24,7 +25,7 @@ from .conditions import (ConditionReport, MultiplierSet, analyze_active_sets,
                          sample_tangent_directions, search_multipliers,
                          second_adjoint_data_for, second_order_check,
                          smooth_random_fields)
-from .errors import ConfigError
+from .errors import ConfigError, TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
                       simulate_first_variation, simulate_forward,
                       simulate_second_variation, semigroup_step)
@@ -545,19 +546,19 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
 # multiplier suite
 # ---------------------------------------------------------------------------
 
-def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, c_target: float,
-                         substeps: int = 4):
+def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
+                         c_target: float, substeps: int = 4):
     """Bisection on the terminal-mean constraint multiplier.
 
     For additive-noise scalar LQ, certainty equivalence makes the
     constrained optimum an affine feedback u = -(B/R)(Pi x + r) with r from
-    a linear backward ODE with r(T) = lambda.  Returns (lambda, r path,
-    Riccati solution).
+    a linear backward ODE with r(T) = lambda; ``ric`` is the Riccati
+    solution on ``grid``.  Returns (lambda, r path, unconstrained mean of
+    x(T)).
     """
     a = float(lq.A[0, 0])
     b = float(lq.B[0, 0])
     R = float(lq.R_run[0, 0])
-    ric = solve_lq_riccati(lq, grid)
     h = grid.dt / substeps
 
     def mean_xT(lam):
@@ -587,14 +588,17 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, c_target: float,
         if hi_l > 1e6:
             raise RuntimeError("bisection bracket failed")
     for _ in range(200):
+        bracket = (lo_l, hi_l)
         mid = 0.5 * (lo_l + hi_l)
         if mean_xT(mid)[0] > c_target:
             lo_l = mid
         else:
             hi_l = mid
+        if (lo_l, hi_l) == bracket:
+            break   # a fixed point: every later iteration repeats this one
     lam = 0.5 * (lo_l + hi_l)
     _, r = mean_xT(lam)
-    return lam, r, ric, m0
+    return lam, r, m0
 
 
 def _terminal_recovery_once(lq, N, M, seed):
@@ -602,9 +606,10 @@ def _terminal_recovery_once(lq, N, M, seed):
     from dataclasses import replace as dc_replace
 
     grid = TimeGrid(N, lq.T)
-    _, _, _, m_unc = lagrangian_lq_oracle(lq, grid, 0.0)
+    ric = solve_lq_riccati(lq, grid)
+    _, _, m_unc = lagrangian_lq_oracle(lq, grid, ric, 0.0)
     c_target = 0.5 * m_unc
-    lam_star, r_path, ric, _ = lagrangian_lq_oracle(lq, grid, c_target)
+    lam_star, r_path, _ = lagrangian_lq_oracle(lq, grid, ric, c_target)
     spec0 = lq_reduced_spec(lq)
     spec = dc_replace(spec0, terminal_constraints=(
         _affine_functional(np.array([1.0]), -c_target),))
@@ -723,7 +728,10 @@ def double_integrator_contact_mass(N: int = 200, seed: int = 29,
     base = simulate_forward(spec, grid, paths,
                             extend_initial_state(np.array([0.0, 1.0]), spec),
                             u_field)
-    assert np.max(np.abs(base.values[0, :, :2] - states)) <= 1e-8
+    gap = float(np.max(np.abs(base.values[0, :, :2] - states)))
+    if not gap <= 1e-8:     # NaN included
+        raise TranscriptionMismatch(
+            f"simulated candidate departs from the transcription states by {gap:.3g}")
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-5)
     mult, sol, report = search_multipliers(spec, grid, paths, base, u_field,
                                            analysis, tol=5e-2, atom_stride=1,

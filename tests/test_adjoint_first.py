@@ -113,6 +113,35 @@ class TestSolveFirstAdjoint:
         assert np.max(np.abs(s12.Y.values - s1.Y.values - s2.Y.values)) \
             <= 1e-8 * scale
 
+    def test_component_axis_matches_separate_solves(self):
+        # C = 3 stacked components (terminal data, psi atoms, forcing) in
+        # one sweep against three separate sweeps
+        spec = _drift_free_spec(n=2, d=2, a1=[[0.3, -0.2], [0.1, -0.4]],
+                                b1=np.array([[[0.2, 0.0], [0.1, 0.3]],
+                                             [[-0.1, 0.2], [0.0, 0.25]]]))
+        g = TimeGrid(20, 1.0)
+        M, C = 300, 3
+        paths = generate_brownian(g, M, 2, seed=12)
+        u = np.zeros((21, 1))
+        base = simulate_forward(spec, g, paths, np.ones(2), u)
+        rng = np.random.default_rng(12)
+        xT = base.values[:, -1, :]
+        yT = np.stack([xT, xT ** 2, np.ones((M, 2))], axis=-1)
+        f = rng.standard_normal((1, 21, 2, C)) * base.values[..., None]
+        atoms = {4: rng.standard_normal((M, 2, C)),
+                 13: rng.standard_normal((2, C)) * np.ones((M, 1, 1))}
+        batched = solve_first_adjoint(spec, g, paths, base, u, yT, f=f,
+                                      psi=DiscreteBVMeasure(atoms))
+        assert batched.y.values.shape == (M, 21, 2, C)
+        assert batched.Y.values.shape == (M, 21, 2, 2, C)
+        for c in range(C):
+            psi_c = DiscreteBVMeasure({k: a[..., c] for k, a in atoms.items()})
+            single = solve_first_adjoint(spec, g, paths, base, u, yT[..., c],
+                                         f=f[..., c], psi=psi_c)
+            for got, ref in ((batched.y.values[..., c], single.y.values),
+                             (batched.Y.values[..., c], single.Y.values)):
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_singular_regression_raises(self):
         spec = _drift_free_spec()
         g = TimeGrid(5, 1.0)

@@ -563,3 +563,100 @@ class TestInfeasibleGuard:
         analysis = analyze_active_sets(spec, g, base_p)
         with pytest.raises(Infeasible):
             search_multipliers(spec, g, paths, base_p, u_p, analysis, tol=1e-7)
+
+
+def _double_integrator_candidate(N):
+    """Zero-noise state-constrained double integrator at its transcription
+    optimum (the setup of criterion 8b at a smaller N)."""
+    from stocond.benchmarks import double_integrator_state_constrained
+    from stocond.model import bolza_reduce
+    from stocond.suites import transcribe_double_integrator
+    spec_raw, running = double_integrator_state_constrained(0.1)
+    spec = bolza_reduce(spec_raw, running)
+    g = TimeGrid(N, 1.0)
+    noisy = generate_brownian(g, 12, spec.d, seed=29)
+    paths = type(noisy)(grid=g, increments=0.0 * noisy.increments, seed=29)
+    z, _ = transcribe_double_integrator(N, 0.1)
+    u = np.zeros((N + 1, 1))
+    u[:N, 0] = z
+    base = simulate_forward(spec, g, paths,
+                            extend_initial_state(np.array([0.0, 1.0]), spec), u)
+    analysis = analyze_active_sets(spec, g, base, delta_act=1e-5)
+    return spec, g, paths, base, u, analysis
+
+
+def _per_component_multipliers(spec, g, paths, base, u, analysis, basis):
+    """Reference for the batched search: one adjoint sweep per multiplier
+    component, then the normal-branch NNLS fit.  Returns
+    ({j: lambda_j}, {k: atom norm}, stationarity residual)."""
+    import scipy.optimize
+    from stocond.conditions import state_constraint_measure
+    M, xT = base.M, base.values[:, -1, :]
+
+    def Hu_of(yT, psi=None):
+        sol = solve_first_adjoint(spec, g, paths, base, u, yT, psi=psi, basis=basis)
+        return hamiltonian_u_field(spec, g, base, u, sol) * np.sqrt(g.dt / M)
+
+    atom_ks = [k for k in analysis.I0 if k < g.N]
+    cols = [Hu_of(-spec.terminal_constraints[j].grad(xT)) for j in analysis.I]
+    cols += [Hu_of(np.zeros((M, spec.n)), state_constraint_measure(spec, base, {k: 1.0}))
+             for k in atom_ks]
+    F = np.column_stack([c.ravel() for c in cols])
+    g_vec = Hu_of(-spec.terminal_cost.grad(xT)).ravel()
+    theta, _ = scipy.optimize.nnls(F, -g_vec)
+    lambdas = dict(zip(analysis.I, theta))
+    masses = {k: mass * np.linalg.norm(spec.state_constraint.grad(base.values[:, k, :]))
+              for k, mass in zip(atom_ks, theta[len(analysis.I):]) if mass > 0}
+    return lambdas, masses, float(np.linalg.norm(g_vec + F @ theta))
+
+
+class TestBatchedMultiplierSearch:
+    def test_matches_per_component_sweeps(self):
+        from stocond.regression import PolynomialBasis
+        spec, g, paths, base, u, analysis = _double_integrator_candidate(40)
+        assert len(analysis.I0) >= 5
+        basis = PolynomialBasis(1)
+        mult, sol, report = search_multipliers(spec, g, paths, base, u, analysis,
+                                               tol=5e-2, basis=basis)
+        lambdas, masses, stationarity = _per_component_multipliers(
+            spec, g, paths, base, u, analysis, basis)
+
+        def close(a, b, scale=None):
+            return abs(a - b) <= 1e-10 * (scale or max(abs(a), abs(b)))
+
+        assert mult.lambda0 == 1.0
+        assert mult.lambdas.keys() == lambdas.keys()
+        assert all(close(mult.lambdas[j], lambdas[j]) for j in lambdas)
+        assert mult.psi.atoms.keys() == masses.keys() and masses
+        assert all(close(np.linalg.norm(mult.psi.atoms[k]), masses[k]) for k in masses)
+        # the stationarity residual is round-off at this exactly stationary
+        # candidate, so it is compared on the scale of the cost's H_u
+        cost_sol = solve_first_adjoint(
+            spec, g, paths, base, u, -spec.terminal_cost.grad(base.values[:, -1, :]),
+            basis=basis)
+        Hu_scale = np.linalg.norm(hamiltonian_u_field(spec, g, base, u, cost_sol)) \
+            * np.sqrt(g.dt / base.M)
+        assert Hu_scale > 1e-3
+        assert close(report.details["stationarity_residual"], stationarity, Hu_scale)
+
+    @pytest.mark.parametrize("case", ["unconstrained_lq", "double_integrator"])
+    def test_two_sweeps_per_search(self, monkeypatch, case):
+        from stocond import conditions
+        from stocond.regression import PolynomialBasis
+        if case == "unconstrained_lq":
+            spec, g, paths, ric, base, u = _lq_setup(lq_unconstrained(), 25, 500, seed=3)
+            analysis = analyze_active_sets(spec, g, base)
+            basis = None
+        else:
+            spec, g, paths, base, u, analysis = _double_integrator_candidate(40)
+            basis = PolynomialBasis(1)
+        components = 1 + len(analysis.I) + len([k for k in analysis.I0 if k < g.N])
+        shapes = []
+
+        def counted(*args, **kwargs):
+            shapes.append(np.shape(args[5]))
+            return solve_first_adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "solve_first_adjoint", counted)
+        search_multipliers(spec, g, paths, base, u, analysis, tol=5e-2, basis=basis)
+        assert shapes == [(base.M, spec.n, components), (base.M, spec.n)]

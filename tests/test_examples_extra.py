@@ -124,3 +124,18 @@ def test_complementary_slackness_masses_off_active_set_rejected():
     psi = state_constraint_measure(spec, base, {2: 0.0, 5: 0.4})
     assert 2 not in psi.atoms
     assert 5 in psi.atoms
+
+
+def test_contact_mass_refuses_candidate_off_its_transcription(monkeypatch):
+    from stocond import suites
+    from stocond.errors import StocondError, TranscriptionMismatch
+    exact = suites.transcribe_double_integrator
+
+    def shifted(N, limit):
+        z, states = exact(N, limit)
+        return z, states + 1e-6
+
+    monkeypatch.setattr(suites, "transcribe_double_integrator", shifted)
+    with pytest.raises(TranscriptionMismatch) as err:
+        suites.double_integrator_contact_mass(N=20)
+    assert isinstance(err.value, StocondError)
