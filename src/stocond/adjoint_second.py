@@ -92,15 +92,20 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
     P = np.zeros((M, grid.N + 1, n, n))
     Q = np.zeros((M, grid.N + 1, n, n, d))
     P[:, grid.N] = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
+    # P_{k+1} is carried as a contiguous (M, n, n) array: a time slice of P
+    # is strided, and batched matmul on it is markedly slower
+    Pn = P[:, grid.N].copy()
+    # E* P E is linear in P: on row-major flattened P it is one GEMM with
+    # kron(E, E), since (E* P E)_im = sum_jl P_jl E_ji E_lm
+    EE = np.kron(E, E)
 
     for k in range(grid.N - 1, -1, -1):
         xk = base_state.values[:, k, :]
         reg = ConditionalRegression(basis.features(xk), ridge=ridge)
-        # semigroup conjugation: E* P_{k+1} E
-        SP = np.einsum("ji,pjl,lm->pim", E, P[:, k + 1], E)
+        SP = (Pn.reshape(M, n * n) @ EE).reshape(M, n, n)
         m_next = reg.fit(SP)
         dW = paths.increments[:, k, :]
-        target_Q = np.einsum("pij,pl->pijl", SP - m_next, dW) / dt
+        target_Q = (SP - m_next)[..., None] * dW[:, None, None, :] / dt
         Qk = reg.fit(target_Q)
         Q[:, k] = Qk
 
@@ -110,21 +115,23 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
         drift = np.zeros((M, n, n))
         if Jk is not None:
             # J^T P + P J
-            drift += np.einsum("pji,pjl->pil", Jk, P[:, k + 1]) \
-                + np.einsum("pij,pjl->pil", P[:, k + 1], Jk)
+            drift += np.matmul(Jk.transpose(0, 2, 1), Pn) + Pn @ Jk
         if Kk is not None:
-            # K* P K: sum_l K_l^T P K_l with channel matrix K_l = K[., :, l, :]
-            drift += np.einsum("pjli,pjm,pmlk->pik", Kk, P[:, k + 1], Kk)
-            # K* Q + Q K per channel: K_l^T Q_l + Q_l K_l
-            drift += np.einsum("pjli,pjkl->pik", Kk, Qk) \
-                + np.einsum("pijl,pjlk->pik", Qk, Kk)
+            # sum_l K_l^T (P K_l + Q_l) + Q_l K_l with channel matrix
+            # K_l = K[., :, l, :]; (n, d, n) -> (n d, n) stacks the channels
+            # so each sum over l is one batched matmul
+            Kr = Kk.reshape(M, n * d, n)
+            X = (Pn @ Kk.reshape(M, n, d * n)).reshape(M, n, d, n) \
+                + Qk.transpose(0, 1, 3, 2)
+            drift += Kr.transpose(0, 2, 1) @ X.reshape(M, n * d, n) \
+                + Qk.reshape(M, n, n * d) @ Kr
         if Fk is not None:
             drift -= Fk
         target_P = SP + dt * drift
-        Pk = reg.fit(target_P)
+        Pn = reg.fit(target_P)
         if symmetrize:
-            Pk = 0.5 * (Pk + Pk.transpose(0, 2, 1))
-        P[:, k] = Pk
+            Pn = 0.5 * (Pn + Pn.transpose(0, 2, 1))
+        P[:, k] = Pn
 
     return RelaxedSolution(P=PathEnsemble(P, grid), Qtensor=PathEnsemble(Q, grid))
 
@@ -233,10 +240,10 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
                                   ft2_arr[:, k])
         if fh2_arr is not None and Kk is not None:
             Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1.values[:, k])
-            PKphi1 = np.einsum("pij,pjl->pil", Pk, Kphi1)
+            PKphi1 = Pk @ Kphi1
             rhs += dt * np.einsum("pil,pil->p", PKphi1, fh2_arr[:, k])
         if fh1_arr is not None:
-            Pfh1 = np.einsum("pij,pjl->pil", Pk, fh1_arr[:, k])
+            Pfh1 = Pk @ fh1_arr[:, k]
             other = np.zeros((M, n, d))
             if Kk is not None:
                 other += np.einsum("pilj,pj->pil", Kk, phi2.values[:, k])

@@ -121,22 +121,43 @@ def hamiltonian_gradients(spec: ProblemSpec, t, x, u, p, q):
     return Hx, _hamiltonian_u(a2, b2, p, q)
 
 
+def _hessian_block(a_map, b_map, tail, t, x, u, p, q):
+    """One block of the Hamiltonian's Hessian, a_map* p + b_map* q.
+
+    a_map and b_map are a drift and a diffusion second derivative map with
+    trailing shape ``tail`` ((n, n) for xx, (n, m) for xu, (m, m) for uu).
+    """
+    if a_map is None or b_map is None:
+        raise ValueError("spec lacks second derivative maps")
+    M, n = p.shape
+    d = q.shape[-1]
+    a = np.broadcast_to(np.asarray(a_map(t, x, u)), (M, n) + tail)
+    b = np.broadcast_to(np.asarray(b_map(t, x, u)), (M, n, d) + tail)
+    # p and q are often time slices of (M, N+1, ...) paths; einsum's loop
+    # over contiguous copies is about twice as fast and gives the same sums
+    p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
+    return np.einsum("pijk,pi->pjk", a, p) + np.einsum("piljk,pil->pjk", b, q)
+
+
+def _hamiltonian_xx(spec: ProblemSpec, t, x, u, p, q):
+    n = spec.n
+    return _hessian_block(spec.drift_xx, spec.diffusion_xx, (n, n), t, x, u, p, q)
+
+
+def _hamiltonian_xu(spec: ProblemSpec, t, x, u, p, q):
+    n, m = spec.n, spec.m
+    return _hessian_block(spec.drift_xu, spec.diffusion_xu, (n, m), t, x, u, p, q)
+
+
+def _hamiltonian_uu(spec: ProblemSpec, t, x, u, p, q):
+    m = spec.m
+    return _hessian_block(spec.drift_uu, spec.diffusion_uu, (m, m), t, x, u, p, q)
+
+
 def hamiltonian_hessians(spec: ProblemSpec, t, x, u, p, q):
     """(H_xx, H_xu, H_uu) from the second derivative maps."""
-    if not spec.has_second_derivatives:
-        raise ValueError("spec lacks second derivative maps")
-    M = x.shape[0]
-    n, m, d = spec.n, spec.m, spec.d
-    a11 = np.broadcast_to(np.asarray(spec.drift_xx(t, x, u)), (M, n, n, n))
-    a12 = np.broadcast_to(np.asarray(spec.drift_xu(t, x, u)), (M, n, n, m))
-    a22 = np.broadcast_to(np.asarray(spec.drift_uu(t, x, u)), (M, n, m, m))
-    b11 = np.broadcast_to(np.asarray(spec.diffusion_xx(t, x, u)), (M, n, d, n, n))
-    b12 = np.broadcast_to(np.asarray(spec.diffusion_xu(t, x, u)), (M, n, d, n, m))
-    b22 = np.broadcast_to(np.asarray(spec.diffusion_uu(t, x, u)), (M, n, d, m, m))
-    Hxx = np.einsum("pijk,pi->pjk", a11, p) + np.einsum("piljk,pil->pjk", b11, q)
-    Hxu = np.einsum("pijk,pi->pjk", a12, p) + np.einsum("piljk,pil->pjk", b12, q)
-    Huu = np.einsum("pijk,pi->pjk", a22, p) + np.einsum("piljk,pil->pjk", b22, q)
-    return Hxx, Hxu, Huu
+    return (_hamiltonian_xx(spec, t, x, u, p, q), _hamiltonian_xu(spec, t, x, u, p, q),
+            _hamiltonian_uu(spec, t, x, u, p, q))
 
 
 def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -610,10 +631,8 @@ def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsembl
     J, K = linearized_coefficient_callables(spec, grid, base, u_arr)
 
     def F(k):
-        Hxx, _, _ = hamiltonian_hessians(
-            spec, ts[k], base.values[:, k, :], u_arr[:, k, :],
-            adjoint.y.values[:, k, :], adjoint.Y.values[:, k, :, :])
-        return -Hxx
+        return -_hamiltonian_xx(spec, ts[k], base.values[:, k, :], u_arr[:, k, :],
+                                adjoint.y.values[:, k, :], adjoint.Y.values[:, k, :, :])
 
     return SecondAdjointData(P_T=PT, F=F, J=J, K=K)
 
@@ -673,20 +692,11 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
     value_det = float(y0 @ nu2) + 0.5 * float(nu1 @ P0 @ nu1)
 
-    # a_u u1 / b_u u1 source fields for the operator views
+    # One pass evaluates each coefficient map once per step and fills the
+    # a_u u1 / b_u u1 source fields; the Q-view term needs phi, which is
+    # driven by every step's sources, so it is added after the pass.
     ft = np.zeros((M, N + 1, n))
     fh = np.zeros((M, N + 1, n, d))
-    for k in range(N):
-        xk = base.values[:, k, :]
-        uk = u_arr[:, k, :]
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
-        ft[:, k] = np.einsum("pij,pj->pi", a2, u1_arr[:, k, :])
-        fh[:, k] = np.einsum("pilj,pj->pil", b2, u1_arr[:, k, :])
-    phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
-    Qview = q_view(relaxed, phi, 0)
-    Qview_hat = q_view(relaxed, phi, 0, adjoint=True)
-
     per_path = np.zeros(M)
     for k in range(N):
         xk = base.values[:, k, :]
@@ -696,28 +706,31 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         Pk = relaxed.P.values[:, k, :, :]
         u1k = u1_arr[:, k, :]
         x1k = x1.values[:, k, :]
-        _, Hxu, Huu = hamiltonian_hessians(spec, ts[k], xk, uk, yk, Yk)
         a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
         b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
-        Hu = _hamiltonian_u(a2, b2, yk, Yk)
         b1 = np.broadcast_to(np.asarray(spec.diffusion_x(ts[k], xk, uk)), (M, n, d, n))
+        Hxu = _hamiltonian_xu(spec, ts[k], xk, uk, yk, Yk)
+        Huu = _hamiltonian_uu(spec, ts[k], xk, uk, yk, Yk)
+        ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
+        fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
         term = np.zeros(M)
         if u2_arr is not None:
-            term += np.einsum("pj,pj->p", Hu, u2_arr[:, k, :])
+            term += np.einsum("pj,pj->p", _hamiltonian_u(a2, b2, yk, Yk), u2_arr[:, k, :])
         term += 0.5 * np.einsum("pjk,pj,pk->p", Huu, u1k, u1k)
-        b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
-        Pb2u1 = np.einsum("pij,pjl->pil", Pk, b2u1)
+        Pb2u1 = Pk @ b2u1
         term += 0.5 * np.einsum("pil,pil->p", Pb2u1, b2u1)
         cross = np.einsum("pjk,pj->pk", Hxu, x1k)
         Px1 = np.einsum("pij,pj->pi", Pk, x1k)
         cross += np.einsum("pij,pi->pj", a2, Px1)
         b1x1 = np.einsum("pilj,pj->pil", b1, x1k)
-        Pb1x1 = np.einsum("pij,pjl->pil", Pk, b1x1)
+        Pb1x1 = Pk @ b1x1
         cross += np.einsum("pilj,pil->pj", b2, Pb1x1)
         term += np.einsum("pk,pk->p", cross, u1k)
-        term += 0.5 * np.einsum(
-            "pil,pil->p", Qview.values[:, k] + Qview_hat.values[:, k], b2u1)
         per_path += dt * term
+    phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
+    Qsum = q_view(relaxed, phi, 0).values
+    Qsum += q_view(relaxed, phi, 0, adjoint=True).values
+    per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
     # multiplier terms
     xT = base.values[:, N, :]
     for j, lam in mult.lambdas.items():

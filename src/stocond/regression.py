@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularRegression
 
@@ -62,7 +63,8 @@ class ConditionalRegression:
         shape = target.shape
         flat = target.reshape(self._M, -1)
         rhs = self.phi.T @ flat / self._M
-        coef = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
+        # non-finite targets surface through the check on the fitted values
+        coef = scipy.linalg.cho_solve((self._chol, True), rhs, check_finite=False)
         fitted = self.phi @ coef
         if not np.all(np.isfinite(fitted)):
             raise SingularRegression("regression produced non-finite values")

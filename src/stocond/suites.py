@@ -546,6 +546,33 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
 # multiplier suite
 # ---------------------------------------------------------------------------
 
+def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float,
+                substeps: int = 4):
+    """Mean of x(T) and the r path under the feedback with r(T) = lam.
+
+    r' = -(a - b^2 Pi / R) r, r(T) = lam, integrated backward;
+    m' = (a - b^2 Pi / R) m - (b^2 / R) r, m(0) = x0.
+    """
+    a = float(lq.A[0, 0])
+    b = float(lq.B[0, 0])
+    R = float(lq.R_run[0, 0])
+    h = grid.dt / substeps
+    K = grid.N
+    r = np.zeros(K + 1)
+    r[K] = lam
+    for k in range(K - 1, -1, -1):
+        coef = a - b * b * ric.Pi[k][0, 0] / R
+        val = r[k + 1]
+        for _ in range(substeps):
+            val = val + h * coef * val
+        r[k] = val
+    m = float(lq.x0[0])
+    for k in range(K):
+        coef = a - b * b * ric.Pi[k][0, 0] / R
+        m = m + grid.dt * (coef * m - b * b / R * r[k])
+    return m, r
+
+
 def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
                          c_target: float, substeps: int = 4):
     """Bisection on the terminal-mean constraint multiplier.
@@ -556,30 +583,8 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
     solution on ``grid``.  Returns (lambda, r path, unconstrained mean of
     x(T)).
     """
-    a = float(lq.A[0, 0])
-    b = float(lq.B[0, 0])
-    R = float(lq.R_run[0, 0])
-    h = grid.dt / substeps
-
     def mean_xT(lam):
-        # r' = -(a - b^2 Pi / R) r, r(T) = lam, integrated backward;
-        # m' = (a - b^2 Pi / R) m - (b^2 / R) r, m(0) = x0.
-        K = grid.N
-        r = np.zeros(K + 1)
-        r[K] = lam
-        for k in range(K - 1, -1, -1):
-            val = r[k + 1]
-            for s in range(substeps):
-                Pi = ric.Pi[k + 1][0, 0] if s == 0 else Pi_mid
-                Pi_mid = ric.Pi[k][0, 0]
-                coef = a - b * b * Pi_mid / R
-                val = val + h * coef * val
-            r[k] = val
-        m = float(lq.x0[0])
-        for k in range(K):
-            coef = a - b * b * ric.Pi[k][0, 0] / R
-            m = m + grid.dt * (coef * m - b * b / R * r[k])
-        return m, r
+        return _lq_mean_xT(lq, grid, ric, lam, substeps)
 
     m0, _ = mean_xT(0.0)
     lo_l, hi_l = 0.0, 1.0
@@ -607,7 +612,7 @@ def _terminal_recovery_once(lq, N, M, seed):
 
     grid = TimeGrid(N, lq.T)
     ric = solve_lq_riccati(lq, grid)
-    _, _, m_unc = lagrangian_lq_oracle(lq, grid, ric, 0.0)
+    m_unc, _ = _lq_mean_xT(lq, grid, ric, 0.0)
     c_target = 0.5 * m_unc
     lam_star, r_path, _ = lagrangian_lq_oracle(lq, grid, ric, c_target)
     spec0 = lq_reduced_spec(lq)

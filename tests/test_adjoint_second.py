@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from stocond.adjoint_first import solve_first_adjoint
 from stocond.adjoint_second import (SecondAdjointData, apply_Q,
@@ -7,8 +10,9 @@ from stocond.adjoint_second import (SecondAdjointData, apply_Q,
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
 from stocond.conditions import (MultiplierSet, second_adjoint_data_for)
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.forward import simulate_first_variation, simulate_forward
+from stocond.forward import semigroup_step, simulate_first_variation, simulate_forward
 from stocond.model import PathEnsemble, TimeGrid, generate_brownian
+from stocond.regression import ConditionalRegression, PolynomialBasis
 from stocond.suites import _lq_setup, _smooth_field
 from tests.test_adjoint_first import _drift_free_spec
 
@@ -215,3 +219,134 @@ class TestRelaxedIdentity:
         resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
                                            (nu1, ft, fh), (nu1, ft, fh))
         assert resid <= 3 * se + 0.05
+
+
+# ---------------------------------------------------------------------------
+# einsum reference: the contractions as plain einsums over materialised
+# (M, N+1, ...) coefficient paths, against which the batched-matmul forms in
+# adjoint_second are checked
+# ---------------------------------------------------------------------------
+
+def _ref_solve_second_adjoint(E, grid, paths, base, PT, F, J, K):
+    M, d = paths.M, paths.d
+    n = E.shape[0]
+    dt = grid.dt
+    P = np.zeros((M, grid.N + 1, n, n))
+    Q = np.zeros((M, grid.N + 1, n, n, d))
+    P[:, grid.N] = PT
+    for k in range(grid.N - 1, -1, -1):
+        reg = ConditionalRegression(PolynomialBasis(2).features(base[:, k]))
+        SP = np.einsum("ji,pjl,lm->pim", E, P[:, k + 1], E)
+        m_next = reg.fit(SP)
+        Qk = reg.fit(np.einsum("pij,pl->pijl", SP - m_next,
+                               paths.increments[:, k, :]) / dt)
+        Q[:, k] = Qk
+        Jk, Kk = J[:, k], K[:, k]
+        drift = (np.einsum("pji,pjl->pil", Jk, P[:, k + 1])
+                 + np.einsum("pij,pjl->pil", P[:, k + 1], Jk)
+                 + np.einsum("pjli,pjm,pmlk->pik", Kk, P[:, k + 1], Kk)
+                 + np.einsum("pjli,pjkl->pik", Kk, Qk)
+                 + np.einsum("pijl,pjlk->pik", Qk, Kk)
+                 - F[:, k])
+        Pk = reg.fit(SP + dt * drift)
+        P[:, k] = 0.5 * (Pk + Pk.transpose(0, 2, 1))
+    return P, Q
+
+
+def _ref_simulate_phi(E, grid, paths, J, K, xi, ft, fh):
+    M, n = paths.M, E.shape[0]
+    dt = grid.dt
+    phi = np.zeros((M, grid.N + 1, n))
+    phi[:, 0] = xi
+    for k in range(grid.N):
+        inc = (phi[:, k] + dt * np.einsum("pij,pj->pi", J[:, k], phi[:, k])
+               + dt * ft[k])
+        noise = np.einsum("pilj,pj->pil", K[:, k], phi[:, k]) + fh[k]
+        inc = inc + np.einsum("pil,pl->pi", noise, paths.increments[:, k, :])
+        phi[:, k + 1] = inc @ E.T
+    return phi
+
+
+def _ref_check_relaxed_identity(grid, paths, P, Q, PT, F, K, phi1, phi2, data1, data2):
+    M = paths.M
+    dt = grid.dt
+    (xi1, ft1, fh1), (xi2, ft2, fh2) = data1, data2
+    lhs = np.einsum("ij,pj,pi->p", PT, phi1[:, grid.N], phi2[:, grid.N])
+    rhs = np.einsum("pij,j,i->p", P[:, 0], xi1, xi2)
+    for k in range(grid.N):
+        Pk, Kk = P[:, k], K[:, k]
+        lhs -= dt * np.einsum("pij,pj,pi->p", F[:, k], phi1[:, k], phi2[:, k])
+        rhs += dt * np.einsum("pij,j,pi->p", Pk, ft1[k], phi2[:, k])
+        rhs += dt * np.einsum("pij,pj,i->p", Pk, phi1[:, k], ft2[k])
+        Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1[:, k])
+        rhs += dt * np.einsum("pij,pjl,il->p", Pk, Kphi1, fh2[k])
+        other = np.einsum("pilj,pj->pil", Kk, phi2[:, k]) + fh2[k]
+        rhs += dt * np.einsum("pij,jl,pil->p", Pk, fh1[k], other)
+        rhs += dt * np.einsum("il,pjil,pj->p", fh1[k], Q[:, k], phi2[:, k])
+        rhs += dt * np.einsum("pijl,pj,il->p", Q[:, k], phi1[:, k], fh2[k])
+    diff = lhs - rhs
+    return abs(float(np.mean(diff))), float(np.std(diff, ddof=1)) / np.sqrt(M)
+
+
+def _coefficient(rng, layout, M, N, tail, scale):
+    """A random coefficient path as full (M, N+1) + tail values and in the
+    given _slice_bc layout."""
+    if layout == "constant":
+        value = scale * rng.standard_normal(tail)
+    elif layout == "deterministic":
+        value = scale * rng.standard_normal((N + 1,) + tail)
+    else:
+        value = scale * rng.standard_normal((M, N + 1) + tail)
+    full = np.broadcast_to(value, (M, N + 1) + tail)
+    if layout == "callable":
+        return full, lambda k: value[:, k].copy()
+    return full, value
+
+
+class TestEinsumReference:
+    LAYOUTS = ("callable", "constant", "deterministic", "ensemble")
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_matches_einsum_reference(self, n, d, layout):
+        rng = np.random.default_rng(100 * n + 10 * d + self.LAYOUTS.index(layout))
+        M, N = 64, 8
+        g = TimeGrid(N, 1.0)
+        spec = replace(_drift_free_spec(n=n, d=d),
+                       A=-np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+        E = semigroup_step(spec.A, g.dt)
+        paths = generate_brownian(g, M, d, seed=n + d)
+        base = rng.standard_normal((M, N + 1, n))
+        PT = rng.standard_normal((n, n))
+        PT = PT + PT.T
+        Jf, J = _coefficient(rng, layout, M, N, (n, n), 0.5)
+        Kf, K = _coefficient(rng, layout, M, N, (n, d, n), 0.5)
+        Ff, F = _coefficient(rng, layout, M, N, (n, n), 1.0)
+        data = SecondAdjointData(P_T=PT, F=F, J=J, K=K)
+
+        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base, g),
+                                   np.zeros((N + 1, 1)), data)
+        P_ref, Q_ref = _ref_solve_second_adjoint(E, g, paths, base, PT, Ff, Jf, Kf)
+        scale = np.max(np.abs(P_ref))
+        assert np.max(np.abs(sol.P.values - P_ref)) <= 1e-12 * scale
+        # with path-independent coefficients Q is round-off, so it is
+        # measured on the scale of P
+        scale = max(scale, np.max(np.abs(Q_ref)))
+        assert np.max(np.abs(sol.Qtensor.values - Q_ref)) <= 1e-12 * scale
+
+        tests = []
+        for _ in range(2):
+            tests.append((rng.standard_normal(n), rng.standard_normal((N + 1, n)),
+                          rng.standard_normal((N + 1, n, d))))
+        phis = []
+        for xi, ft, fh in tests:
+            phi = simulate_phi(spec, g, paths, data, 0, xi, ft, fh)
+            ref = _ref_simulate_phi(E, g, paths, Jf, Kf, xi, ft, fh)
+            assert np.max(np.abs(phi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+            phis.append(ref)
+
+        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0, *tests)
+        ref_resid, ref_se = _ref_check_relaxed_identity(
+            g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests)
+        assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
+        assert abs(se - ref_se) <= 1e-12 * ref_se

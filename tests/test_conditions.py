@@ -8,7 +8,8 @@ from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
 from stocond.conditions import (MultiplierSet, analyze_active_sets, dt_bias_fit,
                                 first_order_integral_check,
                                 first_order_pointwise_check, hamiltonian,
-                                hamiltonian_gradients, hamiltonian_u_field,
+                                hamiltonian_gradients, hamiltonian_hessians,
+                                hamiltonian_u_field,
                                 normality_probe, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
@@ -18,7 +19,7 @@ from stocond.errors import AdjointMismatch, NotCritical
 from stocond.forward import (simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
-                           extend_initial_state, generate_brownian)
+                           as_control_array, extend_initial_state, generate_brownian)
 from stocond.suites import _lq_setup, simulate_closed_loop
 
 
@@ -75,6 +76,22 @@ class TestHamiltonian:
         Hm = hamiltonian(spec, 0.3, x, u - h, p, q)
         fd = (Hp - Hm) / (2 * h)
         assert np.max(np.abs(Hu[:, 0] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    def test_second_adjoint_F_is_minus_H_xx(self):
+        # the Bolza accumulator row makes H_xx path-dependent through y
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        data = second_adjoint_data_for(spec, g, base, u, adj,
+                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
+        u_arr = as_control_array(u, g, base.M, spec.m)
+        for k in range(g.N):
+            Hxx, _, _ = hamiltonian_hessians(
+                spec, g.times[k], base.values[:, k], u_arr[:, k],
+                adj.y.values[:, k], adj.Y.values[:, k])
+            assert np.any(Hxx != 0.0)
+            assert np.array_equal(data.F(k), -Hxx)
 
 
 class TestTangentProjection:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stocond import cones
+from stocond import cones, suites
 from stocond.adjoint_first import DiscreteBVMeasure
 from stocond.benchmarks import lq_reduced_spec, lq_unconstrained, solve_lq_riccati
 from stocond.conditions import (MultiplierSet, analyze_active_sets,
@@ -139,3 +139,21 @@ def test_contact_mass_refuses_candidate_off_its_transcription(monkeypatch):
     with pytest.raises(TranscriptionMismatch) as err:
         suites.double_integrator_contact_mass(N=20)
     assert isinstance(err.value, StocondError)
+
+
+def test_terminal_recovery_reads_unconstrained_mean_without_bisection(monkeypatch):
+    # m0 comes from one integration at lambda = 0; the oracle's bisection
+    # runs once, for the constrained target c = m0 / 2
+    oracle = suites.lagrangian_lq_oracle
+    targets = []
+
+    def spy(lq, grid, ric, c_target, *args, **kwargs):
+        targets.append(c_target)
+        return oracle(lq, grid, ric, c_target, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "lagrangian_lq_oracle", spy)
+    lq = suites.lq_terminal_constrained()
+    suites._terminal_recovery_once(lq, 25, 400, seed=23)
+    g = TimeGrid(25, lq.T)
+    m0 = oracle(lq, g, solve_lq_riccati(lq, g), 0.0)[2]
+    assert targets == [0.5 * m0]
