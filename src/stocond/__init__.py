@@ -6,7 +6,7 @@ from . import (adjoint_first, adjoint_second, benchmarks, cli, conditions,
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             check_transposition_identity, measure_pairing,
                             solve_first_adjoint)
-from .adjoint_second import (RelaxedSolution, SecondAdjointData, apply_Q,
+from .adjoint_second import (RelaxedSolution, SecondAdjointData,
                              check_relaxed_identity, solve_second_adjoint)
 from .conditions import (ActiveSetAnalysis, ConditionReport, MultiplierSet,
                          analyze_active_sets, first_order_integral_check,

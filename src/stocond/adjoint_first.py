@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdjointMismatch
-from .forward import semigroup_step
+from .forward import _along, _on_paths, _simulate_linear, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
 
@@ -73,14 +73,6 @@ class DiscreteBVMeasure:
                                   for k, v in self.atoms.items()})
 
 
-def _coeffs_at(spec: ProblemSpec, t: float, xk: np.ndarray, uk: np.ndarray,
-               M: int, d: int):
-    a1 = np.broadcast_to(np.asarray(spec.drift_x(t, xk, uk)), (M, spec.n, spec.n))
-    b1 = np.broadcast_to(np.asarray(spec.diffusion_x(t, xk, uk)),
-                         (M, spec.n, d, spec.n))
-    return a1, b1
-
-
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                         base_state: PathEnsemble, u_bar, yT: np.ndarray,
                         f=None, psi: DiscreteBVMeasure | None = None,
@@ -107,21 +99,17 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     comp = yT.shape[2:]                  # () or (C,)
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
-    ts = grid.times
+    along = _along(spec, grid, paths, base_state, u_bar)
+    a_x, b_x = along("drift_x"), along("diffusion_x")
 
     y = np.zeros((M, grid.N + 1, n) + comp)
     Y = np.zeros((M, grid.N + 1, n, d) + comp)
     y[:, grid.N] = np.broadcast_to(yT, (M, n) + comp)
-    if f is None:
-        f_arr = None
-    else:
-        f_arr = np.broadcast_to(np.asarray(f, dtype=float),
-                                (M, grid.N + 1, n) + comp)
+    f_arr = _on_paths(f, M, grid.N, (n,) + comp)
 
     for k in range(grid.N - 1, -1, -1):
-        xk = base_state.values[:, k, :]
-        uk = u_bar[:, k, :]
-        reg = ConditionalRegression(basis.features(xk), ridge=ridge)
+        reg = ConditionalRegression(basis.features(base_state.values[:, k, :]),
+                                    ridge=ridge)
         # (E* y_{k+1})_i = sum_j E_ji y_j, with the state axis moved last
         Sy = np.moveaxis(np.moveaxis(y[:, k + 1], 1, -1) @ E, -1, 1)
         m_next = reg.fit(Sy)
@@ -130,9 +118,8 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
         target_Y = np.einsum("pi...,pl->pil...", Sy - m_next, dW) / dt
         Yk = reg.fit(target_Y)
         Y[:, k] = Yk
-        a1, b1 = _coeffs_at(spec, ts[k], xk, uk, M, d)
-        drift = np.einsum("pij,pi...->pj...", a1, y[:, k + 1]) \
-            + np.einsum("pilj,pil...->pj...", b1, Yk)
+        drift = np.einsum("pij,pi...->pj...", a_x(k), y[:, k + 1]) \
+            + np.einsum("pilj,pil...->pj...", b_x(k), Yk)
         if f_arr is not None:
             drift = drift - f_arr[:, k]
         target_y = Sy + drift * dt
@@ -158,24 +145,8 @@ def simulate_test_process(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnse
 
     phi is zero before t_index; eta may be deterministic (n,) or (M, n).
     """
-    M, d, n = paths.M, paths.d, spec.n
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
-    phi = np.zeros((M, grid.N + 1, n))
-    phi[:, t_index, :] = np.broadcast_to(np.asarray(eta, dtype=float), (M, n))
-    f1_arr = None if f1 is None else np.broadcast_to(
-        np.asarray(f1, dtype=float), (M, grid.N + 1, n))
-    f2_arr = None if f2 is None else np.broadcast_to(
-        np.asarray(f2, dtype=float), (M, grid.N + 1, n, d))
-    for k in range(t_index, grid.N):
-        inc = phi[:, k, :].copy()
-        if f1_arr is not None:
-            inc = inc + f1_arr[:, k, :] * dt
-        if f2_arr is not None:
-            inc = inc + np.einsum("pil,pl->pi", f2_arr[:, k, :, :],
-                                  paths.increments[:, k, :])
-        phi[:, k + 1, :] = inc @ E.T
-    return PathEnsemble(phi, grid)
+    return _simulate_linear(spec, grid, paths, eta, None, None, f1, f2,
+                            t_index=t_index, what="test process")
 
 
 def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
@@ -197,24 +168,19 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     phi = simulate_test_process(spec, grid, paths, t_index, eta, f1, f2)
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
-    ts = grid.times
-    f1_arr = None if f1 is None else np.broadcast_to(
-        np.asarray(f1, dtype=float), (M, grid.N + 1, n))
-    f2_arr = None if f2 is None else np.broadcast_to(
-        np.asarray(f2, dtype=float), (M, grid.N + 1, n, d))
-    f_arr = None if f is None else np.broadcast_to(
-        np.asarray(f, dtype=float), (M, grid.N + 1, n))
+    along = _along(spec, grid, paths, base_state, u_arr)
+    a_x, b_x = along("drift_x"), along("diffusion_x")
+    f1_arr = _on_paths(f1, M, grid.N, (n,))
+    f2_arr = _on_paths(f2, M, grid.N, (n, d))
+    f_arr = _on_paths(f, M, grid.N, (n,))
 
     lhs = np.einsum("pi,pi->p", phi.values[:, grid.N, :], sol.y.values[:, grid.N, :])
     rhs = np.einsum("pi,pi->p",
                     np.broadcast_to(np.asarray(eta, dtype=float), (M, n)),
                     sol.y.values[:, t_index, :])
     for k in range(t_index, grid.N):
-        xk = base_state.values[:, k, :]
-        uk = u_arr[:, k, :]
-        a1, b1 = _coeffs_at(spec, ts[k], xk, uk, M, d)
-        integrand = np.einsum("pij,pi->pj", a1, sol.y.values[:, k + 1, :]) \
-            + np.einsum("pilj,pil->pj", b1, sol.Y.values[:, k, :, :])
+        integrand = np.einsum("pij,pi->pj", a_x(k), sol.y.values[:, k + 1, :]) \
+            + np.einsum("pilj,pil->pj", b_x(k), sol.Y.values[:, k, :, :])
         if f_arr is not None:
             integrand = integrand - f_arr[:, k, :]
         lhs += dt * np.einsum("pi,pi->p", phi.values[:, k, :], integrand)
@@ -246,24 +212,20 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
 
     Returns (|LHS-RHS|, SE); deviations are O(dt) discretization bias.
     """
-    M, d, n = paths.M, paths.d, spec.n
+    M, n = paths.M, spec.n
     psi = psi or DiscreteBVMeasure()
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
     dt = grid.dt
-    ts = grid.times
+    along = _along(spec, grid, paths, base_state, u_arr)
+    a_u, b_u = along("drift_u"), along("diffusion_u")
     lhs = np.einsum("pi,pi->p", sol.y.values[:, grid.N, :], x1.values[:, grid.N, :]) \
         - np.einsum("pi,pi->p", sol.y.values[:, 0, :],
                     np.broadcast_to(np.asarray(nu1, dtype=float), (M, n)))
     rhs = np.zeros(M)
     for k in range(grid.N):
-        xk = base_state.values[:, k, :]
-        uk = u_arr[:, k, :]
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, spec.m))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)),
-                             (M, n, d, spec.m))
-        au = np.einsum("pij,pj->pi", a2, u1_arr[:, k, :])
-        bu = np.einsum("pilj,pj->pil", b2, u1_arr[:, k, :])
+        au = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k, :])
+        bu = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k, :])
         rhs += dt * (np.einsum("pi,pi->p", sol.y.values[:, k + 1, :], au)
                      + np.einsum("pil,pil->p", sol.Y.values[:, k, :, :], bu))
         rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))

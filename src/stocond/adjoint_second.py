@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import semigroup_step
+from .forward import _on_paths, _simulate_linear, _slice_bc, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
 
@@ -49,26 +49,6 @@ class SecondAdjointData:
     F: object = None
     J: object = None
     K: object = None
-
-
-def _slice_bc(arr, k, M, tail):
-    """Coefficient at step k, broadcast to (M,) + tail.
-
-    Accepted layouts: a callable k -> array, constant ``tail``,
-    deterministic ``(N+1,) + tail``, or full ensemble ``(M, N+1) + tail``.
-    Per-path data must carry the time axis so the array layouts stay
-    distinguishable by ndim.
-    """
-    if arr is None:
-        return None
-    if callable(arr):
-        return np.broadcast_to(np.asarray(arr(k), dtype=float), (M,) + tail)
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == len(tail):
-        return np.broadcast_to(arr, (M,) + tail)
-    if arr.ndim == len(tail) + 1:
-        return np.broadcast_to(arr[k], (M,) + tail)
-    return np.broadcast_to(arr[:, k], (M,) + tail)
 
 
 def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -140,31 +120,8 @@ def simulate_phi(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                  data: SecondAdjointData, t_index: int, xi, f_tilde, f_hat
                  ) -> PathEnsemble:
     """Forward test dynamics of the relaxed identity, from t_index."""
-    M, d, n = paths.M, paths.d, spec.n
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
-    phi = np.zeros((M, grid.N + 1, n))
-    phi[:, t_index] = np.broadcast_to(np.asarray(xi, dtype=float), (M, n))
-    ft = None if f_tilde is None else np.broadcast_to(
-        np.asarray(f_tilde, dtype=float), (M, grid.N + 1, n))
-    fh = None if f_hat is None else np.broadcast_to(
-        np.asarray(f_hat, dtype=float), (M, grid.N + 1, n, d))
-    for k in range(t_index, grid.N):
-        Jk = _slice_bc(data.J, k, M, (n, n))
-        Kk = _slice_bc(data.K, k, M, (n, d, n))
-        inc = phi[:, k].copy()
-        if Jk is not None:
-            inc = inc + dt * np.einsum("pij,pj->pi", Jk, phi[:, k])
-        if ft is not None:
-            inc = inc + dt * ft[:, k]
-        noise = np.zeros((M, n, d))
-        if Kk is not None:
-            noise += np.einsum("pilj,pj->pil", Kk, phi[:, k])
-        if fh is not None:
-            noise += fh[:, k]
-        inc = inc + np.einsum("pil,pl->pi", noise, paths.increments[:, k, :])
-        phi[:, k + 1] = inc @ E.T
-    return PathEnsemble(phi, grid)
+    return _simulate_linear(spec, grid, paths, xi, data.J, data.K, f_tilde, f_hat,
+                            t_index=t_index, what="relaxed test process")
 
 
 def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
@@ -178,19 +135,6 @@ def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
         out = np.einsum("pkijl,pkj->pkil", Q, phi.values)
     out[:, :t_index] = 0.0
     return PathEnsemble(out, phi.grid)
-
-
-def apply_Q(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-            sol: RelaxedSolution, data: SecondAdjointData, t_index: int,
-            xi, f_tilde, f_hat, adjoint: bool = False) -> PathEnsemble:
-    """Relaxed-transposition operator family as a derived view.
-
-    Returns the (M, N+1, n, d) ensemble whose channel l at time s is
-    Q_l(s) phi(s) (or Q_l(s)^T phi(s) for the hat family), with phi the test
-    process for (xi, f_tilde, f_hat) started at t_index.
-    """
-    phi = simulate_phi(spec, grid, paths, data, t_index, xi, f_tilde, f_hat)
-    return q_view(sol, phi, t_index, adjoint)
 
 
 def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -216,14 +160,8 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     rhs = np.einsum("pij,pj,pi->p", P[:, t_index],
                     np.broadcast_to(np.asarray(xi1, dtype=float), (M, n)),
                     np.broadcast_to(np.asarray(xi2, dtype=float), (M, n)))
-    ft1_arr = None if ft1 is None else np.broadcast_to(
-        np.asarray(ft1, dtype=float), (M, grid.N + 1, n))
-    ft2_arr = None if ft2 is None else np.broadcast_to(
-        np.asarray(ft2, dtype=float), (M, grid.N + 1, n))
-    fh1_arr = None if fh1 is None else np.broadcast_to(
-        np.asarray(fh1, dtype=float), (M, grid.N + 1, n, d))
-    fh2_arr = None if fh2 is None else np.broadcast_to(
-        np.asarray(fh2, dtype=float), (M, grid.N + 1, n, d))
+    ft1_arr, ft2_arr = _on_paths(ft1, M, grid.N, (n,)), _on_paths(ft2, M, grid.N, (n,))
+    fh1_arr, fh2_arr = _on_paths(fh1, M, grid.N, (n, d)), _on_paths(fh2, M, grid.N, (n, d))
 
     for k in range(t_index, grid.N):
         Fk = _slice_bc(data.F, k, M, (n, n))

@@ -227,6 +227,15 @@ def tangent_project_field(U: cones.SetDescriptor, u_values: np.ndarray,
     raise TypeError(f"unsupported control set {type(U).__name__}")
 
 
+def _smooth_field(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Fixed low-order Fourier field evaluated on a grid: (N+1,) per column."""
+    ts = times / times[-1]
+    val = coeffs[0] * np.ones_like(ts)
+    for q in range(1, len(coeffs)):
+        val += coeffs[q] * np.sin(np.pi * q * ts)
+    return val
+
+
 def smooth_random_fields(grid: TimeGrid, m: int, count: int,
                          rng: np.random.Generator, modes: int = 4) -> np.ndarray:
     """Deterministic-in-time random direction fields, (count, N+1, m).
@@ -234,15 +243,10 @@ def smooth_random_fields(grid: TimeGrid, m: int, count: int,
     Low-order Fourier combinations keep the fields smooth so that left-point
     quadrature error stays O(dt).
     """
-    ts = grid.times / grid.T
     out = np.zeros((count, grid.N + 1, m))
     for c in range(count):
         for j in range(m):
-            coef = rng.standard_normal(modes + 1)
-            val = coef[0] * np.ones_like(ts)
-            for q in range(1, modes + 1):
-                val += coef[q] * np.sin(np.pi * q * ts)
-            out[c, :, j] = val
+            out[c, :, j] = _smooth_field(rng.standard_normal(modes + 1), grid.times)
     return out
 
 

@@ -9,7 +9,6 @@ so pathwise remainders carry no O(M^{-1/2}) noise of their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +50,6 @@ class RemainderReport:
             for eps, nrm, se in zip(self.epsilons, self.norms, self.ses):
                 fh.write(f"{eps!r},{nrm!r},{se!r}\n")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "epsilons": self.epsilons.tolist(),
-            "norms": self.norms.tolist(),
-            "ses": self.ses.tolist(),
-            "fitted_slope": self.fitted_slope,
-        }, sort_keys=True)
-
 
 def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
     """exp(A dt) via scaling-and-squaring, computed once per grid."""
@@ -66,9 +57,122 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _check_cap(x: np.ndarray, cap: float, what: str) -> None:
-    mx = float(np.max(np.abs(x))) if x.size else 0.0
+    # max |x| without the temporary |x|; a NaN reaches mx through x.max()
+    mx = max(float(x.max()), -float(x.min())) if x.size else 0.0
     if not np.isfinite(mx) or mx > cap:
         raise BlowUp(f"{what} norm exceeded cap {cap:.3g} (max component {mx:.3g})")
+
+
+def _slice_bc(arr, k, M, tail):
+    """Coefficient at step k, broadcast to (M,) + tail.
+
+    Accepted layouts: a callable k -> array, constant ``tail``,
+    deterministic ``(N+1,) + tail``, or full ensemble ``(M, N+1) + tail``.
+    Per-path data must carry the time axis so the array layouts stay
+    distinguishable by ndim.
+    """
+    if arr is None:
+        return None
+    if callable(arr):
+        return np.broadcast_to(np.asarray(arr(k), dtype=float), (M,) + tail)
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim == len(tail):
+        return np.broadcast_to(arr, (M,) + tail)
+    if arr.ndim == len(tail) + 1:
+        return np.broadcast_to(arr[k], (M,) + tail)
+    return np.broadcast_to(arr[:, k], (M,) + tail)
+
+
+def _on_paths(f, M: int, N: int, tail: tuple):
+    """Path data broadcast to every path and grid time, (M, N+1) + tail;
+    None stays None."""
+    return None if f is None else np.broadcast_to(np.asarray(f, dtype=float),
+                                                  (M, N + 1) + tail)
+
+
+def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
+               t_index: int = 0, cap: float = DEFAULT_STATE_CAP,
+               what: str = "state") -> PathEnsemble:
+    """The exponential-Euler loop shared by every forward process.
+
+    x_{k+1} = (x_k + drift dt + noise dW_k) exp(A dt)^T from x(t_index) = x0,
+    zero before t_index, with (drift (M, n), noise (M, n, d)) = step(k, x_k);
+    either part may be None when it vanishes.
+    """
+    N = grid.N
+    if not 0 <= t_index <= N:
+        raise ValueError(f"t_index must lie in 0..{N}, got {t_index}")
+    M, dt = paths.M, grid.dt
+    E = semigroup_step(spec.A, dt)
+    X = np.zeros((M, N + 1, spec.n))
+    X[:, t_index] = np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n))
+    for k in range(t_index, N):
+        xk = X[:, k]
+        drift, noise = step(k, xk)
+        incr = xk
+        if drift is not None:
+            incr = incr + drift * dt
+        if noise is not None:
+            incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
+        # checked before it is stored: a time slice of X is strided, and
+        # the reductions run markedly slower on it
+        x_next = incr @ E.T
+        _check_cap(x_next, cap, what)
+        X[:, k + 1] = x_next
+    return PathEnsemble(values=X, grid=grid)
+
+
+def _affine(L, x, src, subscripts):
+    """L x + src with either part optional; None when both are."""
+    if L is None:
+        return src
+    Lx = np.einsum(subscripts, L, x)
+    return Lx if src is None else Lx + src
+
+
+def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
+                     x0, J, K, f_tilde, f_hat, t_index: int = 0,
+                     cap: float = DEFAULT_STATE_CAP, what: str = "state") -> PathEnsemble:
+    """d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW from t_index.
+
+    J (n, n) and K (n, d, n) take any ``_slice_bc`` layout; f_tilde and
+    f_hat are callables k -> (M, n) and (M, n, d) or arrays broadcastable to
+    (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.
+    """
+    M, n, d = paths.M, spec.n, paths.d
+
+    def per_step(f, tail):
+        if f is None or callable(f):
+            return f
+        f = _on_paths(f, M, grid.N, tail)
+        return lambda k: f[:, k]
+
+    ft, fh = per_step(f_tilde, (n,)), per_step(f_hat, (n, d))
+
+    def step(k, x):
+        return (_affine(_slice_bc(J, k, M, (n, n)), x, None if ft is None else ft(k),
+                        "pij,pj->pi"),
+                _affine(_slice_bc(K, k, M, (n, d, n)), x, None if fh is None else fh(k),
+                        "pilj,pj->pil"))
+    return _step_loop(spec, grid, paths, x0, step, t_index, cap, what)
+
+
+def _along(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
+           base: PathEnsemble, u_bar: np.ndarray):
+    """along(name) -> (k -> the named derivative map of spec at (t_k, base_k,
+    u_bar_k)), broadcast to (M, n) + (d,) for diffusion maps + (n or m per
+    x/u index)."""
+    dims = {"x": spec.n, "u": spec.m}
+    ts = grid.times
+
+    def along(name):
+        head, _, wrt = name.partition("_")
+        shape = (paths.M, spec.n) + ((paths.d,) if head == "diffusion" else ()) \
+            + tuple(dims[c] for c in wrt)
+        fn = getattr(spec, name)
+        return lambda k: np.broadcast_to(
+            np.asarray(fn(ts[k], base.values[:, k], u_bar[:, k])), shape)
+    return along
 
 
 def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -76,25 +180,19 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     """Controlled state under exponential-Euler stepping.
 
     x_{k+1} = exp(A dt) (x_k + a(t_k, x_k, u_k) dt + b(t_k, x_k, u_k) dW_k).
-    For zero coefficients the semigroup is applied exactly.
+    For zero coefficients the semigroup is applied exactly.  u is any
+    ``as_control_array`` layout or a feedback callable u(k, x_k) -> (M, m).
     """
     M = paths.M
-    u = as_control_array(u, grid, M, spec.m)
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
+    u_arr = None if callable(u) else as_control_array(u, grid, M, spec.m)
     ts = grid.times
-    X = np.zeros((M, grid.N + 1, spec.n))
-    X[:, 0, :] = np.broadcast_to(np.asarray(nu0, dtype=float), (M, spec.n))
-    for k in range(grid.N):
-        xk = X[:, k, :]
-        uk = u[:, k, :]
-        a = np.broadcast_to(np.asarray(spec.drift(ts[k], xk, uk)), (M, spec.n))
-        b = np.broadcast_to(np.asarray(spec.diffusion(ts[k], xk, uk)),
-                            (M, spec.n, paths.d))
-        incr = xk + a * dt + np.einsum("pid,pd->pi", b, paths.increments[:, k, :])
-        X[:, k + 1, :] = incr @ E.T
-        _check_cap(X[:, k + 1, :], cap, "state")
-    return PathEnsemble(values=X, grid=grid)
+
+    def step(k, x):
+        uk = u(k, x) if u_arr is None else u_arr[:, k]
+        return (np.broadcast_to(np.asarray(spec.drift(ts[k], x, uk)), (M, spec.n)),
+                np.broadcast_to(np.asarray(spec.diffusion(ts[k], x, uk)),
+                                (M, spec.n, paths.d)))
+    return _step_loop(spec, grid, paths, nu0, step, cap=cap)
 
 
 def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -107,28 +205,13 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
     M = paths.M
     u_bar = as_control_array(u_bar, grid, M, spec.m)
     u1 = as_control_array(u1, grid, M, spec.m)
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
-    ts = grid.times
-    X1 = np.zeros((M, grid.N + 1, spec.n))
-    X1[:, 0, :] = np.broadcast_to(np.asarray(nu1, dtype=float), (M, spec.n))
-    for k in range(grid.N):
-        xk = base.values[:, k, :]
-        uk = u_bar[:, k, :]
-        x1k = X1[:, k, :]
-        u1k = u1[:, k, :]
-        a1 = np.broadcast_to(np.asarray(spec.drift_x(ts[k], xk, uk)), (M, spec.n, spec.n))
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, spec.n, spec.m))
-        b1 = np.broadcast_to(np.asarray(spec.diffusion_x(ts[k], xk, uk)),
-                             (M, spec.n, paths.d, spec.n))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)),
-                             (M, spec.n, paths.d, spec.m))
-        drift = np.einsum("pij,pj->pi", a1, x1k) + np.einsum("pij,pj->pi", a2, u1k)
-        diff = np.einsum("pilj,pj->pil", b1, x1k) + np.einsum("pilj,pj->pil", b2, u1k)
-        incr = x1k + drift * dt + np.einsum("pil,pl->pi", diff, paths.increments[:, k, :])
-        X1[:, k + 1, :] = incr @ E.T
-        _check_cap(X1[:, k + 1, :], cap, "first variation")
-    return PathEnsemble(values=X1, grid=grid)
+    along = _along(spec, grid, paths, base, u_bar)
+    a_u, b_u = along("drift_u"), along("diffusion_u")
+    return _simulate_linear(
+        spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
+        f_tilde=lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
+        f_hat=lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
+        cap=cap, what="first variation")
 
 
 def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -146,50 +229,25 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
     u_bar = as_control_array(u_bar, grid, M, spec.m)
     u1 = as_control_array(u1, grid, M, spec.m)
     u2 = as_control_array(u2, grid, M, spec.m)
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
-    ts = grid.times
-    X2 = np.zeros((M, grid.N + 1, spec.n))
-    X2[:, 0, :] = np.broadcast_to(np.asarray(nu2, dtype=float), (M, spec.n))
-    for k in range(grid.N):
-        xk = base.values[:, k, :]
-        uk = u_bar[:, k, :]
-        x1k = x1.values[:, k, :]
-        u1k = u1[:, k, :]
-        x2k = X2[:, k, :]
-        u2k = u2[:, k, :]
-        a1 = np.broadcast_to(np.asarray(spec.drift_x(ts[k], xk, uk)), (M, spec.n, spec.n))
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, spec.n, spec.m))
-        b1 = np.broadcast_to(np.asarray(spec.diffusion_x(ts[k], xk, uk)),
-                             (M, spec.n, paths.d, spec.n))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)),
-                             (M, spec.n, paths.d, spec.m))
-        a11 = np.broadcast_to(np.asarray(spec.drift_xx(ts[k], xk, uk)),
-                              (M, spec.n, spec.n, spec.n))
-        a12 = np.broadcast_to(np.asarray(spec.drift_xu(ts[k], xk, uk)),
-                              (M, spec.n, spec.n, spec.m))
-        a22 = np.broadcast_to(np.asarray(spec.drift_uu(ts[k], xk, uk)),
-                              (M, spec.n, spec.m, spec.m))
-        b11 = np.broadcast_to(np.asarray(spec.diffusion_xx(ts[k], xk, uk)),
-                              (M, spec.n, paths.d, spec.n, spec.n))
-        b12 = np.broadcast_to(np.asarray(spec.diffusion_xu(ts[k], xk, uk)),
-                              (M, spec.n, paths.d, spec.n, spec.m))
-        b22 = np.broadcast_to(np.asarray(spec.diffusion_uu(ts[k], xk, uk)),
-                              (M, spec.n, paths.d, spec.m, spec.m))
-        drift = (np.einsum("pij,pj->pi", a1, x2k)
-                 + np.einsum("pij,pj->pi", a2, u2k)
-                 + 0.5 * np.einsum("pijk,pj,pk->pi", a11, x1k, x1k)
-                 + np.einsum("pijk,pj,pk->pi", a12, x1k, u1k)
-                 + 0.5 * np.einsum("pijk,pj,pk->pi", a22, u1k, u1k))
-        diff = (np.einsum("pilj,pj->pil", b1, x2k)
-                + np.einsum("pilj,pj->pil", b2, u2k)
-                + 0.5 * np.einsum("piljk,pj,pk->pil", b11, x1k, x1k)
-                + np.einsum("piljk,pj,pk->pil", b12, x1k, u1k)
-                + 0.5 * np.einsum("piljk,pj,pk->pil", b22, u1k, u1k))
-        incr = x2k + drift * dt + np.einsum("pil,pl->pi", diff, paths.increments[:, k, :])
-        X2[:, k + 1, :] = incr @ E.T
-        _check_cap(X2[:, k + 1, :], cap, "second variation")
-    return PathEnsemble(values=X2, grid=grid)
+    along = _along(spec, grid, paths, base, u_bar)
+
+    def source(head, out):
+        # (head)_u u2 + 1/2 (head)_xx(x1, x1) + (head)_xu(x1, u1) + 1/2 (head)_uu(u1, u1)
+        lin, quad = f"{out}j,pj->{out}", f"{out}jk,pj,pk->{out}"
+        h_u, h_xx, h_xu, h_uu = (along(head + wrt) for wrt in ("_u", "_xx", "_xu", "_uu"))
+
+        def f(k):
+            x1k, u1k = x1.values[:, k], u1[:, k]
+            return (np.einsum(lin, h_u(k), u2[:, k])
+                    + 0.5 * np.einsum(quad, h_xx(k), x1k, x1k)
+                    + np.einsum(quad, h_xu(k), x1k, u1k)
+                    + 0.5 * np.einsum(quad, h_uu(k), u1k, u1k))
+        return f
+
+    return _simulate_linear(
+        spec, grid, paths, nu2, along("drift_x"), along("diffusion_x"),
+        f_tilde=source("drift", "pi"), f_hat=source("diffusion", "pil"),
+        cap=cap, what="second variation")
 
 
 def sup_moment_norm(values: np.ndarray, p: int = 2) -> tuple[float, float]:
@@ -221,6 +279,39 @@ def fit_loglog_slope(epsilons: np.ndarray, norms: np.ndarray) -> float:
     return float(slope)
 
 
+def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
+                     nu0: np.ndarray, u_bar, var: VariationData, p: int,
+                     order: int) -> RemainderReport:
+    """Norms of r = (x^eps - x_bar - sum_j eps^j x_j) / eps^order along the
+    epsilon ladder, x^eps started from nu0 + sum_j eps^j nu_j under
+    u_bar + sum_j eps^j u_j, for j = 1..order."""
+    M = paths.M
+    u_bar = as_control_array(u_bar, grid, M, spec.m)
+    u1 = as_control_array(var.u1, grid, M, spec.m)
+    base = simulate_forward(spec, grid, paths, nu0, u_bar)
+    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, var.nu1, u1)
+    terms = [(var.nu1, u1, x1)]
+    if order == 2:
+        u2 = as_control_array(var.u2, grid, M, spec.m)
+        terms.append((var.nu2, u2, simulate_second_variation(
+            spec, grid, paths, base, u_bar, x1, var.nu1, u1, var.nu2, u2)))
+    eps_arr = np.asarray(var.epsilon_ladder, dtype=float)
+    norms, ses = [], []
+    for eps in eps_arr:
+        nu, u = np.asarray(nu0, dtype=float), u_bar
+        for j, (nu_j, u_j, _) in enumerate(terms, 1):
+            nu, u = nu + eps ** j * np.asarray(nu_j, dtype=float), u + eps ** j * u_j
+        r = simulate_forward(spec, grid, paths, nu, u).values - base.values
+        for j, (_, _, x_j) in enumerate(terms, 1):
+            r = r - eps ** j * x_j.values
+        nrm, se = sup_moment_norm(r / eps ** order, p=p)
+        norms.append(nrm)
+        ses.append(se)
+    norms = np.asarray(norms)
+    return RemainderReport(eps_arr, norms, np.asarray(ses),
+                           fit_loglog_slope(eps_arr, norms))
+
+
 def remainder_study_first(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                           nu0: np.ndarray, u_bar, var: VariationData,
                           p: int = 2) -> RemainderReport:
@@ -230,25 +321,7 @@ def remainder_study_first(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnse
     the expected norms vanish as eps -> 0 (slope about 1 for C^2
     coefficients).
     """
-    M = paths.M
-    u_bar_arr = as_control_array(u_bar, grid, M, spec.m)
-    u1_arr = as_control_array(var.u1, grid, M, spec.m)
-    base = simulate_forward(spec, grid, paths, nu0, u_bar_arr)
-    x1 = simulate_first_variation(spec, grid, paths, base, u_bar_arr, var.nu1, u1_arr)
-    eps_arr = np.asarray(var.epsilon_ladder, dtype=float)
-    norms, ses = [], []
-    nu0 = np.asarray(nu0, dtype=float)
-    nu1 = np.asarray(var.nu1, dtype=float)
-    for eps in eps_arr:
-        xe = simulate_forward(spec, grid, paths, nu0 + eps * nu1,
-                              u_bar_arr + eps * u1_arr)
-        r1 = (xe.values - base.values - eps * x1.values) / eps
-        nrm, se = sup_moment_norm(r1, p=p)
-        norms.append(nrm)
-        ses.append(se)
-    norms = np.asarray(norms)
-    return RemainderReport(eps_arr, norms, np.asarray(ses),
-                           fit_loglog_slope(eps_arr, norms))
+    return _remainder_study(spec, grid, paths, nu0, u_bar, var, p, order=1)
 
 
 def remainder_study_second(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -257,26 +330,4 @@ def remainder_study_second(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     """Second order remainder: r2 = (x^eps - x_bar - eps x1 - eps^2 x2) / eps^2."""
     if var.nu2 is None or var.u2 is None:
         raise ValueError("second order study needs nu2 and u2")
-    M = paths.M
-    u_bar_arr = as_control_array(u_bar, grid, M, spec.m)
-    u1_arr = as_control_array(var.u1, grid, M, spec.m)
-    u2_arr = as_control_array(var.u2, grid, M, spec.m)
-    base = simulate_forward(spec, grid, paths, nu0, u_bar_arr)
-    x1 = simulate_first_variation(spec, grid, paths, base, u_bar_arr, var.nu1, u1_arr)
-    x2 = simulate_second_variation(spec, grid, paths, base, u_bar_arr, x1,
-                                   var.nu1, u1_arr, var.nu2, u2_arr)
-    eps_arr = np.asarray(var.epsilon_ladder, dtype=float)
-    norms, ses = [], []
-    nu0 = np.asarray(nu0, dtype=float)
-    nu1 = np.asarray(var.nu1, dtype=float)
-    nu2 = np.asarray(var.nu2, dtype=float)
-    for eps in eps_arr:
-        xe = simulate_forward(spec, grid, paths, nu0 + eps * nu1 + eps ** 2 * nu2,
-                              u_bar_arr + eps * u1_arr + eps ** 2 * u2_arr)
-        r2 = (xe.values - base.values - eps * x1.values - eps ** 2 * x2.values) / eps ** 2
-        nrm, se = sup_moment_norm(r2, p=p)
-        norms.append(nrm)
-        ses.append(se)
-    norms = np.asarray(norms)
-    return RemainderReport(eps_arr, norms, np.asarray(ses),
-                           fit_loglog_slope(eps_arr, norms))
+    return _remainder_study(spec, grid, paths, nu0, u_bar, var, p, order=2)

@@ -19,7 +19,7 @@ from .benchmarks import (LQSpec, RiccatiSolution, adjoint_oracle_lq,
                          lq_reduced_spec, lq_terminal_constrained, lq_to_spec,
                          lq_unconstrained, make_bilinear_scalar,
                          make_polynomial_scalar, solve_lq_riccati)
-from .conditions import (ConditionReport, MultiplierSet, analyze_active_sets,
+from .conditions import (ConditionReport, MultiplierSet, _smooth_field, analyze_active_sets,
                          dt_bias_fit, first_order_integral_check,
                          first_order_pointwise_check, hamiltonian_u_field,
                          sample_tangent_directions, search_multipliers,
@@ -54,28 +54,18 @@ def simulate_closed_loop(spec: ProblemSpec, grid: TimeGrid, paths, nu0,
     perturb_field (N+1, m) is added to the feedback control when given.
     Returns (state ensemble, control ensemble) with matching adaptedness.
     """
-    M = paths.M
-    E = semigroup_step(spec.A, grid.dt)
-    dt = grid.dt
-    ts = grid.times
-    X = np.zeros((M, grid.N + 1, spec.n))
-    U = np.zeros((M, grid.N + 1, spec.m))
-    X[:, 0, :] = np.broadcast_to(np.asarray(nu0, dtype=float), (M, spec.n))
-    for k in range(grid.N + 1):
-        u = feedback(k, X[:, k, :])
+    U = np.zeros((paths.M, grid.N + 1, spec.m))
+
+    def control(k, x):
+        u = feedback(k, x)
         if perturb_field is not None:
             u = u + perturb_field[k]
         U[:, k, :] = u
-        if k == grid.N:
-            break
-        a = np.broadcast_to(np.asarray(spec.drift(ts[k], X[:, k, :], u)),
-                            (M, spec.n))
-        b = np.broadcast_to(np.asarray(spec.diffusion(ts[k], X[:, k, :], u)),
-                            (M, spec.n, paths.d))
-        incr = X[:, k, :] + a * dt \
-            + np.einsum("pil,pl->pi", b, paths.increments[:, k, :])
-        X[:, k + 1, :] = incr @ E.T
-    return PathEnsemble(X, grid), U
+        return u
+
+    X = simulate_forward(spec, grid, paths, nu0, control)
+    control(grid.N, X.values[:, grid.N, :])
+    return X, U
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +195,6 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
-
-def _smooth_field(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Fixed low-order Fourier field evaluated on a grid: (N+1,) per column."""
-    ts = times / times[-1]
-    val = coeffs[0] * np.ones_like(ts)
-    for q in range(1, len(coeffs)):
-        val += coeffs[q] * np.sin(np.pi * q * ts)
-    return val
-
 
 def _lq_setup(lq: LQSpec, N: int, M: int, seed: int):
     """Reduced spec, grid, paths, Riccati solution and closed-loop ensembles."""

@@ -8,11 +8,12 @@ from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_dual
                                    solve_first_adjoint)
 from stocond.benchmarks import adjoint_oracle_lq, lq_unconstrained
 from stocond.errors import SingularRegression
-from stocond.forward import simulate_first_variation, simulate_forward
+from stocond.forward import semigroup_step, simulate_first_variation, simulate_forward
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
                            generate_brownian, zero_map)
 from stocond.regression import PolynomialBasis
 from stocond.suites import _lq_setup
+from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
 
 
 def _drift_free_spec(n=1, d=1, a1=None, b1=None):
@@ -277,3 +278,45 @@ class TestTestProcess:
                                     None, None)
         assert np.all(phi.values[:, :4, :] == 0.0)
         assert np.allclose(phi.values[:, 4:, 0], 2.0)
+
+    @pytest.mark.parametrize("t_index", [-1, 11])
+    def test_t_index_outside_grid_raises(self, t_index):
+        spec = _drift_free_spec()
+        g = TimeGrid(10, 1.0)
+        paths = generate_brownian(g, 8, 1, seed=15)
+        with pytest.raises(ValueError, match="t_index"):
+            simulate_test_process(spec, g, paths, t_index, np.array([1.0]), None, None)
+
+
+def _ref_test_process(spec, grid, paths, t_index, eta, f1, f2):
+    """The test process as its own exponential-Euler loop."""
+    M, n, d = paths.M, spec.n, paths.d
+    E = semigroup_step(spec.A, grid.dt)
+    phi = np.zeros((M, grid.N + 1, n))
+    phi[:, t_index] = eta
+    f1 = np.broadcast_to(f1, (M, grid.N + 1, n))
+    f2 = np.broadcast_to(f2, (M, grid.N + 1, n, d))
+    for k in range(t_index, grid.N):
+        inc = phi[:, k] + f1[:, k] * grid.dt
+        inc = inc + np.einsum("pil,pl->pi", f2[:, k], paths.increments[:, k])
+        phi[:, k + 1] = inc @ E.T
+    return phi
+
+
+class TestTestProcessAgainstReference:
+    @pytest.mark.parametrize("t_index", [0, 7])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_reference_loop(self, case, t_index):
+        spec, g, paths, _, _, rng = reference_case(case)
+        M, n, d = paths.M, spec.n, paths.d
+        eta = rng.standard_normal((M, n))
+        f1 = rng.standard_normal((M, g.N + 1, n))
+        f2 = rng.standard_normal((g.N + 1, n, d))
+        phi = simulate_test_process(spec, g, paths, t_index, eta, f1, f2)
+        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, f1, f2))
+        assert np.all(phi.values[:, :t_index] == 0.0)
+        # absent sources are zero sources
+        phi = simulate_test_process(spec, g, paths, t_index, eta, None, f2)
+        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, 0.0, f2))
+        phi = simulate_test_process(spec, g, paths, t_index, eta, f1, None)
+        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, f1, 0.0))

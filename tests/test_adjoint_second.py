@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from stocond.adjoint_first import solve_first_adjoint
-from stocond.adjoint_second import (SecondAdjointData, apply_Q,
-                                    check_relaxed_identity, export_P_csv,
-                                    simulate_phi, solve_second_adjoint)
+from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity,
+                                    export_P_csv, q_view, simulate_phi,
+                                    solve_second_adjoint)
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
-from stocond.conditions import (MultiplierSet, second_adjoint_data_for)
+from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for)
 from stocond.adjoint_first import DiscreteBVMeasure
 from stocond.forward import semigroup_step, simulate_first_variation, simulate_forward
 from stocond.model import PathEnsemble, TimeGrid, generate_brownian
 from stocond.regression import ConditionalRegression, PolynomialBasis
-from stocond.suites import _lq_setup, _smooth_field
+from stocond.suites import _lq_setup
 from tests.test_adjoint_first import _drift_free_spec
+from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
 
 
 class TestSolveSecondAdjoint:
@@ -107,7 +108,7 @@ class TestApplyQ:
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.eye(1))
         sol = solve_second_adjoint(spec, g, paths, base, np.zeros((11, 1)), data)
-        out = apply_Q(spec, g, paths, sol, data, 0, np.ones(1), None, None)
+        out = q_view(sol, simulate_phi(spec, g, paths, data, 0, np.ones(1), None, None), 0)
         assert np.max(np.abs(out.values)) <= 1e-8
 
     def test_phi_equals_first_variation_for_variation_data(self):
@@ -253,12 +254,12 @@ def _ref_solve_second_adjoint(E, grid, paths, base, PT, F, J, K):
     return P, Q
 
 
-def _ref_simulate_phi(E, grid, paths, J, K, xi, ft, fh):
+def _ref_simulate_phi(E, grid, paths, J, K, xi, ft, fh, t_index=0):
     M, n = paths.M, E.shape[0]
     dt = grid.dt
     phi = np.zeros((M, grid.N + 1, n))
-    phi[:, 0] = xi
-    for k in range(grid.N):
+    phi[:, t_index] = xi
+    for k in range(t_index, grid.N):
         inc = (phi[:, k] + dt * np.einsum("pij,pj->pi", J[:, k], phi[:, k])
                + dt * ft[k])
         noise = np.einsum("pilj,pj->pil", K[:, k], phi[:, k]) + fh[k]
@@ -350,3 +351,37 @@ class TestEinsumReference:
             g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests)
         assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
         assert abs(se - ref_se) <= 1e-12 * ref_se
+
+
+class TestSimulatePhiAgainstReference:
+    @pytest.mark.parametrize("t_index", [0, 7])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_linearization_coefficients(self, case, t_index):
+        # J and K are the linearization along a nominal path, as in
+        # second_adjoint_data_for, given as a callable
+        spec, g, paths, nu0, u_bar, rng = reference_case(case)
+        M, n, d = paths.M, spec.n, paths.d
+        base = simulate_forward(spec, g, paths, nu0, u_bar)
+        J = np.stack([np.broadcast_to(spec.drift_x(g.times[k], base.values[:, k], u_bar[:, k]),
+                                      (M, n, n)) for k in range(g.N + 1)], axis=1)
+        K = np.stack([np.broadcast_to(spec.diffusion_x(g.times[k], base.values[:, k],
+                                                       u_bar[:, k]), (M, n, d, n))
+                      for k in range(g.N + 1)], axis=1)
+        data = SecondAdjointData(P_T=np.eye(n), J=lambda k: J[:, k], K=lambda k: K[:, k])
+        xi = rng.standard_normal(n)
+        ft = rng.standard_normal((g.N + 1, n))
+        fh = rng.standard_normal((g.N + 1, n, d))
+        phi = simulate_phi(spec, g, paths, data, t_index, xi, ft, fh)
+        ref = _ref_simulate_phi(semigroup_step(spec.A, g.dt), g, paths, J, K, xi, ft, fh,
+                                t_index)
+        assert_matches(phi.values, ref)
+        assert np.all(phi.values[:, :t_index] == 0.0)
+
+    @pytest.mark.parametrize("t_index", [-1, 11])
+    def test_t_index_outside_grid_raises(self, t_index):
+        spec = _drift_free_spec()
+        g = TimeGrid(10, 1.0)
+        paths = generate_brownian(g, 8, 1, seed=15)
+        data = SecondAdjointData(P_T=np.eye(1))
+        with pytest.raises(ValueError, match="t_index"):
+            simulate_phi(spec, g, paths, data, t_index, np.ones(1), None, None)

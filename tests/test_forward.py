@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from stocond import cones
-from stocond.benchmarks import (lq_to_spec, lq_unconstrained, make_bilinear_scalar,
-                                make_polynomial_scalar)
+from stocond.benchmarks import (lq_reduced_spec, lq_to_spec, lq_unconstrained,
+                                make_bilinear_scalar, make_polynomial_scalar)
 from stocond.errors import BlowUp
 from stocond.forward import (VariationData, remainder_study_first,
                              remainder_study_second, simulate_first_variation,
-                             simulate_forward, simulate_second_variation,
-                             sup_moment_norm)
-from stocond.model import (Functional, ProblemSpec, TimeGrid, generate_brownian,
-                           zero_map)
-from stocond.suites import forward_strong_convergence
+                             semigroup_step, simulate_forward,
+                             simulate_second_variation, sup_moment_norm)
+from stocond.model import (Functional, ProblemSpec, TimeGrid, as_control_array,
+                           extend_initial_state, generate_brownian, zero_map)
+from stocond.suites import forward_strong_convergence, simulate_closed_loop
 
 
 def _free_spec(n, A, diffusion=None, diffusion_x=None, d=1):
@@ -281,9 +281,170 @@ class TestRemainders:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "epsilon,norm,se"
         assert len(lines) == 1 + len(rep.epsilons)
-        assert "fitted_slope" in rep.to_json()
 
     def test_epsilon_ladder_validation(self):
         with pytest.raises(ValueError):
             VariationData(nu1=np.zeros(1), u1=np.zeros((2, 1)),
                           epsilon_ladder=(0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# reference loops: one hand-written exponential-Euler loop per process, as
+# the simulators stepped them before they shared one loop; the shared loop
+# must reproduce them to round-off
+# ---------------------------------------------------------------------------
+
+def _bc(value, shape):
+    return np.broadcast_to(np.asarray(value), shape)
+
+
+def _ref_simulate_forward(spec, grid, paths, nu0, u):
+    M, n, d = paths.M, spec.n, paths.d
+    u = as_control_array(u, grid, M, spec.m)
+    E = semigroup_step(spec.A, grid.dt)
+    X = np.zeros((M, grid.N + 1, n))
+    X[:, 0] = nu0
+    for k in range(grid.N):
+        t, xk, uk = grid.times[k], X[:, k], u[:, k]
+        a = _bc(spec.drift(t, xk, uk), (M, n))
+        b = _bc(spec.diffusion(t, xk, uk), (M, n, d))
+        incr = xk + a * grid.dt + np.einsum("pid,pd->pi", b, paths.increments[:, k])
+        X[:, k + 1] = incr @ E.T
+    return X
+
+
+def _ref_closed_loop(spec, grid, paths, nu0, feedback, perturb_field):
+    M, n, d = paths.M, spec.n, paths.d
+    E = semigroup_step(spec.A, grid.dt)
+    X = np.zeros((M, grid.N + 1, n))
+    U = np.zeros((M, grid.N + 1, spec.m))
+    X[:, 0] = nu0
+    for k in range(grid.N + 1):
+        u = feedback(k, X[:, k]) + perturb_field[k]
+        U[:, k] = u
+        if k == grid.N:
+            break
+        a = _bc(spec.drift(grid.times[k], X[:, k], u), (M, n))
+        b = _bc(spec.diffusion(grid.times[k], X[:, k], u), (M, n, d))
+        incr = X[:, k] + a * grid.dt + np.einsum("pil,pl->pi", b, paths.increments[:, k])
+        X[:, k + 1] = incr @ E.T
+    return X, U
+
+
+def _ref_first_variation(spec, grid, paths, base, u_bar, nu1, u1):
+    M, n, m, d = paths.M, spec.n, spec.m, paths.d
+    E = semigroup_step(spec.A, grid.dt)
+    X1 = np.zeros((M, grid.N + 1, n))
+    X1[:, 0] = nu1
+    for k in range(grid.N):
+        t, xk, uk, x1k, u1k = grid.times[k], base[:, k], u_bar[:, k], X1[:, k], u1[:, k]
+        a1 = _bc(spec.drift_x(t, xk, uk), (M, n, n))
+        a2 = _bc(spec.drift_u(t, xk, uk), (M, n, m))
+        b1 = _bc(spec.diffusion_x(t, xk, uk), (M, n, d, n))
+        b2 = _bc(spec.diffusion_u(t, xk, uk), (M, n, d, m))
+        drift = np.einsum("pij,pj->pi", a1, x1k) + np.einsum("pij,pj->pi", a2, u1k)
+        diff = np.einsum("pilj,pj->pil", b1, x1k) + np.einsum("pilj,pj->pil", b2, u1k)
+        incr = x1k + drift * grid.dt + np.einsum("pil,pl->pi", diff, paths.increments[:, k])
+        X1[:, k + 1] = incr @ E.T
+    return X1
+
+
+def _ref_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2):
+    M, n, m, d = paths.M, spec.n, spec.m, paths.d
+    E = semigroup_step(spec.A, grid.dt)
+    X2 = np.zeros((M, grid.N + 1, n))
+    X2[:, 0] = nu2
+    for k in range(grid.N):
+        t, xk, uk = grid.times[k], base[:, k], u_bar[:, k]
+        x1k, u1k, x2k, u2k = x1[:, k], u1[:, k], X2[:, k], u2[:, k]
+        a1 = _bc(spec.drift_x(t, xk, uk), (M, n, n))
+        a2 = _bc(spec.drift_u(t, xk, uk), (M, n, m))
+        b1 = _bc(spec.diffusion_x(t, xk, uk), (M, n, d, n))
+        b2 = _bc(spec.diffusion_u(t, xk, uk), (M, n, d, m))
+        a11 = _bc(spec.drift_xx(t, xk, uk), (M, n, n, n))
+        a12 = _bc(spec.drift_xu(t, xk, uk), (M, n, n, m))
+        a22 = _bc(spec.drift_uu(t, xk, uk), (M, n, m, m))
+        b11 = _bc(spec.diffusion_xx(t, xk, uk), (M, n, d, n, n))
+        b12 = _bc(spec.diffusion_xu(t, xk, uk), (M, n, d, n, m))
+        b22 = _bc(spec.diffusion_uu(t, xk, uk), (M, n, d, m, m))
+        drift = (np.einsum("pij,pj->pi", a1, x2k)
+                 + np.einsum("pij,pj->pi", a2, u2k)
+                 + 0.5 * np.einsum("pijk,pj,pk->pi", a11, x1k, x1k)
+                 + np.einsum("pijk,pj,pk->pi", a12, x1k, u1k)
+                 + 0.5 * np.einsum("pijk,pj,pk->pi", a22, u1k, u1k))
+        diff = (np.einsum("pilj,pj->pil", b1, x2k)
+                + np.einsum("pilj,pj->pil", b2, u2k)
+                + 0.5 * np.einsum("piljk,pj,pk->pil", b11, x1k, x1k)
+                + np.einsum("piljk,pj,pk->pil", b12, x1k, u1k)
+                + 0.5 * np.einsum("piljk,pj,pk->pil", b22, u1k, u1k))
+        incr = x2k + drift * grid.dt + np.einsum("pil,pl->pi", diff, paths.increments[:, k])
+        X2[:, k + 1] = incr @ E.T
+    return X2
+
+
+def reference_case(name, N=20, M=64, seed=0):
+    """(spec, grid, paths, nu0, per-path nominal control, rng) for the
+    specs with nonzero second derivatives and the Bolza-reduced LQ."""
+    if name == "cubic":
+        spec, nu0 = make_polynomial_scalar(3, coeff=0.3, noise_level=0.3), np.array([0.8])
+    elif name == "bilinear":
+        spec, nu0 = make_bilinear_scalar(), np.array([1.0])
+    else:
+        lq = lq_unconstrained()
+        spec = lq_reduced_spec(lq)
+        nu0 = extend_initial_state(lq.x0, spec)
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(N, spec.T)
+    paths = generate_brownian(grid, M, spec.d, seed)
+    u_bar = 0.5 + 0.2 * rng.standard_normal((M, N + 1, spec.m))
+    return spec, grid, paths, nu0, u_bar, rng
+
+
+def assert_matches(got, ref, rtol=1e-12):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+REFERENCE_CASES = ("cubic", "bilinear", "bolza_lq")
+
+
+class TestSharedLoopAgainstReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_forward_and_variations(self, case):
+        spec, g, paths, nu0, u_bar, rng = reference_case(case)
+        base = simulate_forward(spec, g, paths, nu0, u_bar)
+        assert_matches(base.values, _ref_simulate_forward(spec, g, paths, nu0, u_bar))
+
+        nu1, nu2 = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
+        u1 = rng.standard_normal((paths.M, g.N + 1, spec.m))
+        u2 = rng.standard_normal((g.N + 1, spec.m))
+        x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
+        assert_matches(x1.values, _ref_first_variation(spec, g, paths, base.values,
+                                                       u_bar, nu1, u1))
+        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, nu1, u1, nu2, u2)
+        ref = _ref_second_variation(spec, g, paths, base.values, u_bar, x1.values, u1,
+                                    nu2, as_control_array(u2, g, paths.M, spec.m))
+        assert_matches(x2.values, ref)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_closed_loop(self, case):
+        spec, g, paths, nu0, _, rng = reference_case(case)
+        gain = rng.standard_normal((g.N + 1, spec.m, spec.n))
+
+        def feedback(k, x):
+            return -x @ gain[k].T
+
+        perturb = 0.1 * rng.standard_normal((g.N + 1, spec.m))
+        X, U = simulate_closed_loop(spec, g, paths, nu0, feedback, perturb)
+        X_ref, U_ref = _ref_closed_loop(spec, g, paths, nu0, feedback, perturb)
+        assert_matches(X.values, X_ref)
+        assert_matches(U, U_ref)
+
+    def test_closed_loop_blowup_raises(self):
+        lq = lq_unconstrained()
+        spec = lq_reduced_spec(lq)
+        g = TimeGrid(50, lq.T)
+        paths = generate_brownian(g, 16, spec.d, seed=0)
+        with pytest.raises(BlowUp):
+            simulate_closed_loop(spec, g, paths, extend_initial_state(lq.x0, spec),
+                                 lambda k, x: 1e4 * x[:, :1])
