@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdjointMismatch
 from .forward import _along, _on_paths, _simulate_linear, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
@@ -99,7 +98,7 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     comp = yT.shape[2:]                  # () or (C,)
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
-    along = _along(spec, grid, paths, base_state, u_bar)
+    along = _along(spec, grid, base_state, u_bar)
     a_x, b_x = along("drift_x"), along("diffusion_x")
 
     y = np.zeros((M, grid.N + 1, n) + comp)
@@ -168,7 +167,7 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     phi = simulate_test_process(spec, grid, paths, t_index, eta, f1, f2)
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
-    along = _along(spec, grid, paths, base_state, u_arr)
+    along = _along(spec, grid, base_state, u_arr)
     a_x, b_x = along("drift_x"), along("diffusion_x")
     f1_arr = _on_paths(f1, M, grid.N, (n,))
     f2_arr = _on_paths(f2, M, grid.N, (n, d))
@@ -217,7 +216,7 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
     dt = grid.dt
-    along = _along(spec, grid, paths, base_state, u_arr)
+    along = _along(spec, grid, base_state, u_arr)
     a_u, b_u = along("drift_u"), along("diffusion_u")
     lhs = np.einsum("pi,pi->p", sol.y.values[:, grid.N, :], x1.values[:, grid.N, :]) \
         - np.einsum("pi,pi->p", sol.y.values[:, 0, :],

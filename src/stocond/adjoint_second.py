@@ -40,9 +40,9 @@ class RelaxedSolution:
 class SecondAdjointData:
     """Coefficients of the matrix backward equation.
 
-    P_T: (n, n) or (M, n, n).  F, J, K accept any _slice_bc layout:
-    a callable k -> per-step array, a constant, a deterministic path, or a
-    full ensemble (F and J with tail (n, n), K with tail (n, d, n)).
+    P_T: (n, n) or (M, n, n).  F, J, K are callables k -> (M,) + tail,
+    whose values are used as returned, or constant ``tail`` arrays (F and J
+    with tail (n, n), K with tail (n, d, n)); see ``forward._slice_bc``.
     """
 
     P_T: np.ndarray

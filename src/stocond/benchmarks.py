@@ -68,9 +68,6 @@ class RiccatiSolution:
     Pi: np.ndarray          # (N+1, n, n) on the coarse grid
     gains: np.ndarray       # (N+1, m, n) feedback u = -gain x
 
-    def gain_at(self, k: int) -> np.ndarray:
-        return self.gains[k]
-
     def optimal_cost(self, x0: np.ndarray) -> float:
         x0 = np.asarray(x0, dtype=float)
         return 0.5 * float(x0 @ self.Pi[0] @ x0)
@@ -253,16 +250,6 @@ def lq_running_cost(lq: LQSpec) -> RunningCost:
 def lq_reduced_spec(lq: LQSpec) -> ProblemSpec:
     """Bolza-reduced spec: extra accumulator state carries the running cost."""
     return bolza_reduce(lq_to_spec(lq), lq_running_cost(lq))
-
-
-def riccati_feedback_control(lq: LQSpec, riccati: RiccatiSolution,
-                             state_values: np.ndarray) -> np.ndarray:
-    """u_k = -gain_k x_k along an ensemble; accepts reduced or raw states."""
-    M, K, _ = state_values.shape
-    u = np.zeros((M, K, lq.m))
-    for k in range(K):
-        u[:, k, :] = -state_values[:, k, : lq.n] @ riccati.gains[k].T
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ standard error) + (dt bias estimated from a step ladder).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import simulate_first_variation
+from .forward import _along, simulate_first_variation
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
 from .regression import PolynomialBasis
 
@@ -50,18 +49,6 @@ class ConditionReport:
         return cls(name=name, worst_violation=float(worst), tolerance=float(tol),
                    se=float(se), dt_bias=float(dt_bias), verdict=verdict,
                    details=details or {})
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "verdict": self.verdict,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "se": self.se,
-            "dt_bias": self.dt_bias,
-            "details": {k: v for k, v in sorted(self.details.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def dt_bias_fit(Ns, values, T: float) -> tuple[float, dict]:
@@ -109,55 +96,17 @@ def _hamiltonian_u(a2, b2, p, q):
     return np.einsum("pij,pi...->pj...", a2, p) + np.einsum("pilj,pil...->pj...", b2, q)
 
 
-def hamiltonian_gradients(spec: ProblemSpec, t, x, u, p, q):
-    """(H_x, H_u) assembled from the spec derivative maps."""
-    M = x.shape[0]
-    n, m, d = spec.n, spec.m, spec.d
-    a1 = np.broadcast_to(np.asarray(spec.drift_x(t, x, u)), (M, n, n))
-    a2 = np.broadcast_to(np.asarray(spec.drift_u(t, x, u)), (M, n, m))
-    b1 = np.broadcast_to(np.asarray(spec.diffusion_x(t, x, u)), (M, n, d, n))
-    b2 = np.broadcast_to(np.asarray(spec.diffusion_u(t, x, u)), (M, n, d, m))
-    Hx = np.einsum("pij,pi->pj", a1, p) + np.einsum("pilj,pil->pj", b1, q)
-    return Hx, _hamiltonian_u(a2, b2, p, q)
+def _hessian(a, b, p, q):
+    """One block of the Hamiltonian's Hessian, a* p + b* q, at one step.
 
-
-def _hessian_block(a_map, b_map, tail, t, x, u, p, q):
-    """One block of the Hamiltonian's Hessian, a_map* p + b_map* q.
-
-    a_map and b_map are a drift and a diffusion second derivative map with
-    trailing shape ``tail`` ((n, n) for xx, (n, m) for xu, (m, m) for uu).
+    a and b are a drift and a diffusion second derivative map's values,
+    (M, n) + tail and (M, n, d) + tail with tail (n, n) for xx, (n, m) for
+    xu and (m, m) for uu.
     """
-    if a_map is None or b_map is None:
-        raise ValueError("spec lacks second derivative maps")
-    M, n = p.shape
-    d = q.shape[-1]
-    a = np.broadcast_to(np.asarray(a_map(t, x, u)), (M, n) + tail)
-    b = np.broadcast_to(np.asarray(b_map(t, x, u)), (M, n, d) + tail)
     # p and q are often time slices of (M, N+1, ...) paths; einsum's loop
     # over contiguous copies is about twice as fast and gives the same sums
     p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
     return np.einsum("pijk,pi->pjk", a, p) + np.einsum("piljk,pil->pjk", b, q)
-
-
-def _hamiltonian_xx(spec: ProblemSpec, t, x, u, p, q):
-    n = spec.n
-    return _hessian_block(spec.drift_xx, spec.diffusion_xx, (n, n), t, x, u, p, q)
-
-
-def _hamiltonian_xu(spec: ProblemSpec, t, x, u, p, q):
-    n, m = spec.n, spec.m
-    return _hessian_block(spec.drift_xu, spec.diffusion_xu, (n, m), t, x, u, p, q)
-
-
-def _hamiltonian_uu(spec: ProblemSpec, t, x, u, p, q):
-    m = spec.m
-    return _hessian_block(spec.drift_uu, spec.diffusion_uu, (m, m), t, x, u, p, q)
-
-
-def hamiltonian_hessians(spec: ProblemSpec, t, x, u, p, q):
-    """(H_xx, H_xu, H_uu) from the second derivative maps."""
-    return (_hamiltonian_xx(spec, t, x, u, p, q), _hamiltonian_xu(spec, t, x, u, p, q),
-            _hamiltonian_uu(spec, t, x, u, p, q))
 
 
 def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -167,17 +116,12 @@ def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
     A solution with a trailing component axis (y of shape (M, N+1, n, C))
     gives one field per component, (M, N, m, C).
     """
-    M = base.M
-    n, m, d = spec.n, spec.m, spec.d
-    u_arr = as_control_array(u_bar, grid, M, m)
-    ts = grid.times
+    along = _along(spec, grid, base, as_control_array(u_bar, grid, base.M, spec.m))
+    a_u, b_u = along("drift_u"), along("diffusion_u")
     y, Y = sol.y.values, sol.Y.values
-    out = np.zeros((M, grid.N, m) + y.shape[3:])
+    out = np.zeros((base.M, grid.N, spec.m) + y.shape[3:])
     for k in range(grid.N):
-        xk, uk = base.values[:, k, :], u_arr[:, k, :]
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
-        out[:, k] = _hamiltonian_u(a2, b2, y[:, k], Y[:, k])
+        out[:, k] = _hamiltonian_u(a_u(k), b_u(k), y[:, k], Y[:, k])
     return out
 
 
@@ -592,26 +536,6 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
 # second order checker
 # ---------------------------------------------------------------------------
 
-def linearized_coefficient_callables(spec: ProblemSpec, grid: TimeGrid,
-                                     base: PathEnsemble, u_bar):
-    """J(k), K(k) callables: drift/diffusion x-derivatives along the base."""
-    M = base.M
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    ts = grid.times
-
-    def J(k):
-        return np.broadcast_to(
-            np.asarray(spec.drift_x(ts[k], base.values[:, k, :], u_arr[:, k, :])),
-            (M, spec.n, spec.n))
-
-    def K(k):
-        return np.broadcast_to(
-            np.asarray(spec.diffusion_x(ts[k], base.values[:, k, :], u_arr[:, k, :])),
-            (M, spec.n, spec.d, spec.n))
-
-    return J, K
-
-
 def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
                             u_bar, adjoint: TranspositionSolution,
                             mult: MultiplierSet | None = None,
@@ -621,24 +545,21 @@ def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsembl
     P_T = -h_xx(x(T)) (or -lambda_0 h_xx - sum lambda_j g_xx when
     ``restricted``), J = drift_x, K = diffusion_x, F = -H_xx along the pair.
     """
-    M = base.M
-    N = grid.N
-    xT = base.values[:, N, :]
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    ts = grid.times
+    xT = base.values[:, grid.N, :]
     if restricted and mult is not None:
         PT = -mult.lambda0 * np.asarray(spec.terminal_cost.hess(xT))
         for j, lam in mult.lambdas.items():
             PT = PT - lam * np.asarray(spec.terminal_constraints[j].hess(xT))
     else:
         PT = -np.asarray(spec.terminal_cost.hess(xT))
-    J, K = linearized_coefficient_callables(spec, grid, base, u_arr)
+    along = _along(spec, grid, base, as_control_array(u_bar, grid, base.M, spec.m))
+    a_xx, b_xx = along("drift_xx"), along("diffusion_xx")
+    y, Y = adjoint.y.values, adjoint.Y.values
 
     def F(k):
-        return -_hamiltonian_xx(spec, ts[k], base.values[:, k, :], u_arr[:, k, :],
-                                adjoint.y.values[:, k, :], adjoint.Y.values[:, k, :, :])
+        return -_hessian(a_xx(k), b_xx(k), y[:, k], Y[:, k])
 
-    return SecondAdjointData(P_T=PT, F=F, J=J, K=K)
+    return SecondAdjointData(P_T=PT, F=F, J=along("drift_x"), K=along("diffusion_x"))
 
 
 def check_critical(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -682,10 +603,9 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     crit_viol = check_critical(spec, grid, base, x1, analysis, delta_act)
     if crit_viol > 10 * delta_act:
         raise NotCritical(f"critical-cone inequalities violated by {crit_viol:.3g}")
-    M, n, m, d = base.M, spec.n, spec.m, spec.d
+    M, n, d = base.M, spec.n, spec.d
     N = grid.N
     dt = grid.dt
-    ts = grid.times
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
     u2_arr = as_control_array(u2, grid, M, spec.m) if u2 is not None else None
@@ -696,6 +616,10 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
     value_det = float(y0 @ nu2) + 0.5 * float(nu1 @ P0 @ nu1)
 
+    along = _along(spec, grid, base, u_arr)
+    a_u, b_u, b_x = along("drift_u"), along("diffusion_u"), along("diffusion_x")
+    a_xu, b_xu = along("drift_xu"), along("diffusion_xu")
+    a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
     # One pass evaluates each coefficient map once per step and fills the
     # a_u u1 / b_u u1 source fields; the Q-view term needs phi, which is
     # driven by every step's sources, so it is added after the pass.
@@ -703,18 +627,14 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     fh = np.zeros((M, N + 1, n, d))
     per_path = np.zeros(M)
     for k in range(N):
-        xk = base.values[:, k, :]
-        uk = u_arr[:, k, :]
         yk = adjoint.y.values[:, k, :]
         Yk = adjoint.Y.values[:, k, :, :]
         Pk = relaxed.P.values[:, k, :, :]
         u1k = u1_arr[:, k, :]
         x1k = x1.values[:, k, :]
-        a2 = np.broadcast_to(np.asarray(spec.drift_u(ts[k], xk, uk)), (M, n, m))
-        b2 = np.broadcast_to(np.asarray(spec.diffusion_u(ts[k], xk, uk)), (M, n, d, m))
-        b1 = np.broadcast_to(np.asarray(spec.diffusion_x(ts[k], xk, uk)), (M, n, d, n))
-        Hxu = _hamiltonian_xu(spec, ts[k], xk, uk, yk, Yk)
-        Huu = _hamiltonian_uu(spec, ts[k], xk, uk, yk, Yk)
+        a2, b2, b1 = a_u(k), b_u(k), b_x(k)
+        Hxu = _hessian(a_xu(k), b_xu(k), yk, Yk)
+        Huu = _hessian(a_uu(k), b_uu(k), yk, Yk)
         ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
         fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
         term = np.zeros(M)

@@ -15,7 +15,6 @@ H-rep (normals) and a V-rep (generators); duality swaps them.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -147,10 +146,6 @@ def distance(K: SetDescriptor, z: np.ndarray) -> float:
     if isinstance(K, CustomSet):
         return float(K.distance_fn(z))
     return float(np.linalg.norm(z - project(K, z)))
-
-
-def contains(K: SetDescriptor, z: np.ndarray, tol: float = _MEMBERSHIP_TOL) -> bool:
-    return distance(K, z) <= tol
 
 
 def project(K: SetDescriptor, z: np.ndarray) -> np.ndarray:
@@ -588,86 +583,3 @@ def dual_of_intersection(cones: Sequence[ConeDescriptor], witness: np.ndarray,
             pos += size
         out.append((parts, float(resid)))
     return out
-
-
-def separate_polyhedra(M0: Polyhedron, M1: Polyhedron):
-    """Separating functionals for two disjoint polyhedra.
-
-    Returns (z0, z1) with z0 + z1 = 0 and
-    inf_{M0} <z0, .> + inf_{M1} <z1, .> = |gap|^2 >= 0, built from the
-    minimal-distance pair (a product-space projection, solved exactly).
-    """
-    # Alternating projections find the minimal-distance pair; exact support
-    # inequalities then follow from the projection characterization.  Intended
-    # for bounded sets at desk scale.
-    x = _chebyshev_like_point(M0)
-    y = _chebyshev_like_point(M1)
-    for _ in range(50000):
-        x_new = project(M0, y)
-        y_new = project(M1, x_new)
-        if np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y) < 1e-15:
-            x, y = x_new, y_new
-            break
-        x, y = x_new, y_new
-    # one consistent half-step so that x = proj_M0(y) holds for the returned y
-    x = project(M0, y)
-    w = x - y
-    if np.linalg.norm(w) <= 1e-12:
-        raise ValueError("polyhedra are not disjoint")
-    return w, -w
-
-
-def _chebyshev_like_point(K: Polyhedron) -> np.ndarray:
-    """A feasible point, deep inside when possible (Chebyshev center LP)."""
-    norms = np.linalg.norm(K.normals, axis=1)
-    c = np.zeros(K.dim + 1)
-    c[-1] = -1.0
-    A = np.hstack([K.normals, norms.reshape(-1, 1)])
-    res = scipy.optimize.linprog(c, A_ub=A, b_ub=-K.offsets,
-                                 bounds=[(None, None)] * K.dim + [(0, 1e6)],
-                                 method="highs")
-    if res.status != 0:
-        raise EmptySet("cannot find a feasible point")
-    return res.x[:-1]
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def descriptor_to_json(K: SetDescriptor) -> str:
-    if isinstance(K, Box):
-        payload = {"variant": "box", "lo": K.lo.tolist(), "hi": K.hi.tolist()}
-    elif isinstance(K, Ball):
-        payload = {"variant": "ball", "center": K.center.tolist(), "radius": K.radius}
-    elif isinstance(K, Polyhedron):
-        payload = {"variant": "polyhedron", "normals": K.normals.tolist(),
-                   "offsets": K.offsets.tolist()}
-    elif isinstance(K, AffineSet):
-        payload = {"variant": "affine", "point": K.point.tolist(),
-                   "basis": K.basis.tolist()}
-    elif isinstance(K, Singleton):
-        payload = {"variant": "singleton", "point": K.point.tolist()}
-    elif isinstance(K, WholeSpace):
-        payload = {"variant": "whole_space", "dim": K.dim}
-    else:
-        raise TypeError(f"cannot serialize {type(K).__name__}")
-    return json.dumps(payload, sort_keys=True)
-
-
-def descriptor_from_json(text: str) -> SetDescriptor:
-    data = json.loads(text)
-    variant = data["variant"]
-    if variant == "box":
-        return Box(np.array(data["lo"]), np.array(data["hi"]))
-    if variant == "ball":
-        return Ball(np.array(data["center"]), data["radius"])
-    if variant == "polyhedron":
-        return Polyhedron(np.array(data["normals"]), np.array(data["offsets"]))
-    if variant == "affine":
-        return AffineSet(np.array(data["point"]), np.array(data["basis"]))
-    if variant == "singleton":
-        return Singleton(np.array(data["point"]))
-    if variant == "whole_space":
-        return WholeSpace(data["dim"])
-    raise ValueError(f"unknown variant {variant!r}")

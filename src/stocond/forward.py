@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .errors import BlowUp
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
+from .reporting import fit_slope
 
 DEFAULT_STATE_CAP = 1e8
 DEFAULT_EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
@@ -33,8 +34,9 @@ class VariationData:
 
     def __post_init__(self):
         lad = np.asarray(self.epsilon_ladder, dtype=float)
-        if np.any(lad <= 0) or np.any(lad > 1) or np.any(np.diff(lad) >= 0):
-            raise ValueError("epsilon ladder must be strictly decreasing in (0, 1]")
+        if lad.size < 3 or np.any(lad <= 0) or np.any(lad > 1) or np.any(np.diff(lad) >= 0):
+            raise ValueError("epsilon ladder must be strictly decreasing in (0, 1], "
+                             "with at least 3 points for the slope fit")
 
 
 @dataclass
@@ -64,23 +66,17 @@ def _check_cap(x: np.ndarray, cap: float, what: str) -> None:
 
 
 def _slice_bc(arr, k, M, tail):
-    """Coefficient at step k, broadcast to (M,) + tail.
-
-    Accepted layouts: a callable k -> array, constant ``tail``,
-    deterministic ``(N+1,) + tail``, or full ensemble ``(M, N+1) + tail``.
-    Per-path data must carry the time axis so the array layouts stay
-    distinguishable by ndim.
-    """
+    """Coefficient at step k: a callable k -> (M,) + tail, whose value is
+    used as returned, or a constant ``tail`` array broadcast to every path;
+    None stays None."""
     if arr is None:
         return None
     if callable(arr):
-        return np.broadcast_to(np.asarray(arr(k), dtype=float), (M,) + tail)
+        return arr(k)
     arr = np.asarray(arr, dtype=float)
-    if arr.ndim == len(tail):
-        return np.broadcast_to(arr, (M,) + tail)
-    if arr.ndim == len(tail) + 1:
-        return np.broadcast_to(arr[k], (M,) + tail)
-    return np.broadcast_to(arr[:, k], (M,) + tail)
+    if arr.ndim != len(tail):
+        raise ValueError(f"a constant coefficient has shape {tail}, got {arr.shape}")
+    return np.broadcast_to(arr, (M,) + tail)
 
 
 def _on_paths(f, M: int, N: int, tail: tuple):
@@ -135,8 +131,9 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                      cap: float = DEFAULT_STATE_CAP, what: str = "state") -> PathEnsemble:
     """d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW from t_index.
 
-    J (n, n) and K (n, d, n) take any ``_slice_bc`` layout; f_tilde and
-    f_hat are callables k -> (M, n) and (M, n, d) or arrays broadcastable to
+    J and K are callables k -> (M, n, n) and (M, n, d, n) or constant
+    (n, n) and (n, d, n) arrays (see ``_slice_bc``); f_tilde and f_hat are
+    callables k -> (M, n) and (M, n, d) or arrays broadcastable to
     (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.
     """
     M, n, d = paths.M, spec.n, paths.d
@@ -157,19 +154,24 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     return _step_loop(spec, grid, paths, x0, step, t_index, cap, what)
 
 
-def _along(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-           base: PathEnsemble, u_bar: np.ndarray):
+def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
     """along(name) -> (k -> the named derivative map of spec at (t_k, base_k,
     u_bar_k)), broadcast to (M, n) + (d,) for diffusion maps + (n or m per
-    x/u index)."""
+    x/u index).
+
+    This is the one place a derivative map is evaluated along the nominal
+    pair; asking for a second derivative map the spec lacks raises.
+    """
     dims = {"x": spec.n, "u": spec.m}
     ts = grid.times
 
     def along(name):
         head, _, wrt = name.partition("_")
-        shape = (paths.M, spec.n) + ((paths.d,) if head == "diffusion" else ()) \
+        shape = (base.M, spec.n) + ((spec.d,) if head == "diffusion" else ()) \
             + tuple(dims[c] for c in wrt)
         fn = getattr(spec, name)
+        if fn is None:
+            raise ValueError("spec lacks second derivative maps")
         return lambda k: np.broadcast_to(
             np.asarray(fn(ts[k], base.values[:, k], u_bar[:, k])), shape)
     return along
@@ -205,7 +207,7 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
     M = paths.M
     u_bar = as_control_array(u_bar, grid, M, spec.m)
     u1 = as_control_array(u1, grid, M, spec.m)
-    along = _along(spec, grid, paths, base, u_bar)
+    along = _along(spec, grid, base, u_bar)
     a_u, b_u = along("drift_u"), along("diffusion_u")
     return _simulate_linear(
         spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
@@ -223,13 +225,11 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
     The drift carries 1/2 a_xx(x1, x1) + a_xu(x1, u1) + 1/2 a_uu(u1, u1)
     evaluated along the nominal pair, and the diffusion the analogous terms.
     """
-    if not spec.has_second_derivatives:
-        raise ValueError("spec lacks second derivative maps")
     M = paths.M
     u_bar = as_control_array(u_bar, grid, M, spec.m)
     u1 = as_control_array(u1, grid, M, spec.m)
     u2 = as_control_array(u2, grid, M, spec.m)
-    along = _along(spec, grid, paths, base, u_bar)
+    along = _along(spec, grid, base, u_bar)
 
     def source(head, out):
         # (head)_u u2 + 1/2 (head)_xx(x1, x1) + (head)_xu(x1, u1) + 1/2 (head)_uu(u1, u1)
@@ -268,17 +268,6 @@ def sup_moment_norm(values: np.ndarray, p: int = 2) -> tuple[float, float]:
     return float(norm), float(se)
 
 
-def fit_loglog_slope(epsilons: np.ndarray, norms: np.ndarray) -> float:
-    """Least-squares slope of log(norm) against log(eps); NaN when degenerate."""
-    mask = norms > 0
-    if mask.sum() < 2:
-        return float("nan")
-    lx = np.log(np.asarray(epsilons)[mask])
-    ly = np.log(np.asarray(norms)[mask])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
-
-
 def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                      nu0: np.ndarray, u_bar, var: VariationData, p: int,
                      order: int) -> RemainderReport:
@@ -308,8 +297,7 @@ def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
         norms.append(nrm)
         ses.append(se)
     norms = np.asarray(norms)
-    return RemainderReport(eps_arr, norms, np.asarray(ses),
-                           fit_loglog_slope(eps_arr, norms))
+    return RemainderReport(eps_arr, norms, np.asarray(ses), fit_slope(eps_arr, norms)[0])
 
 
 def remainder_study_first(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,

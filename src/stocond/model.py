@@ -103,12 +103,6 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
 
-    @property
-    def has_second_derivatives(self) -> bool:
-        return all(f is not None for f in (
-            self.drift_xx, self.drift_xu, self.drift_uu,
-            self.diffusion_xx, self.diffusion_xu, self.diffusion_uu))
-
 
 @dataclass(frozen=True)
 class BrownianEnsemble:
@@ -142,25 +136,11 @@ class PathEnsemble:
         return self.values[:, k, ...]
 
 
-def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int,
-                      block_size: int | None = None) -> BrownianEnsemble:
-    """Draw an (M, N, d) ensemble of N(0, dt) increments, reproducibly.
-
-    With ``block_size`` the paths are generated block by block, each block's
-    substream derived deterministically from (seed, block index), so blocks
-    may be produced independently by parallel workers.
-    """
+def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
+    """Draw an (M, N, d) ensemble of N(0, dt) increments, reproducibly."""
     if M < 1 or grid.N < 1:
         raise ValueError("need at least one path and one step")
-    root = np.sqrt(grid.dt)
-    if block_size is None:
-        incs = np.random.default_rng(seed).standard_normal((M, grid.N, d)) * root
-    else:
-        incs = np.empty((M, grid.N, d))
-        for b, start in enumerate(range(0, M, block_size)):
-            stop = min(start + block_size, M)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-            incs[start:stop] = rng.standard_normal((stop - start, grid.N, d)) * root
+    incs = np.random.default_rng(seed).standard_normal((M, grid.N, d)) * np.sqrt(grid.dt)
     return BrownianEnsemble(grid=grid, increments=incs, seed=seed)
 
 
@@ -487,18 +467,3 @@ def zero_map(*shape_tail):
     def fn(t, x, u):
         return np.zeros(x.shape[:-1] + tuple(shape_tail))
     return fn
-
-
-def export_ensemble_csv(ens: PathEnsemble, path: str) -> None:
-    """Dump an ensemble as CSV rows (path, time index, components...)."""
-    M, K, k = ens.values.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path,step," + ",".join(f"c{i}" for i in range(k)) + "\n")
-        for p in range(M):
-            for j in range(K):
-                row = ",".join(repr(v) for v in ens.values[p, j])
-                fh.write(f"{p},{j},{row}\n")
-
-
-def export_ensemble_npz(ens: PathEnsemble, path: str) -> None:
-    np.savez_compressed(path, values=ens.values, times=ens.grid.times)

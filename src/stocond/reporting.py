@@ -13,9 +13,11 @@ SCHEMA_VERSION = 1
 def fit_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) vs log(x) with a confidence half-width.
 
-    Returns (slope, half_width); half_width is the standard error of the
-    slope scaled by 2 (roughly a 95 percent band under normal residuals).
-    Degenerate data (any nonpositive y) yields (nan, inf).
+    The one log-log fitter: convergence ladders and the Taylor-remainder
+    studies both use it.  Returns (slope, half_width); half_width is the
+    standard error of the slope scaled by 2 (roughly a 95 percent band
+    under normal residuals).  Fewer than 3 points raise; degenerate data
+    (any nonpositive y) yields (nan, inf).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

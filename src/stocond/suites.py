@@ -19,13 +19,13 @@ from .benchmarks import (LQSpec, RiccatiSolution, adjoint_oracle_lq,
                          lq_reduced_spec, lq_terminal_constrained, lq_to_spec,
                          lq_unconstrained, make_bilinear_scalar,
                          make_polynomial_scalar, solve_lq_riccati)
-from .conditions import (ConditionReport, MultiplierSet, _smooth_field, analyze_active_sets,
+from .conditions import (MultiplierSet, _smooth_field, analyze_active_sets,
                          dt_bias_fit, first_order_integral_check,
                          first_order_pointwise_check, hamiltonian_u_field,
                          sample_tangent_directions, search_multipliers,
                          second_adjoint_data_for, second_order_check,
                          smooth_random_fields)
-from .errors import ConfigError, TranscriptionMismatch
+from .errors import TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
                       simulate_first_variation, simulate_forward,
                       simulate_second_variation, semigroup_step)
@@ -38,12 +38,6 @@ def _check(name, passed, **extra):
     rec = {"name": name, "verdict": "pass" if passed else "fail"}
     rec.update(extra)
     return rec
-
-
-def _report_to_check(report: ConditionReport, name=None):
-    return {"name": name or report.name, "verdict": report.verdict,
-            "violation": report.worst_violation, "tolerance": report.tolerance,
-            "se": report.se, "dt_bias": report.dt_bias}
 
 
 def simulate_closed_loop(spec: ProblemSpec, grid: TimeGrid, paths, nu0,
@@ -196,18 +190,25 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _lq_setup(lq: LQSpec, N: int, M: int, seed: int):
-    """Reduced spec, grid, paths, Riccati solution and closed-loop ensembles."""
-    grid = TimeGrid(N, lq.T)
+def _lq_closed_loop(lq: LQSpec, grid: TimeGrid, paths, perturb_field=None):
+    """Reduced spec, Riccati solution on grid and the closed loop under its
+    feedback (plus perturb_field when given)."""
     spec = lq_reduced_spec(lq)
-    paths = generate_brownian(grid, M, lq.d, seed)
     ric = solve_lq_riccati(lq, grid)
 
     def feedback(k, x):
         return -x[:, : lq.n] @ ric.gains[k].T
 
-    base, u = simulate_closed_loop(spec, grid, paths,
-                                   extend_initial_state(lq.x0, spec), feedback)
+    base, u = simulate_closed_loop(spec, grid, paths, extend_initial_state(lq.x0, spec),
+                                   feedback, perturb_field=perturb_field)
+    return spec, ric, base, u
+
+
+def _lq_setup(lq: LQSpec, N: int, M: int, seed: int):
+    """Reduced spec, grid, paths, Riccati solution and closed-loop ensembles."""
+    grid = TimeGrid(N, lq.T)
+    paths = generate_brownian(grid, M, lq.d, seed)
+    spec, ric, base, u = _lq_closed_loop(lq, grid, paths)
     return spec, grid, paths, ric, base, u
 
 
@@ -231,7 +232,6 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
                   for _ in range(draws)]
     N_fine = max(Ns)
     fine = generate_brownian(TimeGrid(N_fine, lq.T), M, lq.d, seed)
-    spec = lq_reduced_spec(lq)
     max_resid, max_se = [], []
     per_draw_last = []
     for N in Ns:
@@ -239,14 +239,7 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
         ratio = N_fine // N
         incs = fine.increments.reshape(M, N, ratio, lq.d).sum(axis=2)
         paths = type(fine)(grid=grid, increments=incs, seed=seed)
-        ric = solve_lq_riccati(lq, grid)
-
-        def feedback(k, x):
-            return -x[:, : lq.n] @ ric.gains[k].T
-
-        base, u = simulate_closed_loop(spec, grid, paths,
-                                       extend_initial_state(lq.x0, spec),
-                                       feedback)
+        spec, _, base, u = _lq_closed_loop(lq, grid, paths)
         xT = base.values[:, -1, :]
         yT = -np.asarray(spec.terminal_cost.grad(xT))
         sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
@@ -398,17 +391,13 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
 
 def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0):
     """Integral and pointwise first order violations for one grid size."""
-    spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
+    grid = TimeGrid(N, lq.T)
+    paths = generate_brownian(grid, M, lq.d, seed)
+    perturb_field = None
     if perturb:
         perturb_field = np.zeros((N + 1, lq.m))
         perturb_field[:, 0] = perturb * np.sin(np.pi * grid.times / lq.T)
-
-        def feedback(k, x):
-            return -x[:, : lq.n] @ ric.gains[k].T
-
-        base, u = simulate_closed_loop(spec, grid, paths,
-                                       extend_initial_state(lq.x0, spec),
-                                       feedback, perturb_field=perturb_field)
+    spec, _, base, u = _lq_closed_loop(lq, grid, paths, perturb_field)
     xT = base.values[:, -1, :]
     yT = -np.asarray(spec.terminal_cost.grad(xT))
     sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
@@ -770,7 +759,7 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     nu1 = np.zeros(spec.n)
     nu2 = np.zeros(spec.n)
     u2 = np.zeros((N + 1, spec.m))
-    values, tols = [], []
+    values = []
     fields = smooth_random_fields(grid, spec.m, directions, rng)
     worst = -np.inf
     for f in fields:
@@ -782,18 +771,12 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
                                  data, (x1, u1, nu1), (x2, u2, nu2),
                                  analysis=analysis, delta_act=2e-2)
         values.append(rep.worst_violation)
-        tols.append(rep.tolerance)
         worst = max(worst, rep.worst_violation - rep.tolerance)
     checks = [_check("second_order_nonpositive", worst <= 0.0,
                      values=values[:5])]
     # quadratic homogeneity: value at 2 u1 is four times the value at u1
     u1 = fields[0]
-    x1 = simulate_first_variation(spec, grid, paths, base, u, nu1, u1)
-    x2 = simulate_second_variation(spec, grid, paths, base, u, x1, nu1, u1,
-                                   nu2, u2)
-    v1 = second_order_check(spec, grid, paths, base, u, mult, adj, relaxed, data,
-                            (x1, u1, nu1), (x2, u2, nu2), analysis=analysis,
-                            delta_act=2e-2).worst_violation
+    v1 = values[0]
     x1b = simulate_first_variation(spec, grid, paths, base, u, nu1, 2.0 * u1)
     x2b = simulate_second_variation(spec, grid, paths, base, u, x1b, nu1,
                                     2.0 * u1, nu2, u2)

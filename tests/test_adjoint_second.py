@@ -291,7 +291,11 @@ def _ref_check_relaxed_identity(grid, paths, P, Q, PT, F, K, phi1, phi2, data1, 
 
 def _coefficient(rng, layout, M, N, tail, scale):
     """A random coefficient path as full (M, N+1) + tail values and in the
-    given _slice_bc layout."""
+    given layout: a constant ``tail`` array, or a callable k -> (M,) + tail
+    returning a per-path copy ("callable"), a deterministic path's value
+    broadcast to every path, as ``forward._along`` returns a path-independent
+    map ("deterministic"), or a strided time slice of an ensemble
+    ("ensemble")."""
     if layout == "constant":
         value = scale * rng.standard_normal(tail)
     elif layout == "deterministic":
@@ -299,9 +303,11 @@ def _coefficient(rng, layout, M, N, tail, scale):
     else:
         value = scale * rng.standard_normal((M, N + 1) + tail)
     full = np.broadcast_to(value, (M, N + 1) + tail)
+    if layout == "constant":
+        return full, value
     if layout == "callable":
         return full, lambda k: value[:, k].copy()
-    return full, value
+    return full, lambda k: full[:, k]
 
 
 class TestEinsumReference:
@@ -376,6 +382,16 @@ class TestSimulatePhiAgainstReference:
                                 t_index)
         assert_matches(phi.values, ref)
         assert np.all(phi.values[:, :t_index] == 0.0)
+
+    def test_time_indexed_coefficient_array_raises(self):
+        # an array coefficient is a constant; with M = N+1 a (N+1, n, n)
+        # path would otherwise broadcast over the paths unnoticed
+        spec = _drift_free_spec()
+        g = TimeGrid(10, 1.0)
+        paths = generate_brownian(g, 11, 1, seed=15)
+        data = SecondAdjointData(P_T=np.eye(1), J=np.ones((11, 1, 1)))
+        with pytest.raises(ValueError, match="constant coefficient"):
+            simulate_phi(spec, g, paths, data, 0, np.ones(1), None, None)
 
     @pytest.mark.parametrize("t_index", [-1, 11])
     def test_t_index_outside_grid_raises(self, t_index):

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stocond import cones
-from stocond.adjoint_first import DiscreteBVMeasure, measure_pairing, solve_first_adjoint
+from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution, measure_pairing,
+                                   solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
 from stocond.conditions import (MultiplierSet, analyze_active_sets, dt_bias_fit,
                                 first_order_integral_check,
                                 first_order_pointwise_check, hamiltonian,
-                                hamiltonian_gradients, hamiltonian_hessians,
                                 hamiltonian_u_field,
                                 normality_probe, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
@@ -30,6 +32,28 @@ def _lq_bd(B=1.0, D=0.5):
                   R_run=np.eye(1), T=1.0, x0=np.ones(1))
 
 
+def _hu_one_step(spec, x, u, p, q):
+    """H_u at (x, u, p, q), (M, m), through hamiltonian_u_field on a one-step
+    grid whose step-0 values are the given ones (H_u is frozen at t = 0)."""
+    g = TimeGrid(1, 1.0)
+
+    def path(v):
+        return PathEnsemble(np.stack([v, np.zeros_like(v)], axis=1), g)
+
+    sol = TranspositionSolution(y=path(p), Y=path(q))
+    return hamiltonian_u_field(spec, g, path(x), path(u).values, sol)[:, 0]
+
+
+def _ref_hamiltonian_xx(spec, t, x, u, p, q):
+    """H_xx = a_xx* p + b_xx* q, broadcast and contracted by hand."""
+    M, n = p.shape
+    d = q.shape[-1]
+    a = np.broadcast_to(np.asarray(spec.drift_xx(t, x, u)), (M, n, n, n))
+    b = np.broadcast_to(np.asarray(spec.diffusion_xx(t, x, u)), (M, n, d, n, n))
+    p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
+    return np.einsum("pijk,pi->pjk", a, p) + np.einsum("piljk,pil->pjk", b, q)
+
+
 class TestHamiltonian:
     def test_linear_instance_value(self):
         spec = lq_to_spec(_lq_bd(B=1.0, D=0.5))
@@ -37,15 +61,14 @@ class TestHamiltonian:
         u = np.zeros((1, 1))
         p = np.full((1, 1), 2.0)
         q = np.full((1, 1, 1), -1.0)
-        _, Hu = hamiltonian_gradients(spec, 0.0, x, u, p, q)
+        Hu = _hu_one_step(spec, x, u, p, q)
         assert Hu[0, 0] == pytest.approx(1.5)
 
     def test_control_free_diffusion(self):
         spec = lq_to_spec(_lq_bd(B=2.0, D=0.0))
         p = np.full((1, 1), 3.0)
         q = np.full((1, 1, 1), 7.0)
-        _, Hu = hamiltonian_gradients(spec, 0.0, np.zeros((1, 1)),
-                                      np.zeros((1, 1)), p, q)
+        Hu = _hu_one_step(spec, np.zeros((1, 1)), np.zeros((1, 1)), p, q)
         assert Hu[0, 0] == pytest.approx(6.0)
 
     def test_hu_finite_difference_oracle(self):
@@ -70,10 +93,10 @@ class TestHamiltonian:
         u = rng.standard_normal((16, 1))
         p = rng.standard_normal((16, 1))
         q = rng.standard_normal((16, 1, 1))
-        _, Hu = hamiltonian_gradients(spec, 0.3, x, u, p, q)
+        Hu = _hu_one_step(spec, x, u, p, q)
         h = 1e-6
-        Hp = hamiltonian(spec, 0.3, x, u + h, p, q)
-        Hm = hamiltonian(spec, 0.3, x, u - h, p, q)
+        Hp = hamiltonian(spec, 0.0, x, u + h, p, q)
+        Hm = hamiltonian(spec, 0.0, x, u - h, p, q)
         fd = (Hp - Hm) / (2 * h)
         assert np.max(np.abs(Hu[:, 0] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
@@ -87,11 +110,75 @@ class TestHamiltonian:
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
         u_arr = as_control_array(u, g, base.M, spec.m)
         for k in range(g.N):
-            Hxx, _, _ = hamiltonian_hessians(
+            Hxx = _ref_hamiltonian_xx(
                 spec, g.times[k], base.values[:, k], u_arr[:, k],
                 adj.y.values[:, k], adj.Y.values[:, k])
             assert np.any(Hxx != 0.0)
             assert np.array_equal(data.F(k), -Hxx)
+
+    def test_missing_second_derivative_maps_raise(self):
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 4, 16, seed=4)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        with pytest.raises(ValueError, match="second derivative"):
+            second_adjoint_data_for(replace(spec, diffusion_xx=None), g, base, u, adj)
+
+
+COEFF_MAPS = ("drift_x", "drift_u", "diffusion_x", "diffusion_u",
+              "drift_xx", "drift_xu", "drift_uu",
+              "diffusion_xx", "diffusion_xu", "diffusion_uu")
+
+
+def _counted(spec):
+    """spec with every derivative map wrapped in a call counter."""
+    calls = dict.fromkeys(COEFF_MAPS, 0)
+
+    def wrap(name):
+        fn = getattr(spec, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    return replace(spec, **{name: wrap(name) for name in COEFF_MAPS}), calls
+
+
+class TestDerivativeMapCalls:
+    """Each consumer evaluates each map it needs once per step, and no other."""
+
+    def test_each_map_once_per_step(self):
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
+        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
+        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
+        u1 = np.sin(np.pi * g.times)[:, None]
+        u2 = np.zeros((g.N + 1, 1))
+        nu = np.zeros(spec.n)
+        x1 = simulate_first_variation(spec, g, paths, base, u, nu, u1)
+        x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu, u1, nu, u2)
+        counted, calls = _counted(spec)
+        N = g.N
+
+        def expect(*names, times=N):
+            assert calls == {name: times if name in names else 0 for name in COEFF_MAPS}
+            calls.update(dict.fromkeys(COEFF_MAPS, 0))
+
+        hamiltonian_u_field(counted, g, base, u, adj)
+        expect("drift_u", "diffusion_u")
+        # data comes from the uncounted spec, so phi's J and K are not counted
+        second_order_check(counted, g, paths, base, u, mult, adj, relaxed, data,
+                           (x1, u1, nu), (x2, u2, nu), delta_act=1.0)
+        expect("drift_u", "diffusion_u", "diffusion_x", "drift_xu", "diffusion_xu",
+               "drift_uu", "diffusion_uu")
+        counted_data = second_adjoint_data_for(counted, g, base, u, adj, mult)
+        expect()
+        counted_data.F(3)
+        expect("drift_xx", "diffusion_xx", times=1)
 
 
 class TestTangentProjection:

@@ -294,41 +294,6 @@ class TestPolyhedralLemmas:
             cones.dual_of_intersection([C0, C1], vec(-1, 0),
                                        np.array([[1.0, 1.0]]))
 
-    def test_separation_two_squares(self):
-        M0 = cones.Polyhedron(np.array([[1., 0.], [-1., 0.], [0., 1.], [0., -1.]]),
-                              np.array([-1., 0., -1., 0.]))   # [0,1]^2
-        M1 = cones.Polyhedron(np.array([[1., 0.], [-1., 0.], [0., 1.], [0., -1.]]),
-                              np.array([-4., 3., -1., 0.]))   # [3,4] x [0,1]
-        z0, z1 = cones.separate_polyhedra(M0, M1)
-        assert np.allclose(z0 + z1, 0.0)
-        inf0 = min(np.dot(z0, v) for v in
-                   [(0, 0), (1, 0), (0, 1), (1, 1)])
-        inf1 = min(np.dot(z1, v) for v in
-                   [(3, 0), (4, 0), (3, 1), (4, 1)])
-        assert inf0 + inf1 >= -1e-9
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("K", [
-        cones.Box(vec(0, -1), vec(1, 2)),
-        cones.Ball(vec(1, 2), 0.5),
-        cones.Polyhedron(np.array([[1.0, 0.5]]), vec(-1)),
-        cones.AffineSet(vec(0, 0), np.array([[1.0, 1.0]])),
-        cones.Singleton(vec(3, 4)),
-        cones.WholeSpace(3),
-    ])
-    def test_roundtrip(self, K):
-        K2 = cones.descriptor_from_json(cones.descriptor_to_json(K))
-        assert type(K2) is type(K)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            z = rng.standard_normal(K.dim)
-            if isinstance(K, cones.WholeSpace):
-                assert cones.distance(K, z) == cones.distance(K2, z)
-            else:
-                assert cones.distance(K, z) == pytest.approx(
-                    cones.distance(K2, z), abs=1e-12)
-
 
 class TestConeScaling:
     @given(st.floats(0.0, 2.0))

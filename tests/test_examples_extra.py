@@ -10,9 +10,7 @@ from stocond.conditions import (MultiplierSet, analyze_active_sets,
                                 search_multipliers, state_constraint_measure)
 from stocond.errors import EmptySet
 from stocond.forward import VariationData, remainder_study_first
-from stocond.model import (PathEnsemble, TimeGrid, export_ensemble_csv,
-                           export_ensemble_npz, extend_initial_state,
-                           generate_brownian)
+from stocond.model import TimeGrid, extend_initial_state, generate_brownian
 from stocond.reporting import report_convergence
 from stocond.suites import _lq_setup, forward_strong_convergence, simulate_closed_loop
 
@@ -82,31 +80,6 @@ def test_linear_remainder_ladder_reports_degenerate():
     out = report_convergence(rep.epsilons, np.where(rep.norms < 1e-10, 0.0,
                                                     rep.norms))
     assert out["degenerate"] is True
-
-
-def test_ensemble_exports(tmp_path):
-    g = TimeGrid(3, 1.0)
-    ens = PathEnsemble(np.arange(24, dtype=float).reshape(2, 4, 3), g)
-    csv_path = tmp_path / "ens.csv"
-    export_ensemble_csv(ens, str(csv_path))
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "path,step,c0,c1,c2"
-    assert len(lines) == 1 + 2 * 4
-    npz_path = tmp_path / "ens.npz"
-    export_ensemble_npz(ens, str(npz_path))
-    data = np.load(npz_path)
-    assert np.array_equal(data["values"], ens.values)
-    assert np.array_equal(data["times"], g.times)
-
-
-def test_blocked_brownian_deterministic_in_seed_and_blocks():
-    g = TimeGrid(4, 1.0)
-    a = generate_brownian(g, 10, 2, seed=7, block_size=4)
-    b = generate_brownian(g, 10, 2, seed=7, block_size=4)
-    assert np.array_equal(a.increments, b.increments)
-    # growing the ensemble keeps earlier blocks bit-identical
-    c = generate_brownian(g, 12, 2, seed=7, block_size=4)
-    assert np.array_equal(c.increments[:8], a.increments[:8])
 
 
 def test_complementary_slackness_masses_off_active_set_rejected():

@@ -286,6 +286,10 @@ class TestRemainders:
         with pytest.raises(ValueError):
             VariationData(nu1=np.zeros(1), u1=np.zeros((2, 1)),
                           epsilon_ladder=(0.5, 0.5))
+        # the slope fit needs three points
+        with pytest.raises(ValueError, match="3 points"):
+            VariationData(nu1=np.zeros(1), u1=np.zeros((2, 1)),
+                          epsilon_ladder=(0.5, 0.25))
 
 
 # ---------------------------------------------------------------------------
