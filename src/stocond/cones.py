@@ -2,9 +2,9 @@
 
 Canonical closed sets (boxes, balls, polyhedra, affine sets, singletons,
 the whole space) get exact distances, metric projections and first/second
-order tangent objects.  Arbitrary sets are supported only through the
-epsilon-ladder membership oracle, which needs nothing but a distance
-function.
+order tangent objects; polyhedra project by one KKT-certified NNLS solve.
+Arbitrary sets are supported only through the epsilon-ladder membership
+oracle, which needs nothing but a distance function.
 
 Conventions: a polyhedron is {z : <a_j, z> + b_j <= 0 for all j} with the
 rows a_j stacked in ``normals`` and offsets in ``offsets``.  A polyhedral
@@ -14,7 +14,6 @@ H-rep (normals) and a V-rep (generators); duality swaps them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -149,8 +148,14 @@ def distance(K: SetDescriptor, z: np.ndarray) -> float:
 
 
 def project(K: SetDescriptor, z: np.ndarray) -> np.ndarray:
-    """Metric projection of z onto K (unique for the convex variants)."""
+    """Metric projection of z onto K (unique for the convex variants).
+
+    Raises EmptySet for an empty K.  A polyhedron runs the feasibility LP
+    only when its projection fails the KKT certificate.
+    """
     z = np.asarray(z, dtype=float)
+    if isinstance(K, Polyhedron):
+        return _project_polyhedron(K, z)
     check_nonempty(K)
     if isinstance(K, WholeSpace):
         return z.copy()
@@ -168,44 +173,35 @@ def project(K: SetDescriptor, z: np.ndarray) -> np.ndarray:
         q = _ortho_rows(K.basis)
         w = z - K.point
         return K.point + q.T @ (q @ w)
-    if isinstance(K, Polyhedron):
-        return _project_polyhedron(K, z)
     raise TypeError(f"no closed-form projection for {type(K).__name__}")
 
 
 def _project_polyhedron(K: Polyhedron, z: np.ndarray) -> np.ndarray:
-    """Exact projection by enumerating candidate active sets.
-
-    Desk-scale polyhedra only: the KKT system is solved for every subset of
-    constraints of size <= dim, and the best primal/dual feasible candidate
-    wins.  Exact up to linear-algebra round-off, which the 1e-10 projection
-    contract requires.
+    """Exact projection: the least-distance programme min |y - z| s.t.
+    -A (y - z) >= A z + b by one NNLS on [-A^T; slack^T] against e_{n+1}
+    (Lawson-Hanson, *Solving Least Squares Problems*, 1974, ch. 23).  Its
+    positive components are the active rows; the nearest point of their
+    face is returned only with its KKT certificate.
     """
     A, b = K.normals, K.offsets
-    k, n = A.shape
+    n = A.shape[1]
     slack = A @ z + b
     if np.all(slack <= _MEMBERSHIP_TOL):
         return z.copy()
-    best, best_d2 = None, np.inf
     feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    # The active set at the projection need not be tight at z (thin wedges),
-    # so every subset of size <= n is a candidate.
-    for size in range(1, min(k, n) + 1):
-        for S in itertools.combinations(range(k), size):
-            As = A[list(S)]
-            bs = b[list(S)]
-            G = As @ As.T
-            lam, *_ = np.linalg.lstsq(G, As @ z + bs, rcond=None)
-            if np.any(lam < -1e-10):
-                continue
-            y = z - As.T @ lam
-            if np.all(A @ y + b <= feas_tol):
-                d2 = float(np.dot(y - z, y - z))
-                if d2 < best_d2 - 1e-15:
-                    best, best_d2 = y, d2
-    if best is None:
-        raise EmptySet("projection failed: no KKT-consistent candidate (empty set?)")
-    return best
+    u, _ = scipy.optimize.nnls(np.vstack([-A.T, slack]), np.r_[np.zeros(n), 1.0])
+    if np.any(u > 0):                 # scipy's nnls aborts on zero columns
+        As, bs = A[u > 0], b[u > 0]
+        # min-norm step, not normal equations: accurate for redundant rows
+        r, *_ = np.linalg.lstsq(As, As @ z + bs, rcond=None)
+        y = z - r
+        # KKT: y feasible, active rows tight, z - y in their cone
+        _, dual_resid = scipy.optimize.nnls(As.T, r)
+        if (np.all(A @ y + b <= feas_tol) and np.all(As @ y + bs >= -feas_tol)
+                and dual_resid <= 1e-9 * max(1.0, float(np.linalg.norm(r)))):
+            return y
+    check_nonempty(K)
+    raise EmptySet("projection failed: no KKT-consistent candidate (empty set?)")
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +326,8 @@ def sample_cone_points(C: ConeDescriptor, count: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def _require_member(K: SetDescriptor, z: np.ndarray, tol: float = 1e-9) -> None:
-    if distance(K, z) > tol:
-        raise PointNotInSet(f"point at distance {distance(K, z):.3g} from the set")
+    if (d := distance(K, z)) > tol:
+        raise PointNotInSet(f"point at distance {d:.3g} from the set")
 
 
 def adjacent_cone(K: SetDescriptor, z: np.ndarray, tol: float = 1e-9) -> ConeDescriptor:
@@ -526,7 +522,7 @@ def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0:
         raise ValueError("direction must be nonzero")
-    check_nonempty(K)
+    # the support LP reports an empty polyhedron as infeasible (status 2)
     res = scipy.optimize.linprog(-xi, A_ub=K.normals, b_ub=-K.offsets,
                                  bounds=[(None, None)] * K.dim, method="highs")
     if res.status == 3:

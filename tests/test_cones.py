@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from stocond import cones
@@ -8,6 +11,67 @@ from stocond.errors import EmptySet, PointNotInSet, UnboundedSupport, WitnessInv
 
 def vec(*xs):
     return np.array(xs, dtype=float)
+
+
+def _enumerated_projection(K, z):
+    """Reference projection: the KKT system on every subset of <= n rows.
+
+    The best primal- and dual-feasible candidate wins.  Exponential in the
+    number of rows, so only for small polyhedra.
+    """
+    A, b = K.normals, K.offsets
+    k, n = A.shape
+    if np.all(A @ z + b <= 1e-9):
+        return z.copy()
+    best, best_d2 = None, np.inf
+    feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    # the active set at the projection need not be tight at z (thin wedges)
+    for size in range(1, min(k, n) + 1):
+        for S in itertools.combinations(range(k), size):
+            As, bs = A[list(S)], b[list(S)]
+            lam, *_ = np.linalg.lstsq(As @ As.T, As @ z + bs, rcond=None)
+            if np.any(lam < -1e-10):
+                continue
+            y = z - As.T @ lam
+            if np.all(A @ y + b <= feas_tol):
+                d2 = float(np.dot(y - z, y - z))
+                if d2 < best_d2 - 1e-15:
+                    best, best_d2 = y, d2
+    if best is None:
+        raise EmptySet("no KKT-consistent candidate")
+    return best
+
+
+@st.composite
+def small_polyhedra(draw, cone=None):
+    """Nonempty polyhedra with n <= 3, k <= 7 rows, optionally a duplicated
+    row, and a point drawn around them; cone=True forces b = 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 7))
+    A = rng.standard_normal((k, n))
+    if draw(st.booleans()):
+        A = np.vstack([A, A[rng.integers(k)]])
+    is_cone = draw(st.booleans()) if cone is None else cone
+    if is_cone:
+        b = np.zeros(len(A))
+    else:
+        center = rng.standard_normal(n)
+        b = -(A @ center) - rng.uniform(0.0, 1.0, len(A))
+    return cones.Polyhedron(A, b), 2.0 * rng.standard_normal(n)
+
+
+def _kkt_residuals(K, z, y):
+    """Worst constraint violation at y, and the NNLS residual of z - y over
+    the normals active at y relative to max(1, |z - y|)."""
+    slack = K.normals @ y + K.offsets
+    active = slack >= -1e-7
+    r = z - y
+    if active.any():
+        _, resid = scipy.optimize.nnls(K.normals[active].T, r)
+    else:
+        resid = float(np.linalg.norm(r))
+    return float(np.max(slack)), resid / max(1.0, float(np.linalg.norm(r)))
 
 
 class TestDistanceProject:
@@ -44,6 +108,44 @@ class TestDistanceProject:
         with pytest.raises(EmptySet):
             cones.project(cones.Box(vec(1), vec(0)), vec(0))
 
+    @pytest.mark.parametrize("normals, offsets, z", [
+        ([[1.0], [-1.0]], [1.0, 1.0], [0.0]),                 # x <= -1, x >= 1
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.5, 0.5, 0.0], [3.0, -2.0]),
+        ([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [0.0, 1e-3], [0.0, 0.0, 5.0]),
+    ])
+    def test_empty_polyhedron_raises(self, normals, offsets, z):
+        with pytest.raises(EmptySet):
+            cones.project(cones.Polyhedron(np.array(normals), vec(*offsets)), vec(*z))
+
+    def test_nonempty_polyhedron_runs_no_lp(self, monkeypatch):
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            A = rng.standard_normal((5, 3))
+            K = cones.Polyhedron(A, -A @ rng.standard_normal(3) - 0.5)
+            cones.project(K, 3.0 * rng.standard_normal(3))
+        assert calls == []
+
+    def test_ladder_scale_point_is_kkt_certified(self):
+        # n = 8, k = 17: a point outside a random polytope, drawn like the
+        # projection ladder of the benchmark
+        rng = np.random.default_rng(8)
+        n, k = 8, 17
+        A = rng.standard_normal((k, n))
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        center = rng.standard_normal(n) * 0.5
+        b = -(A @ center) - rng.uniform(0.3, 1.5, k)
+        z = center + rng.standard_normal(n) * 2.0
+        while np.max(A @ z + b) <= 1e-3:
+            z = center + rng.standard_normal(n) * 2.0
+        K = cones.Polyhedron(A, b)
+        feas, stat = _kkt_residuals(K, z, cones.project(K, z))
+        assert feas <= 1e-8
+        assert stat <= 1e-7
+
     def test_project_distance_duality_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -63,6 +165,51 @@ class TestDistanceProject:
         K = cones.Box(vec(lo[0]), vec(lo[1]))
         y = cones.project(K, vec(z[0]))
         assert cones.distance(K, y) <= 1e-12
+
+
+class TestProjectionProperties:
+    @given(small_polyhedra())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_enumeration(self, case):
+        K, z = case
+        y = cones.project(K, z)
+        ref = _enumerated_projection(K, z)
+        if np.linalg.norm(y - ref) <= 1e-9 * max(1.0, float(np.linalg.norm(ref))):
+            return
+        # The reference keeps candidates up to 1e-9 infeasible, so next to a
+        # degenerate vertex it can pick one closer to z than the projection.
+        # Then it must be the less feasible point, and y must be KKT-certified.
+        feas, stat = _kkt_residuals(K, z, y)
+        assert feas < np.max(K.normals @ ref + K.offsets)
+        assert feas <= 1e-10 * max(1.0, float(np.linalg.norm(z)))
+        assert stat <= 1e-9
+
+    @given(small_polyhedra())
+    @settings(max_examples=100, deadline=None)
+    def test_idempotent(self, case):
+        K, z = case
+        y = cones.project(K, z)
+        np.testing.assert_array_equal(cones.project(K, y), y)
+
+    @given(small_polyhedra(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_non_expansive(self, case, seed):
+        K, z1 = case
+        z2 = z1 + np.random.default_rng(seed).standard_normal(z1.size)
+        gap = np.linalg.norm(cones.project(K, z1) - cones.project(K, z2))
+        assert gap <= np.linalg.norm(z1 - z2) + 1e-12
+
+    @given(small_polyhedra(cone=True))
+    @settings(max_examples=100, deadline=None)
+    def test_moreau_decomposition(self, case):
+        # the H-rep cone projects by the LDP, its dual by NNLS on generators
+        K, v = case
+        C = cones.ConeDescriptor(K.dim, normals=K.normals)
+        p = cones.cone_project(C, v)
+        q = cones.cone_project(cones.dual_cone(C), v)
+        scale = max(1.0, float(np.linalg.norm(v)))
+        assert np.linalg.norm(p + q - v) <= 1e-9 * scale
+        assert abs(np.dot(p, q)) <= 1e-9 * scale ** 2
 
 
 class TestTangentCones:
@@ -88,6 +235,15 @@ class TestTangentCones:
     def test_point_not_in_set(self):
         with pytest.raises(PointNotInSet):
             cones.adjacent_cone(cones.Box(vec(0), vec(1)), vec(2))
+
+    def test_point_not_in_set_measures_distance_once(self, monkeypatch):
+        calls = []
+        distance = cones.distance
+        monkeypatch.setattr(cones, "distance",
+                            lambda K, z: calls.append(1) or distance(K, z))
+        with pytest.raises(PointNotInSet, match="distance 1 "):
+            cones.adjacent_cone(cones.Box(vec(0), vec(1)), vec(2))
+        assert len(calls) == 1
 
     def test_normal_cone_halfline(self):
         K = cones.Box(vec(0), vec(np.inf))
@@ -263,6 +419,11 @@ class TestPolyhedralLemmas:
         assert c[0] == pytest.approx(2.0, abs=1e-8)
         assert c[1] == pytest.approx(0.0, abs=1e-8)
         assert c[2] == pytest.approx(0.0, abs=1e-8)
+
+    def test_empty_polyhedron_raises(self):
+        K = cones.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), vec(1, 1))
+        with pytest.raises(EmptySet):
+            cones.polyhedral_support_decomposition(K, vec(0, 1))
 
     def test_unbounded_support(self):
         K = cones.Polyhedron(np.array([[1.0, 0.0]]), vec(0))
