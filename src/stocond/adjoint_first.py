@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import _along, _on_paths, _simulate_linear, semigroup_step
-from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
+from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
+                    time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
 
 
@@ -50,13 +51,9 @@ class DiscreteBVMeasure:
     atoms: dict[int, np.ndarray] = field(default_factory=dict)
 
     def atom(self, k: int, M: int, n: int) -> np.ndarray:
-        mu = self.atoms.get(k)
-        if mu is None:
-            return np.zeros((M, n))
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim == 1:
-            return np.broadcast_to(mu, (M, n))
-        return mu
+        """The atom at index k (a key of ``atoms``), per path."""
+        mu = np.asarray(self.atoms[k], dtype=float)
+        return np.broadcast_to(mu, (M, n)) if mu.ndim == 1 else mu
 
     def total_variation(self, M: int, n: int) -> float:
         """L^2(Omega) norm of the pathwise total variation sum_k |mu_k|."""
@@ -101,8 +98,8 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     along = _along(spec, grid, base_state, u_bar)
     a_x, b_x = along("drift_x"), along("diffusion_x")
 
-    y = np.zeros((M, grid.N + 1, n) + comp)
-    Y = np.zeros((M, grid.N + 1, n, d) + comp)
+    y = time_major_zeros(M, grid.N + 1, (n,) + comp)
+    Y = time_major_zeros(M, grid.N + 1, (n, d) + comp)
     y[:, grid.N] = np.broadcast_to(yT, (M, n) + comp)
     f_arr = _on_paths(f, M, grid.N, (n,) + comp)
 
@@ -169,7 +166,9 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_x, b_x = along("drift_x"), along("diffusion_x")
-    f1_arr = _on_paths(f1, M, grid.N, (n,))
+    # <E f1_k, y_{k+1}>: E is applied to f1 once, before it is broadcast
+    Ef1 = None if f1 is None else _on_paths(np.asarray(f1, dtype=float) @ E.T,
+                                            M, grid.N, (n,))
     f2_arr = _on_paths(f2, M, grid.N, (n, d))
     f_arr = _on_paths(f, M, grid.N, (n,))
 
@@ -183,15 +182,13 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
         if f_arr is not None:
             integrand = integrand - f_arr[:, k, :]
         lhs += dt * np.einsum("pi,pi->p", phi.values[:, k, :], integrand)
-        if f1_arr is not None:
-            rhs += dt * np.einsum("pi,pi->p", f1_arr[:, k, :] @ E.T,
-                                  sol.y.values[:, k + 1, :])
+        if Ef1 is not None:
+            rhs += dt * np.einsum("pi,pi->p", Ef1[:, k, :], sol.y.values[:, k + 1, :])
         if f2_arr is not None:
             rhs += dt * np.einsum("pil,pil->p", f2_arr[:, k, :, :],
                                   sol.Y.values[:, k, :, :])
-        mu = psi.atom(k, M, n)
-        if k >= t_index:
-            rhs += np.einsum("pi,pi->p", phi.values[:, k, :], mu)
+        if k in psi.atoms:
+            rhs += np.einsum("pi,pi->p", phi.values[:, k, :], psi.atom(k, M, n))
     diff = lhs - rhs
     residual = abs(float(np.mean(diff)))
     se = float(np.std(diff, ddof=1)) / np.sqrt(M)
@@ -227,7 +224,8 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
         bu = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k, :])
         rhs += dt * (np.einsum("pi,pi->p", sol.y.values[:, k + 1, :], au)
                      + np.einsum("pil,pil->p", sol.Y.values[:, k, :, :], bu))
-        rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))
+        if k in psi.atoms:
+            rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))
     diff = lhs - rhs
     return abs(float(np.mean(diff))), float(np.std(diff, ddof=1)) / np.sqrt(M)
 

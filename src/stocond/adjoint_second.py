@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import _on_paths, _simulate_linear, _slice_bc, semigroup_step
-from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid
+from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
 
 
@@ -69,18 +69,15 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
 
-    P = np.zeros((M, grid.N + 1, n, n))
-    Q = np.zeros((M, grid.N + 1, n, n, d))
+    P = time_major_zeros(M, grid.N + 1, (n, n))
+    Q = time_major_zeros(M, grid.N + 1, (n, n, d))
     P[:, grid.N] = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
-    # P_{k+1} is carried as a contiguous (M, n, n) array: a time slice of P
-    # is strided, and batched matmul on it is markedly slower
-    Pn = P[:, grid.N].copy()
     # E* P E is linear in P: on row-major flattened P it is one GEMM with
     # kron(E, E), since (E* P E)_im = sum_jl P_jl E_ji E_lm
     EE = np.kron(E, E)
 
     for k in range(grid.N - 1, -1, -1):
-        xk = base_state.values[:, k, :]
+        xk, Pn = base_state.values[:, k, :], P[:, k + 1]
         reg = ConditionalRegression(basis.features(xk), ridge=ridge)
         SP = (Pn.reshape(M, n * n) @ EE).reshape(M, n, n)
         m_next = reg.fit(SP)
@@ -108,10 +105,10 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
         if Fk is not None:
             drift -= Fk
         target_P = SP + dt * drift
-        Pn = reg.fit(target_P)
+        Pk = reg.fit(target_P)
         if symmetrize:
-            Pn = 0.5 * (Pn + Pn.transpose(0, 2, 1))
-        P[:, k] = Pn
+            Pk = 0.5 * (Pk + Pk.transpose(0, 2, 1))
+        P[:, k] = Pk
 
     return RelaxedSolution(P=PathEnsemble(P, grid), Qtensor=PathEnsemble(Q, grid))
 

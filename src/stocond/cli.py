@@ -37,7 +37,6 @@ class Scenario:
     out: str = DEFAULTS["out"]
     perturb: float = DEFAULTS["perturb"]
     tolerances: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def validate(self):
         if self.suite not in suites.SUITE_NAMES and self.suite != "all":
@@ -72,15 +71,17 @@ def parse_config_file(path: str) -> dict:
 def scenario_from(args) -> Scenario:
     sc = Scenario()
     if args.config:
-        cfg = parse_config_file(args.config)
         casts = {"paths": int, "steps": int, "seed": int, "perturb": float}
-        for key, val in cfg.items():
-            if key.startswith("tol."):
-                sc.tolerances[key[4:]] = float(val)
-            elif hasattr(sc, key) and key not in ("tolerances", "extras"):
-                setattr(sc, key, casts.get(key, str)(val))
-            else:
-                sc.extras[key] = val
+        for key, val in parse_config_file(args.config).items():
+            try:
+                if key.startswith("tol."):
+                    sc.tolerances[key[4:]] = float(val)
+                elif key in DEFAULTS:
+                    setattr(sc, key, casts.get(key, str)(val))
+                else:
+                    raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad value {val!r} for {key!r}") from exc
     for key in ("benchmark", "suite", "paths", "steps", "seed", "out", "perturb"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:

@@ -24,7 +24,8 @@ from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
 from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
 from .errors import AdjointMismatch, Infeasible, NotCritical
 from .forward import _along, simulate_first_variation
-from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
+from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
+                    time_major_zeros)
 from .regression import PolynomialBasis
 
 
@@ -103,9 +104,6 @@ def _hessian(a, b, p, q):
     (M, n) + tail and (M, n, d) + tail with tail (n, n) for xx, (n, m) for
     xu and (m, m) for uu.
     """
-    # p and q are often time slices of (M, N+1, ...) paths; einsum's loop
-    # over contiguous copies is about twice as fast and gives the same sums
-    p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
     return np.einsum("pijk,pi->pjk", a, p) + np.einsum("piljk,pil->pjk", b, q)
 
 
@@ -119,7 +117,7 @@ def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
     along = _along(spec, grid, base, as_control_array(u_bar, grid, base.M, spec.m))
     a_u, b_u = along("drift_u"), along("diffusion_u")
     y, Y = sol.y.values, sol.Y.values
-    out = np.zeros((base.M, grid.N, spec.m) + y.shape[3:])
+    out = time_major_zeros(base.M, grid.N, (spec.m,) + y.shape[3:])
     for k in range(grid.N):
         out[:, k] = _hamiltonian_u(a_u(k), b_u(k), y[:, k], Y[:, k])
     return out
@@ -623,8 +621,8 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     # One pass evaluates each coefficient map once per step and fills the
     # a_u u1 / b_u u1 source fields; the Q-view term needs phi, which is
     # driven by every step's sources, so it is added after the pass.
-    ft = np.zeros((M, N + 1, n))
-    fh = np.zeros((M, N + 1, n, d))
+    ft = time_major_zeros(M, N + 1, (n,))
+    fh = time_major_zeros(M, N + 1, (n, d))
     per_path = np.zeros(M)
     for k in range(N):
         yk = adjoint.y.values[:, k, :]

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowUp
-from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
+from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
+                    time_major_zeros)
 from .reporting import fit_slope
 
 DEFAULT_STATE_CAP = 1e8
@@ -99,8 +100,8 @@ def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, s
     if not 0 <= t_index <= N:
         raise ValueError(f"t_index must lie in 0..{N}, got {t_index}")
     M, dt = paths.M, grid.dt
-    E = semigroup_step(spec.A, dt)
-    X = np.zeros((M, N + 1, spec.n))
+    ET = np.ascontiguousarray(semigroup_step(spec.A, dt).T)
+    X = time_major_zeros(M, N + 1, (spec.n,))
     X[:, t_index] = np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n))
     for k in range(t_index, N):
         xk = X[:, k]
@@ -110,9 +111,7 @@ def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, s
             incr = incr + drift * dt
         if noise is not None:
             incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
-        # checked before it is stored: a time slice of X is strided, and
-        # the reductions run markedly slower on it
-        x_next = incr @ E.T
+        x_next = incr @ ET
         _check_cap(x_next, cap, what)
         X[:, k + 1] = x_next
     return PathEnsemble(values=X, grid=grid)

@@ -123,7 +123,13 @@ class BrownianEnsemble:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Adapted process samples on a grid; values has shape (M, N+1, k)."""
+    """Adapted process samples on a grid; values has shape (M, N+1, k).
+
+    That shape is logical: ensembles filled one time step at a time are
+    stored time-major (see ``time_major_zeros``), so ``values[:, k]`` is one
+    contiguous block while the whole array is not C-contiguous.  Index it;
+    do not assume the memory order of ``values`` itself.
+    """
 
     values: np.ndarray
     grid: TimeGrid
@@ -132,8 +138,14 @@ class PathEnsemble:
     def M(self) -> int:
         return self.values.shape[0]
 
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[:, k, ...]
+
+def time_major_zeros(M: int, K: int, tail: tuple) -> np.ndarray:
+    """Zeros of logical shape (M, K) + tail, stored time-major.
+
+    A sweep over the K grid times reads and writes ``out[:, k]``; in this
+    layout that time slice is one C-contiguous (M,) + tail block.
+    """
+    return np.zeros((K, M) + tail).swapaxes(0, 1)
 
 
 def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:

@@ -29,7 +29,8 @@ from .errors import TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
                       simulate_first_variation, simulate_forward,
                       simulate_second_variation, semigroup_step)
-from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian)
+from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
+                    time_major_zeros)
 from .regression import PolynomialBasis
 from .reporting import report_convergence
 
@@ -48,7 +49,7 @@ def simulate_closed_loop(spec: ProblemSpec, grid: TimeGrid, paths, nu0,
     perturb_field (N+1, m) is added to the feedback control when given.
     Returns (state ensemble, control ensemble) with matching adaptedness.
     """
-    U = np.zeros((paths.M, grid.N + 1, spec.m))
+    U = time_major_zeros(paths.M, grid.N + 1, (spec.m,))
 
     def control(k, x):
         u = feedback(k, x)

@@ -43,6 +43,19 @@ class TestExitCodes:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [("patsh = 5", "'patsh'"),
+                                            ("extras = 1", "'extras'"),
+                                            ("paths = many", "'paths'")])
+    def test_bad_config_key_exit_1(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = cones\n{line}\n")
+        code = cli.main(["run", "lq_unconstrained", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_cones_suite_exit_0(self, tmp_path, capsys):
         code = cli.main(["run", "lq_unconstrained", "--suite", "cones",
                          "--seed", "5", "--out", str(tmp_path / "a")])

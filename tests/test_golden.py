@@ -1,6 +1,6 @@
 """Golden numbers: the benchmark's recorded check records at case 0.
 
-Runs three benchmark operations at their benchmark scale and requires
+Runs five benchmark operations at their benchmark scale and requires
 every check record to repeat ``perfbench/golden.json`` (same verdict, every
 number within the benchmark's round-off bound), so a refactor that moves a
 number beyond round-off fails here and not only in a benchmark run.
@@ -19,6 +19,8 @@ import workloads  # noqa: E402
     ("lq_optimum", "second_order"),
     ("lq_optimum", "first_order_optimum"),
     ("multipliers", "terminal_multiplier"),
+    ("identities", "transposition_ladder"),
+    ("identities", "relaxed_identity"),
 ])
 def test_case_0_repeats_golden_records(workload, op, tmp_path):
     w = workloads.WORKLOADS[workload]

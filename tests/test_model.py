@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from stocond import cones
+from stocond.adjoint_first import simulate_test_process, solve_first_adjoint
+from stocond.adjoint_second import SecondAdjointData, simulate_phi, solve_second_adjoint
 from stocond.benchmarks import lq_to_spec, lq_unconstrained, lq_running_cost
+from stocond.conditions import hamiltonian_u_field
 from stocond.errors import NonFiniteValue
-from stocond.forward import simulate_forward
+from stocond.forward import simulate_first_variation, simulate_forward, simulate_second_variation
 from stocond.model import (Functional, ProblemSpec, RunningCost, TimeGrid,
                            bolza_reduce, extend_initial_state, generate_brownian,
                            validate_spec, zero_map)
+from stocond.suites import _lq_setup
 
 
 class TestTimeGrid:
@@ -178,3 +182,52 @@ class TestBolzaReduce:
         red = bolza_reduce(lq_to_spec(lq), lq_running_cost(lq))
         report = validate_spec(red, samples=8, seed=2)
         assert report.max_mismatch <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def swept_ensembles():
+    """Every ensemble a per-step loop fills, on a small LQ closed loop."""
+    spec, grid, paths, _, base, u = _lq_setup(lq_unconstrained(), 10, 32, seed=0)
+    M, N, n = paths.M, grid.N, spec.n
+    u1 = np.full((N + 1, spec.m), 0.3)
+    x1 = simulate_first_variation(spec, grid, paths, base, u, np.zeros(n), u1)
+    x2 = simulate_second_variation(spec, grid, paths, base, u, x1, np.zeros(n), u1,
+                                   np.zeros(n), u1)
+    yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
+    sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
+    sol_c = solve_first_adjoint(spec, grid, paths, base, u, np.stack([yT, 2 * yT], axis=-1))
+    data = SecondAdjointData(P_T=np.eye(n), J=0.1 * np.eye(n))
+    rel = solve_second_adjoint(spec, grid, paths, base, u, data)
+    f1, f2 = np.ones((N + 1, n)), np.ones((N + 1, n, paths.d))
+    return {
+        "simulate_forward": simulate_forward(spec, grid, paths, np.ones(n), u).values,
+        "simulate_first_variation": x1.values,
+        "simulate_second_variation": x2.values,
+        "simulate_test_process": simulate_test_process(spec, grid, paths, 2, np.ones(n),
+                                                       f1, f2).values,
+        "simulate_phi": simulate_phi(spec, grid, paths, data, 2, np.ones(n), f1, f2).values,
+        "closed_loop_X": base.values,
+        "closed_loop_U": u,
+        "first_adjoint_y": sol.y.values,
+        "first_adjoint_Y": sol.Y.values,
+        "first_adjoint_y_components": sol_c.y.values,
+        "first_adjoint_Y_components": sol_c.Y.values,
+        "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u, sol),
+        "second_adjoint_P": rel.P.values,
+        "second_adjoint_Q": rel.Qtensor.values,
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "simulate_forward", "simulate_first_variation", "simulate_second_variation",
+    "simulate_test_process", "simulate_phi", "closed_loop_X", "closed_loop_U",
+    "first_adjoint_y", "first_adjoint_Y", "first_adjoint_y_components",
+    "first_adjoint_Y_components", "hamiltonian_u_field", "second_adjoint_P",
+    "second_adjoint_Q",
+])
+def test_time_slices_are_contiguous(swept_ensembles, name):
+    """Ensembles are stored time-major: each time slice is one C block."""
+    values = swept_ensembles[name]
+    assert values.shape[0] == 32
+    for k in (0, values.shape[1] - 1):
+        assert values[:, k].flags.c_contiguous
