@@ -15,8 +15,7 @@ import numpy as np
 
 from .cones import Box, SetDescriptor, Singleton, WholeSpace
 from .errors import RiccatiBlowup
-from .model import (Functional, ProblemSpec, RunningCost, TimeGrid, bolza_reduce,
-                    zero_map)
+from .model import Functional, ProblemSpec, RunningCost, TimeGrid, bolza_reduce, zero_maps
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +81,29 @@ def _riccati_rhs(lq: LQSpec, Pi: np.ndarray) -> np.ndarray:
     return -(A.T @ Pi + Pi @ A + quad + lq.Q_run - L.T @ gain), gain
 
 
+def _backward_rk4(rhs, terminal: np.ndarray, grid: TimeGrid, substeps: int,
+                  cap: float | None = None) -> np.ndarray:
+    """(N+1, n, n) path of a symmetric matrix ODE S' = rhs(S), S(T) = terminal,
+    integrated backward by RK4 at ``substeps`` steps per grid step and
+    symmetrised after each; with a ``cap``, leaving it raises RiccatiBlowup."""
+    h = grid.dt / substeps
+    S = terminal
+    out = np.zeros((grid.N + 1,) + S.shape)
+    out[grid.N] = S
+    for k in range(grid.N - 1, -1, -1):
+        for _ in range(substeps):
+            k1 = rhs(S)
+            k2 = rhs(S - 0.5 * h * k1)
+            k3 = rhs(S - 0.5 * h * k2)
+            k4 = rhs(S - h * k3)
+            S = S - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            S = 0.5 * (S + S.T)
+            if cap is not None and (not np.all(np.isfinite(S)) or np.max(np.abs(S)) > cap):
+                raise RiccatiBlowup("Riccati integration left the norm cap")
+        out[k] = S
+    return out
+
+
 def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
                      cap: float = 1e8) -> RiccatiSolution:
     """Backward RK4 integration of the stochastic Riccati equation.
@@ -91,26 +113,9 @@ def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
     (R + sum_i D_i' Pi D_i)^{-1} (B' Pi + sum_i D_i' Pi C_i), the general
     control-in-diffusion formula.
     """
-    n = lq.n
-    h = grid.dt / substeps
-    Pi = lq.G.copy()
-    out = np.zeros((grid.N + 1, n, n))
-    gains = np.zeros((grid.N + 1, lq.m, n))
-    out[grid.N] = Pi
-    gains[grid.N] = _riccati_rhs(lq, Pi)[1]
-    for k in range(grid.N - 1, -1, -1):
-        for _ in range(substeps):
-            k1, _ = _riccati_rhs(lq, Pi)
-            k2, _ = _riccati_rhs(lq, Pi - 0.5 * h * k1)
-            k3, _ = _riccati_rhs(lq, Pi - 0.5 * h * k2)
-            k4, _ = _riccati_rhs(lq, Pi - h * k3)
-            Pi = Pi - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            Pi = 0.5 * (Pi + Pi.T)
-            if not np.all(np.isfinite(Pi)) or np.max(np.abs(Pi)) > cap:
-                raise RiccatiBlowup("Riccati integration left the norm cap")
-        out[k] = Pi
-        gains[k] = _riccati_rhs(lq, Pi)[1]
-    return RiccatiSolution(grid=grid, Pi=out, gains=gains)
+    Pi = _backward_rk4(lambda P: _riccati_rhs(lq, P)[0], lq.G.copy(), grid, substeps, cap)
+    gains = np.stack([_riccati_rhs(lq, P)[1] for P in Pi])
+    return RiccatiSolution(grid=grid, Pi=Pi, gains=gains)
 
 
 def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
@@ -121,26 +126,11 @@ def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
 
     so Q-part vanishes and P(t) = S(t).  Returns (N+1, n, n).
     """
-    n = lq.n
-    h = grid.dt / substeps
-
     def rhs(S):
         quad = np.einsum("dji,jk,dkl->il", lq.C, S, lq.C)
         return -(lq.A.T @ S + S @ lq.A + quad - lq.Q_run)
 
-    S = -lq.G.copy()
-    out = np.zeros((grid.N + 1, n, n))
-    out[grid.N] = S
-    for k in range(grid.N - 1, -1, -1):
-        for _ in range(substeps):
-            k1 = rhs(S)
-            k2 = rhs(S - 0.5 * h * k1)
-            k3 = rhs(S - 0.5 * h * k2)
-            k4 = rhs(S - h * k3)
-            S = S - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            S = 0.5 * (S + S.T)
-        out[k] = S
-    return out
+    return _backward_rk4(rhs, -lq.G.copy(), grid, substeps)
 
 
 def adjoint_oracle_lq(lq: LQSpec, grid: TimeGrid, riccati: RiccatiSolution,
@@ -169,26 +159,20 @@ def adjoint_oracle_lq(lq: LQSpec, grid: TimeGrid, riccati: RiccatiSolution,
     return y, Y, P
 
 
-def lq_to_spec(lq: LQSpec, include_generator_in_drift: bool = False) -> ProblemSpec:
+def lq_to_spec(lq: LQSpec) -> ProblemSpec:
     """Mayer-form ProblemSpec for the LQ dynamics (no running cost yet).
 
-    By default the generator sits in the semigroup slot and the drift map is
-    B u alone.
+    The generator sits in the semigroup slot and the drift map is B u alone.
     """
     n, m, d = lq.n, lq.m, lq.d
-    A_sem = np.zeros((n, n)) if include_generator_in_drift else lq.A
-    A_drift = lq.A if include_generator_in_drift else np.zeros((n, n))
 
     def drift(t, x, u):
-        return x @ A_drift.T + u @ lq.B.T
+        return u @ lq.B.T
 
     def diffusion(t, x, u):
         return (np.einsum("dij,pj->pid", lq.C, x)
                 + np.einsum("dij,pj->pid", lq.D, u)
                 + lq.sigma.T[None, :, :])
-
-    def drift_x(t, x, u):
-        return np.broadcast_to(A_drift, (x.shape[0], n, n))
 
     def drift_u(t, x, u):
         return np.broadcast_to(lq.B, (x.shape[0], n, m))
@@ -209,14 +193,9 @@ def lq_to_spec(lq: LQSpec, include_generator_in_drift: bool = False) -> ProblemS
         return np.broadcast_to(lq.G, (x.shape[0], n, n))
 
     return ProblemSpec(
-        n=n, m=m, d=d, T=lq.T, A=A_sem,
-        drift=drift, diffusion=diffusion,
-        drift_x=drift_x, drift_u=drift_u,
-        diffusion_x=diffusion_x, diffusion_u=diffusion_u,
-        drift_xx=zero_map(n, n, n), drift_xu=zero_map(n, n, m),
-        drift_uu=zero_map(n, m, m),
-        diffusion_xx=zero_map(n, d, n, n), diffusion_xu=zero_map(n, d, n, m),
-        diffusion_uu=zero_map(n, d, m, m),
+        n=n, m=m, d=d, T=lq.T, A=lq.A,
+        **zero_maps(n, m, d, drift=drift, diffusion=diffusion, drift_u=drift_u,
+                    diffusion_x=diffusion_x, diffusion_u=diffusion_u),
         terminal_cost=Functional(h_value, h_grad, h_hess),
         U=lq.U, Ka=lq.Ka,
     )
@@ -303,14 +282,9 @@ def make_heat_spde(modes: int, viscosity: float = 1.0, control_channels: int = 1
 
     return ProblemSpec(
         n=n, m=m, d=d, T=T, A=A,
-        drift=drift, diffusion=diffusion,
-        drift_x=zero_map(n, n), drift_u=lambda t, x, u: np.broadcast_to(
-            B, (x.shape[0], n, m)),
-        diffusion_x=diffusion_x, diffusion_u=zero_map(n, d, m),
-        drift_xx=zero_map(n, n, n), drift_xu=zero_map(n, n, m),
-        drift_uu=zero_map(n, m, m),
-        diffusion_xx=zero_map(n, d, n, n), diffusion_xu=zero_map(n, d, n, m),
-        diffusion_uu=zero_map(n, d, m, m),
+        **zero_maps(n, m, d, drift=drift, diffusion=diffusion,
+                    drift_u=lambda t, x, u: np.broadcast_to(B, (x.shape[0], n, m)),
+                    diffusion_x=diffusion_x),
         terminal_cost=Functional(h_value, h_grad, h_hess),
         U=WholeSpace(m), Ka=Singleton(np.ones(n)),
     )
@@ -338,16 +312,11 @@ def make_bilinear_scalar(T: float = 1.0, drift_gain: float = 1.0,
 
     return ProblemSpec(
         n=1, m=1, d=1, T=T, A=np.zeros((1, 1)),
-        drift=drift, diffusion=diffusion,
-        drift_x=lambda t, x, u: drift_gain * u[..., None],
-        drift_u=lambda t, x, u: drift_gain * x[..., None],
-        diffusion_x=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), noise_gain),
-        diffusion_u=zero_map(1, 1, 1),
-        drift_xx=zero_map(1, 1, 1),
-        drift_xu=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), drift_gain),
-        drift_uu=zero_map(1, 1, 1),
-        diffusion_xx=zero_map(1, 1, 1, 1), diffusion_xu=zero_map(1, 1, 1, 1),
-        diffusion_uu=zero_map(1, 1, 1, 1),
+        **zero_maps(1, 1, 1, drift=drift, diffusion=diffusion,
+                    drift_x=lambda t, x, u: drift_gain * u[..., None],
+                    drift_u=lambda t, x, u: drift_gain * x[..., None],
+                    diffusion_x=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), noise_gain),
+                    drift_xu=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), drift_gain)),
         terminal_cost=_scalar_functional_half_square(),
         U=WholeSpace(1), Ka=Singleton(np.array([1.0])),
     )
@@ -365,15 +334,10 @@ def make_polynomial_scalar(power: int, coeff: float = 0.5, T: float = 1.0,
 
     return ProblemSpec(
         n=1, m=1, d=1, T=T, A=np.zeros((1, 1)),
-        drift=drift, diffusion=diffusion,
-        drift_x=lambda t, x, u: coeff * power * (x ** (power - 1))[..., None],
-        drift_u=zero_map(1, 1),
-        diffusion_x=zero_map(1, 1, 1), diffusion_u=zero_map(1, 1, 1),
-        drift_xx=lambda t, x, u: coeff * power * (power - 1)
-        * (x ** (power - 2))[..., None, None],
-        drift_xu=zero_map(1, 1, 1), drift_uu=zero_map(1, 1, 1),
-        diffusion_xx=zero_map(1, 1, 1, 1), diffusion_xu=zero_map(1, 1, 1, 1),
-        diffusion_uu=zero_map(1, 1, 1, 1),
+        **zero_maps(1, 1, 1, drift=drift, diffusion=diffusion,
+                    drift_x=lambda t, x, u: coeff * power * (x ** (power - 1))[..., None],
+                    drift_xx=lambda t, x, u: coeff * power * (power - 1)
+                    * (x ** (power - 2))[..., None, None]),
         terminal_cost=_scalar_functional_half_square(),
         U=WholeSpace(1), Ka=Singleton(np.array([1.0])),
     )
@@ -436,14 +400,9 @@ def double_integrator_state_constrained(limit: float = 0.1):
 
     spec = ProblemSpec(
         n=n, m=m, d=d, T=1.0, A=A,
-        drift=drift, diffusion=zero_map(n, d),
-        drift_x=lambda t, x, u: np.broadcast_to(A2, (x.shape[0], n, n)),
-        drift_u=lambda t, x, u: np.broadcast_to(B, (x.shape[0], n, m)),
-        diffusion_x=zero_map(n, d, n), diffusion_u=zero_map(n, d, m),
-        drift_xx=zero_map(n, n, n), drift_xu=zero_map(n, n, m),
-        drift_uu=zero_map(n, m, m),
-        diffusion_xx=zero_map(n, d, n, n), diffusion_xu=zero_map(n, d, n, m),
-        diffusion_uu=zero_map(n, d, m, m),
+        **zero_maps(n, m, d, drift=drift,
+                    drift_x=lambda t, x, u: np.broadcast_to(A2, (x.shape[0], n, n)),
+                    drift_u=lambda t, x, u: np.broadcast_to(B, (x.shape[0], n, m))),
         terminal_cost=Functional(lambda x: np.zeros(x.shape[0]),
                                  lambda x: np.zeros_like(x),
                                  lambda x: np.zeros(x.shape[:-1] + (n, n))),
@@ -497,5 +456,4 @@ BENCHMARKS = {
     "bilinear_scalar": make_bilinear_scalar,
     "quadratic_drift": lambda: make_polynomial_scalar(2),
     "cubic_drift": lambda: make_polynomial_scalar(3),
-    "heat_spde": make_heat_spde,
 }

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import suites
+from .benchmarks import BENCHMARKS
 from .errors import ConfigError
 from .reporting import convergence_csv, write_json_report
 
@@ -41,10 +42,7 @@ class Scenario:
     def validate(self):
         if self.suite not in suites.SUITE_NAMES and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}")
-        known = {"lq_unconstrained", "lq_terminal", "lq_box",
-                 "double_integrator_state", "bilinear_scalar",
-                 "quadratic_drift", "cubic_drift", "heat_spde"}
-        if self.benchmark not in known:
+        if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         if self.paths < 1 or self.steps < 1:
             raise ConfigError("paths and steps must be positive")
@@ -96,12 +94,11 @@ def run(scenario: Scenario) -> int:
     tables = {}
 
     def extend(result):
-        cs, ts = result[0], result[1]
+        cs, ts = result
         checks.extend(cs)
-        if isinstance(ts, dict):
-            for name, val in ts.items():
-                if isinstance(val, (tuple, list)) and len(val) == 2:
-                    tables[name] = val
+        for name, val in ts.items():
+            if isinstance(val, (tuple, list)) and len(val) == 2:
+                tables[name] = val
 
     wanted = suites.SUITE_NAMES if scenario.suite == "all" else [scenario.suite]
     for name in wanted:
@@ -112,10 +109,8 @@ def run(scenario: Scenario) -> int:
             extend(suites.remainder_suite(M=min(scenario.paths, 2000),
                                           N=scenario.steps, seed=scenario.seed))
         elif name == "identities":
-            out = suites.transposition_identity_ladder(
-                M=scenario.paths, seed=scenario.seed)
-            checks.extend(out[0])
-            tables.update(out[1])
+            extend(suites.transposition_identity_ladder(M=scenario.paths,
+                                                        seed=scenario.seed))
             extend(suites.adjoint_oracle_comparison(M=scenario.paths,
                                                     N=scenario.steps,
                                                     seed=scenario.seed))

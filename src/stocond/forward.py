@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import BlowUp
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
-                    time_major_zeros)
+                    map_shape, time_major_zeros)
 from .reporting import fit_slope
 
 DEFAULT_STATE_CAP = 1e8
@@ -155,19 +155,15 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
 
 def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
     """along(name) -> (k -> the named derivative map of spec at (t_k, base_k,
-    u_bar_k)), broadcast to (M, n) + (d,) for diffusion maps + (n or m per
-    x/u index).
+    u_bar_k)), broadcast to (M,) + ``map_shape(name, n, m, d)``.
 
     This is the one place a derivative map is evaluated along the nominal
     pair; asking for a second derivative map the spec lacks raises.
     """
-    dims = {"x": spec.n, "u": spec.m}
     ts = grid.times
 
     def along(name):
-        head, _, wrt = name.partition("_")
-        shape = (base.M, spec.n) + ((spec.d,) if head == "diffusion" else ()) \
-            + tuple(dims[c] for c in wrt)
+        shape = (base.M,) + map_shape(name, spec.n, spec.m, spec.d)
         fn = getattr(spec, name)
         if fn is None:
             raise ValueError("spec lacks second derivative maps")

@@ -6,20 +6,13 @@ of diffusion values is R^{n x d} with the Frobenius inner product.
 
 Coefficient maps are batched: they receive ``x`` of shape (M, n) and ``u``
 of shape (M, m) and return arrays whose leading axis is the path axis.
-Shape conventions for derivatives:
-
-    drift(t, x, u)        -> (M, n)
-    diffusion(t, x, u)    -> (M, n, d)
-    drift_x               -> (M, n, n)      d a_i / d x_j at [., i, j]
-    drift_u               -> (M, n, m)
-    diffusion_x           -> (M, n, d, n)
-    diffusion_u           -> (M, n, d, m)
-    drift_xx              -> (M, n, n, n)   d2 a_i / dx_j dx_k
-    drift_xu              -> (M, n, n, m)   d2 a_i / dx_j du_k
-    drift_uu              -> (M, n, m, m)
-    diffusion_xx          -> (M, n, d, n, n)
-    diffusion_xu          -> (M, n, d, n, m)
-    diffusion_uu          -> (M, n, d, m, m)
+``COEFFICIENT_MAPS`` names the twelve maps (drift, diffusion and the ten
+``DERIVATIVE_MAPS``), and ``map_shape`` gives each one's trailing shape.  A
+name is head + ``_`` + the variables it is differentiated in: the head gives
+(n,) for the drift and (n, d) for the diffusion, then each ``x`` adds n and
+each ``u`` adds m, so ``diffusion_xu`` is (M, n, d, n, m) with
+d2 b_il / dx_j du_k at [., i, l, j, k].  A derivative's parent is its name
+less the last letter (``drift_xu`` differentiates ``drift_x`` in u).
 
 Maps may return arrays broadcastable to those shapes (e.g. constant
 matrices); the engines broadcast as needed.
@@ -34,6 +27,19 @@ import numpy as np
 
 from .cones import SetDescriptor
 from .errors import NonFiniteValue
+
+
+DERIVATIVE_MAPS = ("drift_x", "drift_u", "diffusion_x", "diffusion_u",
+                   "drift_xx", "drift_xu", "drift_uu",
+                   "diffusion_xx", "diffusion_xu", "diffusion_uu")
+COEFFICIENT_MAPS = ("drift", "diffusion") + DERIVATIVE_MAPS
+
+
+def map_shape(name: str, n: int, m: int, d: int) -> tuple:
+    """Trailing shape of the named coefficient map (after the path axis)."""
+    head, _, wrt = name.partition("_")
+    return ((n,) + ((d,) if head == "diffusion" else ())
+            + tuple(n if c == "x" else m for c in wrt))
 
 
 @dataclass(frozen=True)
@@ -242,35 +248,16 @@ def validate_spec(spec: ProblemSpec, samples: int = 20, seed: int = 0,
         b_val = np.asarray(spec.diffusion(t, x, u))
         if not (np.all(np.isfinite(a_val)) and np.all(np.isfinite(b_val))):
             raise NonFiniteValue("drift or diffusion non-finite at a sampled point")
-        record("drift_x", _fd_jacobian(lambda xx: spec.drift(t, xx, u), x, step),
-               spec.drift_x(t, x, u))
-        record("drift_u", _fd_jacobian(lambda uu: spec.drift(t, x, uu), u, step),
-               spec.drift_u(t, x, u))
-        record("diffusion_x", _fd_jacobian(lambda xx: spec.diffusion(t, xx, u), x, step),
-               spec.diffusion_x(t, x, u))
-        record("diffusion_u", _fd_jacobian(lambda uu: spec.diffusion(t, x, uu), u, step),
-               spec.diffusion_u(t, x, u))
-        if spec.drift_xx is not None:
-            record("drift_xx", _fd_jacobian(lambda xx: spec.drift_x(t, xx, u), x, step),
-                   spec.drift_xx(t, x, u))
-        if spec.drift_xu is not None:
-            record("drift_xu", _fd_jacobian(lambda uu: spec.drift_x(t, x, uu), u, step),
-                   spec.drift_xu(t, x, u))
-        if spec.drift_uu is not None:
-            record("drift_uu", _fd_jacobian(lambda uu: spec.drift_u(t, x, uu), u, step),
-                   spec.drift_uu(t, x, u))
-        if spec.diffusion_xx is not None:
-            record("diffusion_xx",
-                   _fd_jacobian(lambda xx: spec.diffusion_x(t, xx, u), x, step),
-                   spec.diffusion_xx(t, x, u))
-        if spec.diffusion_xu is not None:
-            record("diffusion_xu",
-                   _fd_jacobian(lambda uu: spec.diffusion_x(t, x, uu), u, step),
-                   spec.diffusion_xu(t, x, u))
-        if spec.diffusion_uu is not None:
-            record("diffusion_uu",
-                   _fd_jacobian(lambda uu: spec.diffusion_u(t, x, uu), u, step),
-                   spec.diffusion_uu(t, x, u))
+        for name in DERIVATIVE_MAPS:
+            # the parent is the name less its last letter, differenced in that letter
+            fn, parent = getattr(spec, name), getattr(spec, name[:-1].rstrip("_"))
+            if fn is None:
+                continue
+            if name[-1] == "x":
+                fd = _fd_jacobian(lambda xx: parent(t, xx, u), x, step)
+            else:
+                fd = _fd_jacobian(lambda uu: parent(t, x, uu), u, step)
+            record(name, fd, fn(t, x, u))
 
     gv = spec.terminal_cost.grad(xs)
     record("terminal_cost_grad",
@@ -308,6 +295,12 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
     satisfies d(extra) = running_cost dt (no noise), and the terminal cost
     becomes original + extra.  Constraints keep acting on the first n
     coordinates.
+
+    Every coefficient map is lifted the same way: the original map fills the
+    leading n block of each state axis, a drift map's accumulator row holds
+    the matching running-cost field (``value``, ``grad_<wrt>``,
+    ``hess_<wrt>``), and the rest is zero.  A lifted map is None when either
+    part is None, so a missing second derivative stays missing.
     """
     n, m, d = spec.n, spec.m, spec.d
     A_ext = np.zeros((n + 1, n + 1))
@@ -316,94 +309,26 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
     def split(x):
         return x[..., :n]
 
-    def drift(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1,))
-        out[..., :n] = np.asarray(spec.drift(t, xa, u))
-        out[..., n] = np.asarray(running_cost.value(t, xa, u))
-        return out
+    def lift(name):
+        head, _, wrt = name.partition("_")
+        tail = map_shape(name, n + 1, m, d)
+        axes = tuple(slice(None, n) if c == "x" else slice(None) for c in wrt)
+        parts = [((Ellipsis, slice(None, n))
+                  + ((slice(None),) if head == "diffusion" else ()) + axes,
+                  getattr(spec, name))]
+        if head == "drift":
+            cost = getattr(running_cost, ("value", "grad_", "hess_")[len(wrt)] + wrt)
+            parts.append(((Ellipsis, n) + axes, cost))
+        if any(fn is None for _, fn in parts):
+            return None
 
-    def diffusion(t, x, u):
-        xa = split(x)
-        b = np.asarray(spec.diffusion(t, xa, u))
-        out = np.zeros(x.shape[:-1] + (n + 1, d))
-        out[..., :n, :] = b
-        return out
-
-    def drift_x(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, n + 1))
-        out[..., :n, :n] = np.asarray(spec.drift_x(t, xa, u))
-        out[..., n, :n] = np.asarray(running_cost.grad_x(t, xa, u))
-        return out
-
-    def drift_u(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, m))
-        out[..., :n, :] = np.asarray(spec.drift_u(t, xa, u))
-        out[..., n, :] = np.asarray(running_cost.grad_u(t, xa, u))
-        return out
-
-    def diffusion_x(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, d, n + 1))
-        out[..., :n, :, :n] = np.asarray(spec.diffusion_x(t, xa, u))
-        return out
-
-    def diffusion_u(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, d, m))
-        out[..., :n, :, :] = np.asarray(spec.diffusion_u(t, xa, u))
-        return out
-
-    # second derivatives: the accumulator row carries the running-cost hessian
-    def drift_xx(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, n + 1, n + 1))
-        if spec.drift_xx is not None:
-            out[..., :n, :n, :n] = np.asarray(spec.drift_xx(t, xa, u))
-        if running_cost.hess_xx is not None:
-            out[..., n, :n, :n] = np.asarray(running_cost.hess_xx(t, xa, u))
-        return out
-
-    def drift_xu(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, n + 1, m))
-        if spec.drift_xu is not None:
-            out[..., :n, :n, :] = np.asarray(spec.drift_xu(t, xa, u))
-        if running_cost.hess_xu is not None:
-            out[..., n, :n, :] = np.asarray(running_cost.hess_xu(t, xa, u))
-        return out
-
-    def drift_uu(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, m, m))
-        if spec.drift_uu is not None:
-            out[..., :n, :, :] = np.asarray(spec.drift_uu(t, xa, u))
-        if running_cost.hess_uu is not None:
-            out[..., n, :, :] = np.asarray(running_cost.hess_uu(t, xa, u))
-        return out
-
-    def diffusion_xx(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, d, n + 1, n + 1))
-        if spec.diffusion_xx is not None:
-            out[..., :n, :, :n, :n] = np.asarray(spec.diffusion_xx(t, xa, u))
-        return out
-
-    def diffusion_xu(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, d, n + 1, m))
-        if spec.diffusion_xu is not None:
-            out[..., :n, :, :n, :] = np.asarray(spec.diffusion_xu(t, xa, u))
-        return out
-
-    def diffusion_uu(t, x, u):
-        xa = split(x)
-        out = np.zeros(x.shape[:-1] + (n + 1, d, m, m))
-        if spec.diffusion_uu is not None:
-            out[..., :n, :, :, :] = np.asarray(spec.diffusion_uu(t, xa, u))
-        return out
+        def lifted(t, x, u):
+            xa = split(x)
+            out = np.zeros(x.shape[:-1] + tail)
+            for index, fn in parts:
+                out[index] = fn(t, xa, u)
+            return out
+        return lifted
 
     def lift_functional(fun: Functional) -> Functional:
         def value(x):
@@ -422,39 +347,22 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
                 return out
         return Functional(value=value, grad=grad, hess=hess)
 
+    terminal = lift_functional(spec.terminal_cost)
+
     def terminal_value(x):
-        return np.asarray(spec.terminal_cost.value(split(x))) + x[..., n]
+        return terminal.value(x) + x[..., n]
 
     def terminal_grad(x):
-        out = np.zeros(x.shape)
-        out[..., :n] = np.asarray(spec.terminal_cost.grad(split(x)))
+        out = terminal.grad(x)
         out[..., n] = 1.0
         return out
-
-    terminal_hess = None
-    if spec.terminal_cost.hess is not None:
-        def terminal_hess(x):
-            out = np.zeros(x.shape + (n + 1,))
-            out[..., :n, :n] = np.asarray(spec.terminal_cost.hess(split(x)))
-            return out
 
     return replace(
         spec,
         n=n + 1,
         A=A_ext,
-        drift=drift,
-        diffusion=diffusion,
-        drift_x=drift_x,
-        drift_u=drift_u,
-        diffusion_x=diffusion_x,
-        diffusion_u=diffusion_u,
-        drift_xx=drift_xx,
-        drift_xu=drift_xu,
-        drift_uu=drift_uu,
-        diffusion_xx=diffusion_xx,
-        diffusion_xu=diffusion_xu,
-        diffusion_uu=diffusion_uu,
-        terminal_cost=Functional(terminal_value, terminal_grad, terminal_hess),
+        **{name: lift(name) for name in COEFFICIENT_MAPS},
+        terminal_cost=Functional(terminal_value, terminal_grad, terminal.hess),
         state_constraint=(None if spec.state_constraint is None
                           else lift_functional(spec.state_constraint)),
         terminal_constraints=tuple(lift_functional(g)
@@ -479,3 +387,13 @@ def zero_map(*shape_tail):
     def fn(t, x, u):
         return np.zeros(x.shape[:-1] + tuple(shape_tail))
     return fn
+
+
+def zero_maps(n: int, m: int, d: int, **given) -> dict:
+    """All twelve coefficient maps by name: the ``given`` ones as they are,
+    every other one a zero map of its ``map_shape``."""
+    unknown = set(given) - set(COEFFICIENT_MAPS)
+    if unknown:
+        raise TypeError(f"unknown coefficient maps {sorted(unknown)}")
+    return {name: given[name] if name in given else zero_map(*map_shape(name, n, m, d))
+            for name in COEFFICIENT_MAPS}

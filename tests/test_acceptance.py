@@ -42,7 +42,7 @@ def test_criterion_2_and_3_remainders():
 
 
 def test_criterion_4_transposition_identity():
-    checks, tables, draws = suites.transposition_identity_ladder(
+    checks, _ = suites.transposition_identity_ladder(
         M=20000, Ns=(50, 100, 200), draws=10, seed=3)
     assert _emit("4. transposition identity residuals across N in {50,100,200}",
                  checks)

@@ -56,6 +56,15 @@ class TestExitCodes:
         assert "configuration error" in err and named in err
         assert not (tmp_path / "o").exists()
 
+    def test_benchmark_without_suites_exit_1(self, tmp_path, capsys):
+        # the suites run the LQ benchmarks only; a spec with none is refused
+        code = cli.main(["run", "heat_spde", "--suite", "cones",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'heat_spde'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_cones_suite_exit_0(self, tmp_path, capsys):
         code = cli.main(["run", "lq_unconstrained", "--suite", "cones",
                          "--seed", "5", "--out", str(tmp_path / "a")])

@@ -4,14 +4,19 @@ import pytest
 from stocond import cones
 from stocond.adjoint_first import simulate_test_process, solve_first_adjoint
 from stocond.adjoint_second import SecondAdjointData, simulate_phi, solve_second_adjoint
-from stocond.benchmarks import lq_to_spec, lq_unconstrained, lq_running_cost
-from stocond.conditions import hamiltonian_u_field
+from dataclasses import replace
+
+from stocond.benchmarks import (double_integrator_state_constrained, lq_box_constrained,
+                                lq_reduced_spec, lq_running_cost, lq_terminal_constrained,
+                                lq_to_spec, lq_unconstrained, make_bilinear_scalar,
+                                make_heat_spde, make_polynomial_scalar)
+from stocond.conditions import hamiltonian_u_field, second_adjoint_data_for
 from stocond.errors import NonFiniteValue
 from stocond.forward import simulate_first_variation, simulate_forward, simulate_second_variation
-from stocond.model import (Functional, ProblemSpec, RunningCost, TimeGrid,
-                           bolza_reduce, extend_initial_state, generate_brownian,
-                           validate_spec, zero_map)
-from stocond.suites import _lq_setup
+from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, ProblemSpec,
+                           RunningCost, TimeGrid, bolza_reduce, extend_initial_state,
+                           generate_brownian, map_shape, validate_spec, zero_map, zero_maps)
+from stocond.suites import _gbm_spec, _lq_setup
 
 
 class TestTimeGrid:
@@ -182,6 +187,129 @@ class TestBolzaReduce:
         red = bolza_reduce(lq_to_spec(lq), lq_running_cost(lq))
         report = validate_spec(red, samples=8, seed=2)
         assert report.max_mismatch <= 1e-6
+
+
+def _smooth_running_cost(n, m):
+    """sum_i sin x_i + |u|^2 / 2 + x_0 u_0: every derivative nonzero."""
+    e_x, e_u = np.eye(n)[0], np.eye(m)[0]
+    return RunningCost(
+        value=lambda t, x, u: (np.sin(x).sum(-1) + 0.5 * (u * u).sum(-1)
+                               + x[..., 0] * u[..., 0]),
+        grad_x=lambda t, x, u: np.cos(x) + u[..., :1] * e_x,
+        grad_u=lambda t, x, u: u + x[..., :1] * e_u,
+        hess_xx=lambda t, x, u: -np.sin(x)[..., None] * np.eye(n),
+        hess_xu=lambda t, x, u: np.broadcast_to(np.outer(e_x, e_u), x.shape[:-1] + (n, m)),
+        hess_uu=lambda t, x, u: np.broadcast_to(np.eye(m), x.shape[:-1] + (m, m)))
+
+
+def _lq_pair(lq):
+    return lq_to_spec(lq), lq_running_cost(lq)
+
+
+def _smooth_pair(spec):
+    return spec, _smooth_running_cost(spec.n, spec.m)
+
+
+FACTORIES = {
+    "lq_unconstrained_1": lambda: _lq_pair(lq_unconstrained(1)),
+    "lq_unconstrained_3": lambda: _lq_pair(lq_unconstrained(3)),
+    "lq_terminal": lambda: _lq_pair(lq_terminal_constrained()),
+    "lq_box": lambda: _lq_pair(lq_box_constrained()),
+    "heat_spde": lambda: _smooth_pair(make_heat_spde(
+        modes=3, control_channels=2, noise_channels=2, bilinear_noise=True)),
+    "bilinear_scalar": lambda: _smooth_pair(make_bilinear_scalar()),
+    "quadratic_drift": lambda: _smooth_pair(make_polynomial_scalar(2)),
+    "cubic_drift": lambda: _smooth_pair(make_polynomial_scalar(3, noise_level=0.2)),
+    "double_integrator": double_integrator_state_constrained,
+    "gbm": lambda: _smooth_pair(_gbm_spec(0.3, 0.4, 1.0)),
+}
+
+
+class TestCoefficientTable:
+    def test_map_shape(self):
+        assert DERIVATIVE_MAPS == COEFFICIENT_MAPS[2:]
+        assert map_shape("drift", 3, 2, 4) == (3,)
+        assert map_shape("diffusion", 3, 2, 4) == (3, 4)
+        assert map_shape("drift_xu", 3, 2, 4) == (3, 3, 2)
+        assert map_shape("diffusion_uu", 3, 2, 4) == (3, 4, 2, 2)
+
+    def test_zero_maps_fill_the_rest(self):
+        drift = zero_map(2)
+        maps = zero_maps(2, 1, 3, drift=drift, drift_xx=None)
+        assert tuple(maps) == COEFFICIENT_MAPS
+        assert maps["drift"] is drift and maps["drift_xx"] is None
+        x, u = np.ones((5, 2)), np.ones((5, 1))
+        assert maps["diffusion_xu"](0.0, x, u).shape == (5, 2, 3, 2, 1)
+        with pytest.raises(TypeError, match="drift_ux"):
+            zero_maps(2, 1, 3, drift_ux=drift)
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["spec", "reduced"])
+    @pytest.mark.parametrize("factory", list(FACTORIES))
+    def test_every_map_has_its_table_shape_and_derivatives(self, factory, reduced):
+        spec, running = FACTORIES[factory]()
+        if reduced:
+            spec = bolza_reduce(spec, running)
+        M = 5
+        rng = np.random.default_rng(1)
+        x, u = rng.standard_normal((M, spec.n)), rng.standard_normal((M, spec.m))
+        for name in COEFFICIENT_MAPS:
+            shape = (M,) + map_shape(name, spec.n, spec.m, spec.d)
+            value = np.asarray(getattr(spec, name)(0.4, x, u))
+            assert np.broadcast_shapes(value.shape, shape) == shape, name
+        assert validate_spec(spec, samples=6, seed=3).max_mismatch <= 1e-6
+
+
+# axes after the path axis: x a state axis, d a noise axis, u a control axis
+EMBEDDING = {"drift": "x", "diffusion": "xd",
+             "drift_x": "xx", "drift_u": "xu",
+             "diffusion_x": "xdx", "diffusion_u": "xdu",
+             "drift_xx": "xxx", "drift_xu": "xxu", "drift_uu": "xuu",
+             "diffusion_xx": "xdxx", "diffusion_xu": "xdxu", "diffusion_uu": "xduu"}
+ACCUMULATOR_ROW = {"drift": "value", "drift_x": "grad_x", "drift_u": "grad_u",
+                   "drift_xx": "hess_xx", "drift_xu": "hess_xu", "drift_uu": "hess_uu"}
+
+
+@pytest.mark.parametrize("factory", ["lq_unconstrained_1", "lq_unconstrained_3",
+                                     "double_integrator"])
+def test_bolza_lift_is_the_written_out_embedding(factory):
+    """Original block, running-cost row on the accumulator, zeros elsewhere."""
+    spec, running = FACTORIES[factory]()
+    red = bolza_reduce(spec, running)
+    n, m, d, M = spec.n, spec.m, spec.d, 4
+    rng = np.random.default_rng(2)
+    x, u = rng.standard_normal((M, n + 1)), rng.standard_normal((M, m))
+    size = {"x": n + 1, "d": d, "u": m}
+    for name, axes in EMBEDDING.items():
+        block = tuple(slice(0, n) if a == "x" else slice(None) for a in axes)
+        expected = np.zeros((M,) + tuple(size[a] for a in axes))
+        expected[(slice(None),) + block] = getattr(spec, name)(0.7, x[:, :n], u)
+        if name in ACCUMULATOR_ROW:
+            expected[(slice(None), n) + block[1:]] = getattr(
+                running, ACCUMULATOR_ROW[name])(0.7, x[:, :n], u)
+        lifted = np.asarray(getattr(red, name)(0.7, x, u))
+        assert lifted.shape == expected.shape, name
+        assert np.array_equal(lifted, expected), name
+
+
+@pytest.mark.parametrize("missing", ["spec", "running_cost"])
+def test_bolza_reduce_keeps_missing_second_derivative_missing(missing):
+    lq = lq_unconstrained()
+    spec, running = _lq_pair(lq)
+    if missing == "spec":
+        spec = replace(spec, drift_xx=None)
+    else:
+        running = replace(running, hess_xx=None)
+    red = bolza_reduce(spec, running)
+    assert red.drift_xx is None
+    assert red.drift_xu is not None and red.diffusion_xx is not None
+    g = TimeGrid(8, lq.T)
+    paths = generate_brownian(g, 64, lq.d, seed=0)
+    u = np.full((paths.M, g.N + 1, red.m), 0.2)
+    base = simulate_forward(red, g, paths, extend_initial_state(lq.x0, red), u)
+    yT = -np.asarray(red.terminal_cost.grad(base.values[:, -1]))
+    sol = solve_first_adjoint(red, g, paths, base, u, yT)
+    with pytest.raises(ValueError, match="second derivative"):
+        second_adjoint_data_for(red, g, base, u, sol)
 
 
 @pytest.fixture(scope="module")
