@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import _along, _on_paths, _simulate_linear, semigroup_step
+from .forward import _along, _at, _contract, _on_paths, _simulate_linear, _total, semigroup_step
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
@@ -114,11 +114,10 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
         target_Y = np.einsum("pi...,pl->pil...", Sy - m_next, dW) / dt
         Yk = reg.fit(target_Y)
         Y[:, k] = Yk
-        drift = np.einsum("pij,pi...->pj...", a_x(k), y[:, k + 1]) \
-            + np.einsum("pilj,pil...->pj...", b_x(k), Yk)
-        if f_arr is not None:
-            drift = drift - f_arr[:, k]
-        target_y = Sy + drift * dt
+        drift = _total(_contract("pij,pi...->pj...", _at(a_x, k), y[:, k + 1]),
+                       _contract("pilj,pil...->pj...", _at(b_x, k), Yk),
+                       None if f_arr is None else -f_arr[:, k])
+        target_y = Sy if drift is None else Sy + drift * dt
         if k in psi.atoms:
             target_y = target_y - psi.atom(k, M, n)
         y[:, k] = reg.fit(target_y)
@@ -177,11 +176,12 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
                     np.broadcast_to(np.asarray(eta, dtype=float), (M, n)),
                     sol.y.values[:, t_index, :])
     for k in range(t_index, grid.N):
-        integrand = np.einsum("pij,pi->pj", a_x(k), sol.y.values[:, k + 1, :]) \
-            + np.einsum("pilj,pil->pj", b_x(k), sol.Y.values[:, k, :, :])
-        if f_arr is not None:
-            integrand = integrand - f_arr[:, k, :]
-        lhs += dt * np.einsum("pi,pi->p", phi.values[:, k, :], integrand)
+        integrand = _total(
+            _contract("pij,pi->pj", _at(a_x, k), sol.y.values[:, k + 1, :]),
+            _contract("pilj,pil->pj", _at(b_x, k), sol.Y.values[:, k, :, :]),
+            None if f_arr is None else -f_arr[:, k, :])
+        if integrand is not None:
+            lhs += dt * np.einsum("pi,pi->p", phi.values[:, k, :], integrand)
         if Ef1 is not None:
             rhs += dt * np.einsum("pi,pi->p", Ef1[:, k, :], sol.y.values[:, k + 1, :])
         if f2_arr is not None:
@@ -220,10 +220,12 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
                     np.broadcast_to(np.asarray(nu1, dtype=float), (M, n)))
     rhs = np.zeros(M)
     for k in range(grid.N):
-        au = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k, :])
-        bu = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k, :])
-        rhs += dt * (np.einsum("pi,pi->p", sol.y.values[:, k + 1, :], au)
-                     + np.einsum("pil,pil->p", sol.Y.values[:, k, :, :], bu))
+        au = _contract("pij,pj->pi", _at(a_u, k), u1_arr[:, k, :])
+        bu = _contract("pilj,pj->pil", _at(b_u, k), u1_arr[:, k, :])
+        pairing = _total(_contract("pi,pi->p", au, sol.y.values[:, k + 1, :]),
+                         _contract("pil,pil->p", bu, sol.Y.values[:, k, :, :]))
+        if pairing is not None:
+            rhs += dt * pairing
         if k in psi.atoms:
             rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))
     diff = lhs - rhs

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _on_paths, _simulate_linear, _slice_bc, semigroup_step
+from .forward import _on_paths, _quadratic, _simulate_linear, _slice_bc, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
 
@@ -153,10 +153,11 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     P = sol.P.values
     PT = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
 
-    lhs = np.einsum("pij,pj,pi->p", PT, phi1.values[:, grid.N], phi2.values[:, grid.N])
-    rhs = np.einsum("pij,pj,pi->p", P[:, t_index],
-                    np.broadcast_to(np.asarray(xi1, dtype=float), (M, n)),
-                    np.broadcast_to(np.asarray(xi2, dtype=float), (M, n)))
+    # <P a, b> = sum_ij P_ij a_j b_i, as one two-operand contraction each
+    lhs = _quadratic(PT, phi2.values[:, grid.N], phi1.values[:, grid.N])
+    rhs = _quadratic(P[:, t_index],
+                     np.broadcast_to(np.asarray(xi2, dtype=float), (M, n)),
+                     np.broadcast_to(np.asarray(xi1, dtype=float), (M, n)))
     ft1_arr, ft2_arr = _on_paths(ft1, M, grid.N, (n,)), _on_paths(ft2, M, grid.N, (n,))
     fh1_arr, fh2_arr = _on_paths(fh1, M, grid.N, (n, d)), _on_paths(fh2, M, grid.N, (n, d))
 
@@ -165,14 +166,11 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
         Kk = _slice_bc(data.K, k, M, (n, d, n))
         Pk = P[:, k]
         if Fk is not None:
-            lhs -= dt * np.einsum("pij,pj,pi->p", Fk, phi1.values[:, k],
-                                  phi2.values[:, k])
+            lhs -= dt * _quadratic(Fk, phi2.values[:, k], phi1.values[:, k])
         if ft1_arr is not None:
-            rhs += dt * np.einsum("pij,pj,pi->p", Pk, ft1_arr[:, k],
-                                  phi2.values[:, k])
+            rhs += dt * _quadratic(Pk, phi2.values[:, k], ft1_arr[:, k])
         if ft2_arr is not None:
-            rhs += dt * np.einsum("pij,pj,pi->p", Pk, phi1.values[:, k],
-                                  ft2_arr[:, k])
+            rhs += dt * _quadratic(Pk, ft2_arr[:, k], phi1.values[:, k])
         if fh2_arr is not None and Kk is not None:
             Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1.values[:, k])
             PKphi1 = Pk @ Kphi1

@@ -15,7 +15,8 @@ import numpy as np
 
 from .cones import Box, SetDescriptor, Singleton, WholeSpace
 from .errors import RiccatiBlowup
-from .model import Functional, ProblemSpec, RunningCost, TimeGrid, bolza_reduce, zero_maps
+from .model import (Functional, ProblemSpec, RunningCost, TimeGrid, bolza_reduce, zero_map,
+                    zero_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,7 @@ def lq_to_spec(lq: LQSpec) -> ProblemSpec:
     """Mayer-form ProblemSpec for the LQ dynamics (no running cost yet).
 
     The generator sits in the semigroup slot and the drift map is B u alone.
+    A map whose coefficient matrices are all zero is a declared zero.
     """
     n, m, d = lq.n, lq.m, lq.d
 
@@ -192,16 +194,20 @@ def lq_to_spec(lq: LQSpec) -> ProblemSpec:
     def h_hess(x):
         return np.broadcast_to(lq.G, (x.shape[0], n, n))
 
+    maps = {"drift": (drift, lq.B), "diffusion": (diffusion, lq.C, lq.D, lq.sigma),
+            "drift_u": (drift_u, lq.B), "diffusion_x": (diffusion_x, lq.C),
+            "diffusion_u": (diffusion_u, lq.D)}
     return ProblemSpec(
         n=n, m=m, d=d, T=lq.T, A=lq.A,
-        **zero_maps(n, m, d, drift=drift, diffusion=diffusion, drift_u=drift_u,
-                    diffusion_x=diffusion_x, diffusion_u=diffusion_u),
+        **zero_maps(n, m, d, **{name: fn for name, (fn, *data) in maps.items()
+                                if any(np.any(c) for c in data)}),
         terminal_cost=Functional(h_value, h_grad, h_hess),
         U=lq.U, Ka=lq.Ka,
     )
 
 
 def lq_running_cost(lq: LQSpec) -> RunningCost:
+    """(x' Qr x + u' Rr u) / 2; a field whose matrix is zero is a declared zero."""
     n, m = lq.n, lq.m
 
     def value(t, x, u):
@@ -217,13 +223,14 @@ def lq_running_cost(lq: LQSpec) -> RunningCost:
     def hess_xx(t, x, u):
         return np.broadcast_to(lq.Q_run, (x.shape[0], n, n))
 
-    def hess_xu(t, x, u):
-        return np.zeros((x.shape[0], n, m))
-
     def hess_uu(t, x, u):
         return np.broadcast_to(lq.R_run, (x.shape[0], m, m))
 
-    return RunningCost(value, grad_x, grad_u, hess_xx, hess_xu, hess_uu)
+    q, r = np.any(lq.Q_run), np.any(lq.R_run)
+    return RunningCost(value,
+                       grad_x if q else zero_map(n), grad_u if r else zero_map(m),
+                       hess_xx if q else zero_map(n, n), zero_map(n, m),
+                       hess_uu if r else zero_map(m, m))
 
 
 def lq_reduced_spec(lq: LQSpec) -> ProblemSpec:
@@ -266,9 +273,8 @@ def make_heat_spde(modes: int, viscosity: float = 1.0, control_channels: int = 1
 
     def diffusion_x(t, x, u):
         out = np.zeros(x.shape[:-1] + (n, d, n))
-        if bilinear_noise:
-            for l in range(d):
-                out[..., l % n, l, l % n] = noise_level
+        for l in range(d):
+            out[..., l % n, l, l % n] = noise_level
         return out
 
     def h_value(x):
@@ -284,7 +290,8 @@ def make_heat_spde(modes: int, viscosity: float = 1.0, control_channels: int = 1
         n=n, m=m, d=d, T=T, A=A,
         **zero_maps(n, m, d, drift=drift, diffusion=diffusion,
                     drift_u=lambda t, x, u: np.broadcast_to(B, (x.shape[0], n, m)),
-                    diffusion_x=diffusion_x),
+                    # additive noise: diffusion_x is a declared zero
+                    **({"diffusion_x": diffusion_x} if bilinear_noise else {})),
         terminal_cost=Functional(h_value, h_grad, h_hess),
         U=WholeSpace(m), Ka=Singleton(np.ones(n)),
     )
@@ -334,7 +341,8 @@ def make_polynomial_scalar(power: int, coeff: float = 0.5, T: float = 1.0,
 
     return ProblemSpec(
         n=1, m=1, d=1, T=T, A=np.zeros((1, 1)),
-        **zero_maps(1, 1, 1, drift=drift, diffusion=diffusion,
+        **zero_maps(1, 1, 1, drift=drift,
+                    **({"diffusion": diffusion} if noise_level else {}),
                     drift_x=lambda t, x, u: coeff * power * (x ** (power - 1))[..., None],
                     drift_xx=lambda t, x, u: coeff * power * (power - 1)
                     * (x ** (power - 2))[..., None, None]),
@@ -420,10 +428,10 @@ def double_integrator_state_constrained(limit: float = 0.1):
     )
     running = RunningCost(
         value=lambda t, x, u: 0.5 * np.einsum("pi,pi->p", u, u),
-        grad_x=lambda t, x, u: np.zeros_like(x),
+        grad_x=zero_map(n),
         grad_u=lambda t, x, u: u.copy(),
-        hess_xx=lambda t, x, u: np.zeros(x.shape[:-1] + (n, n)),
-        hess_xu=lambda t, x, u: np.zeros(x.shape[:-1] + (n, m)),
+        hess_xx=zero_map(n, n),
+        hess_xu=zero_map(n, m),
         hess_uu=lambda t, x, u: np.broadcast_to(np.eye(m), (x.shape[0], m, m)),
     )
     return spec, running

@@ -23,7 +23,7 @@ from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, simulate_first_variation
+from .forward import _along, _at, _contract, _quadratic, _total, simulate_first_variation
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -93,8 +93,11 @@ def hamiltonian(spec: ProblemSpec, t: float, x: np.ndarray, u: np.ndarray,
 
 
 def _hamiltonian_u(a2, b2, p, q):
-    """H_u = a_u* p + b_u* q; p and q may carry a trailing component axis."""
-    return np.einsum("pij,pi...->pj...", a2, p) + np.einsum("pilj,pil...->pj...", b2, q)
+    """H_u = a_u* p + b_u* q; p and q may carry a trailing component axis.
+
+    A declared-zero map (None) drops its term; None when both are.
+    """
+    return _total(_contract("pij,pi...->pj...", a2, p), _contract("pilj,pil...->pj...", b2, q))
 
 
 def _hessian(a, b, p, q):
@@ -102,9 +105,10 @@ def _hessian(a, b, p, q):
 
     a and b are a drift and a diffusion second derivative map's values,
     (M, n) + tail and (M, n, d) + tail with tail (n, n) for xx, (n, m) for
-    xu and (m, m) for uu.
+    xu and (m, m) for uu; None for a declared-zero map drops its term, and
+    the block is None when both are.
     """
-    return np.einsum("pijk,pi->pjk", a, p) + np.einsum("piljk,pil->pjk", b, q)
+    return _total(_contract("pijk,pi->pjk", a, p), _contract("piljk,pil->pjk", b, q))
 
 
 def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -118,8 +122,10 @@ def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
     a_u, b_u = along("drift_u"), along("diffusion_u")
     y, Y = sol.y.values, sol.Y.values
     out = time_major_zeros(base.M, grid.N, (spec.m,) + y.shape[3:])
+    if a_u is None and b_u is None:
+        return out
     for k in range(grid.N):
-        out[:, k] = _hamiltonian_u(a_u(k), b_u(k), y[:, k], Y[:, k])
+        out[:, k] = _hamiltonian_u(_at(a_u, k), _at(b_u, k), y[:, k], Y[:, k])
     return out
 
 
@@ -157,7 +163,7 @@ def tangent_project_field(U: cones.SetDescriptor, u_values: np.ndarray,
         return v
     if isinstance(U, cones.AffineSet):
         q = cones._ortho_rows(U.basis)
-        return np.einsum("...i,ji,jk->...k", v, q, q) if q.size else np.zeros_like(v)
+        return v @ (q.T @ q) if q.size else np.zeros_like(v)
     if isinstance(U, cones.Polyhedron):
         flat_u = u.reshape(-1, u.shape[-1])
         flat_v = v.reshape(-1, v.shape[-1])
@@ -357,15 +363,18 @@ def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid,
                                paths: BrownianEnsemble, base: PathEnsemble,
                                u_bar, mult: MultiplierSet,
                                adjoint: TranspositionSolution,
-                               directions, dt_bias: float = 0.0) -> ConditionReport:
+                               directions, dt_bias: float = 0.0,
+                               Hu: np.ndarray | None = None) -> ConditionReport:
     """Integral-form first order condition over the supplied directions.
 
     For each (nu, v): E<y(0), nu> + E int <H_u(t), v(t)> dt must be <= 0 up
-    to 3 SE + dt bias.
+    to 3 SE + dt bias.  Hu is this adjoint's ``hamiltonian_u_field`` when
+    the caller has it already; it is computed otherwise.
     """
     _check_terminal_match(spec, mult, adjoint, base)
     M = base.M
-    Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
+    if Hu is None:
+        Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
     y0 = adjoint.y.values[:, 0, :]
     worst = -np.inf
     worst_se = 0.0
@@ -388,12 +397,15 @@ def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid,
 
 
 def pointwise_violation_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                              u_bar, adjoint: TranspositionSolution) -> np.ndarray:
+                              u_bar, adjoint: TranspositionSolution,
+                              Hu: np.ndarray | None = None) -> np.ndarray:
     """|proj of H_u onto C_U(u)| per (path, time): the support of H_u on the
-    unit ball of the tangent cone, whose positive mean is the violation."""
+    unit ball of the tangent cone, whose positive mean is the violation.
+    Hu as in ``first_order_integral_check``."""
     M = base.M
     u_arr = as_control_array(u_bar, grid, M, spec.m)
-    Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
+    if Hu is None:
+        Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
     proj = tangent_project_field(spec.U, u_arr[:, :-1, :], Hu)
     return np.linalg.norm(proj, axis=2)
 
@@ -402,10 +414,12 @@ def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid,
                                 paths: BrownianEnsemble, base: PathEnsemble,
                                 u_bar, adjoint: TranspositionSolution,
                                 mult: MultiplierSet | None = None,
-                                dt_bias: float = 0.0) -> ConditionReport:
+                                dt_bias: float = 0.0,
+                                Hu: np.ndarray | None = None) -> ConditionReport:
     """Pointwise conditions: H_u in the normal cone of U at u_bar (in mean
-    of the positive support), and y(0) in the normal cone of Ka."""
-    viol = pointwise_violation_field(spec, grid, base, u_bar, adjoint)
+    of the positive support), and y(0) in the normal cone of Ka.  Hu as in
+    ``first_order_integral_check``."""
+    viol = pointwise_violation_field(spec, grid, base, u_bar, adjoint, Hu)
     means = viol.mean(axis=0)
     k_star = int(np.argmax(means))
     se = float(viol[:, k_star].std(ddof=1)) / np.sqrt(viol.shape[0])
@@ -555,9 +569,10 @@ def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsembl
     y, Y = adjoint.y.values, adjoint.Y.values
 
     def F(k):
-        return -_hessian(a_xx(k), b_xx(k), y[:, k], Y[:, k])
+        return -_hessian(_at(a_xx, k), _at(b_xx, k), y[:, k], Y[:, k])
 
-    return SecondAdjointData(P_T=PT, F=F, J=along("drift_x"), K=along("diffusion_x"))
+    return SecondAdjointData(P_T=PT, F=None if a_xx is None and b_xx is None else F,
+                             J=along("drift_x"), K=along("diffusion_x"))
 
 
 def check_critical(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -620,9 +635,10 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
     # One pass evaluates each coefficient map once per step and fills the
     # a_u u1 / b_u u1 source fields; the Q-view term needs phi, which is
-    # driven by every step's sources, so it is added after the pass.
-    ft = time_major_zeros(M, N + 1, (n,))
-    fh = time_major_zeros(M, N + 1, (n, d))
+    # driven by every step's sources, so it is added after the pass.  A
+    # declared-zero map drops its terms (and b_u = 0 the Q-view term).
+    ft = None if a_u is None else time_major_zeros(M, N + 1, (n,))
+    fh = None if b_u is None else time_major_zeros(M, N + 1, (n, d))
     per_path = np.zeros(M)
     for k in range(N):
         yk = adjoint.y.values[:, k, :]
@@ -630,29 +646,33 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         Pk = relaxed.P.values[:, k, :, :]
         u1k = u1_arr[:, k, :]
         x1k = x1.values[:, k, :]
-        a2, b2, b1 = a_u(k), b_u(k), b_x(k)
-        Hxu = _hessian(a_xu(k), b_xu(k), yk, Yk)
-        Huu = _hessian(a_uu(k), b_uu(k), yk, Yk)
-        ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
-        fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
-        term = np.zeros(M)
-        if u2_arr is not None:
-            term += np.einsum("pj,pj->p", _hamiltonian_u(a2, b2, yk, Yk), u2_arr[:, k, :])
-        term += 0.5 * np.einsum("pjk,pj,pk->p", Huu, u1k, u1k)
-        Pb2u1 = Pk @ b2u1
-        term += 0.5 * np.einsum("pil,pil->p", Pb2u1, b2u1)
-        cross = np.einsum("pjk,pj->pk", Hxu, x1k)
-        Px1 = np.einsum("pij,pj->pi", Pk, x1k)
-        cross += np.einsum("pij,pi->pj", a2, Px1)
-        b1x1 = np.einsum("pilj,pj->pil", b1, x1k)
-        Pb1x1 = Pk @ b1x1
-        cross += np.einsum("pilj,pil->pj", b2, Pb1x1)
-        term += np.einsum("pk,pk->p", cross, u1k)
-        per_path += dt * term
-    phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
-    Qsum = q_view(relaxed, phi, 0).values
-    Qsum += q_view(relaxed, phi, 0, adjoint=True).values
-    per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
+        a2, b2, b1 = _at(a_u, k), _at(b_u, k), _at(b_x, k)
+        Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
+        Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)
+        if a2 is not None:
+            ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
+        b2u1 = None
+        if b2 is not None:
+            fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
+        Hu = None if u2_arr is None else _hamiltonian_u(a2, b2, yk, Yk)
+        cross = _total(
+            _contract("pjk,pj->pk", Hxu, x1k),
+            None if a2 is None else np.einsum("pij,pi->pj", a2,
+                                              np.einsum("pij,pj->pi", Pk, x1k)),
+            None if b2 is None or b1 is None else np.einsum(
+                "pilj,pil->pj", b2, Pk @ np.einsum("pilj,pj->pil", b1, x1k)))
+        term = _total(
+            None if Hu is None else np.einsum("pj,pj->p", Hu, u2_arr[:, k, :]),
+            None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
+            None if b2u1 is None else 0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
+            _contract("pk,pk->p", cross, u1k))
+        if term is not None:
+            per_path += dt * term
+    if fh is not None:
+        phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
+        Qsum = q_view(relaxed, phi, 0).values
+        Qsum += q_view(relaxed, phi, 0, adjoint=True).values
+        per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
     # multiplier terms
     xT = base.values[:, N, :]
     for j, lam in mult.lambdas.items():

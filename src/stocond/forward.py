@@ -117,12 +117,31 @@ def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, s
     return PathEnsemble(values=X, grid=grid)
 
 
-def _affine(L, x, src, subscripts):
-    """L x + src with either part optional; None when both are."""
-    if L is None:
-        return src
-    Lx = np.einsum(subscripts, L, x)
-    return Lx if src is None else Lx + src
+def _total(*terms):
+    """Sum of the terms that are not None, left to right; None when all are."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
+
+
+def _contract(subscripts, L, x):
+    """einsum(subscripts, L, x), or None when L is None (a declared zero)."""
+    return None if L is None else np.einsum(subscripts, L, x)
+
+
+def _at(f, k):
+    """f(k) for a per-step coefficient; None for an absent (declared-zero) one."""
+    return None if f is None else f(k)
+
+
+def _quadratic(h, v, w):
+    """h(v, w) = sum_jk h[..., j, k] v_j w_k per path, as one two-operand
+    contraction against the outer product of v and w (an einsum outer
+    product: broadcasting ``v[:, :, None] * w[:, None, :]`` runs about 2x
+    slower on these short trailing axes)."""
+    return np.einsum("p...jk,pjk->p...", h, np.einsum("pj,pk->pjk", v, w))
 
 
 def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -146,16 +165,18 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     ft, fh = per_step(f_tilde, (n,)), per_step(f_hat, (n, d))
 
     def step(k, x):
-        return (_affine(_slice_bc(J, k, M, (n, n)), x, None if ft is None else ft(k),
-                        "pij,pj->pi"),
-                _affine(_slice_bc(K, k, M, (n, d, n)), x, None if fh is None else fh(k),
-                        "pilj,pj->pil"))
+        # (J x + f_tilde, K x + f_hat), an absent part dropped
+        return (_total(_contract("pij,pj->pi", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
+                _total(_contract("pilj,pj->pil", _slice_bc(K, k, M, (n, d, n)), x),
+                       _at(fh, k)))
     return _step_loop(spec, grid, paths, x0, step, t_index, cap, what)
 
 
 def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
     """along(name) -> (k -> the named derivative map of spec at (t_k, base_k,
-    u_bar_k)), broadcast to (M,) + ``map_shape(name, n, m, d)``.
+    u_bar_k)), broadcast to (M,) + ``map_shape(name, n, m, d)``; or None
+    when the spec declares the map zero, so that every consumer drops the
+    term instead of evaluating and contracting zeros.
 
     This is the one place a derivative map is evaluated along the nominal
     pair; asking for a second derivative map the spec lacks raises.
@@ -167,8 +188,13 @@ def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndar
         fn = getattr(spec, name)
         if fn is None:
             raise ValueError("spec lacks second derivative maps")
-        return lambda k: np.broadcast_to(
-            np.asarray(fn(ts[k], base.values[:, k], u_bar[:, k])), shape)
+        if name in spec.zeros:
+            return None
+
+        def at(k):
+            value = np.asarray(fn(ts[k], base.values[:, k], u_bar[:, k]))
+            return value if value.shape == shape else np.broadcast_to(value, shape)
+        return at
     return along
 
 
@@ -184,11 +210,15 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     u_arr = None if callable(u) else as_control_array(u, grid, M, spec.m)
     ts = grid.times
 
+    drift = None if "drift" in spec.zeros else spec.drift
+    diffusion = None if "diffusion" in spec.zeros else spec.diffusion
+
     def step(k, x):
         uk = u(k, x) if u_arr is None else u_arr[:, k]
-        return (np.broadcast_to(np.asarray(spec.drift(ts[k], x, uk)), (M, spec.n)),
-                np.broadcast_to(np.asarray(spec.diffusion(ts[k], x, uk)),
-                                (M, spec.n, paths.d)))
+        return (None if drift is None else
+                np.broadcast_to(np.asarray(drift(ts[k], x, uk)), (M, spec.n)),
+                None if diffusion is None else
+                np.broadcast_to(np.asarray(diffusion(ts[k], x, uk)), (M, spec.n, paths.d)))
     return _step_loop(spec, grid, paths, nu0, step, cap=cap)
 
 
@@ -206,8 +236,8 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
     a_u, b_u = along("drift_u"), along("diffusion_u")
     return _simulate_linear(
         spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
-        f_tilde=lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
-        f_hat=lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
+        f_tilde=None if a_u is None else lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
+        f_hat=None if b_u is None else lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
         cap=cap, what="first variation")
 
 
@@ -226,22 +256,25 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
     u2 = as_control_array(u2, grid, M, spec.m)
     along = _along(spec, grid, base, u_bar)
 
-    def source(head, out):
-        # (head)_u u2 + 1/2 (head)_xx(x1, x1) + (head)_xu(x1, u1) + 1/2 (head)_uu(u1, u1)
-        lin, quad = f"{out}j,pj->{out}", f"{out}jk,pj,pk->{out}"
+    def source(head):
+        # (head)_u u2 + 1/2 (head)_xx(x1, x1) + (head)_xu(x1, u1) + 1/2 (head)_uu(u1, u1),
+        # less the terms whose map is a declared zero
         h_u, h_xx, h_xu, h_uu = (along(head + wrt) for wrt in ("_u", "_xx", "_xu", "_uu"))
+        if all(h is None for h in (h_u, h_xx, h_xu, h_uu)):
+            return None
 
         def f(k):
             x1k, u1k = x1.values[:, k], u1[:, k]
-            return (np.einsum(lin, h_u(k), u2[:, k])
-                    + 0.5 * np.einsum(quad, h_xx(k), x1k, x1k)
-                    + np.einsum(quad, h_xu(k), x1k, u1k)
-                    + 0.5 * np.einsum(quad, h_uu(k), u1k, u1k))
+            return _total(
+                _contract("p...j,pj->p...", _at(h_u, k), u2[:, k]),
+                None if h_xx is None else 0.5 * _quadratic(h_xx(k), x1k, x1k),
+                None if h_xu is None else _quadratic(h_xu(k), x1k, u1k),
+                None if h_uu is None else 0.5 * _quadratic(h_uu(k), u1k, u1k))
         return f
 
     return _simulate_linear(
         spec, grid, paths, nu2, along("drift_x"), along("diffusion_x"),
-        f_tilde=source("drift", "pi"), f_hat=source("diffusion", "pil"),
+        f_tilde=source("drift"), f_hat=source("diffusion"),
         cap=cap, what="second variation")
 
 

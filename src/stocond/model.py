@@ -16,6 +16,14 @@ less the last letter (``drift_xu`` differentiates ``drift_x`` in u).
 
 Maps may return arrays broadcastable to those shapes (e.g. constant
 matrices); the engines broadcast as needed.
+
+A map that is identically zero is declared so: ``zero_map`` (and through it
+``zero_maps``) builds declared zeros, and a ``ProblemSpec`` lists the names
+of its declared-zero maps in ``zeros``.  Every consumer skips a declared
+zero instead of evaluating and contracting it.  The declaration lives on
+the spec, so a ``dataclasses.replace`` that re-wraps the maps keeps it; one
+that swaps a declared-zero map for another must pass ``zeros`` as well.
+``validate_spec`` checks every declaration.
 """
 
 from __future__ import annotations
@@ -105,9 +113,19 @@ class ProblemSpec:
     diffusion_uu: Callable | None = None
     state_constraint: Functional | None = None
     terminal_constraints: tuple[Functional, ...] = ()
+    zeros: frozenset = frozenset()   # names of the maps declared identically zero
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        # a map built by zero_map declares itself; a missing (None) map is
+        # missing, not zero
+        declared = set(self.zeros) | {name for name in COEFFICIENT_MAPS
+                                      if is_zero_map(getattr(self, name))}
+        unknown = declared - set(COEFFICIENT_MAPS)
+        if unknown:
+            raise TypeError(f"unknown coefficient maps {sorted(unknown)} in zeros")
+        object.__setattr__(self, "zeros", frozenset(
+            name for name in declared if getattr(self, name) is not None))
 
 
 @dataclass(frozen=True)
@@ -220,7 +238,9 @@ def validate_spec(spec: ProblemSpec, samples: int = 20, seed: int = 0,
                   step: float = 1e-4) -> ValidationReport:
     """Check every derivative map against central differences of its parent.
 
-    Also reports the log-norm of A (a positive value only warns: the
+    Every map declared zero must return exact zeros at the sampled points;
+    a nonzero value is reported as that map's mismatch (its norm).  Also
+    reports the log-norm of A (a positive value only warns: the
     contractive-semigroup assumption is a modelling choice, not something
     the checks require) and crude Lipschitz estimates for drift/diffusion.
     """
@@ -258,6 +278,9 @@ def validate_spec(spec: ProblemSpec, samples: int = 20, seed: int = 0,
             else:
                 fd = _fd_jacobian(lambda uu: parent(t, x, uu), u, step)
             record(name, fd, fn(t, x, u))
+        for name in spec.zeros:
+            value = np.asarray(getattr(spec, name)(t, x, u), dtype=float)
+            record(name, np.zeros(value.shape), value)
 
     gv = spec.terminal_cost.grad(xs)
     record("terminal_cost_grad",
@@ -300,7 +323,10 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
     leading n block of each state axis, a drift map's accumulator row holds
     the matching running-cost field (``value``, ``grad_<wrt>``,
     ``hess_<wrt>``), and the rest is zero.  A lifted map is None when either
-    part is None, so a missing second derivative stays missing.
+    part is None, so a missing second derivative stays missing; it is a
+    declared zero when both parts are, and otherwise evaluates only the
+    parts that are not declared zero (a running-cost field is declared zero
+    when it is built by ``zero_map``).
     """
     n, m, d = spec.n, spec.m, spec.d
     A_ext = np.zeros((n + 1, n + 1))
@@ -315,12 +341,15 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
         axes = tuple(slice(None, n) if c == "x" else slice(None) for c in wrt)
         parts = [((Ellipsis, slice(None, n))
                   + ((slice(None),) if head == "diffusion" else ()) + axes,
-                  getattr(spec, name))]
+                  getattr(spec, name), name in spec.zeros)]
         if head == "drift":
             cost = getattr(running_cost, ("value", "grad_", "hess_")[len(wrt)] + wrt)
-            parts.append(((Ellipsis, n) + axes, cost))
-        if any(fn is None for _, fn in parts):
+            parts.append(((Ellipsis, n) + axes, cost, is_zero_map(cost)))
+        if any(fn is None for _, fn, _ in parts):
             return None
+        if all(zero for _, _, zero in parts):
+            return zero_map(*tail)
+        parts = [(index, fn) for index, fn, zero in parts if not zero]
 
         def lifted(t, x, u):
             xa = split(x)
@@ -362,6 +391,9 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
         n=n + 1,
         A=A_ext,
         **{name: lift(name) for name in COEFFICIENT_MAPS},
+        # the original's declarations name unlifted maps; the lifted zero
+        # maps declare themselves
+        zeros=frozenset(),
         terminal_cost=Functional(terminal_value, terminal_grad, terminal.hess),
         state_constraint=(None if spec.state_constraint is None
                           else lift_functional(spec.state_constraint)),
@@ -383,15 +415,22 @@ def extend_initial_state(nu0: np.ndarray, reduced: ProblemSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def zero_map(*shape_tail):
-    """Coefficient map returning zeros of batch shape + shape_tail."""
+    """Declared-zero coefficient map returning zeros of batch shape +
+    shape_tail; a spec built with it lists its name in ``zeros``."""
     def fn(t, x, u):
         return np.zeros(x.shape[:-1] + tuple(shape_tail))
+    fn.declared_zero = True
     return fn
+
+
+def is_zero_map(fn) -> bool:
+    """Whether fn was built by ``zero_map``."""
+    return getattr(fn, "declared_zero", False)
 
 
 def zero_maps(n: int, m: int, d: int, **given) -> dict:
     """All twelve coefficient maps by name: the ``given`` ones as they are,
-    every other one a zero map of its ``map_shape``."""
+    every other one a declared zero map of its ``map_shape``."""
     unknown = set(given) - set(COEFFICIENT_MAPS)
     if unknown:
         raise TypeError(f"unknown coefficient maps {sorted(unknown)}")

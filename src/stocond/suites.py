@@ -398,8 +398,8 @@ def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0):
     dirs = sample_tangent_directions(spec, grid, base, u, directions, rng,
                                      extra_fields=[greedy])
     rep_int = first_order_integral_check(spec, grid, paths, base, u, mult,
-                                         sol, dirs)
-    rep_pw = first_order_pointwise_check(spec, grid, paths, base, u, sol)
+                                         sol, dirs, Hu=Hu)
+    rep_pw = first_order_pointwise_check(spec, grid, paths, base, u, sol, Hu=Hu)
     return rep_int, rep_pw
 
 

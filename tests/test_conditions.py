@@ -146,7 +146,8 @@ def _counted(spec):
 
 
 class TestDerivativeMapCalls:
-    """Each consumer evaluates each map it needs once per step, and no other."""
+    """Each consumer evaluates each map it needs once per step, and no other;
+    a declared-zero map is never evaluated."""
 
     def test_each_map_once_per_step(self):
         lq = lq_unconstrained()
@@ -163,9 +164,12 @@ class TestDerivativeMapCalls:
         x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu, u1, nu, u2)
         counted, calls = _counted(spec)
         N = g.N
+        assert counted.zeros == spec.zeros == {"drift_xu", "diffusion_xx",
+                                                "diffusion_xu", "diffusion_uu"}
 
         def expect(*names, times=N):
-            assert calls == {name: times if name in names else 0 for name in COEFF_MAPS}
+            assert calls == {name: times if name in names and name not in spec.zeros else 0
+                             for name in COEFF_MAPS}
             calls.update(dict.fromkeys(COEFF_MAPS, 0))
 
         hamiltonian_u_field(counted, g, base, u, adj)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from stocond import cones
-from stocond.adjoint_first import simulate_test_process, solve_first_adjoint
+from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_duality,
+                                   check_transposition_identity, simulate_test_process,
+                                   solve_first_adjoint)
 from stocond.adjoint_second import SecondAdjointData, simulate_phi, solve_second_adjoint
 from dataclasses import replace
 
@@ -10,12 +12,15 @@ from stocond.benchmarks import (double_integrator_state_constrained, lq_box_cons
                                 lq_reduced_spec, lq_running_cost, lq_terminal_constrained,
                                 lq_to_spec, lq_unconstrained, make_bilinear_scalar,
                                 make_heat_spde, make_polynomial_scalar)
-from stocond.conditions import hamiltonian_u_field, second_adjoint_data_for
+from stocond.conditions import (MultiplierSet, hamiltonian_u_field, second_adjoint_data_for,
+                               second_order_check)
 from stocond.errors import NonFiniteValue
-from stocond.forward import simulate_first_variation, simulate_forward, simulate_second_variation
-from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, ProblemSpec,
-                           RunningCost, TimeGrid, bolza_reduce, extend_initial_state,
-                           generate_brownian, map_shape, validate_spec, zero_map, zero_maps)
+from stocond.forward import (_along, simulate_first_variation, simulate_forward,
+                             simulate_second_variation)
+from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, PathEnsemble,
+                           ProblemSpec, RunningCost, TimeGrid, bolza_reduce,
+                           extend_initial_state, generate_brownian, is_zero_map, map_shape,
+                           validate_spec, zero_map, zero_maps)
 from stocond.suites import _gbm_spec, _lq_setup
 
 
@@ -96,6 +101,20 @@ class TestValidateSpec:
         spec = _quadratic_scalar_spec()
         report = validate_spec(spec, samples=10, seed=0, step=1e-4)
         assert report.mismatches["drift_xx"] <= 1e-4
+
+    def test_wrong_zero_declaration_flagged(self):
+        # drift_x = 3 x^2 is correct, but declared zero: skipping it would be wrong
+        spec = _quadratic_scalar_spec()
+        assert "drift_x" not in spec.zeros
+        wrong = replace(spec, zeros=spec.zeros | {"drift_x"})
+        assert validate_spec(spec, samples=10, seed=0).mismatches["drift_x"] <= 1e-6
+        report = validate_spec(wrong, samples=10, seed=0)
+        assert report.mismatches["drift_x"] >= 0.1
+        assert report.max_mismatch == report.mismatches["drift_x"]
+
+    def test_unknown_zero_declaration_raises(self):
+        with pytest.raises(TypeError, match="drift_ux"):
+            replace(_quadratic_scalar_spec(), zeros=frozenset({"drift_ux"}))
 
     def test_non_finite_raises(self):
         spec = _quadratic_scalar_spec()
@@ -235,9 +254,13 @@ class TestCoefficientTable:
 
     def test_zero_maps_fill_the_rest(self):
         drift = zero_map(2)
-        maps = zero_maps(2, 1, 3, drift=drift, drift_xx=None)
+        maps = zero_maps(2, 1, 3, drift=drift, drift_xx=None,
+                         drift_u=lambda t, x, u: np.ones(x.shape[:-1] + (2, 1)))
         assert tuple(maps) == COEFFICIENT_MAPS
         assert maps["drift"] is drift and maps["drift_xx"] is None
+        assert not is_zero_map(maps["drift_u"])
+        assert all(is_zero_map(maps[name]) for name in COEFFICIENT_MAPS
+                   if name not in ("drift_u", "drift_xx"))
         x, u = np.ones((5, 2)), np.ones((5, 1))
         assert maps["diffusion_xu"](0.0, x, u).shape == (5, 2, 3, 2, 1)
         with pytest.raises(TypeError, match="drift_ux"):
@@ -257,6 +280,114 @@ class TestCoefficientTable:
             value = np.asarray(getattr(spec, name)(0.4, x, u))
             assert np.broadcast_shapes(value.shape, shape) == shape, name
         assert validate_spec(spec, samples=6, seed=3).max_mismatch <= 1e-6
+
+
+    def test_declared_zeros_survive_replace_and_drop_missing_maps(self):
+        spec = lq_to_spec(lq_unconstrained())
+        assert spec.zeros == {"drift_x", "drift_xx", "drift_xu", "drift_uu",
+                              "diffusion_xx", "diffusion_xu", "diffusion_uu"}
+        # re-wrapping every map (as a tracer does) keeps the declaration
+        wrapped = replace(spec, **{name: _rewrapped(getattr(spec, name))
+                                   for name in COEFFICIENT_MAPS})
+        assert wrapped.zeros == spec.zeros
+        # a missing map is missing, not zero
+        assert "drift_xx" not in replace(spec, drift_xx=None).zeros
+
+
+def _rewrapped(fn):
+    """fn behind a plain wrapper, which carries no zero_map marker."""
+    return lambda t, x, u: fn(t, x, u)
+
+
+def _undeclared(spec):
+    """spec with the same maps and no zero declared."""
+    plain = replace(spec, zeros=frozenset(),
+                    **{name: _rewrapped(getattr(spec, name)) for name in spec.zeros})
+    assert plain.zeros == frozenset()
+    return plain
+
+
+def _factory_spec(factory, reduced):
+    spec, running = FACTORIES[factory]()
+    return bolza_reduce(spec, running) if reduced else spec
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["spec", "reduced"])
+@pytest.mark.parametrize("factory", list(FACTORIES))
+def test_along_skips_exactly_the_maps_that_vanish(factory, reduced):
+    spec = _factory_spec(factory, reduced)
+    M, N = 6, 3
+    rng = np.random.default_rng(5)
+    grid = TimeGrid(N, spec.T)
+    base = PathEnsemble(rng.standard_normal((M, N + 1, spec.n)), grid)
+    u_bar = rng.standard_normal((M, N + 1, spec.m))
+    along = _along(spec, grid, base, u_bar)
+    vanishing = {name for name in COEFFICIENT_MAPS
+                 if all(np.all(np.asarray(getattr(spec, name)(
+                     grid.times[k], base.values[:, k], u_bar[:, k])) == 0.0)
+                        for k in range(N + 1))}
+    assert {name for name in COEFFICIENT_MAPS if along(name) is None} == vanishing
+    assert spec.zeros == vanishing
+    if reduced:
+        assert "diffusion_xx" in spec.zeros
+
+
+def _consumer_outputs(spec):
+    """Every consumer of the derivative maps on a small ensemble."""
+    n, m, d = spec.n, spec.m, spec.d
+    if spec.terminal_cost.hess is None:
+        # the second-order consumers need a terminal Hessian
+        tc = spec.terminal_cost
+        spec = replace(spec, terminal_cost=Functional(
+            tc.value, tc.grad, lambda x: np.broadcast_to(np.eye(n), x.shape + (n,))))
+    M, N = 40, 6
+    grid = TimeGrid(N, spec.T)
+    paths = generate_brownian(grid, M, d, seed=8)
+    rng = np.random.default_rng(9)
+    nu0 = 0.5 + 0.1 * rng.standard_normal(n)
+    u_bar = 0.3 + 0.2 * rng.standard_normal((M, N + 1, m))
+    nu1, nu2 = rng.standard_normal(n), rng.standard_normal(n)
+    u1, u2 = rng.standard_normal((N + 1, m)), rng.standard_normal((N + 1, m))
+    base = simulate_forward(spec, grid, paths, nu0, u_bar)
+    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
+    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, nu1, u1, nu2, u2)
+    f = rng.standard_normal((N + 1, n))
+    psi = DiscreteBVMeasure({2: rng.standard_normal(n)})
+    sol = solve_first_adjoint(spec, grid, paths, base, u_bar,
+                              rng.standard_normal((M, n)), f=f, psi=psi)
+    f1, f2 = rng.standard_normal((N + 1, n)), rng.standard_normal((N + 1, n, d))
+    mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
+    data = second_adjoint_data_for(spec, grid, base, u_bar, sol, mult)
+    relaxed = solve_second_adjoint(spec, grid, paths, base, u_bar, data)
+    report = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed, data,
+                                (x1, u1, nu1), (x2, u2, nu2), delta_act=1e6)
+    return {
+        "simulate_forward": base.values,
+        "simulate_first_variation": x1.values,
+        "simulate_second_variation": x2.values,
+        "solve_first_adjoint_y": sol.y.values,
+        "solve_first_adjoint_Y": sol.Y.values,
+        "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u_bar, sol),
+        "check_transposition_identity": check_transposition_identity(
+            spec, grid, paths, base, u_bar, sol, 1, nu1, f1, f2, psi=psi, f=f),
+        "check_first_variation_duality": check_first_variation_duality(
+            spec, grid, paths, base, u_bar, sol, x1, nu1, u1, psi=psi),
+        "second_adjoint_F": [np.zeros((M, n, n)) if data.F is None else data.F(k)
+                             for k in range(N)],
+        "solve_second_adjoint_P": relaxed.P.values,
+        "solve_second_adjoint_Q": relaxed.Qtensor.values,
+        "second_order_check": (report.worst_violation, report.se),
+    }
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["spec", "reduced"])
+@pytest.mark.parametrize("factory", list(FACTORIES))
+def test_skipping_declared_zeros_changes_no_bit(factory, reduced):
+    spec = _factory_spec(factory, reduced)
+    assert spec.zeros
+    declared, plain = _consumer_outputs(spec), _consumer_outputs(_undeclared(spec))
+    for name, value in declared.items():
+        assert np.array_equal(value, plain[name]), name
 
 
 # axes after the path axis: x a state axis, d a noise axis, u a control axis
