@@ -8,11 +8,9 @@ from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .adjoint_second import (RelaxedSolution, SecondAdjointData,
                              check_relaxed_identity, solve_second_adjoint)
-from .conditions import (ActiveSetAnalysis, ConditionReport, MultiplierSet,
-                         analyze_active_sets, first_order_integral_check,
-                         first_order_pointwise_check, hamiltonian,
-                         normality_probe, search_multipliers,
-                         second_order_check, spike_hamiltonian_gap)
+from .conditions import (ActiveSetAnalysis, MultiplierSet, analyze_active_sets,
+                         first_order_integral_check, first_order_pointwise_check,
+                         search_multipliers, second_order_check)
 from .cones import (AffineSet, Ball, Box, ConeDescriptor, CustomSet, Polyhedron,
                     SetDescriptor, Singleton, Verdict, WholeSpace, adjacent_cone,
                     cone_membership_oracle, distance, dual_cone,
@@ -24,5 +22,6 @@ from .forward import (RemainderReport, VariationData, remainder_study_first,
 from .model import (BrownianEnsemble, Functional, PathEnsemble, ProblemSpec,
                     RunningCost, TimeGrid, ValidationReport, bolza_reduce,
                     generate_brownian, validate_spec)
+from .reporting import ConditionReport
 
 __version__ = "0.1.0"

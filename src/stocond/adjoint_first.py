@@ -31,6 +31,7 @@ from .forward import _along, _at, _contract, _on_paths, _simulate_linear, _total
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
+from .reporting import mc_mean
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,8 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
                                   sol.Y.values[:, k, :, :])
         if k in psi.atoms:
             rhs += np.einsum("pi,pi->p", phi.values[:, k, :], psi.atom(k, M, n))
-    diff = lhs - rhs
-    residual = abs(float(np.mean(diff)))
-    se = float(np.std(diff, ddof=1)) / np.sqrt(M)
-    return residual, se
+    mean, se = mc_mean(lhs - rhs)
+    return abs(float(mean)), float(se)
 
 
 def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
@@ -228,8 +227,8 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
             rhs += dt * pairing
         if k in psi.atoms:
             rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))
-    diff = lhs - rhs
-    return abs(float(np.mean(diff))), float(np.std(diff, ddof=1)) / np.sqrt(M)
+    mean, se = mc_mean(lhs - rhs)
+    return abs(float(mean)), float(se)
 
 
 def export_moments_csv(sol: TranspositionSolution, path: str) -> None:

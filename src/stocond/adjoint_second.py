@@ -28,6 +28,7 @@ import numpy as np
 from .forward import _on_paths, _quadratic, _simulate_linear, _slice_bc, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
 from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
+from .reporting import mc_mean
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,8 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
                                   Qv2_hat.values[:, k])
         if fh2_arr is not None:
             rhs += dt * np.einsum("pil,pil->p", Qv1.values[:, k], fh2_arr[:, k])
-    diff = lhs - rhs
-    return abs(float(np.mean(diff))), float(np.std(diff, ddof=1)) / np.sqrt(M)
+    mean, se = mc_mean(lhs - rhs)
+    return abs(float(mean)), float(se)
 
 
 def export_P_csv(sol: RelaxedSolution, path: str) -> None:

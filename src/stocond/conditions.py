@@ -8,12 +8,13 @@ nonnegative masses m_k on active grid points with atoms along the state
 constraint gradient), which keeps the adjoint affine in them.
 
 Tolerances are never bare constants: every verdict carries 3 * (Monte Carlo
-standard error) + (dt bias estimated from a step ladder).
+standard error) + (dt bias estimated from a step ladder), decided in one
+place: ``mc_mean`` and ``ConditionReport.gate`` in ``reporting``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -23,74 +24,16 @@ from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, _at, _contract, _quadratic, _total, simulate_first_variation
+from .forward import _along, _at, _contract, _quadratic, _total
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConditionReport:
-    name: str
-    worst_violation: float
-    tolerance: float
-    se: float = 0.0
-    dt_bias: float = 0.0
-    verdict: str = "inconclusive"
-    details: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_violation(cls, name, worst, se=0.0, dt_bias=0.0, details=None):
-        tol = 3.0 * se + dt_bias
-        verdict = "pass" if worst <= tol else "fail"
-        return cls(name=name, worst_violation=float(worst), tolerance=float(tol),
-                   se=float(se), dt_bias=float(dt_bias), verdict=verdict,
-                   details=details or {})
-
-
-def dt_bias_fit(Ns, values, T: float) -> tuple[float, dict]:
-    """Fit residual ~ c * dt through the origin over a step ladder.
-
-    Returns (c, {N: predicted bias}); the prediction at the finest N is the
-    dt-bias term entering tolerances.
-    """
-    Ns = np.asarray(Ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dts = T / Ns
-    c = float(np.sum(dts * values) / np.sum(dts * dts))
-    return c, {int(N): c * T / N for N in Ns}
-
-
-def dt_bias_envelope(coarse_Ns, coarse_values, target_N: int,
-                     safety: float = 1.25) -> float:
-    """Upper envelope of a first-order-in-dt error law from coarser grids.
-
-    Each coarse measurement v at N implies c = v * N under v ~ c / N; the
-    prediction max(c) / target_N is honest: it never looks at the target-N
-    measurement, so a checker that fails to refine at first order (as any
-    genuinely violated condition does) overshoots it by orders of magnitude.
-    The safety factor absorbs scatter of the extrapolation constant observed
-    across grids (direction selection maximizes over correlated noise).
-    """
-    cs = [v * N for v, N in zip(coarse_values, coarse_Ns)]
-    return safety * max(cs) / target_N
+from .reporting import ConditionReport, mc_mean
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian calculus
 # ---------------------------------------------------------------------------
-
-def hamiltonian(spec: ProblemSpec, t: float, x: np.ndarray, u: np.ndarray,
-                p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """H = <p, drift> + <q, diffusion>_Frobenius, batched over paths."""
-    a = np.asarray(spec.drift(t, x, u))
-    b = np.asarray(spec.diffusion(t, x, u))
-    return np.einsum("pi,pi->p", p, a) + np.einsum("pil,pil->p", q, b)
-
 
 def _hamiltonian_u(a2, b2, p, q):
     """H_u = a_u* p + b_u* q; p and q may carry a trailing component axis.
@@ -376,24 +319,16 @@ def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid,
     if Hu is None:
         Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
     y0 = adjoint.y.values[:, 0, :]
-    worst = -np.inf
-    worst_se = 0.0
-    per_direction = []
-    for nu, v in directions:
+    per_path = np.empty((len(directions), M))     # family-major, see mc_mean
+    for i, (nu, v) in enumerate(directions):
         v_arr = as_control_array(v, grid, M, spec.m)
         nu = np.asarray(nu, dtype=float)
         # on reduced specs the initial cone acts on the leading raw block
-        per_path = np.einsum("pi,i->p", y0[:, : nu.size], nu)
-        per_path = per_path + grid.dt * np.einsum("pkj,pkj->p", Hu, v_arr[:, :-1, :])
-        val = float(np.mean(per_path))
-        se = float(np.std(per_path, ddof=1)) / np.sqrt(M)
-        per_direction.append(val)
-        if val > worst:
-            worst, worst_se = val, se
-    report = ConditionReport.from_violation(
-        "first_order_integral", worst, se=worst_se, dt_bias=dt_bias,
-        details={"per_direction": per_direction})
-    return report
+        per_path[i] = np.einsum("pi,i->p", y0[:, : nu.size], nu) \
+            + grid.dt * np.einsum("pkj,pkj->p", Hu, v_arr[:, :-1, :])
+    means, ses = mc_mean(per_path)
+    return ConditionReport.gate("first_order_integral", means, ses, dt_bias,
+                                details={"per_direction": means.tolist()})
 
 
 def pointwise_violation_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -420,17 +355,16 @@ def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid,
     of the positive support), and y(0) in the normal cone of Ka.  Hu as in
     ``first_order_integral_check``."""
     viol = pointwise_violation_field(spec, grid, base, u_bar, adjoint, Hu)
-    means = viol.mean(axis=0)
-    k_star = int(np.argmax(means))
-    se = float(viol[:, k_star].std(ddof=1)) / np.sqrt(viol.shape[0])
+    means, ses = mc_mean(viol.T)        # one member per grid time
+    worst = ConditionReport.gate("first_order_pointwise", means, ses)
     y0 = adjoint.y.values[:, 0, :].mean(axis=0)
     nu0 = base.values[0, 0, : spec.Ka.dim]
     C_ka = cones.adjacent_cone(spec.Ka, nu0)
     ka_viol = float(np.linalg.norm(cones.cone_project(C_ka, y0[: spec.Ka.dim])))
-    worst = max(float(means[k_star]), ka_viol)
-    return ConditionReport.from_violation(
-        "first_order_pointwise", worst, se=se, dt_bias=dt_bias,
-        details={"max_time_index": k_star, "initial_cone_violation": ka_viol,
+    # the initial-cone term is gated at the worst time's SE
+    return ConditionReport.gate(
+        "first_order_pointwise", max(worst.worst_violation, ka_viol), worst.se, dt_bias,
+        details={"max_time_index": worst.member, "initial_cone_violation": ka_viol,
                  "mean_violation_path": means.tolist()})
 
 
@@ -683,100 +617,9 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         for k in sorted(mult.psi.atoms):
             per_path += np.einsum("pi,pi->p", x2.values[:, k, :],
                                   mult.psi.atom(k, M, n))
-    value = value_det + float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1)) / np.sqrt(M)
-    return ConditionReport.from_violation(
-        "second_order", value, se=se, dt_bias=dt_bias,
+    mean, se = mc_mean(per_path)
+    return ConditionReport.gate(
+        "second_order", value_det + float(mean), se, dt_bias,
         details={"critical_violation": crit_viol,
                  "deterministic_part": value_det,
                  "delta_act": delta_act})
-
-
-# ---------------------------------------------------------------------------
-# normality probe and spike gap
-# ---------------------------------------------------------------------------
-
-def normality_probe(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                    base: PathEnsemble, u_bar, analysis: ActiveSetAnalysis,
-                    samples: int = 50, margin: float = 1e-4,
-                    rng: np.random.Generator | None = None) -> dict:
-    """Searches for a strict-descent first variation witnessing normality.
-
-    Returns {"verdict": "normal" | "inconclusive" | "degenerate", ...}.
-    Degenerate: the state-constraint gradient vanishes (in mean norm) at an
-    active time, so the multiplier rule's hypothesis fails.
-    """
-    rng = np.random.default_rng(1) if rng is None else rng
-    M = base.M
-    if not analysis.I0 and not analysis.I:
-        return {"verdict": "normal", "margin": np.inf,
-                "reason": "no active constraints"}
-    if spec.state_constraint is not None:
-        for k in analysis.I0:
-            grad_norm = float(np.mean(np.linalg.norm(
-                np.asarray(spec.state_constraint.grad(base.values[:, k, :])),
-                axis=1)))
-            if grad_norm <= 1e-12:
-                return {"verdict": "degenerate", "time_index": k,
-                        "reason": "state-constraint gradient vanishes"}
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    directions = sample_tangent_directions(spec, grid, base, u_arr, samples, rng)
-    best = -np.inf
-    for nu, v in directions:
-        x1 = simulate_first_variation(spec, grid, paths, base, u_arr, nu, v)
-        worst = -np.inf
-        if spec.state_constraint is not None:
-            for k in analysis.I0:
-                grad = np.asarray(spec.state_constraint.grad(base.values[:, k, :]))
-                worst = max(worst, float(np.mean(np.einsum(
-                    "pi,pi->p", grad, x1.values[:, k, :]))))
-        xT = base.values[:, -1, :]
-        for j in analysis.I:
-            g = spec.terminal_constraints[j]
-            worst = max(worst, float(np.mean(np.einsum(
-                "pi,pi->p", g.grad(xT), x1.values[:, -1, :]))))
-        best = max(best, -worst)
-        if -worst >= margin:
-            return {"verdict": "normal", "margin": -worst}
-    return {"verdict": "inconclusive", "margin": best}
-
-
-def spike_hamiltonian_gap(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                          base: PathEnsemble, u_bar,
-                          adjoint: TranspositionSolution,
-                          relaxed: RelaxedSolution, v_samples) -> dict:
-    """Spike-variation Hamiltonian gap with the second order correction.
-
-    For each constant control value v, evaluates in mean the gap
-
-        H(t, x, v) - H(t, x, u) + <P (b(t,x,v) - b(t,x,u)),
-                                    b(t,x,v) - b(t,x,u)> / 2,
-
-    which the maximum principle bounds by 0 at optima.  Returns the largest
-    positive mean gap over samples and times and the per-time profile.
-    """
-    M = base.M
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    ts = grid.times
-    N = grid.N
-    profile = np.zeros(N)
-    worst = -np.inf
-    for v in v_samples:
-        v = np.asarray(v, dtype=float)
-        for k in range(N):
-            xk = base.values[:, k, :]
-            uk = u_arr[:, k, :]
-            vk = np.broadcast_to(v, uk.shape)
-            yk = adjoint.y.values[:, k, :]
-            Yk = adjoint.Y.values[:, k, :, :]
-            Pk = relaxed.P.values[:, k, :, :]
-            H_v = hamiltonian(spec, ts[k], xk, vk, yk, Yk)
-            H_u = hamiltonian(spec, ts[k], xk, uk, yk, Yk)
-            db = np.asarray(spec.diffusion(ts[k], xk, vk)) \
-                - np.asarray(spec.diffusion(ts[k], xk, uk))
-            Pdb = np.einsum("pij,pjl->pil", Pk, db)
-            gap = float(np.mean(H_v - H_u
-                                + 0.5 * np.einsum("pil,pil->p", Pdb, db)))
-            profile[k] = max(profile[k], gap)
-            worst = max(worst, gap)
-    return {"max_gap": max(worst, 0.0), "profile": profile}

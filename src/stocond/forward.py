@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import BlowUp
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     map_shape, time_major_zeros)
-from .reporting import fit_slope
+from .reporting import fit_slope, mc_mean
 
 DEFAULT_STATE_CAP = 1e8
 DEFAULT_EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
@@ -283,7 +283,6 @@ def sup_moment_norm(values: np.ndarray, p: int = 2) -> tuple[float, float]:
 
     values has shape (M, N+1, k); the SE is evaluated at the maximizing time.
     """
-    M = values.shape[0]
     mags = np.linalg.norm(values, axis=2) ** p          # (M, N+1)
     moments = mags.mean(axis=0)                          # (N+1,)
     k_star = int(np.argmax(moments))
@@ -291,7 +290,7 @@ def sup_moment_norm(values: np.ndarray, p: int = 2) -> tuple[float, float]:
     norm = m_star ** (1.0 / p)
     if m_star <= 0:
         return 0.0, 0.0
-    se_m = float(mags[:, k_star].std(ddof=1)) / np.sqrt(M)
+    se_m = float(mc_mean(mags[:, k_star])[1])
     se = (m_star ** (1.0 / p - 1.0)) / p * se_m
     return float(norm), float(se)
 

@@ -1,13 +1,84 @@
-"""Convergence fitting and machine-readable report emission."""
+"""The one Monte Carlo gate, convergence fitting and report emission."""
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+
+def mc_mean(samples):
+    """Monte Carlo mean and SE, std(ddof=1) / sqrt(M), over the last axis.
+
+    A (B, M) family gives one pair per member.  Keep families family-major:
+    each row then reduces exactly as that path vector alone, while an
+    (M, B) array reduced over axis 0 adds in another order.
+    """
+    samples = np.asarray(samples)
+    return (samples.mean(axis=-1),
+            samples.std(axis=-1, ddof=1) / np.sqrt(samples.shape[-1]))
+
+
+@dataclass
+class ConditionReport:
+    """One verdict; ``member`` indexes the gated family member that set it."""
+
+    name: str
+    worst_violation: float
+    tolerance: float
+    se: float = 0.0
+    dt_bias: float = 0.0
+    verdict: str = "inconclusive"
+    details: dict = field(default_factory=dict)
+    member: int = 0
+
+    @classmethod
+    def gate(cls, name, values, ses, dt_bias=0.0, details=None) -> "ConditionReport":
+        """The one Monte Carlo gate over a family of directions, draws or times.
+
+        values and ses hold each member's estimate and SE (a scalar is a
+        one-member family).  The largest value decides, the first on ties;
+        it passes when it is at most 3 * its SE + dt_bias.
+        """
+        values, ses = np.atleast_1d(values, ses)
+        i = int(np.argmax(values))
+        value, se = float(values[i]), float(ses[i])
+        tol = 3.0 * se + dt_bias
+        return cls(name=name, worst_violation=value, tolerance=float(tol), se=se,
+                   dt_bias=float(dt_bias), verdict="pass" if value <= tol else "fail",
+                   details=details or {}, member=i)
+
+
+def dt_bias_fit(Ns, values, T: float) -> tuple[float, dict]:
+    """Fit residual ~ c * dt through the origin over a step ladder.
+
+    Returns (c, {N: predicted bias}); the prediction at the finest N is the
+    dt-bias term entering tolerances.
+    """
+    Ns = np.asarray(Ns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dts = T / Ns
+    c = float(np.sum(dts * values) / np.sum(dts * dts))
+    return c, {int(N): c * T / N for N in Ns}
+
+
+def dt_bias_envelope(coarse_Ns, coarse_values, target_N: int,
+                     safety: float = 1.25) -> float:
+    """Upper envelope of a first-order-in-dt error law from coarser grids.
+
+    Each coarse measurement v at N implies c = v * N under v ~ c / N; the
+    prediction max(c) / target_N is honest: it never looks at the target-N
+    measurement, so a checker that fails to refine at first order (as any
+    genuinely violated condition does) overshoots it by orders of magnitude.
+    The safety factor absorbs scatter of the extrapolation constant observed
+    across grids (direction selection maximizes over correlated noise).
+    """
+    cs = [v * N for v, N in zip(coarse_values, coarse_Ns)]
+    return safety * max(cs) / target_N
 
 
 def fit_slope(xs, ys) -> tuple[float, float]:

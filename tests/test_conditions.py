@@ -8,11 +8,10 @@ from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution, mea
                                    solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
-from stocond.conditions import (MultiplierSet, analyze_active_sets, dt_bias_fit,
+from stocond.conditions import (MultiplierSet, analyze_active_sets,
                                 first_order_integral_check,
-                                first_order_pointwise_check, hamiltonian,
-                                hamiltonian_u_field,
-                                normality_probe, pointwise_violation_field,
+                                first_order_pointwise_check,
+                                hamiltonian_u_field, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
                                 tangent_project_field)
@@ -22,6 +21,7 @@ from stocond.forward import (simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
                            as_control_array, extend_initial_state, generate_brownian)
+from stocond.reporting import dt_bias_fit
 from stocond.suites import _lq_setup, simulate_closed_loop
 
 
@@ -42,6 +42,14 @@ def _hu_one_step(spec, x, u, p, q):
 
     sol = TranspositionSolution(y=path(p), Y=path(q))
     return hamiltonian_u_field(spec, g, path(x), path(u).values, sol)[:, 0]
+
+
+def hamiltonian(spec, t, x, u, p, q):
+    """H = <p, drift> + <q, diffusion>_Frobenius, batched over paths: the
+    reference that H_u is differentiated against."""
+    a = np.asarray(spec.drift(t, x, u))
+    b = np.asarray(spec.diffusion(t, x, u))
+    return np.einsum("pi,pi->p", p, a) + np.einsum("pil,pil->p", q, b)
 
 
 def _ref_hamiltonian_xx(spec, t, x, u, p, q):
@@ -543,104 +551,6 @@ class TestSecondOrder:
                                data, (x1, u1, nu1),
                                (x2, np.zeros((21, 1)), np.zeros(spec.n)),
                                delta_act=1e-6)
-
-
-class TestNormalityProbe:
-    def test_inactive_constraints_trivially_normal(self):
-        lq = lq_unconstrained()
-        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 200, seed=15)
-        analysis = analyze_active_sets(spec, g, base)
-        out = normality_probe(spec, g, paths, base, u, analysis)
-        assert out["verdict"] == "normal"
-
-    def test_witness_found_for_reachable_descent(self):
-        lq = lq_unconstrained()
-        from dataclasses import replace
-        from stocond.benchmarks import _affine_functional
-        spec0, g, paths, ric, base, u = _lq_setup(lq, 30, 1000, seed=16)
-        xT_mean = float(base.values[:, -1, 0].mean())
-        spec = replace(spec0, terminal_constraints=(
-            _affine_functional(np.array([1.0]), -xT_mean),))
-        analysis = analyze_active_sets(spec, g, base, delta_act=1e-3)
-        assert analysis.I == [0]
-        out = normality_probe(spec, g, paths, base, u, analysis,
-                              rng=np.random.default_rng(17))
-        assert out["verdict"] == "normal"
-        assert out["margin"] > 0
-
-    def test_degenerate_gradient_detected(self):
-        # deterministic path: the constraint gradient vanishes pathwise at
-        # the touching time, so the multiplier-rule hypothesis fails
-        lq = lq_unconstrained()
-        from dataclasses import replace
-        spec0, g, paths, ric, base0, u = _lq_setup(lq, 30, 16, seed=18)
-        det = np.ones((16, g.N + 1, spec0.n))
-        det[:, :, 0] = 1.0 + g.times[None, :]
-        base = PathEnsemble(det, g)
-        x_hit = float(det[0, 10, 0])
-        g0 = Functional(
-            lambda x: -(x[..., 0] - x_hit) ** 2,
-            lambda x: np.concatenate([-2 * (x[..., :1] - x_hit),
-                                      np.zeros_like(x[..., 1:])], -1),
-            lambda x: np.zeros(x.shape[:-1] + (spec0.n, spec0.n)))
-        spec = replace(spec0, state_constraint=g0)
-        analysis = analyze_active_sets(spec, g, base, delta_act=1e-6)
-        assert 10 in analysis.I0
-        out = normality_probe(spec, g, paths, base, u, analysis)
-        assert out["verdict"] == "degenerate"
-
-
-class TestSpikeGap:
-    def test_singleton_control_zero_gap(self):
-        from stocond.conditions import spike_hamiltonian_gap
-        lq = lq_unconstrained()
-        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 500, seed=19)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
-        out = spike_hamiltonian_gap(spec, g, paths, base, u, adj, relaxed, [])
-        assert out["max_gap"] == 0.0
-
-    def test_lq_optimum_gap_nonpositive_and_perturbed_positive(self):
-        from stocond.conditions import spike_hamiltonian_gap
-        lq = lq_unconstrained()
-        spec, g, paths, ric, base, u = _lq_setup(lq, 50, 4000, seed=20)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
-        vs = [np.array([v]) for v in np.linspace(-1.0, 1.0, 9)]
-        # spike gaps are relative shifts around the control path: sample
-        # constant offsets of the mean control
-        u_mean = float(np.mean(u[:, :, 0])) if hasattr(u, "ndim") else 0.0
-        out = spike_hamiltonian_gap(spec, g, paths, base, u, adj, relaxed,
-                                    [np.array([u_mean + dv]) for dv in
-                                     np.linspace(-1, 1, 9)])
-        assert out["max_gap"] <= 0.03
-
-        def feedback(k, x):
-            return -x[:, : lq.n] @ ric.gains[k].T
-
-        pert = np.zeros((g.N + 1, lq.m))
-        pert[:, 0] = 0.4
-        base_p, u_p = simulate_closed_loop(spec, g, paths,
-                                           extend_initial_state(lq.x0, spec),
-                                           feedback, perturb_field=pert)
-        xTp = base_p.values[:, -1, :]
-        adj_p = solve_first_adjoint(spec, g, paths, base_p, u_p,
-                                    -np.asarray(spec.terminal_cost.grad(xTp)))
-        data_p = second_adjoint_data_for(spec, g, base_p, u_p, adj_p, mult)
-        relaxed_p = solve_second_adjoint(spec, g, paths, base_p, u_p, data_p)
-        out_p = spike_hamiltonian_gap(spec, g, paths, base_p, u_p, adj_p,
-                                      relaxed_p,
-                                      [np.array([dv]) for dv in
-                                       np.linspace(-1.5, 1.5, 13)])
-        assert out_p["max_gap"] > 0.05
 
 
 class TestDtBiasFit:

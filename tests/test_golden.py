@@ -1,6 +1,6 @@
 """Golden numbers: the benchmark's recorded check records at case 0.
 
-Runs five benchmark operations at their benchmark scale and requires
+Runs six benchmark operations at their benchmark scale and requires
 every check record to repeat ``perfbench/golden.json`` (same verdict, every
 number within the benchmark's round-off bound), so a refactor that moves a
 number beyond round-off fails here and not only in a benchmark run.
@@ -18,6 +18,7 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("workload,op", [
     ("lq_optimum", "second_order"),
     ("lq_optimum", "first_order_optimum"),
+    ("lq_optimum", "first_order_perturbed"),
     ("multipliers", "terminal_multiplier"),
     ("identities", "transposition_ladder"),
     ("identities", "relaxed_identity"),
