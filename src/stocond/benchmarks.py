@@ -454,14 +454,3 @@ def _affine_functional(w: np.ndarray, offset: float) -> Functional:
         return np.zeros(x.shape[:-1] + (n, n))
 
     return Functional(value, grad, hess)
-
-
-BENCHMARKS = {
-    "lq_unconstrained": lq_unconstrained,
-    "lq_terminal": lq_terminal_constrained,
-    "lq_box": lq_box_constrained,
-    "double_integrator_state": double_integrator_state_constrained,
-    "bilinear_scalar": make_bilinear_scalar,
-    "quadratic_drift": lambda: make_polynomial_scalar(2),
-    "cubic_drift": lambda: make_polynomial_scalar(3),
-}

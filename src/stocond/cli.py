@@ -10,42 +10,77 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import suites
-from .benchmarks import BENCHMARKS
 from .errors import ConfigError
 from .reporting import convergence_csv, write_json_report
 
-DEFAULTS = {
-    "benchmark": "lq_unconstrained",
-    "suite": "first-order",
-    "paths": 8000,
-    "steps": 100,
-    "seed": 0,
-    "out": "out",
-    "perturb": 0.0,
+# Tolerance overrides: config key ``tol.<name>`` -> the suite keyword it sets.
+# Each default is stated once, in that suite function's signature.
+TOLERANCES = {"box_pointwise": "gate", "cone_decomposition": "decomposition_gate"}
+
+
+def _tol(sc, name):
+    return {TOLERANCES[name]: sc.tolerances[name]} if name in sc.tolerances else {}
+
+
+# suite -> (benchmarks whose instances it runs, runner).  A runner takes the
+# scenario and returns the suite's (checks, tables) results in order; the
+# benchmark names are the registry.  `convergence` (geometric Brownian motion)
+# and `cones` (random sets) run no registered benchmark: they are listed under
+# the default one so that `stocond run lq_unconstrained --suite cones` runs.
+RUNS = {
+    "convergence": (("lq_unconstrained",), lambda sc: [
+        suites.forward_strong_convergence(M=min(sc.paths, 4000), seed=sc.seed)]),
+    "remainder": (("lq_unconstrained", "bilinear_scalar", "quadratic_drift",
+                   "cubic_drift"), lambda sc: [
+        suites.remainder_suite(M=min(sc.paths, 2000), N=sc.steps, seed=sc.seed)]),
+    "identities": (("lq_unconstrained",), lambda sc: [
+        suites.transposition_identity_ladder(M=sc.paths, seed=sc.seed),
+        suites.adjoint_oracle_comparison(M=sc.paths, N=sc.steps, seed=sc.seed),
+        suites.relaxed_identity_suite(M=sc.paths, seed=sc.seed)]),
+    "first-order": (("lq_unconstrained", "lq_box"), lambda sc: [
+        suites.first_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed,
+                                 perturb=sc.perturb),
+        *([] if sc.perturb else [suites.box_lq_pointwise_check(
+            seed=sc.seed, **_tol(sc, "box_pointwise"))])]),
+    "second-order": (("lq_unconstrained",), lambda sc: [
+        suites.second_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed)]),
+    "multipliers": (("lq_terminal", "double_integrator_state"), lambda sc: [
+        suites.terminal_constraint_multiplier_recovery(M=min(sc.paths, 8000),
+                                                       seed=sc.seed),
+        suites.double_integrator_contact_mass(seed=sc.seed)]),
+    "cones": (("lq_unconstrained",), lambda sc: [
+        suites.cone_suite(seed=sc.seed, **_tol(sc, "cone_decomposition"))]),
 }
 
 
 @dataclass
 class Scenario:
-    benchmark: str = DEFAULTS["benchmark"]
-    suite: str = DEFAULTS["suite"]
-    paths: int = DEFAULTS["paths"]
-    steps: int = DEFAULTS["steps"]
-    seed: int = DEFAULTS["seed"]
-    out: str = DEFAULTS["out"]
-    perturb: float = DEFAULTS["perturb"]
+    benchmark: str = "lq_unconstrained"
+    suite: str = "first-order"
+    paths: int = 8000
+    steps: int = 100
+    seed: int = 0
+    out: str = "out"
+    perturb: float = 0.0
     tolerances: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.suite not in suites.SUITE_NAMES and self.suite != "all":
+        if self.suite not in RUNS and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}")
-        if self.benchmark not in BENCHMARKS:
+        if all(self.benchmark not in names for names, _ in RUNS.values()):
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
+        if self.suite in RUNS and self.benchmark not in RUNS[self.suite][0]:
+            raise ConfigError(f"suite {self.suite!r} is not defined for "
+                              f"benchmark {self.benchmark!r}")
         if self.paths < 1 or self.steps < 1:
             raise ConfigError("paths and steps must be positive")
+
+
+# the config keys and their casts, in field order; ``tol.*`` keys aside
+KEYS = {f.name: type(f.default) for f in fields(Scenario) if f.name != "tolerances"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -69,19 +104,19 @@ def parse_config_file(path: str) -> dict:
 def scenario_from(args) -> Scenario:
     sc = Scenario()
     if args.config:
-        casts = {"paths": int, "steps": int, "seed": int, "perturb": float}
         for key, val in parse_config_file(args.config).items():
+            tol = key[4:] if key.startswith("tol.") else None
+            if key not in KEYS and tol not in TOLERANCES:
+                raise ConfigError(f"{args.config}: unknown config key {key!r}")
             try:
-                if key.startswith("tol."):
-                    sc.tolerances[key[4:]] = float(val)
-                elif key in DEFAULTS:
-                    setattr(sc, key, casts.get(key, str)(val))
+                if tol:
+                    sc.tolerances[tol] = float(val)
                 else:
-                    raise ConfigError(f"{args.config}: unknown config key {key!r}")
+                    setattr(sc, key, KEYS[key](val))
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: bad value {val!r} for {key!r}") from exc
-    for key in ("benchmark", "suite", "paths", "steps", "seed", "out", "perturb"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             setattr(sc, key, val)
     sc.validate()
@@ -92,61 +127,17 @@ def run(scenario: Scenario) -> int:
     """Execute the scenario; write report files; return the exit status."""
     checks = []
     tables = {}
-
-    def extend(result):
-        cs, ts = result
-        checks.extend(cs)
-        for name, val in ts.items():
-            if isinstance(val, (tuple, list)) and len(val) == 2:
-                tables[name] = val
-
-    wanted = suites.SUITE_NAMES if scenario.suite == "all" else [scenario.suite]
-    for name in wanted:
-        if name == "convergence":
-            extend(suites.forward_strong_convergence(
-                M=min(scenario.paths, 4000), seed=scenario.seed))
-        elif name == "remainder":
-            extend(suites.remainder_suite(M=min(scenario.paths, 2000),
-                                          N=scenario.steps, seed=scenario.seed))
-        elif name == "identities":
-            extend(suites.transposition_identity_ladder(M=scenario.paths,
-                                                        seed=scenario.seed))
-            extend(suites.adjoint_oracle_comparison(M=scenario.paths,
-                                                    N=scenario.steps,
-                                                    seed=scenario.seed))
-            extend(suites.relaxed_identity_suite(M=scenario.paths,
-                                                 seed=scenario.seed))
-        elif name == "first-order":
-            extend(suites.first_order_suite(M=scenario.paths, N=scenario.steps,
-                                            seed=scenario.seed,
-                                            perturb=scenario.perturb))
-            if not scenario.perturb:
-                extend(suites.box_lq_pointwise_check(
-                    seed=scenario.seed,
-                    gate=scenario.tolerances.get("box_pointwise", 1e-2)))
-        elif name == "second-order":
-            extend(suites.second_order_suite(M=scenario.paths, N=scenario.steps,
-                                             seed=scenario.seed))
-        elif name == "multipliers":
-            extend(suites.terminal_constraint_multiplier_recovery(
-                M=min(scenario.paths, 8000), seed=scenario.seed))
-            extend(suites.double_integrator_contact_mass(seed=scenario.seed))
-        elif name == "cones":
-            extend(suites.cone_suite(
-                seed=scenario.seed,
-                decomposition_gate=scenario.tolerances.get(
-                    "cone_decomposition", 1e-8)))
+    for suite, (names, runner) in RUNS.items():
+        if scenario.suite not in (suite, "all") or scenario.benchmark not in names:
+            continue
+        for cs, ts in runner(scenario):
+            checks.extend(cs)
+            tables.update((name, val) for name, val in ts.items()
+                          if isinstance(val, (tuple, list)) and len(val) == 2)
 
     failed = [c for c in checks if c["verdict"] != "pass"]
     payload = {
-        "scenario": {
-            "benchmark": scenario.benchmark,
-            "suite": scenario.suite,
-            "paths": scenario.paths,
-            "steps": scenario.steps,
-            "seed": scenario.seed,
-            "perturb": scenario.perturb,
-        },
+        "scenario": {key: getattr(scenario, key) for key in KEYS if key != "out"},
         "checks": checks,
         "failures": len(failed),
     }
@@ -166,23 +157,13 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a suite on a benchmark scenario")
     runp.add_argument("benchmark", nargs="?", default=None)
     runp.add_argument("--config", default=None, help="flat key = value file")
-    runp.add_argument("--suite", default=None, choices=list(suites.SUITE_NAMES) + ["all"])
-    runp.add_argument("--benchmark", dest="benchmark_flag", default=None)
-    runp.add_argument("--paths", type=int, default=None)
-    runp.add_argument("--steps", type=int, default=None)
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--out", default=None)
-    runp.add_argument("--perturb", type=float, default=None)
+    for key, cast in KEYS.items():
+        if key != "benchmark":
+            runp.add_argument(f"--{key}", type=cast, default=None,
+                              choices=[*RUNS, "all"] if key == "suite" else None)
     args = parser.parse_args(argv)
-    if getattr(args, "benchmark_flag", None) and not args.benchmark:
-        args.benchmark = args.benchmark_flag
     try:
-        scenario = scenario_from(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(scenario)
+        return run(scenario_from(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

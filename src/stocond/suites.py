@@ -860,8 +860,3 @@ def cone_suite(cases: int = 200, poly_instances: int = 100, seed: int = 37,
                          worst_dual <= decomposition_gate,
                          worst_residual=worst_dual))
     return checks, {}
-
-
-SUITE_NAMES = ("convergence", "remainder", "identities", "first-order",
-               "second-order", "multipliers", "cones")
-

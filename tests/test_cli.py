@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,21 @@ class TestConfigParsing:
             sc.validate()
 
 
+class TestRunTable:
+    def test_registered_benchmarks(self):
+        names = {b for listed, _runner in cli.RUNS.values() for b in listed}
+        assert names == {"lq_unconstrained", "lq_terminal", "lq_box",
+                         "double_integrator_state", "bilinear_scalar",
+                         "quadratic_drift", "cubic_drift"}
+
+    def test_readme_cli_section_names_every_suite_and_benchmark(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        section = re.search(r"^## CLI$(.*?)^## ", readme, re.S | re.M).group(1)
+        names = set(cli.RUNS) | {b for listed, _r in cli.RUNS.values() for b in listed}
+        assert {n for n in names if f"`{n}`" not in section} == set()
+
+
 class TestExitCodes:
     def test_unknown_benchmark_exit_1(self, tmp_path, capsys):
         code = cli.main(["run", "no_such_benchmark", "--suite", "cones",
@@ -45,7 +62,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line,named", [("patsh = 5", "'patsh'"),
                                             ("extras = 1", "'extras'"),
-                                            ("paths = many", "'paths'")])
+                                            ("paths = many", "'paths'"),
+                                            ("tol.cone_decompositon = 1e-6",
+                                             "'tol.cone_decompositon'")])
     def test_bad_config_key_exit_1(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"suite = cones\n{line}\n")
@@ -64,6 +83,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'heat_spde'" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name,suite", [("cubic_drift", "cones"),
+                                            ("lq_terminal", "first-order"),
+                                            ("lq_unconstrained", "multipliers")])
+    def test_unlisted_pair_exit_1(self, tmp_path, capsys, name, suite):
+        code = cli.main(["run", name, "--suite", suite,
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"suite '{suite}' is not defined for benchmark '{name}'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_listed_non_lq_pair_runs(self, tmp_path):
+        code = cli.main(["run", "cubic_drift", "--suite", "remainder",
+                         "--paths", "200", "--steps", "50",
+                         "--out", str(tmp_path / "r")])
+        assert code != 1
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["scenario"]["benchmark"] == "cubic_drift"
+
+    @pytest.mark.parametrize("name,expected", [
+        ("lq_unconstrained", ["convergence", "remainder", "identities",
+                              "first-order", "second-order", "cones"]),
+        ("lq_terminal", ["multipliers"])])
+    def test_suite_all_runs_the_listed_suites_in_table_order(
+            self, tmp_path, monkeypatch, name, expected):
+        ran = []
+        stubs = {suite: (names, lambda sc, suite=suite: ran.append(suite) or [])
+                 for suite, (names, _runner) in cli.RUNS.items()}
+        monkeypatch.setattr(cli, "RUNS", stubs)
+        code = cli.main(["run", name, "--suite", "all",
+                         "--out", str(tmp_path / "a")])
+        assert code == 0
+        assert ran == expected
 
     def test_cones_suite_exit_0(self, tmp_path, capsys):
         code = cli.main(["run", "lq_unconstrained", "--suite", "cones",

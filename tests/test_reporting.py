@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import stocond
 from stocond.reporting import ConditionReport, mc_mean
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stocond"
@@ -50,9 +49,6 @@ class TestGate:
 
     def test_nan_member_fails(self):
         assert ConditionReport.gate("g", [0.0, np.nan], [1.0, 1.0]).verdict == "fail"
-
-    def test_package_exports_the_gate_report(self):
-        assert stocond.ConditionReport is ConditionReport
 
 
 class TestMcMean:
