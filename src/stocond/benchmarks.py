@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .cones import Box, SetDescriptor, Singleton, WholeSpace
 from .errors import RiccatiBlowup
@@ -73,36 +74,40 @@ class RiccatiSolution:
         return 0.5 * float(x0 @ self.Pi[0] @ x0)
 
 
-def _riccati_rhs(lq: LQSpec, Pi: np.ndarray) -> np.ndarray:
-    A, B, C, D = lq.A, lq.B, lq.C, lq.D
-    S = lq.R_run + np.einsum("dmi,ij,djk->mk", D.transpose(0, 2, 1), Pi, D)
-    L = B.T @ Pi + np.einsum("dmi,ij,djk->mk", D.transpose(0, 2, 1), Pi, C)
-    gain = np.linalg.solve(S, L)
-    quad = np.einsum("dji,jk,dkl->il", C, Pi, C)
-    return -(A.T @ Pi + Pi @ A + quad + lq.Q_run - L.T @ gain), gain
+def _riccati_operators(lq: LQSpec) -> np.ndarray:
+    """The Riccati equation's linear parts as one matrix on the row-major vec(Pi),
+    by vec(X Pi Y) = kron(X, Y') vec(Pi): its row blocks map Pi to S = sum_i D_i' Pi D_i,
+    L = B' Pi + sum_i D_i' Pi C_i and A' Pi + Pi A + sum_i C_i' Pi C_i."""
+    eye = np.eye(lq.n)
+    return np.vstack([
+        sum(np.kron(Di.T, Di.T) for Di in lq.D),
+        np.kron(lq.B.T, eye) + sum(np.kron(Di.T, Ci.T) for Ci, Di in zip(lq.C, lq.D)),
+        np.kron(lq.A.T, eye) + np.kron(eye, lq.A.T) + sum(np.kron(Ci.T, Ci.T) for Ci in lq.C)])
 
 
 def _backward_rk4(rhs, terminal: np.ndarray, grid: TimeGrid, substeps: int,
                   cap: float | None = None) -> np.ndarray:
     """(N+1, n, n) path of a symmetric matrix ODE S' = rhs(S), S(T) = terminal,
     integrated backward by RK4 at ``substeps`` steps per grid step and
-    symmetrised after each; with a ``cap``, leaving it raises RiccatiBlowup."""
+    symmetrised after each; with a ``cap``, leaving it (or a non-finite entry)
+    raises RiccatiBlowup.  ``rhs`` maps the row-major vec(S) to vec(S')."""
+    swap = np.arange(terminal.size).reshape(terminal.shape).T.ravel()  # vec(S) -> vec(S')
     h = grid.dt / substeps
-    S = terminal
-    out = np.zeros((grid.N + 1,) + S.shape)
-    out[grid.N] = S
+    s = terminal.ravel()
+    out = np.zeros((grid.N + 1, terminal.size))
+    out[grid.N] = s
     for k in range(grid.N - 1, -1, -1):
         for _ in range(substeps):
-            k1 = rhs(S)
-            k2 = rhs(S - 0.5 * h * k1)
-            k3 = rhs(S - 0.5 * h * k2)
-            k4 = rhs(S - h * k3)
-            S = S - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            S = 0.5 * (S + S.T)
-            if cap is not None and (not np.all(np.isfinite(S)) or np.max(np.abs(S)) > cap):
+            k1 = rhs(s)
+            k2 = rhs(s - 0.5 * h * k1)
+            k3 = rhs(s - 0.5 * h * k2)
+            k4 = rhs(s - h * k3)
+            s = s - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            s = 0.5 * (s + s[swap])
+            if cap is not None and not np.abs(s).max() <= cap:
                 raise RiccatiBlowup("Riccati integration left the norm cap")
-        out[k] = S
-    return out
+        out[k] = s
+    return out.reshape((grid.N + 1,) + terminal.shape)
 
 
 def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
@@ -112,10 +117,27 @@ def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
     Runs at ``substeps`` times the Monte Carlo resolution so oracle error is
     negligible against tested tolerances.  The feedback gain uses
     (R + sum_i D_i' Pi D_i)^{-1} (B' Pi + sum_i D_i' Pi C_i), the general
-    control-in-diffusion formula.
+    control-in-diffusion formula; each RK4 stage is one product with
+    ``_riccati_operators``' matrix and one m x m solve.
     """
-    Pi = _backward_rk4(lambda P: _riccati_rhs(lq, P)[0], lq.G.copy(), grid, substeps, cap)
-    gains = np.stack([_riccati_rhs(lq, P)[1] for P in Pi])
+    n, m = lq.n, lq.m
+    op = _riccati_operators(lq)
+    mm, sl = m * m, m * (m + n)         # the rows of S, of S and L
+    q = lq.Q_run.ravel()
+
+    def rhs(p):
+        z = op @ p
+        L = z[mm:sl].reshape(m, n)
+        # LAPACK's solver itself: np.linalg.solve costs 5x more per call here
+        _, _, gain, info = dgesv(lq.R_run + z[:mm].reshape(m, m), L)
+        if info:
+            raise np.linalg.LinAlgError("singular R + sum_i D_i' Pi D_i")
+        return (L.T @ gain).ravel() - z[sl:] - q
+
+    Pi = _backward_rk4(rhs, lq.G, grid, substeps, cap)
+    z = Pi.reshape(grid.N + 1, n * n) @ op[:sl].T
+    gains = np.linalg.solve(lq.R_run + z[:, :mm].reshape(-1, m, m),
+                            z[:, mm:].reshape(-1, m, n))
     return RiccatiSolution(grid=grid, Pi=Pi, gains=gains)
 
 
@@ -127,37 +149,25 @@ def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
 
     so Q-part vanishes and P(t) = S(t).  Returns (N+1, n, n).
     """
-    def rhs(S):
-        quad = np.einsum("dji,jk,dkl->il", lq.C, S, lq.C)
-        return -(lq.A.T @ S + S @ lq.A + quad - lq.Q_run)
-
-    return _backward_rk4(rhs, -lq.G.copy(), grid, substeps)
+    lin = _riccati_operators(lq)[-lq.n ** 2:]
+    return _backward_rk4(lambda p: lq.Q_run.ravel() - lin @ p, -lq.G, grid, substeps)
 
 
 def adjoint_oracle_lq(lq: LQSpec, grid: TimeGrid, riccati: RiccatiSolution,
                       base_values: np.ndarray):
-    """Closed-form adjoint paths along an ensemble of optimal states.
+    """Closed-form first adjoint along an ensemble of optimal states.
 
     base_values is the (M, N+1, n) state ensemble of the ORIGINAL (not
-    Bolza-reduced) coordinates under the Riccati feedback.  Returns
-    (y, Y, P): y(t) = -Pi(t) x(t), Y(t) = -Pi(t) (C x + D u + sigma) with
-    u = -gain x, and the deterministic P path from the matrix ODE.
+    Bolza-reduced) coordinates under the Riccati feedback.  Returns (y, Y):
+    y(t) = -Pi(t) x(t) and Y(t) = -Pi(t) (C x + D u + sigma) with
+    u = -gain x.  The second adjoint's oracle is ``lq_second_adjoint_ode``.
     """
-    M, K, n = base_values.shape
-    y = np.zeros((M, K, n))
-    Y = np.zeros((M, K, n, lq.d))
-    for k in range(K):
-        Pi = riccati.Pi[k]
-        gain = riccati.gains[k]
-        xk = base_values[:, k, :]
-        uk = -xk @ gain.T
-        y[:, k, :] = -xk @ Pi.T
-        noise = (np.einsum("dij,pj->pid", lq.C, xk)
-                 + np.einsum("dij,pj->pid", lq.D, uk)
-                 + np.broadcast_to(lq.sigma.T, (M, n, lq.d)))
-        Y[:, k, :, :] = -np.einsum("ij,pjd->pid", Pi, noise)
-    P = lq_second_adjoint_ode(lq, grid)
-    return y, Y, P
+    y = -np.einsum("kij,pkj->pki", riccati.Pi, base_values)
+    u = -np.einsum("kaj,pkj->pka", riccati.gains, base_values)
+    noise = (np.einsum("lij,pkj->pkil", lq.C, base_values)
+             + np.einsum("lia,pka->pkil", lq.D, u) + lq.sigma.T)
+    Y = -np.einsum("kij,pkjl->pkil", riccati.Pi, noise)
+    return y, Y
 
 
 def lq_to_spec(lq: LQSpec) -> ProblemSpec:

@@ -25,35 +25,48 @@ def _tol(sc, name):
     return {TOLERANCES[name]: sc.tolerances[name]} if name in sc.tolerances else {}
 
 
-# suite -> (benchmarks whose instances it runs, runner).  A runner takes the
-# scenario and returns the suite's (checks, tables) results in order; the
-# benchmark names are the registry.  `convergence` (geometric Brownian motion)
-# and `cones` (random sets) run no registered benchmark: they are listed under
-# the default one so that `stocond run lq_unconstrained --suite cones` runs.
+# suite -> (benchmarks whose instances it runs, scenario keys its runner
+# reads, runner).  A runner takes the scenario and returns the suite's (checks,
+# tables) results in order; the benchmark names are the registry.  A key is a
+# Scenario field or ``tol.<name>``; `benchmark`, `suite` and `out` are read by
+# every run.  `convergence` (geometric Brownian motion) and `cones` (random
+# sets) run no registered benchmark: they are listed under the default one so
+# that `stocond run lq_unconstrained --suite cones` runs.
 RUNS = {
-    "convergence": (("lq_unconstrained",), lambda sc: [
+    "convergence": (("lq_unconstrained",), ("paths", "seed"), lambda sc: [
         suites.forward_strong_convergence(M=min(sc.paths, 4000), seed=sc.seed)]),
     "remainder": (("lq_unconstrained", "bilinear_scalar", "quadratic_drift",
-                   "cubic_drift"), lambda sc: [
+                   "cubic_drift"), ("paths", "steps", "seed"), lambda sc: [
         suites.remainder_suite(M=min(sc.paths, 2000), N=sc.steps, seed=sc.seed)]),
-    "identities": (("lq_unconstrained",), lambda sc: [
+    "identities": (("lq_unconstrained",), ("paths", "steps", "seed"), lambda sc: [
         suites.transposition_identity_ladder(M=sc.paths, seed=sc.seed),
         suites.adjoint_oracle_comparison(M=sc.paths, N=sc.steps, seed=sc.seed),
         suites.relaxed_identity_suite(M=sc.paths, seed=sc.seed)]),
-    "first-order": (("lq_unconstrained", "lq_box"), lambda sc: [
+    "first-order": (("lq_unconstrained", "lq_box"),
+                    ("paths", "steps", "seed", "perturb", "tol.box_pointwise"), lambda sc: [
         suites.first_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed,
                                  perturb=sc.perturb),
         *([] if sc.perturb else [suites.box_lq_pointwise_check(
             seed=sc.seed, **_tol(sc, "box_pointwise"))])]),
-    "second-order": (("lq_unconstrained",), lambda sc: [
+    "second-order": (("lq_unconstrained",), ("paths", "steps", "seed"), lambda sc: [
         suites.second_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed)]),
-    "multipliers": (("lq_terminal", "double_integrator_state"), lambda sc: [
+    "multipliers": (("lq_terminal", "double_integrator_state"), ("paths", "seed"),
+                    lambda sc: [
         suites.terminal_constraint_multiplier_recovery(M=min(sc.paths, 8000),
                                                        seed=sc.seed),
         suites.double_integrator_contact_mass(seed=sc.seed)]),
-    "cones": (("lq_unconstrained",), lambda sc: [
+    "cones": (("lq_unconstrained",), ("seed", "tol.cone_decomposition"), lambda sc: [
         suites.cone_suite(seed=sc.seed, **_tol(sc, "cone_decomposition"))]),
 }
+
+
+def _selected(sc) -> tuple[list, set]:
+    """The runners of the RUNS entries the scenario runs, in table order, and
+    the keys the run reads: theirs plus `benchmark`, `suite` and `out`."""
+    entries = [(keys, runner) for suite, (names, keys, runner) in RUNS.items()
+               if sc.suite in (suite, "all") and sc.benchmark in names]
+    return ([runner for _, runner in entries],
+            {"benchmark", "suite", "out"}.union(*(keys for keys, _ in entries)))
 
 
 @dataclass
@@ -70,7 +83,7 @@ class Scenario:
     def validate(self):
         if self.suite not in RUNS and self.suite != "all":
             raise ConfigError(f"unknown suite {self.suite!r}")
-        if all(self.benchmark not in names for names, _ in RUNS.values()):
+        if all(self.benchmark not in names for names, _, _ in RUNS.values()):
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         if self.suite in RUNS and self.benchmark not in RUNS[self.suite][0]:
             raise ConfigError(f"suite {self.suite!r} is not defined for "
@@ -103,6 +116,7 @@ def parse_config_file(path: str) -> dict:
 
 def scenario_from(args) -> Scenario:
     sc = Scenario()
+    given = set()
     if args.config:
         for key, val in parse_config_file(args.config).items():
             tol = key[4:] if key.startswith("tol.") else None
@@ -115,11 +129,17 @@ def scenario_from(args) -> Scenario:
                     setattr(sc, key, KEYS[key](val))
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: bad value {val!r} for {key!r}") from exc
+            given.add(key)
     for key in KEYS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(sc, key, val)
+            given.add(key)
     sc.validate()
+    unread = given - _selected(sc)[1]
+    if unread:
+        raise ConfigError(f"suite {sc.suite!r} on benchmark {sc.benchmark!r} does not "
+                          f"read {', '.join(map(repr, sorted(unread)))}")
     return sc
 
 
@@ -127,9 +147,8 @@ def run(scenario: Scenario) -> int:
     """Execute the scenario; write report files; return the exit status."""
     checks = []
     tables = {}
-    for suite, (names, runner) in RUNS.items():
-        if scenario.suite not in (suite, "all") or scenario.benchmark not in names:
-            continue
+    runners, read = _selected(scenario)
+    for runner in runners:
         for cs, ts in runner(scenario):
             checks.extend(cs)
             tables.update((name, val) for name, val in ts.items()
@@ -137,7 +156,8 @@ def run(scenario: Scenario) -> int:
 
     failed = [c for c in checks if c["verdict"] != "pass"]
     payload = {
-        "scenario": {key: getattr(scenario, key) for key in KEYS if key != "out"},
+        "scenario": {key: getattr(scenario, key) for key in KEYS
+                     if key in read and key != "out"},
         "checks": checks,
         "failures": len(failed),
     }

@@ -21,9 +21,9 @@ A map that is identically zero is declared so: ``zero_map`` (and through it
 ``zero_maps``) builds declared zeros, and a ``ProblemSpec`` lists the names
 of its declared-zero maps in ``zeros``.  Every consumer skips a declared
 zero instead of evaluating and contracting it.  The declaration lives on
-the spec, so a ``dataclasses.replace`` that re-wraps the maps keeps it; one
-that swaps a declared-zero map for another must pass ``zeros`` as well.
-``validate_spec`` checks every declaration.
+the spec, so a ``dataclasses.replace`` that re-wraps the maps keeps it; to
+swap a map for a different one, use ``with_maps``, which clears the swapped
+maps' declarations.  ``validate_spec`` checks every declaration.
 """
 
 from __future__ import annotations
@@ -126,6 +126,16 @@ class ProblemSpec:
             raise TypeError(f"unknown coefficient maps {sorted(unknown)} in zeros")
         object.__setattr__(self, "zeros", frozenset(
             name for name in declared if getattr(self, name) is not None))
+
+
+def with_maps(spec: ProblemSpec, **maps) -> ProblemSpec:
+    """``spec`` with the named coefficient maps swapped in.  Their old zero
+    declarations are cleared: a swapped-in map is a declared zero only when
+    it declares itself (is built by ``zero_map``)."""
+    unknown = set(maps) - set(COEFFICIENT_MAPS)
+    if unknown:
+        raise TypeError(f"unknown coefficient maps {sorted(unknown)}")
+    return replace(spec, **maps, zeros=spec.zeros - set(maps))
 
 
 @dataclass(frozen=True)

@@ -278,7 +278,7 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
     lq = lq_unconstrained()
     spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
     sol = _cost_adjoint(spec, grid, paths, base, u)
-    y_or, Y_or, _ = adjoint_oracle_lq(lq, grid, ric, base.values[:, :, : lq.n])
+    y_or, Y_or = adjoint_oracle_lq(lq, grid, ric, base.values[:, :, : lq.n])
     y_num = sol.y.values[:, :, : lq.n]
     rel_y = float(np.sqrt(np.mean((y_num - y_or) ** 2))
                   / np.sqrt(np.mean(y_or ** 2)))
@@ -290,8 +290,8 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
                     G=lq.G, Q_run=lq.Q_run, R_run=lq.R_run, T=lq.T, x0=lq.x0)
     spec_a, grid_a, paths_a, ric_a, base_a, u_a = _lq_setup(lq_add, N, M, seed + 1)
     sol_a = _cost_adjoint(spec_a, grid_a, paths_a, base_a, u_a)
-    _, Y_or_a, _ = adjoint_oracle_lq(lq_add, grid_a, ric_a,
-                                     base_a.values[:, :, : lq_add.n])
+    _, Y_or_a = adjoint_oracle_lq(lq_add, grid_a, ric_a,
+                                  base_a.values[:, :, : lq_add.n])
     Y_num = sol_a.Y.values[:, :-1, : lq_add.n, :]
     Y_ref = Y_or_a[:, :-1]
     rel_Y = float(np.sqrt(np.mean((Y_num - Y_ref) ** 2))
@@ -497,19 +497,18 @@ def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float,
     R = float(lq.R_run[0, 0])
     h = grid.dt / substeps
     K = grid.N
-    r = np.zeros(K + 1)
-    r[K] = lam
+    coefs = [a - b * b * pi / R for pi in ric.Pi[:, 0, 0].tolist()]
+    r = [0.0] * (K + 1)
+    r[K] = float(lam)
     for k in range(K - 1, -1, -1):
-        coef = a - b * b * ric.Pi[k][0, 0] / R
         val = r[k + 1]
         for _ in range(substeps):
-            val = val + h * coef * val
+            val = val + h * coefs[k] * val
         r[k] = val
     m = float(lq.x0[0])
     for k in range(K):
-        coef = a - b * b * ric.Pi[k][0, 0] / R
-        m = m + grid.dt * (coef * m - b * b / R * r[k])
-    return m, r
+        m = m + grid.dt * (coefs[k] * m - b * b / R * r[k])
+    return m, np.array(r)
 
 
 def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,

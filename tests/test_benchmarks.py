@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stocond.benchmarks import (LQSpec, adjoint_oracle_lq, lq_reduced_spec,
-                                lq_second_adjoint_ode, lq_unconstrained, make_heat_spde,
+from stocond.benchmarks import (LQSpec, adjoint_oracle_lq, lq_box_constrained,
+                                lq_reduced_spec, lq_second_adjoint_ode,
+                                lq_terminal_constrained, lq_unconstrained, make_heat_spde,
                                 solve_lq_riccati)
 from stocond.errors import RiccatiBlowup
 from stocond.forward import simulate_forward
@@ -105,7 +106,7 @@ class TestAdjointOracle:
         base, u = simulate_closed_loop(spec, g, paths,
                                        extend_initial_state(lq.x0, spec),
                                        feedback)
-        y_or, Y_or, P = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
+        y_or, Y_or = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
         # discrete costate recursion as an independent check:
         # lam_k = lam_{k+1} + dt (a lam_{k+1} - Q x_k), lam_N = -G x_N
         lam = np.zeros(N + 1)
@@ -138,7 +139,7 @@ class TestAdjointOracle:
                                        feedback)
         ctl = u[0, :-1, 0]
         assert np.max(np.abs(ctl - ctl[0])) <= 1e-3
-        y_or, _, _ = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
+        y_or, _ = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
         assert np.max(np.abs(y_or[0, :, 0] - y_or[0, 0, 0])) <= 1e-3
 
     def test_second_adjoint_ode_terminal_value(self):
@@ -146,6 +147,104 @@ class TestAdjointOracle:
         g = TimeGrid(30, 1.0)
         P = lq_second_adjoint_ode(lq, g)
         assert np.allclose(P[-1], -lq.G)
+
+
+def _einsum_riccati_rhs(lq, Pi):
+    """The Riccati right-hand side and gain by per-stage einsums: the
+    reference the operator form must reproduce."""
+    A, B, C, D = lq.A, lq.B, lq.C, lq.D
+    S = lq.R_run + np.einsum("dmi,ij,djk->mk", D.transpose(0, 2, 1), Pi, D)
+    L = B.T @ Pi + np.einsum("dmi,ij,djk->mk", D.transpose(0, 2, 1), Pi, C)
+    gain = np.linalg.solve(S, L)
+    quad = np.einsum("dji,jk,dkl->il", C, Pi, C)
+    return -(A.T @ Pi + Pi @ A + quad + lq.Q_run - L.T @ gain), gain
+
+
+def _matrix_rk4(rhs, terminal, grid, substeps=4):
+    """Backward RK4 on the (n, n) matrix itself, symmetrised after each step."""
+    h = grid.dt / substeps
+    S = terminal
+    out = np.zeros((grid.N + 1,) + S.shape)
+    out[grid.N] = S
+    for k in range(grid.N - 1, -1, -1):
+        for _ in range(substeps):
+            k1 = rhs(S)
+            k2 = rhs(S - 0.5 * h * k1)
+            k3 = rhs(S - 0.5 * h * k2)
+            k4 = rhs(S - h * k3)
+            S = S - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            S = 0.5 * (S + S.T)
+        out[k] = S
+    return out
+
+
+def _looped_adjoint(lq, Pi_path, gains, base_values):
+    """y = -Pi x and Y = -Pi (C x + D u + sigma), one grid time at a time."""
+    M, K, n = base_values.shape
+    y = np.zeros((M, K, n))
+    Y = np.zeros((M, K, n, lq.d))
+    for k in range(K):
+        xk = base_values[:, k, :]
+        uk = -xk @ gains[k].T
+        y[:, k, :] = -xk @ Pi_path[k].T
+        noise = (np.einsum("dij,pj->pid", lq.C, xk)
+                 + np.einsum("dij,pj->pid", lq.D, uk)
+                 + np.broadcast_to(lq.sigma.T, (M, n, lq.d)))
+        Y[:, k, :, :] = -np.einsum("ij,pjd->pid", Pi_path[k], noise)
+    return y, Y
+
+
+def _random_lq(seed):
+    rng = np.random.default_rng(seed)
+    n, m, d = rng.integers(1, 4), rng.integers(1, 3), rng.integers(1, 3)
+    return LQSpec(A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, m)),
+                  C=0.3 * rng.standard_normal((d, n, n)),
+                  D=0.3 * rng.standard_normal((d, n, m)),
+                  sigma=0.2 * rng.standard_normal((d, n)), G=np.eye(n),
+                  Q_run=0.5 * np.eye(n), R_run=np.eye(m), T=1.0, x0=np.ones(n))
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+@pytest.mark.parametrize("lq", [lq_unconstrained(), lq_unconstrained(2),
+                                lq_terminal_constrained(), lq_box_constrained(),
+                                *(_random_lq(seed) for seed in range(6))])
+def test_operator_oracle_matches_the_einsum_reference(lq):
+    g = TimeGrid(40, lq.T)
+    ric = solve_lq_riccati(lq, g)
+    Pi = _matrix_rk4(lambda P: _einsum_riccati_rhs(lq, P)[0], lq.G.copy(), g)
+    gains = np.stack([_einsum_riccati_rhs(lq, P)[1] for P in Pi])
+    assert _rel(ric.Pi, Pi) <= 1e-12
+    assert _rel(ric.gains, gains) <= 1e-12
+
+    def p_rhs(S):
+        return -(lq.A.T @ S + S @ lq.A + np.einsum("dji,jk,dkl->il", lq.C, S, lq.C)
+                 - lq.Q_run)
+    assert _rel(lq_second_adjoint_ode(lq, g), _matrix_rk4(p_rhs, -lq.G, g)) <= 1e-12
+
+    x = np.random.default_rng(7).standard_normal((16, g.N + 1, lq.n))
+    for got, ref in zip(adjoint_oracle_lq(lq, g, ric, x), _looped_adjoint(lq, Pi, gains, x)):
+        assert got.shape == ref.shape
+        assert _rel(got, ref) <= 1e-12
+
+
+def test_non_finite_riccati_raises_blowup():
+    lq = lq_unconstrained()
+    lq = LQSpec(A=np.array([[np.nan]]), B=lq.B, C=lq.C, D=lq.D, sigma=lq.sigma, G=lq.G,
+                Q_run=lq.Q_run, R_run=lq.R_run, T=lq.T, x0=lq.x0)
+    with pytest.raises(RiccatiBlowup):
+        solve_lq_riccati(lq, TimeGrid(10, 1.0))
+
+
+def test_singular_gain_system_raises():
+    # R = 0 and D = 0: R + sum_i D_i' Pi D_i is singular at every stage
+    lq = lq_terminal_constrained()
+    lq = LQSpec(A=lq.A, B=lq.B, C=lq.C, D=lq.D, sigma=lq.sigma, G=lq.G,
+                Q_run=lq.Q_run, R_run=np.zeros((1, 1)), T=lq.T, x0=lq.x0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_lq_riccati(lq, TimeGrid(10, 1.0))
 
 
 class TestHeatSpde:

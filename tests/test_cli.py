@@ -40,7 +40,7 @@ class TestConfigParsing:
 
 class TestRunTable:
     def test_registered_benchmarks(self):
-        names = {b for listed, _runner in cli.RUNS.values() for b in listed}
+        names = {b for listed, _keys, _runner in cli.RUNS.values() for b in listed}
         assert names == {"lq_unconstrained", "lq_terminal", "lq_box",
                          "double_integrator_state", "bilinear_scalar",
                          "quadratic_drift", "cubic_drift"}
@@ -49,8 +49,14 @@ class TestRunTable:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
             encoding="utf-8")
         section = re.search(r"^## CLI$(.*?)^## ", readme, re.S | re.M).group(1)
-        names = set(cli.RUNS) | {b for listed, _r in cli.RUNS.values() for b in listed}
+        names = set(cli.RUNS) | {b for listed, _k, _r in cli.RUNS.values() for b in listed}
         assert {n for n in names if f"`{n}`" not in section} == set()
+
+    def test_read_keys_are_scenario_fields_or_tolerances(self):
+        known = set(cli.KEYS) | {f"tol.{name}" for name in cli.TOLERANCES}
+        read = {k for _names, keys, _r in cli.RUNS.values() for k in keys}
+        assert read <= known
+        assert {f"tol.{name}" for name in cli.TOLERANCES} <= read
 
 
 class TestExitCodes:
@@ -95,6 +101,38 @@ class TestExitCodes:
         assert f"suite '{suite}' is not defined for benchmark '{name}'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,cfg,named", [
+        (["lq_unconstrained", "--suite", "cones", "--perturb", "0.5"], None, "'perturb'"),
+        (["lq_unconstrained", "--suite", "cones", "--paths", "10"], None, "'paths'"),
+        (["lq_terminal", "--suite", "multipliers"], "steps = 5", "'steps'"),
+        (["lq_unconstrained", "--suite", "cones"], "tol.box_pointwise = 0.1",
+         "'tol.box_pointwise'")])
+    def test_given_but_unread_key_exit_1(self, tmp_path, capsys, argv, cfg, named):
+        if cfg is not None:
+            (tmp_path / "run.cfg").write_text(cfg + "\n")
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        code = cli.main(["run", *argv, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "does not read" in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,block", [
+        (["lq_unconstrained", "--suite", "cones", "--seed", "4"],
+         {"benchmark": "lq_unconstrained", "suite": "cones", "seed": 4}),
+        (["lq_terminal", "--suite", "multipliers"],
+         {"benchmark": "lq_terminal", "suite": "multipliers", "paths": 8000, "seed": 0}),
+        (["lq_unconstrained", "--suite", "all", "--perturb", "0.1"],
+         {"benchmark": "lq_unconstrained", "suite": "all", "paths": 8000,
+          "steps": 100, "seed": 0, "perturb": 0.1})])
+    def test_scenario_block_lists_the_read_keys(self, tmp_path, monkeypatch, argv, block):
+        stubs = {suite: (names, keys, lambda sc: [])
+                 for suite, (names, keys, _runner) in cli.RUNS.items()}
+        monkeypatch.setattr(cli, "RUNS", stubs)
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["scenario"] == block
+
     def test_listed_non_lq_pair_runs(self, tmp_path):
         code = cli.main(["run", "cubic_drift", "--suite", "remainder",
                          "--paths", "200", "--steps", "50",
@@ -110,8 +148,8 @@ class TestExitCodes:
     def test_suite_all_runs_the_listed_suites_in_table_order(
             self, tmp_path, monkeypatch, name, expected):
         ran = []
-        stubs = {suite: (names, lambda sc, suite=suite: ran.append(suite) or [])
-                 for suite, (names, _runner) in cli.RUNS.items()}
+        stubs = {suite: (names, keys, lambda sc, suite=suite: ran.append(suite) or [])
+                 for suite, (names, keys, _runner) in cli.RUNS.items()}
         monkeypatch.setattr(cli, "RUNS", stubs)
         code = cli.main(["run", name, "--suite", "all",
                          "--out", str(tmp_path / "a")])

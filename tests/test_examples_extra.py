@@ -130,3 +130,35 @@ def test_terminal_recovery_reads_unconstrained_mean_without_bisection(monkeypatc
     g = TimeGrid(25, lq.T)
     m0 = oracle(lq, g, solve_lq_riccati(lq, g), 0.0)[2]
     assert targets == [0.5 * m0]
+
+
+def _looped_lq_mean_xT(lq, grid, ric, lam, substeps=4):
+    """The Lagrangian oracle's mean and r path with the coefficient formed
+    inside each loop from a Pi entry: the reference for ``_lq_mean_xT``."""
+    a, b, R = float(lq.A[0, 0]), float(lq.B[0, 0]), float(lq.R_run[0, 0])
+    h = grid.dt / substeps
+    K = grid.N
+    r = np.zeros(K + 1)
+    r[K] = lam
+    for k in range(K - 1, -1, -1):
+        coef = a - b * b * ric.Pi[k][0, 0] / R
+        val = r[k + 1]
+        for _ in range(substeps):
+            val = val + h * coef * val
+        r[k] = val
+    m = float(lq.x0[0])
+    for k in range(K):
+        coef = a - b * b * ric.Pi[k][0, 0] / R
+        m = m + grid.dt * (coef * m - b * b / R * r[k])
+    return m, r
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.4923, 1.7])
+def test_lq_mean_xT_is_bit_identical_to_the_loop(lam):
+    lq = suites.lq_terminal_constrained()
+    g = TimeGrid(50, lq.T)
+    ric = solve_lq_riccati(lq, g)
+    m, r = suites._lq_mean_xT(lq, g, ric, lam)
+    m_ref, r_ref = _looped_lq_mean_xT(lq, g, ric, lam)
+    assert m == m_ref
+    assert np.array_equal(r, r_ref)

@@ -20,7 +20,7 @@ from stocond.forward import (_along, simulate_first_variation, simulate_forward,
 from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, PathEnsemble,
                            ProblemSpec, RunningCost, TimeGrid, bolza_reduce,
                            extend_initial_state, generate_brownian, is_zero_map, map_shape,
-                           validate_spec, zero_map, zero_maps)
+                           validate_spec, with_maps, zero_map, zero_maps)
 from stocond.suites import _gbm_spec, _lq_setup
 
 
@@ -292,6 +292,22 @@ class TestCoefficientTable:
         assert wrapped.zeros == spec.zeros
         # a missing map is missing, not zero
         assert "drift_xx" not in replace(spec, drift_xx=None).zeros
+
+    def test_with_maps_clears_the_swapped_declarations(self):
+        spec = lq_to_spec(lq_unconstrained())
+        K = np.array([[0.7]])
+        swapped = with_maps(
+            spec, drift=lambda t, x, u: x @ K.T + spec.drift(t, x, u),
+            drift_x=lambda t, x, u: np.broadcast_to(K, (x.shape[0], 1, 1)))
+        assert swapped.zeros == spec.zeros - {"drift_x"}
+        g = TimeGrid(4, spec.T)
+        base = PathEnsemble(np.ones((3, g.N + 1, 1)), g)
+        assert _along(swapped, g, base, np.zeros((3, g.N + 1, 1)))("drift_x") is not None
+        assert validate_spec(swapped, samples=6, seed=0).max_mismatch <= 1e-6
+        # a swapped-in zero map declares itself; an unknown name is refused
+        assert "drift_xx" in with_maps(spec, drift_xx=zero_map(1, 1, 1)).zeros
+        with pytest.raises(TypeError, match="drift_ux"):
+            with_maps(spec, drift_ux=zero_map(1, 1, 1))
 
 
 def _rewrapped(fn):
