@@ -28,7 +28,7 @@ def main():
     xT = base.values[:, -1, :]
     sol = solve_first_adjoint(spec, grid, paths, base, u,
                               -np.asarray(spec.terminal_cost.grad(xT)))
-    y_or, _ = adjoint_oracle_lq(lq, grid, ric, base.values[:, :, :lq.n])
+    y_or, _ = adjoint_oracle_lq(lq, ric, base.values[:, :, :lq.n])
     rel_y = np.sqrt(np.mean((sol.y.values[:, :, :lq.n] - y_or) ** 2)
                     / np.mean(y_or ** 2))
     print(f"y relative RMSE vs Riccati oracle: {rel_y:.4%}")
@@ -36,7 +36,7 @@ def main():
 
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid, base, u, sol, mult)
-    relaxed = solve_second_adjoint(spec, grid, paths, base, u, data)
+    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
     P_or = lq_second_adjoint_ode(lq, grid)
     got = relaxed.P.values[:, :, :lq.n, :lq.n].mean(axis=0)
     rel_P = np.sqrt(np.mean((got - P_or) ** 2) / np.mean(P_or ** 2))

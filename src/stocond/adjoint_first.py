@@ -30,7 +30,7 @@ import numpy as np
 from .forward import _along, _at, _contract, _on_paths, _simulate_linear, _total, semigroup_step
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
-from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
+from .regression import ConditionalRegression, PolynomialBasis
 from .reporting import mc_mean
 
 
@@ -73,8 +73,7 @@ class DiscreteBVMeasure:
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                         base_state: PathEnsemble, u_bar, yT: np.ndarray,
                         f=None, psi: DiscreteBVMeasure | None = None,
-                        basis: PolynomialBasis | None = None,
-                        ridge: float = DEFAULT_RIDGE) -> TranspositionSolution:
+                        basis: PolynomialBasis | None = None) -> TranspositionSolution:
     """Backward regression solve of the first adjoint pair (y, Y).
 
     yT is the pathwise terminal datum (M, n) or deterministic (n,);
@@ -105,8 +104,7 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     f_arr = _on_paths(f, M, grid.N, (n,) + comp)
 
     for k in range(grid.N - 1, -1, -1):
-        reg = ConditionalRegression(basis.features(base_state.values[:, k, :]),
-                                    ridge=ridge)
+        reg = ConditionalRegression(basis.features(base_state.values[:, k, :]))
         # (E* y_{k+1})_i = sum_j E_ji y_j, with the state axis moved last
         Sy = np.moveaxis(np.moveaxis(y[:, k + 1], 1, -1) @ E, -1, 1)
         m_next = reg.fit(Sy)

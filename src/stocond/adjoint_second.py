@@ -27,7 +27,7 @@ import numpy as np
 
 from .forward import _on_paths, _quadratic, _simulate_linear, _slice_bc, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
-from .regression import ConditionalRegression, PolynomialBasis, DEFAULT_RIDGE
+from .regression import ConditionalRegression, PolynomialBasis
 from .reporting import mc_mean
 
 
@@ -53,11 +53,8 @@ class SecondAdjointData:
 
 
 def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                         base_state: PathEnsemble, u_bar,
-                         data: SecondAdjointData,
-                         basis: PolynomialBasis | None = None,
-                         ridge: float = DEFAULT_RIDGE,
-                         symmetrize: bool = True) -> RelaxedSolution:
+                         base_state: PathEnsemble, data: SecondAdjointData,
+                         basis: PolynomialBasis | None = None) -> RelaxedSolution:
     """Backward regression sweep for (P, Q), entrywise with a shared basis.
 
     The martingale part Q is regressed per channel on centered-increment
@@ -79,7 +76,7 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
 
     for k in range(grid.N - 1, -1, -1):
         xk, Pn = base_state.values[:, k, :], P[:, k + 1]
-        reg = ConditionalRegression(basis.features(xk), ridge=ridge)
+        reg = ConditionalRegression(basis.features(xk))
         SP = (Pn.reshape(M, n * n) @ EE).reshape(M, n, n)
         m_next = reg.fit(SP)
         dW = paths.increments[:, k, :]
@@ -107,9 +104,7 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
             drift -= Fk
         target_P = SP + dt * drift
         Pk = reg.fit(target_P)
-        if symmetrize:
-            Pk = 0.5 * (Pk + Pk.transpose(0, 2, 1))
-        P[:, k] = Pk
+        P[:, k] = 0.5 * (Pk + Pk.transpose(0, 2, 1))
 
     return RelaxedSolution(P=PathEnsemble(P, grid), Qtensor=PathEnsemble(Q, grid))
 

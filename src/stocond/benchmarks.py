@@ -3,8 +3,8 @@
 Linear-quadratic instances carry a Riccati oracle for the optimal control,
 the optimal cost and closed-form adjoints, so every checker's expected
 outcome is computable independently of the regression solvers.  A spectral
-truncation of a controlled heat equation provides a contractive generator
-with exactly known mode decay.
+truncation of a controlled heat equation is one such instance, with a
+contractive generator and exactly known mode decay.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
     return _backward_rk4(lambda p: lq.Q_run.ravel() - lin @ p, -lq.G, grid, substeps)
 
 
-def adjoint_oracle_lq(lq: LQSpec, grid: TimeGrid, riccati: RiccatiSolution,
-                      base_values: np.ndarray):
+def adjoint_oracle_lq(lq: LQSpec, riccati: RiccatiSolution, base_values: np.ndarray):
     """Closed-form first adjoint along an ensemble of optimal states.
 
     base_values is the (M, N+1, n) state ensemble of the ORIGINAL (not
@@ -252,59 +251,28 @@ def lq_reduced_spec(lq: LQSpec) -> ProblemSpec:
 # spectral heat-equation truncation
 # ---------------------------------------------------------------------------
 
-def make_heat_spde(modes: int, viscosity: float = 1.0, control_channels: int = 1,
-                   noise_channels: int = 1, control_gain: float = 1.0,
-                   noise_level: float = 0.1, bilinear_noise: bool = False,
-                   T: float = 1.0) -> ProblemSpec:
+def heat_lq(modes: int, viscosity: float = 1.0, control_channels: int = 1,
+            noise_channels: int = 1, noise_level: float = 0.1,
+            bilinear_noise: bool = False) -> LQSpec:
     """Spectral truncation of a controlled heat equation on an interval.
 
     A = diag(-viscosity * pi^2 * k^2), k = 1..modes: negative definite, so
     the contractive-semigroup standing assumption holds exactly.  Control
-    feeds the first ``control_channels`` modes; noise is additive by default
-    or bilinear (x-proportional) when requested.
+    feeds the first ``control_channels`` modes; noise channel l acts on mode
+    l mod modes, additively by default or bilinearly (x-proportional) when
+    requested.  Cost E[|x(T)|^2 / 2 + int (|x|^2 / 2 + |u|^2) / 2 dt] from
+    x0 = 1, so ``solve_lq_riccati`` is its oracle.
     """
     n, m, d = modes, control_channels, noise_channels
-    A = np.diag([-viscosity * np.pi ** 2 * (k + 1) ** 2 for k in range(n)])
-    B = np.zeros((n, m))
-    for j in range(min(n, m)):
-        B[j, j] = control_gain
-
-    def drift(t, x, u):
-        return u @ B.T
-
-    def diffusion(t, x, u):
-        out = np.zeros(x.shape[:-1] + (n, d))
-        for l in range(d):
-            if bilinear_noise:
-                out[..., l % n, l] = noise_level * x[..., l % n]
-            else:
-                out[..., l % n, l] = noise_level
-        return out
-
-    def diffusion_x(t, x, u):
-        out = np.zeros(x.shape[:-1] + (n, d, n))
-        for l in range(d):
-            out[..., l % n, l, l % n] = noise_level
-        return out
-
-    def h_value(x):
-        return 0.5 * np.einsum("pi,pi->p", x, x)
-
-    def h_grad(x):
-        return x.copy()
-
-    def h_hess(x):
-        return np.broadcast_to(np.eye(n), (x.shape[0], n, n))
-
-    return ProblemSpec(
-        n=n, m=m, d=d, T=T, A=A,
-        **zero_maps(n, m, d, drift=drift, diffusion=diffusion,
-                    drift_u=lambda t, x, u: np.broadcast_to(B, (x.shape[0], n, m)),
-                    # additive noise: diffusion_x is a declared zero
-                    **({"diffusion_x": diffusion_x} if bilinear_noise else {})),
-        terminal_cost=Functional(h_value, h_grad, h_hess),
-        U=WholeSpace(m), Ka=Singleton(np.ones(n)),
-    )
+    C, sigma = np.zeros((d, n, n)), np.zeros((d, n))
+    for l in range(d):
+        if bilinear_noise:
+            C[l, l % n, l % n] = noise_level
+        else:
+            sigma[l, l % n] = noise_level
+    return LQSpec(A=np.diag([-viscosity * np.pi ** 2 * (k + 1) ** 2 for k in range(n)]),
+                  B=np.eye(n, m), C=C, D=np.zeros((d, n, m)), sigma=sigma, G=np.eye(n),
+                  Q_run=0.5 * np.eye(n), R_run=np.eye(m), T=1.0, x0=np.ones(n))
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +285,30 @@ def _scalar_functional_half_square() -> Functional:
                       lambda x: np.ones(x.shape[:-1] + (1, 1)))
 
 
-def make_bilinear_scalar(T: float = 1.0, drift_gain: float = 1.0,
-                         noise_gain: float = 1.0) -> ProblemSpec:
-    """dx = gain * x u dt + noise_gain * x dW: bilinear drift, linear noise."""
+def make_bilinear_scalar() -> ProblemSpec:
+    """dx = x u dt + x dW on [0, 1]: bilinear drift, linear noise."""
 
     def drift(t, x, u):
-        return drift_gain * x * u
+        return x * u
 
     def diffusion(t, x, u):
-        return noise_gain * x[..., None]
+        return x[..., None].copy()
 
     return ProblemSpec(
-        n=1, m=1, d=1, T=T, A=np.zeros((1, 1)),
+        n=1, m=1, d=1, T=1.0, A=np.zeros((1, 1)),
         **zero_maps(1, 1, 1, drift=drift, diffusion=diffusion,
-                    drift_x=lambda t, x, u: drift_gain * u[..., None],
-                    drift_u=lambda t, x, u: drift_gain * x[..., None],
-                    diffusion_x=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), noise_gain),
-                    drift_xu=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), drift_gain)),
+                    drift_x=lambda t, x, u: u[..., None].copy(),
+                    drift_u=lambda t, x, u: x[..., None].copy(),
+                    diffusion_x=lambda t, x, u: np.ones(x.shape[:-1] + (1, 1, 1)),
+                    drift_xu=lambda t, x, u: np.ones(x.shape[:-1] + (1, 1, 1))),
         terminal_cost=_scalar_functional_half_square(),
         U=WholeSpace(1), Ka=Singleton(np.array([1.0])),
     )
 
 
-def make_polynomial_scalar(power: int, coeff: float = 0.5, T: float = 1.0,
+def make_polynomial_scalar(power: int, coeff: float = 0.5,
                            noise_level: float = 0.0) -> ProblemSpec:
-    """dx = coeff * x^power dt (+ noise_level dW): smooth nonlinear drift."""
+    """dx = coeff * x^power dt (+ noise_level dW) on [0, 1]: smooth nonlinear drift."""
 
     def drift(t, x, u):
         return coeff * x ** power
@@ -350,7 +317,7 @@ def make_polynomial_scalar(power: int, coeff: float = 0.5, T: float = 1.0,
         return np.full(x.shape[:-1] + (1, 1), noise_level)
 
     return ProblemSpec(
-        n=1, m=1, d=1, T=T, A=np.zeros((1, 1)),
+        n=1, m=1, d=1, T=1.0, A=np.zeros((1, 1)),
         **zero_maps(1, 1, 1, drift=drift,
                     **({"diffusion": diffusion} if noise_level else {}),
                     drift_x=lambda t, x, u: coeff * power * (x ** (power - 1))[..., None],

@@ -46,8 +46,7 @@ RUNS = {
                     ("paths", "steps", "seed", "perturb", "tol.box_pointwise"), lambda sc: [
         suites.first_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed,
                                  perturb=sc.perturb),
-        *([] if sc.perturb else [suites.box_lq_pointwise_check(
-            seed=sc.seed, **_tol(sc, "box_pointwise"))])]),
+        suites.box_lq_pointwise_check(seed=sc.seed, **_tol(sc, "box_pointwise"))]),
     "second-order": (("lq_unconstrained",), ("paths", "steps", "seed"), lambda sc: [
         suites.second_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed)]),
     "multipliers": (("lq_terminal", "double_integrator_state"), ("paths", "seed"),

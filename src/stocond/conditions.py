@@ -77,14 +77,16 @@ def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
 # ---------------------------------------------------------------------------
 
 def tangent_project_field(U: cones.SetDescriptor, u_values: np.ndarray,
-                          v_values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+                          v_values: np.ndarray) -> np.ndarray:
     """Pointwise metric projection of a direction field onto C_U(u(t, omega)).
 
     Vectorized for boxes, balls, whole space, singletons and affine sets;
-    polyhedra fall back to a per-point cone projection.
+    polyhedra fall back to a per-point cone projection.  A point within
+    1e-9 of a face counts as on it.
     """
     v = np.array(v_values, dtype=float, copy=True)
     u = u_values
+    tol = 1e-9
     if isinstance(U, cones.WholeSpace):
         return v
     if isinstance(U, cones.Singleton):
@@ -209,15 +211,10 @@ class MultiplierSet:
 
 @dataclass
 class ActiveSetAnalysis:
-    delta_act: float
     I0: list[int]
     I: list[int]
-    II0: list[int]
-    II: list[int]
     tau_g: list[int]
     e_values: np.ndarray
-    g0_path: np.ndarray | None
-    g0_dir_path: np.ndarray | None
 
 
 def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsemble,
@@ -237,15 +234,11 @@ def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsem
         if abs(float(np.mean(g.value(xT)))) <= delta_act:
             I.append(j)
     if spec.state_constraint is None:
-        return ActiveSetAnalysis(delta_act, [], I, [], list(I), [],
-                                 np.zeros(N + 1), None, None)
+        return ActiveSetAnalysis([], I, [], np.zeros(N + 1))
     g0 = spec.state_constraint
     g0_path = np.array([float(np.mean(g0.value(base_state.values[:, k, :])))
                         for k in range(N + 1)])
     I0 = [k for k in range(N + 1) if abs(g0_path[k]) <= delta_act]
-    g0_dir = None
-    II0: list[int] = []
-    II = list(I)
     tau_g: list[int] = []
     e_values = np.zeros(N + 1)
     if x1 is not None:
@@ -253,14 +246,6 @@ def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsem
             float(np.mean(np.einsum("pi,pi->p", g0.grad(base_state.values[:, k, :]),
                                     x1.values[:, k, :])))
             for k in range(N + 1)])
-        II0 = [k for k in I0 if abs(g0_dir[k]) <= delta_act]
-        II = []
-        for j in I:
-            g = spec.terminal_constraints[j]
-            val = float(np.mean(np.einsum("pi,pi->p", g.grad(xT),
-                                          x1.values[:, N, :])))
-            if abs(val) <= delta_act:
-                II.append(j)
         window = max(1, int(np.ceil(np.sqrt(grid.dt) / grid.dt)))
         for k in range(N + 1):
             lo, hi = max(0, k - window), min(N, k + window)
@@ -271,8 +256,7 @@ def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsem
             if cands:
                 tau_g.append(k)
                 e_values[k] = max(cands)
-    return ActiveSetAnalysis(delta_act, I0, I, II0, II, tau_g, e_values,
-                             g0_path, g0_dir)
+    return ActiveSetAnalysis(I0, I, tau_g, e_values)
 
 
 def state_constraint_measure(spec: ProblemSpec, base_state: PathEnsemble,
@@ -302,8 +286,7 @@ def _check_terminal_match(spec, mult, sol, base_state, tol=1e-7):
             f"adjoint terminal datum deviates from the multiplier datum by {err:.3g}")
 
 
-def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid,
-                               paths: BrownianEnsemble, base: PathEnsemble,
+def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
                                u_bar, mult: MultiplierSet,
                                adjoint: TranspositionSolution,
                                directions, dt_bias: float = 0.0,
@@ -345,10 +328,8 @@ def pointwise_violation_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsem
     return np.linalg.norm(proj, axis=2)
 
 
-def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid,
-                                paths: BrownianEnsemble, base: PathEnsemble,
+def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
                                 u_bar, adjoint: TranspositionSolution,
-                                mult: MultiplierSet | None = None,
                                 dt_bias: float = 0.0,
                                 Hu: np.ndarray | None = None) -> ConditionReport:
     """Pointwise conditions: H_u in the normal cone of U at u_bar (in mean
@@ -374,9 +355,7 @@ def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid,
 
 def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                        base: PathEnsemble, u_bar, analysis: ActiveSetAnalysis,
-                       direction_sample=None, basis: PolynomialBasis | None = None,
-                       atom_stride: int = 1, tol: float = 1e-3,
-                       rng: np.random.Generator | None = None):
+                       basis: PolynomialBasis | None = None, tol: float = 1e-3):
     """Least-squares stationarity fit over the multiplier parametrization.
 
     The adjoint is linear in (lambda_0, lambda_j, m_k), so the basis
@@ -386,11 +365,11 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     chosen multiplier.  The normal branch (lambda_0=1)
     is attempted first; if its stationarity residual exceeds tol an abnormal
     branch (lambda_0=0, multipliers normalized to unit size) is fit as well
-    and returned when markedly better.
+    and returned when markedly better.  The report is the integral check
+    over 8 tangent directions drawn with seed 0.
 
     Returns (MultiplierSet, TranspositionSolution, residual report).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     M, n = base.M, spec.n
     N = grid.N
     xT = base.values[:, N, :]
@@ -403,7 +382,7 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
 
     # components on a trailing axis: the cost, then the active terminal
     # constraints, then unit atoms along g0_x at the active times
-    atom_indices = [k for k in analysis.I0 if k < N][::atom_stride]
+    atom_indices = [k for k in analysis.I0 if k < N]
     comp_kind = [("terminal", j) for j in analysis.I] \
         + [("atom", k) for k in atom_indices]
     yT = np.zeros((M, n, 1 + len(comp_kind)))
@@ -468,11 +447,9 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         mult = mult.normalized(M, n)
     yT = mult.terminal_datum(spec, xT)
     sol = solve_for(yT, mult.psi if mult.psi.atoms else None)
-    if direction_sample is None:
-        direction_sample = sample_tangent_directions(spec, grid, base, u_arr,
-                                                     8, rng)
-    report = first_order_integral_check(spec, grid, paths, base, u_arr, mult,
-                                        sol, direction_sample)
+    directions = sample_tangent_directions(spec, grid, base, u_arr, 8,
+                                           np.random.default_rng(0))
+    report = first_order_integral_check(spec, grid, base, u_arr, mult, sol, directions)
     report.details["stationarity_residual"] = best_resid
     report.details["lambda0"] = best_l0
     return mult, sol, report
@@ -510,8 +487,7 @@ def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsembl
 
 
 def check_critical(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                   x1: PathEnsemble, analysis: ActiveSetAnalysis,
-                   delta_act: float) -> float:
+                   x1: PathEnsemble, analysis: ActiveSetAnalysis) -> float:
     """Largest violation of the critical-cone inequalities for (x1, ...)."""
     N = grid.N
     xT = base.values[:, N, :]
@@ -547,7 +523,7 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     x2, u2, nu2 = candidate
     if analysis is None:
         analysis = analyze_active_sets(spec, grid, base, x1, delta_act)
-    crit_viol = check_critical(spec, grid, base, x1, analysis, delta_act)
+    crit_viol = check_critical(spec, grid, base, x1, analysis)
     if crit_viol > 10 * delta_act:
         raise NotCritical(f"critical-cone inequalities violated by {crit_viol:.3g}")
     M, n, d = base.M, spec.n, spec.d

@@ -445,33 +445,32 @@ class OracleResult:
     ladder: np.ndarray
 
 
-DEFAULT_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
+# the epsilon ladder of the membership oracle and of the remainder studies
+DEFAULT_EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
+_ORACLE_TOL = 1e-2
+_CLARKE_SAMPLES = 24
 
 
 def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
                            mode: str = "adjacent",
                            h: np.ndarray | None = None,
-                           ladder: Sequence[float] = DEFAULT_LADDER,
-                           tol: float = 1e-2,
-                           clarke_samples: int = 24,
                            rng: np.random.Generator | None = None) -> OracleResult:
     """Brute-force limit evaluation of the tangent-cone definitions.
 
     adjacent:     residual(eps) = dist(z + eps v, K) / eps
-    clarke:       sup over sampled y in K with |y - z| <= sqrt(eps) of
+    clarke:       sup over 24 sampled y in K with |y - z| <= sqrt(eps) of
                   dist(y + eps v, K) / eps
     second_order: residual(eps) = dist(z + eps v + eps^2 h, K) / eps^2
 
-    Member when the residual at the smallest eps drops below tol and the
-    ladder does not increase; non-member when it stays above 5*tol;
-    otherwise inconclusive (limits cannot be decided numerically at the
-    boundary, so the three-valued verdict is deliberate).
+    with eps on ``DEFAULT_EPSILON_LADDER``.  Member when the residual at the
+    smallest eps drops below tol = 1e-2 and the ladder does not increase;
+    non-member when it stays above 5*tol; otherwise inconclusive (limits
+    cannot be decided numerically at the boundary, so the three-valued
+    verdict is deliberate).
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
-    ladder = np.asarray(sorted(ladder, reverse=True), dtype=float)
-    if np.any(np.diff(ladder) >= 0):
-        raise ValueError("ladder must be strictly decreasing")
+    ladder = np.asarray(DEFAULT_EPSILON_LADDER)
     res = []
     if mode == "adjacent":
         for eps in ladder:
@@ -486,7 +485,7 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
         rng = np.random.default_rng(0) if rng is None else rng
         for eps in ladder:
             worst = distance(K, z + eps * v) / eps
-            for _ in range(clarke_samples):
+            for _ in range(_CLARKE_SAMPLES):
                 y = z + np.sqrt(eps) * rng.standard_normal(z.size)
                 if not isinstance(K, CustomSet):
                     y = project(K, y)
@@ -498,10 +497,10 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
     res = np.asarray(res)
-    increasing = res.size > 1 and res[-1] > res[0] + 10 * tol
-    if res[-1] <= tol and not increasing:
+    increasing = res.size > 1 and res[-1] > res[0] + 10 * _ORACLE_TOL
+    if res[-1] <= _ORACLE_TOL and not increasing:
         verdict = Verdict.MEMBER
-    elif res[-1] >= 5 * tol:
+    elif res[-1] >= 5 * _ORACLE_TOL:
         verdict = Verdict.NON_MEMBER
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -544,11 +543,12 @@ def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray,
 
 
 def dual_of_intersection(cones: Sequence[ConeDescriptor], witness: np.ndarray,
-                         xis: np.ndarray, margin: float = 1e-9):
+                         xis: np.ndarray):
     """Decompose functionals in (C_0 cap ... cap C_m)^- as sums over the C_j^-.
 
     The witness must lie strictly inside C_1..C_m and inside C_0 (the
-    interiority hypothesis of the dual-cone sum identity).  Each row of
+    interiority hypothesis of the dual-cone sum identity), by a margin of
+    1e-9 in every slack.  Each row of
     ``xis`` is decomposed by nonnegative least squares over the stacked dual
     generators; returns a list of per-cone components, one (m+1, n) array
     per sampled xi.
@@ -561,9 +561,9 @@ def dual_of_intersection(cones: Sequence[ConeDescriptor], witness: np.ndarray,
             raise ValueError("dual_of_intersection needs H-reps")
         slack = C.normals @ witness if len(C.normals) else np.zeros(0)
         if j == 0:
-            if slack.size and np.max(slack) > margin:
+            if slack.size and np.max(slack) > _MEMBERSHIP_TOL:
                 raise WitnessInvalid("witness outside C_0")
-        elif slack.size and np.max(slack) > -margin:
+        elif slack.size and np.max(slack) > -_MEMBERSHIP_TOL:
             raise WitnessInvalid(f"witness not strictly inside C_{j}")
     blocks = [C.normals for C in cones]
     stacked = np.vstack([b for b in blocks if len(b)])

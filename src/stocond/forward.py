@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .cones import DEFAULT_EPSILON_LADDER
 from .errors import BlowUp
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     map_shape, time_major_zeros)
 from .reporting import fit_slope, mc_mean
 
 DEFAULT_STATE_CAP = 1e8
-DEFAULT_EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
 
 def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                               base: PathEnsemble, u_bar, x1: PathEnsemble,
-                              nu1: np.ndarray, u1, nu2: np.ndarray, u2,
+                              u1, nu2: np.ndarray, u2,
                               cap: float = DEFAULT_STATE_CAP) -> PathEnsemble:
     """Second order variational dynamics with curvature source terms.
 
@@ -278,25 +278,25 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
         cap=cap, what="second variation")
 
 
-def sup_moment_norm(values: np.ndarray, p: int = 2) -> tuple[float, float]:
-    """sup over grid times of (E |v(t)|^p)^(1/p), with a delta-method SE.
+def sup_moment_norm(values: np.ndarray) -> tuple[float, float]:
+    """sup over grid times of (E |v(t)|^2)^(1/2), with a delta-method SE.
 
     values has shape (M, N+1, k); the SE is evaluated at the maximizing time.
     """
-    mags = np.linalg.norm(values, axis=2) ** p          # (M, N+1)
+    mags = np.linalg.norm(values, axis=2) ** 2          # (M, N+1)
     moments = mags.mean(axis=0)                          # (N+1,)
     k_star = int(np.argmax(moments))
     m_star = moments[k_star]
-    norm = m_star ** (1.0 / p)
+    norm = m_star ** 0.5
     if m_star <= 0:
         return 0.0, 0.0
     se_m = float(mc_mean(mags[:, k_star])[1])
-    se = (m_star ** (1.0 / p - 1.0)) / p * se_m
+    se = (m_star ** -0.5) / 2 * se_m
     return float(norm), float(se)
 
 
 def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                     nu0: np.ndarray, u_bar, var: VariationData, p: int,
+                     nu0: np.ndarray, u_bar, var: VariationData,
                      order: int) -> RemainderReport:
     """Norms of r = (x^eps - x_bar - sum_j eps^j x_j) / eps^order along the
     epsilon ladder, x^eps started from nu0 + sum_j eps^j nu_j under
@@ -310,7 +310,7 @@ def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     if order == 2:
         u2 = as_control_array(var.u2, grid, M, spec.m)
         terms.append((var.nu2, u2, simulate_second_variation(
-            spec, grid, paths, base, u_bar, x1, var.nu1, u1, var.nu2, u2)))
+            spec, grid, paths, base, u_bar, x1, u1, var.nu2, u2)))
     eps_arr = np.asarray(var.epsilon_ladder, dtype=float)
     norms, ses = [], []
     for eps in eps_arr:
@@ -320,7 +320,7 @@ def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
         r = simulate_forward(spec, grid, paths, nu, u).values - base.values
         for j, (_, _, x_j) in enumerate(terms, 1):
             r = r - eps ** j * x_j.values
-        nrm, se = sup_moment_norm(r / eps ** order, p=p)
+        nrm, se = sup_moment_norm(r / eps ** order)
         norms.append(nrm)
         ses.append(se)
     norms = np.asarray(norms)
@@ -328,21 +328,19 @@ def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
 
 
 def remainder_study_first(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                          nu0: np.ndarray, u_bar, var: VariationData,
-                          p: int = 2) -> RemainderReport:
+                          nu0: np.ndarray, u_bar, var: VariationData) -> RemainderReport:
     """Taylor remainder of first order: r1 = (x^eps - x_bar - eps x1) / eps.
 
     The nominal and perturbed systems run on the same Brownian ensemble;
     the expected norms vanish as eps -> 0 (slope about 1 for C^2
     coefficients).
     """
-    return _remainder_study(spec, grid, paths, nu0, u_bar, var, p, order=1)
+    return _remainder_study(spec, grid, paths, nu0, u_bar, var, order=1)
 
 
 def remainder_study_second(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                           nu0: np.ndarray, u_bar, var: VariationData,
-                           p: int = 2) -> RemainderReport:
+                           nu0: np.ndarray, u_bar, var: VariationData) -> RemainderReport:
     """Second order remainder: r2 = (x^eps - x_bar - eps x1 - eps^2 x2) / eps^2."""
     if var.nu2 is None or var.u2 is None:
         raise ValueError("second order study needs nu2 and u2")
-    return _remainder_study(spec, grid, paths, nu0, u_bar, var, p, order=2)
+    return _remainder_study(spec, grid, paths, nu0, u_bar, var, order=2)

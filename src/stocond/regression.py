@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import SingularRegression
 
-DEFAULT_RIDGE = 1e-10
+RIDGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,13 @@ class PolynomialBasis:
 class ConditionalRegression:
     """Projection onto the feature span at one time slice, reusable targets."""
 
-    def __init__(self, features: np.ndarray, ridge: float = DEFAULT_RIDGE):
+    def __init__(self, features: np.ndarray):
         M, B = features.shape
         if B >= M + 1:
             raise SingularRegression(
                 f"{B} features for {M} paths: basis too rich for the sample")
         self.phi = features
-        gram = features.T @ features / M + ridge * np.eye(B)
+        gram = features.T @ features / M + RIDGE * np.eye(B)
         try:
             self._chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:

@@ -66,19 +66,18 @@ def dt_bias_fit(Ns, values, T: float) -> tuple[float, dict]:
     return c, {int(N): c * T / N for N in Ns}
 
 
-def dt_bias_envelope(coarse_Ns, coarse_values, target_N: int,
-                     safety: float = 1.25) -> float:
+def dt_bias_envelope(coarse_Ns, coarse_values, target_N: int) -> float:
     """Upper envelope of a first-order-in-dt error law from coarser grids.
 
     Each coarse measurement v at N implies c = v * N under v ~ c / N; the
     prediction max(c) / target_N is honest: it never looks at the target-N
     measurement, so a checker that fails to refine at first order (as any
     genuinely violated condition does) overshoots it by orders of magnitude.
-    The safety factor absorbs scatter of the extrapolation constant observed
+    The safety factor 1.25 absorbs scatter of the extrapolation constant observed
     across grids (direction selection maximizes over correlated noise).
     """
     cs = [v * N for v, N in zip(coarse_values, coarse_Ns)]
-    return safety * max(cs) / target_N
+    return 1.25 * max(cs) / target_N
 
 
 def fit_slope(xs, ys) -> tuple[float, float]:

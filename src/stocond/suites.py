@@ -95,7 +95,9 @@ def forward_strong_convergence(M: int = 4000, seed: int = 7,
     WT = fine.increments.sum(axis=1)[:, 0]
     exact = x0 * np.exp((a - 0.5 * c ** 2) * T + c * WT)
 
-    spec = _gbm_spec(a, c, T)
+    spec = lq_to_spec(LQSpec(A=[[a]], B=np.zeros((1, 1)), C=[[[c]]], D=np.zeros((1, 1, 1)),
+                             sigma=np.zeros((1, 1)), G=np.eye(1), Q_run=np.zeros((1, 1)),
+                             R_run=np.eye(1), T=T, x0=[x0]))
     dts, errs = [], []
     for lev in levels:
         N = 2 ** lev
@@ -113,17 +115,6 @@ def forward_strong_convergence(M: int = 4000, seed: int = 7,
                      fit["slope"] is not None and fit["slope"] >= 0.45,
                      slope=fit["slope"], half_width=fit["half_width"])]
     return checks, {"forward_strong_error": (dts, errs)}
-
-
-def _gbm_spec(a, c, T):
-    from .cones import Singleton, WholeSpace
-    from .model import Functional, zero_maps
-    return ProblemSpec(
-        n=1, m=1, d=1, T=T, A=np.array([[a]]),
-        **zero_maps(1, 1, 1, diffusion=lambda t, x, u: c * x[..., None],
-                    diffusion_x=lambda t, x, u: np.full(x.shape[:-1] + (1, 1, 1), c)),
-        terminal_cost=Functional(lambda x: 0.5 * x[..., 0] ** 2, lambda x: x.copy()),
-        U=WholeSpace(1), Ka=Singleton(np.array([1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +269,7 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
     lq = lq_unconstrained()
     spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
     sol = _cost_adjoint(spec, grid, paths, base, u)
-    y_or, Y_or = adjoint_oracle_lq(lq, grid, ric, base.values[:, :, : lq.n])
+    y_or, Y_or = adjoint_oracle_lq(lq, ric, base.values[:, :, : lq.n])
     y_num = sol.y.values[:, :, : lq.n]
     rel_y = float(np.sqrt(np.mean((y_num - y_or) ** 2))
                   / np.sqrt(np.mean(y_or ** 2)))
@@ -290,8 +281,7 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
                     G=lq.G, Q_run=lq.Q_run, R_run=lq.R_run, T=lq.T, x0=lq.x0)
     spec_a, grid_a, paths_a, ric_a, base_a, u_a = _lq_setup(lq_add, N, M, seed + 1)
     sol_a = _cost_adjoint(spec_a, grid_a, paths_a, base_a, u_a)
-    _, Y_or_a = adjoint_oracle_lq(lq_add, grid_a, ric_a,
-                                  base_a.values[:, :, : lq_add.n])
+    _, Y_or_a = adjoint_oracle_lq(lq_add, ric_a, base_a.values[:, :, : lq_add.n])
     Y_num = sol_a.Y.values[:, :-1, : lq_add.n, :]
     Y_ref = Y_or_a[:, :-1]
     rel_Y = float(np.sqrt(np.mean((Y_num - Y_ref) ** 2))
@@ -315,8 +305,7 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     alpha = 0.3
     data_det = SecondAdjointData(P_T=np.array([[1.0]]), F=None,
                                  J=np.array([[alpha]]), K=None)
-    sol_det = solve_second_adjoint(spec_det, grid, paths_det, base_det,
-                                   np.zeros((N + 1, 1)), data_det)
+    sol_det = solve_second_adjoint(spec_det, grid, paths_det, base_det, data_det)
     rng = np.random.default_rng(seed)
     ft1 = np.zeros((N + 1, 1))
     ft1[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), grid.times)
@@ -334,7 +323,7 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     adj = _cost_adjoint(spec, grid_s, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid_s, base, u, adj, mult)
-    relaxed = solve_second_adjoint(spec, grid_s, paths, base, u, data)
+    relaxed = solve_second_adjoint(spec, grid_s, paths, base, data)
     family = []
     for _ in range(draws):
         cf1, cf2 = rng.standard_normal(3), rng.standard_normal(3)
@@ -353,7 +342,7 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
         specL, gridL, pathsL, ricL, baseL, uL = _lq_setup(lq, NN, 4000, seed + 2)
         adjL = _cost_adjoint(specL, gridL, pathsL, baseL, uL)
         dataL = second_adjoint_data_for(specL, gridL, baseL, uL, adjL, mult)
-        relaxedL = solve_second_adjoint(specL, gridL, pathsL, baseL, uL, dataL)
+        relaxedL = solve_second_adjoint(specL, gridL, pathsL, baseL, dataL)
         ftL = np.zeros((gridL.N + 1, specL.n))
         ftL[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), gridL.times) * 0.5
         fhL = np.zeros((gridL.N + 1, specL.n, lq.d))
@@ -391,9 +380,9 @@ def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0,
     greedy[:, :-1, :] = Hu
     dirs = sample_tangent_directions(spec, grid, base, u, directions, rng,
                                      extra_fields=[greedy])
-    rep_int = first_order_integral_check(spec, grid, paths, base, u, mult,
-                                         sol, dirs, dt_biases[0], Hu=Hu)
-    rep_pw = first_order_pointwise_check(spec, grid, paths, base, u, sol,
+    rep_int = first_order_integral_check(spec, grid, base, u, mult, sol, dirs,
+                                         dt_biases[0], Hu=Hu)
+    rep_pw = first_order_pointwise_check(spec, grid, base, u, sol,
                                          dt_bias=dt_biases[1], Hu=Hu)
     return rep_int, rep_pw
 
@@ -473,7 +462,7 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
     base = simulate_forward(spec, grid, paths, extend_initial_state(lq.x0, spec),
                             u_field)
     sol = _cost_adjoint(spec, grid, paths, base, u_field, basis=PolynomialBasis(1))
-    rep = first_order_pointwise_check(spec, grid, paths, base, u_field, sol)
+    rep = first_order_pointwise_check(spec, grid, base, u_field, sol)
     passed = rep.worst_violation <= gate
     some_active = bool(np.any(z_star <= lo + 1e-6) or np.any(z_star >= hi - 1e-6))
     return [_check("box_lq_pointwise", passed and some_active,
@@ -673,8 +662,7 @@ def double_integrator_contact_mass(N: int = 200, seed: int = 29,
             f"simulated candidate departs from the transcription states by {gap:.3g}")
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-5)
     mult, sol, report = search_multipliers(spec, grid, paths, base, u_field,
-                                           analysis, tol=5e-2, atom_stride=1,
-                                           basis=PolynomialBasis(1))
+                                           analysis, tol=5e-2, basis=PolynomialBasis(1))
     masses = {k: float(np.mean(np.linalg.norm(mult.psi.atom(k, M, spec.n),
                                               axis=1)))
               for k in mult.psi.atoms}
@@ -715,7 +703,7 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     adj = _cost_adjoint(spec, grid, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid, base, u, adj, mult)
-    relaxed = solve_second_adjoint(spec, grid, paths, base, u, data)
+    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-3)
 
     nu1 = np.zeros(spec.n)
@@ -725,8 +713,7 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     reports = []
     for u1 in fields:
         x1 = simulate_first_variation(spec, grid, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, grid, paths, base, u, x1, nu1, u1,
-                                       nu2, u2)
+        x2 = simulate_second_variation(spec, grid, paths, base, u, x1, u1, nu2, u2)
         reports.append(second_order_check(spec, grid, paths, base, u, mult, adj, relaxed,
                                           data, (x1, u1, nu1), (x2, u2, nu2),
                                           analysis=analysis, delta_act=2e-2))
@@ -738,8 +725,7 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     u1 = fields[0]
     v1 = values[0]
     x1b = simulate_first_variation(spec, grid, paths, base, u, nu1, 2.0 * u1)
-    x2b = simulate_second_variation(spec, grid, paths, base, u, x1b, nu1,
-                                    2.0 * u1, nu2, u2)
+    x2b = simulate_second_variation(spec, grid, paths, base, u, x1b, 2.0 * u1, nu2, u2)
     v2 = second_order_check(spec, grid, paths, base, u, mult, adj, relaxed, data,
                             (x1b, 2.0 * u1, nu1), (x2b, u2, nu2),
                             analysis=analysis, delta_act=2e-2).worst_violation

@@ -83,7 +83,7 @@ class TestSolveFirstAdjoint:
         xT = base.values[:, -1, :]
         sol = solve_first_adjoint(spec, g, paths, base, u,
                                   -np.asarray(spec.terminal_cost.grad(xT)))
-        y_or, Y_or = adjoint_oracle_lq(lq, g, ric, base.values[:, :, : lq.n])
+        y_or, Y_or = adjoint_oracle_lq(lq, ric, base.values[:, :, : lq.n])
         num = sol.y.values[:, :, : lq.n]
         rel = np.sqrt(np.mean((num - y_or) ** 2) / np.mean(y_or ** 2))
         assert rel <= 0.10

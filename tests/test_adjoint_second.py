@@ -25,7 +25,7 @@ class TestSolveSecondAdjoint:
         paths = generate_brownian(g, 64, 1, seed=0)
         base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((16, 1)))
         data = SecondAdjointData(P_T=np.eye(2))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((16, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         assert np.allclose(sol.P.values, np.eye(2), atol=1e-9)
         assert np.allclose(sol.Qtensor.values, 0.0, atol=1e-9)
 
@@ -39,7 +39,7 @@ class TestSolveSecondAdjoint:
         data = SecondAdjointData(P_T=np.array([[p]]),
                                  J=np.array([[alpha]]),
                                  K=np.array([[[kappa]]]))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((N + 1, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         exact = p * np.exp((2 * alpha + kappa ** 2) * (1.0 - g.times))
         got = sol.P.values[:, :, 0, 0].mean(axis=0)
         assert np.max(np.abs(got - exact)) <= 0.01 * p * np.exp(2 * alpha + kappa ** 2)
@@ -53,7 +53,7 @@ class TestSolveSecondAdjoint:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         data = second_adjoint_data_for(spec, g, base, u, adj,
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, u, data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         oracle = lq_second_adjoint_ode(lq, g)        # (N+1, n, n), raw block
         got = sol.P.values[:, :, : lq.n, : lq.n].mean(axis=0)
         rel = np.sqrt(np.mean((got - oracle) ** 2) / np.mean(oracle ** 2))
@@ -67,7 +67,7 @@ class TestSolveSecondAdjoint:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         data = second_adjoint_data_for(spec, g, base, u, adj,
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, u, data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         P = sol.P.values
         asym = np.max(np.abs(P - P.transpose(0, 1, 3, 2)))
         assert asym <= 1e-6 * max(1.0, np.max(np.abs(P)))
@@ -80,7 +80,7 @@ class TestSolveSecondAdjoint:
         base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((41, 1)))
         PT = -np.array([[2.0, 0.5], [0.5, 1.0]])
         data = SecondAdjointData(P_T=PT, J=np.array([[0.1, 0.3], [0.0, -0.2]]))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((41, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         mean_P = sol.P.values.mean(axis=0)
         for k in range(g.N + 1):
             eigs = np.linalg.eigvalsh(mean_P[k])
@@ -91,7 +91,7 @@ class TestSolveSecondAdjoint:
         g = TimeGrid(5, 1.0)
         paths = generate_brownian(g, 16, 1, seed=5)
         base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((6, 1)))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((6, 1)),
+        sol = solve_second_adjoint(spec, g, paths, base,
                                    SecondAdjointData(P_T=np.eye(2)))
         out = tmp_path / "P.csv"
         export_P_csv(sol, str(out))
@@ -107,7 +107,7 @@ class TestApplyQ:
         paths = generate_brownian(g, 32, 1, seed=6)
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.eye(1))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((11, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         out = q_view(sol, simulate_phi(spec, g, paths, data, 0, np.ones(1), None, None), 0)
         assert np.max(np.abs(out.values)) <= 1e-8
 
@@ -147,7 +147,7 @@ class TestRelaxedIdentity:
         paths = generate_brownian(g, 64, 1, seed=8)
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.array([[2.0]]))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((11, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
                                            (np.array([0.7]), None, None),
                                            (np.array([0.7]), None, None))
@@ -160,7 +160,7 @@ class TestRelaxedIdentity:
         paths = generate_brownian(g, 4, 1, seed=9)
         base = PathEnsemble(np.ones((4, N + 1, 1)), g)
         data = SecondAdjointData(P_T=np.array([[1.0]]), J=np.array([[0.3]]))
-        sol = solve_second_adjoint(spec, g, paths, base, np.zeros((N + 1, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)[:, None]
         ft2 = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)[:, None]
         resid, _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
@@ -176,7 +176,7 @@ class TestRelaxedIdentity:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         data = second_adjoint_data_for(spec, g, base, u, adj,
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, u, data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         rng = np.random.default_rng(11)
         for _ in range(3):
             xi1 = 0.5 * rng.standard_normal(spec.n)
@@ -199,7 +199,7 @@ class TestRelaxedIdentity:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         data = second_adjoint_data_for(spec, g, base, u, adj,
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, u, data)
+        sol = solve_second_adjoint(spec, g, paths, base, data)
         from stocond.model import as_control_array
         M = base.M
         u_arr = as_control_array(u, g, M, spec.m)
@@ -331,8 +331,7 @@ class TestEinsumReference:
         Ff, F = _coefficient(rng, layout, M, N, (n, n), 1.0)
         data = SecondAdjointData(P_T=PT, F=F, J=J, K=K)
 
-        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base, g),
-                                   np.zeros((N + 1, 1)), data)
+        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base, g), data)
         P_ref, Q_ref = _ref_solve_second_adjoint(E, g, paths, base, PT, Ff, Jf, Kf)
         scale = np.max(np.abs(P_ref))
         assert np.max(np.abs(sol.P.values - P_ref)) <= 1e-12 * scale

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stocond.benchmarks import (LQSpec, adjoint_oracle_lq, lq_box_constrained,
+from stocond.benchmarks import (LQSpec, adjoint_oracle_lq, heat_lq, lq_box_constrained,
                                 lq_reduced_spec, lq_second_adjoint_ode,
-                                lq_terminal_constrained, lq_unconstrained, make_heat_spde,
+                                lq_terminal_constrained, lq_to_spec, lq_unconstrained,
                                 solve_lq_riccati)
 from stocond.errors import RiccatiBlowup
 from stocond.forward import simulate_forward
@@ -106,7 +106,7 @@ class TestAdjointOracle:
         base, u = simulate_closed_loop(spec, g, paths,
                                        extend_initial_state(lq.x0, spec),
                                        feedback)
-        y_or, Y_or = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
+        y_or, Y_or = adjoint_oracle_lq(lq, ric, base.values[:, :, :1])
         # discrete costate recursion as an independent check:
         # lam_k = lam_{k+1} + dt (a lam_{k+1} - Q x_k), lam_N = -G x_N
         lam = np.zeros(N + 1)
@@ -139,7 +139,7 @@ class TestAdjointOracle:
                                        feedback)
         ctl = u[0, :-1, 0]
         assert np.max(np.abs(ctl - ctl[0])) <= 1e-3
-        y_or, _ = adjoint_oracle_lq(lq, g, ric, base.values[:, :, :1])
+        y_or, _ = adjoint_oracle_lq(lq, ric, base.values[:, :, :1])
         assert np.max(np.abs(y_or[0, :, 0] - y_or[0, 0, 0])) <= 1e-3
 
     def test_second_adjoint_ode_terminal_value(self):
@@ -225,7 +225,7 @@ def test_operator_oracle_matches_the_einsum_reference(lq):
     assert _rel(lq_second_adjoint_ode(lq, g), _matrix_rk4(p_rhs, -lq.G, g)) <= 1e-12
 
     x = np.random.default_rng(7).standard_normal((16, g.N + 1, lq.n))
-    for got, ref in zip(adjoint_oracle_lq(lq, g, ric, x), _looped_adjoint(lq, Pi, gains, x)):
+    for got, ref in zip(adjoint_oracle_lq(lq, ric, x), _looped_adjoint(lq, Pi, gains, x)):
         assert got.shape == ref.shape
         assert _rel(got, ref) <= 1e-12
 
@@ -249,11 +249,11 @@ def test_singular_gain_system_raises():
 
 class TestHeatSpde:
     def test_single_mode_generator(self):
-        spec = make_heat_spde(modes=1, viscosity=1.0 / np.pi ** 2)
+        spec = lq_to_spec(heat_lq(modes=1, viscosity=1.0 / np.pi ** 2))
         assert spec.A[0, 0] == pytest.approx(-1.0)
 
     def test_energy_decay_monotone(self):
-        spec = make_heat_spde(modes=4, viscosity=0.05, noise_level=0.0)
+        spec = lq_to_spec(heat_lq(modes=4, viscosity=0.05, noise_level=0.0))
         g = TimeGrid(50, 1.0)
         paths = generate_brownian(g, 2, spec.d, seed=4)
         ens = simulate_forward(spec, g, paths, np.ones(spec.n),
@@ -263,7 +263,7 @@ class TestHeatSpde:
 
     def test_mode_decay_rates_exact(self):
         nu = 0.05
-        spec = make_heat_spde(modes=3, viscosity=nu, noise_level=0.0)
+        spec = lq_to_spec(heat_lq(modes=3, viscosity=nu, noise_level=0.0))
         g = TimeGrid(64, 1.0)
         paths = generate_brownian(g, 1, spec.d, seed=5)
         ens = simulate_forward(spec, g, paths, np.ones(3), np.zeros((65, 1)))
@@ -272,7 +272,19 @@ class TestHeatSpde:
             assert np.max(np.abs(ens.values[0, :, k] - rate)) <= 1e-10
 
     def test_contractive_generator_validates(self):
-        spec = make_heat_spde(modes=2, viscosity=0.1, bilinear_noise=True)
+        spec = lq_to_spec(heat_lq(modes=2, viscosity=0.1, bilinear_noise=True))
         report = validate_spec(spec, samples=6, seed=6)
         assert report.log_norm_A < 0
         assert report.max_mismatch <= 1e-6
+
+    def test_riccati_oracle_on_uncontrolled_modes(self):
+        # control acts on mode 1 alone and the noise is additive, so Pi stays
+        # diagonal, and each other mode solves -Pi' = 2 a Pi + 1/2, Pi(T) = 1:
+        # Pi(t) = e^{2a(T-t)} + (e^{2a(T-t)} - 1) / (4a)
+        lq = heat_lq(modes=4, viscosity=0.05)
+        g = TimeGrid(100, lq.T)
+        Pi = solve_lq_riccati(lq, g).Pi
+        assert np.all(Pi[:, ~np.eye(4, dtype=bool)] == 0.0)
+        decay = np.exp(2 * np.diag(lq.A)[None, 1:] * (lq.T - g.times)[:, None])
+        closed = decay + 0.5 * (decay - 1) / (2 * np.diag(lq.A)[1:])
+        assert np.max(np.abs(Pi[:, [1, 2, 3], [1, 2, 3]] / closed - 1)) <= 1e-6

@@ -173,6 +173,17 @@ class TestExitCodes:
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["failures"] >= 1
 
+    def test_perturbed_first_order_reads_the_box_tolerance(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("tol.box_pointwise = 0.5\n")
+        code = cli.main(["run", "lq_unconstrained", "--suite", "first-order",
+                         "--perturb", "0.2", "--paths", "300", "--steps", "12",
+                         "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(tmp_path / "b")])
+        assert code == 2
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        box = [c for c in report["checks"] if c["name"] == "box_lq_pointwise"]
+        assert len(box) == 1 and box[0]["tolerance"] == 0.5
+
     def test_reports_reproducible(self, tmp_path):
         for sub in ("r1", "r2"):
             code = cli.main(["run", "lq_unconstrained", "--suite", "cones",

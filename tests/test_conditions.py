@@ -164,12 +164,12 @@ class TestDerivativeMapCalls:
                                   -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
         u2 = np.zeros((g.N + 1, 1))
         nu = np.zeros(spec.n)
         x1 = simulate_first_variation(spec, g, paths, base, u, nu, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu, u1, nu, u2)
+        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu, u2)
         counted, calls = _counted(spec)
         N = g.N
         assert counted.zeros == spec.zeros == {"drift_xu", "diffusion_xx",
@@ -284,7 +284,7 @@ class TestFirstOrderChecks:
         greedy[:, :-1, :] = Hu
         dirs = sample_tangent_directions(spec, g, base, u, 8, rng,
                                          extra_fields=[greedy])
-        rep = first_order_integral_check(spec, g, paths, base, u, mult, sol,
+        rep = first_order_integral_check(spec, g, base, u, mult, sol,
                                          dirs, dt_bias=0.02)
         assert rep.verdict == "pass"
 
@@ -306,7 +306,7 @@ class TestFirstOrderChecks:
         greedy_p[:, :-1, :] = Hu_p
         dirs_p = sample_tangent_directions(spec, g, base_p, u_p, 8, rng,
                                            extra_fields=[greedy_p])
-        rep_p = first_order_integral_check(spec, g, paths, base_p, u_p, mult,
+        rep_p = first_order_integral_check(spec, g, base_p, u_p, mult,
                                            sol_p, dirs_p, dt_bias=0.02)
         assert rep_p.verdict == "fail"
         assert rep_p.worst_violation >= 5 * rep.tolerance
@@ -328,7 +328,7 @@ class TestFirstOrderChecks:
         xT = base.values[:, -1, :]
         sol = solve_first_adjoint(spec, g, paths, base, u0,
                                   -np.asarray(spec.terminal_cost.grad(xT)))
-        rep = first_order_pointwise_check(spec, g, paths, base, u0, sol,
+        rep = first_order_pointwise_check(spec, g, base, u0, sol,
                                           dt_bias=1e-3)
         # y(0) < 0 and the tangent cone at the lower box corner is R_+,
         # so the projection of y(0) onto it vanishes: pass
@@ -346,7 +346,7 @@ class TestFirstOrderChecks:
         xTb = base_b.values[:, -1, :]
         sol_b = solve_first_adjoint(spec_b, g, paths, base_b, u0,
                                     -np.asarray(spec_b.terminal_cost.grad(xTb)))
-        rep_b = first_order_pointwise_check(spec_b, g, paths, base_b, u0, sol_b,
+        rep_b = first_order_pointwise_check(spec_b, g, base_b, u0, sol_b,
                                             dt_bias=1e-3)
         assert rep_b.verdict == "fail"
 
@@ -357,7 +357,7 @@ class TestFirstOrderChecks:
                                   np.ones((base.M, spec.n)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         with pytest.raises(AdjointMismatch):
-            first_order_integral_check(spec, g, paths, base, u, mult, sol, [])
+            first_order_integral_check(spec, g, base, u, mult, sol, [])
 
     def test_consistency_pointwise_implies_integral(self):
         # when the pointwise field passes, every tangent direction built from
@@ -372,7 +372,7 @@ class TestFirstOrderChecks:
         rng = np.random.default_rng(6)
         dirs = sample_tangent_directions(spec, g, base, u, 6, rng)
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        rep = first_order_integral_check(spec, g, paths, base, u, mult, sol, dirs)
+        rep = first_order_integral_check(spec, g, base, u, mult, sol, dirs)
         assert rep.worst_violation <= pw * np.sqrt(lq.T) + 3 * rep.se + 1e-9
 
 
@@ -440,7 +440,7 @@ class TestMultiplierMachinery:
             mult = MultiplierSet(0.0, {0: c}, DiscreteBVMeasure())
             sol = solve_first_adjoint(spec, g, paths, base, u,
                                       mult.terminal_datum(spec, xT))
-            rep = first_order_integral_check(spec, g, paths, base, u, mult,
+            rep = first_order_integral_check(spec, g, base, u, mult,
                                              sol, dirs)
             vals[c] = rep.details["per_direction"]
         ratio = np.array(vals[3.0]) / np.array(vals[1.0])
@@ -461,10 +461,10 @@ class TestSecondOrder:
         sol = solve_first_adjoint(spec, g, paths, base, u0, np.zeros((64, 1)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u0, sol, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u0, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.ones((21, 1))
         x1 = simulate_first_variation(spec, g, paths, base, u0, np.zeros(1), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1, np.zeros(1),
+        x2 = simulate_second_variation(spec, g, paths, base, u0, x1,
                                        u1, np.zeros(1), u0)
         rep = second_order_check(spec, g, paths, base, u0, mult, sol, relaxed,
                                  data, (x1, u1, np.zeros(1)),
@@ -479,12 +479,12 @@ class TestSecondOrder:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
         nu1 = np.zeros(spec.n)
         x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
         u2 = np.zeros((51, 1))
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu1, u1,
+        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
                                        np.zeros(spec.n), u2)
         rep1 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
                                   data, (x1, u1, nu1), (x2, u2, np.zeros(spec.n)),
@@ -492,7 +492,7 @@ class TestSecondOrder:
         assert rep1.verdict == "pass"
         assert rep1.worst_violation < 0
         x1b = simulate_first_variation(spec, g, paths, base, u, nu1, 2 * u1)
-        x2b = simulate_second_variation(spec, g, paths, base, u, x1b, nu1,
+        x2b = simulate_second_variation(spec, g, paths, base, u, x1b,
                                         2 * u1, np.zeros(spec.n), u2)
         rep2 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
                                   data, (x1b, 2 * u1, nu1),
@@ -509,11 +509,11 @@ class TestSecondOrder:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
         nu1 = np.zeros(spec.n)
         x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu1, u1,
+        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
                                        np.zeros(spec.n), np.zeros((101, 1)))
         rep = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
                                  data, (x1, u1, nu1),
@@ -539,12 +539,12 @@ class TestSecondOrder:
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, u, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
         # nu1 along the cost gradient breaks criticality at tiny delta_act
         nu1 = np.ones(spec.n)
         u1 = np.ones((21, 1))
         x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, nu1, u1,
+        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
                                        np.zeros(spec.n), np.zeros((21, 1)))
         with pytest.raises(NotCritical):
             second_order_check(spec, g, paths, base, u, mult, adj, relaxed,

@@ -151,9 +151,8 @@ class TestSecondVariation:
         u1 = np.ones((31, 1))
         x1 = simulate_first_variation(spec, g, paths, base, u_bar,
                                       np.array([0.5]), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1,
-                                       np.array([0.5]), u1, np.zeros(1),
-                                       np.zeros((31, 1)))
+        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, u1,
+                                       np.zeros(1), np.zeros((31, 1)))
         assert np.all(x2.values == 0.0)
 
     def test_quadratic_drift_taylor_oracle(self):
@@ -167,7 +166,7 @@ class TestSecondVariation:
         base = simulate_forward(spec, g, paths, nu0, u0)
         nu1 = np.array([1.0])
         x1 = simulate_first_variation(spec, g, paths, base, u0, nu1, u0)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1, nu1, u0,
+        x2 = simulate_second_variation(spec, g, paths, base, u0, x1, u0,
                                        np.zeros(1), u0)
         eps = 2.5e-4
         xp = simulate_forward(spec, g, paths, nu0 + eps, u0).values[0, -1, 0]
@@ -201,7 +200,7 @@ class TestSecondVariation:
         base = simulate_forward(spec, g, paths, np.zeros(1), u0)
         u1 = np.sin(np.pi * g.times)[:, None]
         x1 = simulate_first_variation(spec, g, paths, base, u0, np.zeros(1), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1, np.zeros(1),
+        x2 = simulate_second_variation(spec, g, paths, base, u0, x1,
                                        u1, np.zeros(1), u0)
         oracle = float(np.sum(u1[:-1, 0] ** 2) * g.dt)
         assert x2.values[:, -1, 0] == pytest.approx(oracle, abs=1e-12)
@@ -425,7 +424,7 @@ class TestSharedLoopAgainstReference:
         x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
         assert_matches(x1.values, _ref_first_variation(spec, g, paths, base.values,
                                                        u_bar, nu1, u1))
-        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, nu1, u1, nu2, u2)
+        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, u1, nu2, u2)
         ref = _ref_second_variation(spec, g, paths, base.values, u_bar, x1.values, u1,
                                     nu2, as_control_array(u2, g, paths.M, spec.m))
         assert_matches(x2.values, ref)

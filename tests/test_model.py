@@ -8,10 +8,10 @@ from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_dual
 from stocond.adjoint_second import SecondAdjointData, simulate_phi, solve_second_adjoint
 from dataclasses import replace
 
-from stocond.benchmarks import (double_integrator_state_constrained, lq_box_constrained,
-                                lq_reduced_spec, lq_running_cost, lq_terminal_constrained,
-                                lq_to_spec, lq_unconstrained, make_bilinear_scalar,
-                                make_heat_spde, make_polynomial_scalar)
+from stocond.benchmarks import (LQSpec, double_integrator_state_constrained, heat_lq,
+                                lq_box_constrained, lq_reduced_spec, lq_running_cost,
+                                lq_terminal_constrained, lq_to_spec, lq_unconstrained,
+                                make_bilinear_scalar, make_polynomial_scalar)
 from stocond.conditions import (MultiplierSet, hamiltonian_u_field, second_adjoint_data_for,
                                second_order_check)
 from stocond.errors import NonFiniteValue
@@ -21,7 +21,7 @@ from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, PathEn
                            ProblemSpec, RunningCost, TimeGrid, bolza_reduce,
                            extend_initial_state, generate_brownian, is_zero_map, map_shape,
                            validate_spec, with_maps, zero_map, zero_maps)
-from stocond.suites import _gbm_spec, _lq_setup
+from stocond.suites import _lq_setup
 
 
 class TestTimeGrid:
@@ -234,13 +234,17 @@ FACTORIES = {
     "lq_unconstrained_3": lambda: _lq_pair(lq_unconstrained(3)),
     "lq_terminal": lambda: _lq_pair(lq_terminal_constrained()),
     "lq_box": lambda: _lq_pair(lq_box_constrained()),
-    "heat_spde": lambda: _smooth_pair(make_heat_spde(
-        modes=3, control_channels=2, noise_channels=2, bilinear_noise=True)),
+    "heat_spde": lambda: _smooth_pair(lq_to_spec(heat_lq(
+        modes=3, control_channels=2, noise_channels=2, bilinear_noise=True))),
     "bilinear_scalar": lambda: _smooth_pair(make_bilinear_scalar()),
     "quadratic_drift": lambda: _smooth_pair(make_polynomial_scalar(2)),
     "cubic_drift": lambda: _smooth_pair(make_polynomial_scalar(3, noise_level=0.2)),
     "double_integrator": double_integrator_state_constrained,
-    "gbm": lambda: _smooth_pair(_gbm_spec(0.3, 0.4, 1.0)),
+    # dx = 0.3 x dt + 0.4 x dW, the convergence suite's problem
+    "gbm": lambda: _smooth_pair(lq_to_spec(LQSpec(
+        A=[[0.3]], B=np.zeros((1, 1)), C=[[[0.4]]], D=np.zeros((1, 1, 1)),
+        sigma=np.zeros((1, 1)), G=np.eye(1), Q_run=np.zeros((1, 1)), R_run=np.eye(1),
+        T=1.0, x0=[1.0]))),
 }
 
 
@@ -366,7 +370,7 @@ def _consumer_outputs(spec):
     u1, u2 = rng.standard_normal((N + 1, m)), rng.standard_normal((N + 1, m))
     base = simulate_forward(spec, grid, paths, nu0, u_bar)
     x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
-    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, nu1, u1, nu2, u2)
+    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2)
     f = rng.standard_normal((N + 1, n))
     psi = DiscreteBVMeasure({2: rng.standard_normal(n)})
     sol = solve_first_adjoint(spec, grid, paths, base, u_bar,
@@ -374,7 +378,7 @@ def _consumer_outputs(spec):
     f1, f2 = rng.standard_normal((N + 1, n)), rng.standard_normal((N + 1, n, d))
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid, base, u_bar, sol, mult)
-    relaxed = solve_second_adjoint(spec, grid, paths, base, u_bar, data)
+    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
     report = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed, data,
                                 (x1, u1, nu1), (x2, u2, nu2), delta_act=1e6)
     return {
@@ -466,13 +470,13 @@ def swept_ensembles():
     M, N, n = paths.M, grid.N, spec.n
     u1 = np.full((N + 1, spec.m), 0.3)
     x1 = simulate_first_variation(spec, grid, paths, base, u, np.zeros(n), u1)
-    x2 = simulate_second_variation(spec, grid, paths, base, u, x1, np.zeros(n), u1,
+    x2 = simulate_second_variation(spec, grid, paths, base, u, x1, u1,
                                    np.zeros(n), u1)
     yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
     sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
     sol_c = solve_first_adjoint(spec, grid, paths, base, u, np.stack([yT, 2 * yT], axis=-1))
     data = SecondAdjointData(P_T=np.eye(n), J=0.1 * np.eye(n))
-    rel = solve_second_adjoint(spec, grid, paths, base, u, data)
+    rel = solve_second_adjoint(spec, grid, paths, base, data)
     f1, f2 = np.ones((N + 1, n)), np.ones((N + 1, n, paths.d))
     return {
         "simulate_forward": simulate_forward(spec, grid, paths, np.ones(n), u).values,

@@ -95,3 +95,23 @@ def test_gate_arithmetic_lives_only_in_reporting():
             if THREE_SE.search(line):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert offenders == []
+
+
+def test_every_parameter_is_read():
+    """No module-level function or method of the package takes a parameter
+    that its body never reads."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in functions:
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs \
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{name}({p.arg})" for p in params if p.arg not in read]
+    assert unread == []
