@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import _along, _at, _contract, _on_paths, _simulate_linear, _total, semigroup_step
+from .forward import (_along, _at, _contract, _on_paths, _simulate_linear, _total, semigroup_step,
+                      simulate_first_variation)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis
@@ -194,11 +195,10 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
 
 def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
                                   paths: BrownianEnsemble, base_state: PathEnsemble,
-                                  u_bar, sol: TranspositionSolution,
-                                  x1: PathEnsemble, nu1, u1,
+                                  u_bar, sol: TranspositionSolution, nu1, u1,
                                   psi: DiscreteBVMeasure | None = None
                                   ) -> tuple[float, float]:
-    """Duality against the first variation:
+    """Duality against the first variation x1 driven by (nu1, u1):
 
     E<y(T), x1(T)> - E<y(0), nu1>
       = E int (<y, a_u u1> + <Y, b_u u1>) dt + E int <x1, d psi>.
@@ -209,6 +209,7 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
     psi = psi or DiscreteBVMeasure()
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
+    x1 = simulate_first_variation(spec, grid, paths, base_state, u_arr, nu1, u1_arr)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_u, b_u = along("drift_u"), along("diffusion_u")

@@ -19,6 +19,10 @@ from .errors import RiccatiBlowup
 from .model import (Functional, ProblemSpec, RunningCost, TimeGrid, bolza_reduce, zero_map,
                     zero_maps)
 
+# RK4 steps per grid step of the LQ oracles: the Riccati equation and the
+# second-adjoint ODE must integrate alike
+ORACLE_SUBSTEPS = 4
+
 
 # ---------------------------------------------------------------------------
 # linear-quadratic problem data
@@ -85,19 +89,19 @@ def _riccati_operators(lq: LQSpec) -> np.ndarray:
         np.kron(lq.A.T, eye) + np.kron(eye, lq.A.T) + sum(np.kron(Ci.T, Ci.T) for Ci in lq.C)])
 
 
-def _backward_rk4(rhs, terminal: np.ndarray, grid: TimeGrid, substeps: int,
+def _backward_rk4(rhs, terminal: np.ndarray, grid: TimeGrid,
                   cap: float | None = None) -> np.ndarray:
     """(N+1, n, n) path of a symmetric matrix ODE S' = rhs(S), S(T) = terminal,
-    integrated backward by RK4 at ``substeps`` steps per grid step and
+    integrated backward by RK4 at ``ORACLE_SUBSTEPS`` steps per grid step and
     symmetrised after each; with a ``cap``, leaving it (or a non-finite entry)
     raises RiccatiBlowup.  ``rhs`` maps the row-major vec(S) to vec(S')."""
     swap = np.arange(terminal.size).reshape(terminal.shape).T.ravel()  # vec(S) -> vec(S')
-    h = grid.dt / substeps
+    h = grid.dt / ORACLE_SUBSTEPS
     s = terminal.ravel()
     out = np.zeros((grid.N + 1, terminal.size))
     out[grid.N] = s
     for k in range(grid.N - 1, -1, -1):
-        for _ in range(substeps):
+        for _ in range(ORACLE_SUBSTEPS):
             k1 = rhs(s)
             k2 = rhs(s - 0.5 * h * k1)
             k3 = rhs(s - 0.5 * h * k2)
@@ -110,11 +114,10 @@ def _backward_rk4(rhs, terminal: np.ndarray, grid: TimeGrid, substeps: int,
     return out.reshape((grid.N + 1,) + terminal.shape)
 
 
-def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
-                     cap: float = 1e8) -> RiccatiSolution:
+def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, cap: float = 1e8) -> RiccatiSolution:
     """Backward RK4 integration of the stochastic Riccati equation.
 
-    Runs at ``substeps`` times the Monte Carlo resolution so oracle error is
+    Runs at ``ORACLE_SUBSTEPS`` times the Monte Carlo resolution so oracle error is
     negligible against tested tolerances.  The feedback gain uses
     (R + sum_i D_i' Pi D_i)^{-1} (B' Pi + sum_i D_i' Pi C_i), the general
     control-in-diffusion formula; each RK4 stage is one product with
@@ -134,15 +137,14 @@ def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, substeps: int = 4,
             raise np.linalg.LinAlgError("singular R + sum_i D_i' Pi D_i")
         return (L.T @ gain).ravel() - z[sl:] - q
 
-    Pi = _backward_rk4(rhs, lq.G, grid, substeps, cap)
+    Pi = _backward_rk4(rhs, lq.G, grid, cap)
     z = Pi.reshape(grid.N + 1, n * n) @ op[:sl].T
     gains = np.linalg.solve(lq.R_run + z[:, :mm].reshape(-1, m, m),
                             z[:, mm:].reshape(-1, m, n))
     return RiccatiSolution(grid=grid, Pi=Pi, gains=gains)
 
 
-def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
-                          ) -> np.ndarray:
+def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid) -> np.ndarray:
     """Deterministic matrix ODE for the second adjoint along the optimum:
 
     -S' = A' S + S A + sum_i C_i' S C_i - Q_run,  S(T) = -G,
@@ -150,7 +152,7 @@ def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid, substeps: int = 4
     so Q-part vanishes and P(t) = S(t).  Returns (N+1, n, n).
     """
     lin = _riccati_operators(lq)[-lq.n ** 2:]
-    return _backward_rk4(lambda p: lq.Q_run.ravel() - lin @ p, -lq.G, grid, substeps)
+    return _backward_rk4(lambda p: lq.Q_run.ravel() - lin @ p, -lq.G, grid)
 
 
 def adjoint_oracle_lq(lq: LQSpec, riccati: RiccatiSolution, base_values: np.ndarray):

@@ -150,8 +150,9 @@ def run(scenario: Scenario) -> int:
     for runner in runners:
         for cs, ts in runner(scenario):
             checks.extend(cs)
+            # an (xs, ys) tuple is a table; a scalar or a list is not
             tables.update((name, val) for name, val in ts.items()
-                          if isinstance(val, (tuple, list)) and len(val) == 2)
+                          if isinstance(val, tuple) and len(val) == 2)
 
     failed = [c for c in checks if c["verdict"] != "pass"]
     payload = {

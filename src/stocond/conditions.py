@@ -22,9 +22,10 @@ import scipy.optimize
 from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
-from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view, simulate_phi
+from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, _at, _contract, _quadratic, _total
+from .forward import (_along, _at, _contract, _quadratic, _total, simulate_first_variation,
+                      simulate_second_variation)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -130,16 +131,16 @@ def _smooth_field(coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def smooth_random_fields(grid: TimeGrid, m: int, count: int,
-                         rng: np.random.Generator, modes: int = 4) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Deterministic-in-time random direction fields, (count, N+1, m).
 
-    Low-order Fourier combinations keep the fields smooth so that left-point
-    quadrature error stays O(dt).
+    Low-order Fourier combinations (a constant and 4 sine modes) keep the
+    fields smooth so that left-point quadrature error stays O(dt).
     """
     out = np.zeros((count, grid.N + 1, m))
     for c in range(count):
         for j in range(m):
-            out[c, :, j] = _smooth_field(rng.standard_normal(modes + 1), grid.times)
+            out[c, :, j] = _smooth_field(rng.standard_normal(5), grid.times)
     return out
 
 
@@ -275,13 +276,13 @@ def state_constraint_measure(spec: ProblemSpec, base_state: PathEnsemble,
 # first order checkers
 # ---------------------------------------------------------------------------
 
-def _check_terminal_match(spec, mult, sol, base_state, tol=1e-7):
+def _check_terminal_match(spec, mult, sol, base_state):
     xT = base_state.values[:, -1, :]
     expected = mult.terminal_datum(spec, xT)
     got = sol.y.values[:, -1, :]
     err = float(np.max(np.abs(expected - got)))
     scale = max(1.0, float(np.max(np.abs(expected))))
-    if err > tol * scale:
+    if err > 1e-7 * scale:
         raise AdjointMismatch(
             f"adjoint terminal datum deviates from the multiplier datum by {err:.3g}")
 
@@ -509,31 +510,32 @@ def check_critical(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
 def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                        base: PathEnsemble, u_bar, mult: MultiplierSet,
                        adjoint: TranspositionSolution, relaxed: RelaxedSolution,
-                       data: SecondAdjointData, critical, candidate,
-                       analysis: ActiveSetAnalysis | None = None,
-                       delta_act: float = 1e-3, dt_bias: float = 0.0
-                       ) -> ConditionReport:
+                       critical, candidate, analysis: ActiveSetAnalysis | None = None,
+                       delta_act: float = 1e-3) -> ConditionReport:
     """Second order quadratic-form inequality at an optimal candidate.
 
-    critical = (x1, u1, nu1) must satisfy the critical-cone inequalities to
-    10 * delta_act; candidate = (x2, u2, nu2) supplies the second order data.
-    The value must be <= 3 SE + dt bias for a true local minimizer.
+    critical = (nu1, u1) drives the first variation x1, which must satisfy
+    the critical-cone inequalities to 10 * delta_act; candidate = (nu2, u2)
+    drives the second variation x2.  The value must be <= 3 SE for a true
+    local minimizer.
     """
-    x1, u1, nu1 = critical
-    x2, u2, nu2 = candidate
+    nu1, u1 = critical
+    nu2, u2 = candidate
+    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
     if analysis is None:
         analysis = analyze_active_sets(spec, grid, base, x1, delta_act)
     crit_viol = check_critical(spec, grid, base, x1, analysis)
     if crit_viol > 10 * delta_act:
         raise NotCritical(f"critical-cone inequalities violated by {crit_viol:.3g}")
+    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2)
     M, n, d = base.M, spec.n, spec.d
     N = grid.N
     dt = grid.dt
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
-    u2_arr = as_control_array(u2, grid, M, spec.m) if u2 is not None else None
+    u2_arr = as_control_array(u2, grid, M, spec.m)
     nu1 = np.asarray(nu1, dtype=float)
-    nu2 = np.zeros(n) if nu2 is None else np.asarray(nu2, dtype=float)
+    nu2 = np.asarray(nu2, dtype=float)
 
     y0 = adjoint.y.values[:, 0, :].mean(axis=0)
     P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
@@ -544,10 +546,8 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     a_xu, b_xu = along("drift_xu"), along("diffusion_xu")
     a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
     # One pass evaluates each coefficient map once per step and fills the
-    # a_u u1 / b_u u1 source fields; the Q-view term needs phi, which is
-    # driven by every step's sources, so it is added after the pass.  A
-    # declared-zero map drops its terms (and b_u = 0 the Q-view term).
-    ft = None if a_u is None else time_major_zeros(M, N + 1, (n,))
+    # b_u u1 source field of the Q-view term, which is added after the pass.
+    # A declared-zero map drops its terms (and b_u = 0 the Q-view term).
     fh = None if b_u is None else time_major_zeros(M, N + 1, (n, d))
     per_path = np.zeros(M)
     for k in range(N):
@@ -559,12 +559,10 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
         a2, b2, b1 = _at(a_u, k), _at(b_u, k), _at(b_x, k)
         Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
         Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)
-        if a2 is not None:
-            ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
         b2u1 = None
         if b2 is not None:
             fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
-        Hu = None if u2_arr is None else _hamiltonian_u(a2, b2, yk, Yk)
+        Hu = _hamiltonian_u(a2, b2, yk, Yk)
         cross = _total(
             _contract("pjk,pj->pk", Hxu, x1k),
             None if a2 is None else np.einsum("pij,pi->pj", a2,
@@ -572,14 +570,17 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
             None if b2 is None or b1 is None else np.einsum(
                 "pilj,pil->pj", b2, Pk @ np.einsum("pilj,pj->pil", b1, x1k)))
         term = _total(
-            None if Hu is None else np.einsum("pj,pj->p", Hu, u2_arr[:, k, :]),
+            _contract("pj,pj->p", Hu, u2_arr[:, k, :]),
             None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
             None if b2u1 is None else 0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
             _contract("pk,pk->p", cross, u1k))
         if term is not None:
             per_path += dt * term
     if fh is not None:
-        phi = simulate_phi(spec, grid, paths, data, 0, np.zeros(n), ft, fh)
+        # Q acts on the test process driven by (0, a_u u1, b_u u1): by
+        # linearity the first variation from zero, which is x1 when nu1 = 0
+        phi = simulate_first_variation(spec, grid, paths, base, u_arr, np.zeros(n), u1_arr) \
+            if np.any(nu1) else x1
         Qsum = q_view(relaxed, phi, 0).values
         Qsum += q_view(relaxed, phi, 0, adjoint=True).values
         per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
@@ -595,7 +596,7 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
                                   mult.psi.atom(k, M, n))
     mean, se = mc_mean(per_path)
     return ConditionReport.gate(
-        "second_order", value_det + float(mean), se, dt_bias,
+        "second_order", value_det + float(mean), se,
         details={"critical_violation": crit_viol,
                  "deterministic_part": value_det,
                  "delta_act": delta_act})

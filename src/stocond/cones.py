@@ -302,8 +302,7 @@ def dual_cone(C: ConeDescriptor) -> ConeDescriptor:
                           generators=None if C.normals is None else C.normals.copy())
 
 
-def sample_cone_points(C: ConeDescriptor, count: int, rng: np.random.Generator,
-                       scale: float = 1.0) -> np.ndarray:
+def sample_cone_points(C: ConeDescriptor, count: int, rng: np.random.Generator) -> np.ndarray:
     """Random members of the cone.
 
     Nonnegative combinations of generators when a V-rep exists, otherwise
@@ -313,11 +312,11 @@ def sample_cone_points(C: ConeDescriptor, count: int, rng: np.random.Generator,
     if G is not None:
         if len(G) == 0:
             return np.zeros((count, C.dim))
-        coef = rng.exponential(scale=scale, size=(count, len(G)))
+        coef = rng.exponential(size=(count, len(G)))
         return coef @ G
     out = np.zeros((count, C.dim))
     for i in range(count):
-        out[i] = cone_project(C, scale * rng.standard_normal(C.dim))
+        out[i] = cone_project(C, rng.standard_normal(C.dim))
     return out
 
 
@@ -372,13 +371,12 @@ def adjacent_cone(K: SetDescriptor, z: np.ndarray, tol: float = 1e-9) -> ConeDes
     raise TypeError(f"no closed-form tangent cone for {type(K).__name__}")
 
 
-def normal_cone(K: SetDescriptor, z: np.ndarray, tol: float = 1e-9) -> ConeDescriptor:
+def normal_cone(K: SetDescriptor, z: np.ndarray) -> ConeDescriptor:
     """Normal cone at z: the dual of the (Clarke = adjacent) tangent cone."""
-    return dual_cone(adjacent_cone(K, z, tol))
+    return dual_cone(adjacent_cone(K, z))
 
 
-def second_order_adjacent(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
-                          tol: float = 1e-9) -> ConeDescriptor:
+def second_order_adjacent(K: SetDescriptor, z: np.ndarray, v: np.ndarray) -> ConeDescriptor:
     """Second order adjacent set at (z, v), for the polyhedral-like variants.
 
     For boxes, polyhedra, affine sets, singletons and the whole space the
@@ -389,21 +387,21 @@ def second_order_adjacent(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
-    _require_member(K, z, tol)
+    _require_member(K, z)
     n = K.dim
     if isinstance(K, WholeSpace):
         return whole_space_cone(n)
     if isinstance(K, Singleton):
-        if np.linalg.norm(v) > tol:
+        if np.linalg.norm(v) > _MEMBERSHIP_TOL:
             raise PointNotInSet("direction not tangent to a singleton")
         return zero_cone(n)
     if isinstance(K, AffineSet):
         return subspace_cone(K.basis, n)
     if isinstance(K, Box):
         A, b = _box_as_halfspaces(K)
-        return _poly_second_order(A, b, z, v, n, tol)
+        return _poly_second_order(A, b, z, v, n)
     if isinstance(K, Polyhedron):
-        return _poly_second_order(K.normals, K.offsets, z, v, n, tol)
+        return _poly_second_order(K.normals, K.offsets, z, v, n)
     raise TypeError(f"no closed-form second order set for {type(K).__name__}")
 
 
@@ -419,7 +417,8 @@ def _box_as_halfspaces(K: Box) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows).reshape(-1, n), np.array(offs)
 
 
-def _poly_second_order(A, b, z, v, n, tol) -> ConeDescriptor:
+def _poly_second_order(A, b, z, v, n) -> ConeDescriptor:
+    tol = _MEMBERSHIP_TOL
     act = A @ z + b >= -tol * max(1.0, float(np.linalg.norm(z)))
     Aa = A[act]
     if np.any(Aa @ v > tol * max(1.0, float(np.linalg.norm(v)))):
@@ -442,7 +441,6 @@ class Verdict(Enum):
 class OracleResult:
     verdict: Verdict
     residuals: np.ndarray
-    ladder: np.ndarray
 
 
 # the epsilon ladder of the membership oracle and of the remainder studies
@@ -470,20 +468,19 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
-    ladder = np.asarray(DEFAULT_EPSILON_LADDER)
     res = []
     if mode == "adjacent":
-        for eps in ladder:
+        for eps in DEFAULT_EPSILON_LADDER:
             res.append(distance(K, z + eps * v) / eps)
     elif mode == "second_order":
         if h is None:
             raise ValueError("second_order mode needs h")
         h = np.asarray(h, dtype=float)
-        for eps in ladder:
+        for eps in DEFAULT_EPSILON_LADDER:
             res.append(distance(K, z + eps * v + eps ** 2 * h) / eps ** 2)
     elif mode == "clarke":
         rng = np.random.default_rng(0) if rng is None else rng
-        for eps in ladder:
+        for eps in DEFAULT_EPSILON_LADDER:
             worst = distance(K, z + eps * v) / eps
             for _ in range(_CLARKE_SAMPLES):
                 y = z + np.sqrt(eps) * rng.standard_normal(z.size)
@@ -504,19 +501,18 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
         verdict = Verdict.NON_MEMBER
     else:
         verdict = Verdict.INCONCLUSIVE
-    return OracleResult(verdict, res, ladder)
+    return OracleResult(verdict, res)
 
 
 # ---------------------------------------------------------------------------
 # polyhedral multiplier lemmas
 # ---------------------------------------------------------------------------
 
-def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray,
-                                     tol: float = 1e-8):
+def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray):
     """Maximize <xi, y> over the polyhedron and decompose xi over active normals.
 
     Returns (y_bar, coefficients) with coefficients c >= 0 supported on the
-    constraints active at y_bar and sum_j c_j a_j = xi up to tol.
+    constraints active at y_bar and sum_j c_j a_j = xi up to 1e-8 relative.
     """
     xi = np.asarray(xi, dtype=float)
     if np.linalg.norm(xi) == 0:
@@ -534,7 +530,7 @@ def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray,
     if idx.size == 0:
         raise UnboundedSupport("no active constraint at the maximizer")
     coef_act, resid = scipy.optimize.nnls(K.normals[idx].T, xi)
-    if resid > tol * max(1.0, float(np.linalg.norm(xi))):
+    if resid > 1e-8 * max(1.0, float(np.linalg.norm(xi))):
         raise UnboundedSupport(
             f"direction not decomposable over active normals (residual {resid:.3g})")
     coef = np.zeros(len(K.normals))

@@ -146,7 +146,7 @@ def _quadratic(h, v, w):
 
 def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                      x0, J, K, f_tilde, f_hat, t_index: int = 0,
-                     cap: float = DEFAULT_STATE_CAP, what: str = "state") -> PathEnsemble:
+                     what: str = "state") -> PathEnsemble:
     """d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW from t_index.
 
     J and K are callables k -> (M, n, n) and (M, n, d, n) or constant
@@ -169,7 +169,7 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
         return (_total(_contract("pij,pj->pi", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
                 _total(_contract("pilj,pj->pil", _slice_bc(K, k, M, (n, d, n)), x),
                        _at(fh, k)))
-    return _step_loop(spec, grid, paths, x0, step, t_index, cap, what)
+    return _step_loop(spec, grid, paths, x0, step, t_index, what=what)
 
 
 def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
@@ -223,8 +223,7 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
 
 
 def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                             base: PathEnsemble, u_bar, nu1: np.ndarray, u1,
-                             cap: float = DEFAULT_STATE_CAP) -> PathEnsemble:
+                             base: PathEnsemble, u_bar, nu1: np.ndarray, u1) -> PathEnsemble:
     """Linearized dynamics around (base, u_bar) driven by (nu1, u1).
 
     Exactly linear in (nu1, u1) path by path.
@@ -238,13 +237,12 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
         spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
         f_tilde=None if a_u is None else lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
         f_hat=None if b_u is None else lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
-        cap=cap, what="first variation")
+        what="first variation")
 
 
 def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                               base: PathEnsemble, u_bar, x1: PathEnsemble,
-                              u1, nu2: np.ndarray, u2,
-                              cap: float = DEFAULT_STATE_CAP) -> PathEnsemble:
+                              u1, nu2: np.ndarray, u2) -> PathEnsemble:
     """Second order variational dynamics with curvature source terms.
 
     The drift carries 1/2 a_xx(x1, x1) + a_xu(x1, u1) + 1/2 a_uu(u1, u1)
@@ -275,7 +273,7 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
     return _simulate_linear(
         spec, grid, paths, nu2, along("drift_x"), along("diffusion_x"),
         f_tilde=source("drift"), f_hat=source("diffusion"),
-        cap=cap, what="second variation")
+        what="second variation")
 
 
 def sup_moment_norm(values: np.ndarray) -> tuple[float, float]:

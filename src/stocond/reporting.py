@@ -109,9 +109,9 @@ def fit_slope(xs, ys) -> tuple[float, float]:
     return float(slope), float(half)
 
 
-def convergence_csv(path: str, xs, ys, x_name="dt", y_name="error") -> None:
+def convergence_csv(path: str, xs, ys) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{x_name},{y_name}\n")
+        fh.write("dt,error\n")
         for x, y in zip(xs, ys):
             fh.write(f"{x!r},{y!r}\n")
 

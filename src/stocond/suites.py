@@ -1,8 +1,9 @@
 """Named experiment suites: convergence, remainders, identities, conditions.
 
 Each suite returns a list of check records (dicts with name / verdict /
-violation / tolerance provenance) plus CSV-ready tables.  The CLI maps
-scenarios onto these functions; the acceptance tests call them directly.
+violation / tolerance provenance) plus a dict in which every (xs, ys)
+tuple is a CSV-ready table.  The CLI maps scenarios onto these functions;
+the acceptance tests call them directly.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .conditions import (MultiplierSet, _smooth_field, analyze_active_sets,
                          smooth_random_fields)
 from .errors import TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
-                      simulate_first_variation, simulate_forward,
-                      simulate_second_variation, semigroup_step)
+                      simulate_forward, semigroup_step)
 from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -362,10 +362,10 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
 # first order suite
 # ---------------------------------------------------------------------------
 
-def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0,
-                            dt_biases=(0.0, 0.0)):
+def _first_order_violations(lq, N, M, seed, rng, perturb=0.0, dt_biases=(0.0, 0.0)):
     """Integral and pointwise first order reports for one grid size, gated
-    with the (integral, pointwise) dt biases."""
+    with the (integral, pointwise) dt biases; the integral check runs over 12
+    sampled tangent directions and the greedy one along H_u."""
     grid = TimeGrid(N, lq.T)
     paths = generate_brownian(grid, M, lq.d, seed)
     perturb_field = None
@@ -378,7 +378,7 @@ def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0,
     Hu = hamiltonian_u_field(spec, grid, base, u, sol)
     greedy = np.zeros((base.M, grid.N + 1, spec.m))
     greedy[:, :-1, :] = Hu
-    dirs = sample_tangent_directions(spec, grid, base, u, directions, rng,
+    dirs = sample_tangent_directions(spec, grid, base, u, 12, rng,
                                      extra_fields=[greedy])
     rep_int = first_order_integral_check(spec, grid, base, u, mult, sol, dirs,
                                          dt_biases[0], Hu=Hu)
@@ -388,7 +388,7 @@ def _first_order_violations(lq, N, M, seed, rng, directions, perturb=0.0,
 
 
 def first_order_suite(M: int = 20000, N: int = 100, seed: int = 13,
-                      perturb: float = 0.0, directions: int = 12):
+                      perturb: float = 0.0):
     """First order checks on the LQ benchmark at (or near) the optimum.
 
     Tolerances come from a coarse-grid ladder at the optimum: the dt bias
@@ -400,13 +400,12 @@ def first_order_suite(M: int = 20000, N: int = 100, seed: int = 13,
     coarse_Ns = (N // 4, N // 2)
     int_coarse, pw_coarse = [], []
     for NN in coarse_Ns:
-        rep_int, rep_pw = _first_order_violations(lq, NN, M, seed, rng,
-                                                  directions)
+        rep_int, rep_pw = _first_order_violations(lq, NN, M, seed, rng)
         int_coarse.append(rep_int.worst_violation)
         pw_coarse.append(rep_pw.worst_violation)
     biases = (dt_bias_envelope(coarse_Ns, int_coarse, N),
               dt_bias_envelope(coarse_Ns, pw_coarse, N))
-    rep_int, rep_pw = _first_order_violations(lq, N, M, seed, rng, directions,
+    rep_int, rep_pw = _first_order_violations(lq, N, M, seed, rng,
                                               perturb=perturb, dt_biases=biases)
     if perturb:
         checks = [_gated("first_order_integral_perturbed", rep_int, provenance=(),
@@ -414,8 +413,7 @@ def first_order_suite(M: int = 20000, N: int = 100, seed: int = 13,
     else:
         checks = [_gated("first_order_integral_optimum", rep_int),
                   _gated("first_order_pointwise_optimum", rep_pw)]
-    return checks, {"tol_int": rep_int.tolerance, "tol_pw": rep_pw.tolerance,
-                    "violation_int": rep_int.worst_violation}
+    return checks, {"tol_int": rep_int.tolerance, "violation_int": rep_int.worst_violation}
 
 
 def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
@@ -474,8 +472,7 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
 # multiplier suite
 # ---------------------------------------------------------------------------
 
-def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float,
-                substeps: int = 4):
+def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float):
     """Mean of x(T) and the r path under the feedback with r(T) = lam.
 
     r' = -(a - b^2 Pi / R) r, r(T) = lam, integrated backward;
@@ -484,6 +481,7 @@ def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float,
     a = float(lq.A[0, 0])
     b = float(lq.B[0, 0])
     R = float(lq.R_run[0, 0])
+    substeps = 4    # Euler steps per grid step of the r path
     h = grid.dt / substeps
     K = grid.N
     coefs = [a - b * b * pi / R for pi in ric.Pi[:, 0, 0].tolist()]
@@ -501,7 +499,7 @@ def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float,
 
 
 def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
-                         c_target: float, substeps: int = 4):
+                         c_target: float):
     """Bisection on the terminal-mean constraint multiplier.
 
     For additive-noise scalar LQ, certainty equivalence makes the
@@ -511,7 +509,7 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
     x(T)).
     """
     def mean_xT(lam):
-        return _lq_mean_xT(lq, grid, ric, lam, substeps)
+        return _lq_mean_xT(lq, grid, ric, lam)
 
     m0, _ = mean_xT(0.0)
     lo_l, hi_l = 0.0, 1.0
@@ -556,7 +554,7 @@ def _terminal_recovery_once(lq, N, M, seed):
     analysis = analyze_active_sets(spec, grid, base, delta_act=2e-2)
     mult, sol, report = search_multipliers(spec, grid, paths, base, u, analysis,
                                            tol=5e-2)
-    return mult, report, lam_star, analysis
+    return mult, report, lam_star
 
 
 def terminal_constraint_multiplier_recovery(M: int = 8000, N: int = 100,
@@ -567,10 +565,10 @@ def terminal_constraint_multiplier_recovery(M: int = 8000, N: int = 100,
     coarse_Ns = (N // 4, N // 2)
     coarse = []
     for NN in coarse_Ns:
-        _, rep, _, _ = _terminal_recovery_once(lq, NN, M, seed)
+        _, rep, _ = _terminal_recovery_once(lq, NN, M, seed)
         coarse.append(rep.worst_violation)
     bias = dt_bias_envelope(coarse_Ns, coarse, N)
-    mult, report, lam_star, analysis = _terminal_recovery_once(lq, N, M, seed)
+    mult, report, lam_star = _terminal_recovery_once(lq, N, M, seed)
     stationarity = ConditionReport.gate("terminal_multiplier_stationarity",
                                         report.worst_violation, report.se, bias)
     lam_rec = mult.lambdas.get(0, 0.0)
@@ -583,7 +581,7 @@ def terminal_constraint_multiplier_recovery(M: int = 8000, N: int = 100,
         _gated(stationarity.name, stationarity,
                stationarity=report.details.get("stationarity_residual")),
     ]
-    return checks, {"constraint_active": analysis.I}
+    return checks, {}
 
 
 def transcribe_double_integrator(N: int, limit: float):
@@ -632,16 +630,17 @@ def transcribe_double_integrator(N: int, limit: float):
     return z, states
 
 
-def double_integrator_contact_mass(N: int = 200, seed: int = 29,
-                                   limit: float = 0.1):
+def double_integrator_contact_mass(N: int = 200, seed: int = 29):
     """Zero-noise state-constrained double integrator: psi mass location.
 
     The candidate control is the direct-transcription optimum of the
-    discretized problem (independent QP oracle); the analytic contact
-    interval is [3 limit, T - 3 limit], and at least 90 percent of the
-    recovered measure's total variation must sit inside it (widened by two
-    grid cells for the discrete active-set band).
+    discretized problem (independent QP oracle); at the position ceiling
+    limit = 0.1 the analytic contact interval is [3 limit, T - 3 limit],
+    and at least 90 percent of the recovered measure's total variation must
+    sit inside it (widened by two grid cells for the discrete active-set
+    band).
     """
+    limit = 0.1
     spec_raw, running = double_integrator_state_constrained(limit)
     spec = bolza_reduce(spec_raw, running)
     grid = TimeGrid(N, 1.0)
@@ -687,7 +686,7 @@ def double_integrator_contact_mass(N: int = 200, seed: int = 29,
                stationarity=stat, tolerance=1e-4,
                violation=report.worst_violation),
     ]
-    return checks, {"masses": masses}
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -706,33 +705,25 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     relaxed = solve_second_adjoint(spec, grid, paths, base, data)
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-3)
 
-    nu1 = np.zeros(spec.n)
-    nu2 = np.zeros(spec.n)
+    nu = np.zeros(spec.n)
     u2 = np.zeros((N + 1, spec.m))
     fields = smooth_random_fields(grid, spec.m, directions, rng)
-    reports = []
-    for u1 in fields:
-        x1 = simulate_first_variation(spec, grid, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, grid, paths, base, u, x1, u1, nu2, u2)
-        reports.append(second_order_check(spec, grid, paths, base, u, mult, adj, relaxed,
-                                          data, (x1, u1, nu1), (x2, u2, nu2),
-                                          analysis=analysis, delta_act=2e-2))
+
+    def check(u1):
+        return second_order_check(spec, grid, paths, base, u, mult, adj, relaxed, (nu, u1),
+                                  (nu, u2), analysis=analysis, delta_act=2e-2)
+    reports = [check(u1) for u1 in fields]
     values = [rep.worst_violation for rep in reports]
     # each direction is its own verdict: every one must pass its gate
     checks = [_check("second_order_nonpositive",
                      all(rep.verdict == "pass" for rep in reports), values=values[:5])]
     # quadratic homogeneity: value at 2 u1 is four times the value at u1
-    u1 = fields[0]
     v1 = values[0]
-    x1b = simulate_first_variation(spec, grid, paths, base, u, nu1, 2.0 * u1)
-    x2b = simulate_second_variation(spec, grid, paths, base, u, x1b, 2.0 * u1, nu2, u2)
-    v2 = second_order_check(spec, grid, paths, base, u, mult, adj, relaxed, data,
-                            (x1b, 2.0 * u1, nu1), (x2b, u2, nu2),
-                            analysis=analysis, delta_act=2e-2).worst_violation
+    v2 = check(2.0 * fields[0]).worst_violation
     ratio = v2 / v1 if v1 != 0 else np.nan
     checks.append(_check("second_order_alpha_scaling",
                          3.6 <= ratio <= 4.4, ratio=float(ratio)))
-    return checks, {"values": values}
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------

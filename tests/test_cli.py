@@ -156,6 +156,17 @@ class TestExitCodes:
         assert code == 0
         assert ran == expected
 
+    def test_only_xs_ys_tuples_become_tables(self, tmp_path, monkeypatch):
+        # a two-element list (say the active constraint indices) is not a table
+        stub = ([], {"t": ([0.1], [1.0]), "lst": [0, 1]})
+        monkeypatch.setattr(cli, "RUNS", {"cones": (("lq_unconstrained",), ("seed",),
+                                                    lambda sc: [stub])})
+        out = tmp_path / "a"
+        assert cli.main(["run", "lq_unconstrained", "--suite", "cones",
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "t.csv"]
+        assert (out / "t.csv").read_text() == "dt,error\n0.1,1.0\n"
+
     def test_cones_suite_exit_0(self, tmp_path, capsys):
         code = cli.main(["run", "lq_unconstrained", "--suite", "cones",
                          "--seed", "5", "--out", str(tmp_path / "a")])

@@ -8,19 +8,21 @@ from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution, mea
                                    solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
-from stocond.conditions import (MultiplierSet, analyze_active_sets,
+from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze_active_sets,
                                 first_order_integral_check,
                                 first_order_pointwise_check,
                                 hamiltonian_u_field, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
                                 tangent_project_field)
-from stocond.adjoint_second import solve_second_adjoint
+from stocond.adjoint_second import q_view, simulate_phi, solve_second_adjoint
 from stocond.errors import AdjointMismatch, NotCritical
-from stocond.forward import (simulate_first_variation, simulate_forward,
+from stocond.forward import (_along, _at, _contract, _quadratic, _total,
+                             simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
-                           as_control_array, extend_initial_state, generate_brownian)
+                           as_control_array, extend_initial_state, generate_brownian,
+                           time_major_zeros)
 from stocond.reporting import dt_bias_fit
 from stocond.suites import _lq_setup, simulate_closed_loop
 
@@ -163,30 +165,40 @@ class TestDerivativeMapCalls:
         adj = solve_first_adjoint(spec, g, paths, base, u,
                                   -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        relaxed = solve_second_adjoint(spec, g, paths, base,
+                                       second_adjoint_data_for(spec, g, base, u, adj, mult))
         u1 = np.sin(np.pi * g.times)[:, None]
         u2 = np.zeros((g.N + 1, 1))
         nu = np.zeros(spec.n)
-        x1 = simulate_first_variation(spec, g, paths, base, u, nu, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu, u2)
         counted, calls = _counted(spec)
         N = g.N
         assert counted.zeros == spec.zeros == {"drift_xu", "diffusion_xx",
                                                 "diffusion_xu", "diffusion_uu"}
 
         def expect(*names, times=N):
-            assert calls == {name: times if name in names and name not in spec.zeros else 0
+            # a name listed twice is evaluated twice per step
+            assert calls == {name: 0 if name in spec.zeros else times * names.count(name)
                              for name in COEFF_MAPS}
             calls.update(dict.fromkeys(COEFF_MAPS, 0))
 
         hamiltonian_u_field(counted, g, base, u, adj)
         expect("drift_u", "diffusion_u")
-        # data comes from the uncounted spec, so phi's J and K are not counted
-        second_order_check(counted, g, paths, base, u, mult, adj, relaxed, data,
-                           (x1, u1, nu), (x2, u2, nu), delta_act=1.0)
-        expect("drift_u", "diffusion_u", "diffusion_x", "drift_xu", "diffusion_xu",
-               "drift_uu", "diffusion_uu")
+        x1 = simulate_first_variation(counted, g, paths, base, u, nu, u1)
+        first = ("drift_x", "drift_u", "diffusion_x", "diffusion_u")
+        expect(*first)
+        simulate_second_variation(counted, g, paths, base, u, x1, u1, nu, u2)
+        expect(*COEFF_MAPS)
+        # the check: both variations on the same direction, plus its own loop's
+        # maps; at nu1 = 0 phi is x1 and costs nothing, otherwise one more
+        # first variation
+        loop = ("drift_u", "diffusion_u", "diffusion_x", "drift_xu", "diffusion_xu",
+                "drift_uu", "diffusion_uu")
+        second_order_check(counted, g, paths, base, u, mult, adj, relaxed, (nu, u1),
+                           (nu, u2), delta_act=1.0)
+        expect(*first, *COEFF_MAPS, *loop)
+        second_order_check(counted, g, paths, base, u, mult, adj, relaxed,
+                           (np.ones(spec.n), u1), (nu, u2), delta_act=1e6)
+        expect(*first, *first, *COEFF_MAPS, *loop)
         counted_data = second_adjoint_data_for(counted, g, base, u, adj, mult)
         expect()
         counted_data.F(3)
@@ -462,13 +474,8 @@ class TestSecondOrder:
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u0, sol, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
-        u1 = np.ones((21, 1))
-        x1 = simulate_first_variation(spec, g, paths, base, u0, np.zeros(1), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1,
-                                       u1, np.zeros(1), u0)
         rep = second_order_check(spec, g, paths, base, u0, mult, sol, relaxed,
-                                 data, (x1, u1, np.zeros(1)),
-                                 (x2, u0, np.zeros(1)))
+                                 (np.zeros(1), np.ones((21, 1))), (np.zeros(1), u0))
         assert abs(rep.worst_violation) <= 1e-10
 
     def test_lq_optimum_nonpositive_and_scaling(self):
@@ -481,22 +488,14 @@ class TestSecondOrder:
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
-        nu1 = np.zeros(spec.n)
-        x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
+        nu = np.zeros(spec.n)
         u2 = np.zeros((51, 1))
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
-                                       np.zeros(spec.n), u2)
         rep1 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                  data, (x1, u1, nu1), (x2, u2, np.zeros(spec.n)),
-                                  delta_act=5e-2)
+                                  (nu, u1), (nu, u2), delta_act=5e-2)
         assert rep1.verdict == "pass"
         assert rep1.worst_violation < 0
-        x1b = simulate_first_variation(spec, g, paths, base, u, nu1, 2 * u1)
-        x2b = simulate_second_variation(spec, g, paths, base, u, x1b,
-                                        2 * u1, np.zeros(spec.n), u2)
         rep2 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                  data, (x1b, 2 * u1, nu1),
-                                  (x2b, u2, np.zeros(spec.n)), delta_act=5e-2)
+                                  (nu, 2 * u1), (nu, u2), delta_act=5e-2)
         assert rep2.worst_violation / rep1.worst_violation == pytest.approx(4.0, abs=1e-6)
 
     def test_value_matches_cost_expansion_oracle(self):
@@ -511,14 +510,9 @@ class TestSecondOrder:
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
-        nu1 = np.zeros(spec.n)
-        x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
-                                       np.zeros(spec.n), np.zeros((101, 1)))
+        nu = np.zeros(spec.n)
         rep = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                 data, (x1, u1, nu1),
-                                 (x2, np.zeros((101, 1)), np.zeros(spec.n)),
-                                 delta_act=5e-2)
+                                 (nu, u1), (nu, np.zeros((101, 1))), delta_act=5e-2)
         # direct expansion oracle on the same paths (common random numbers)
         from stocond.model import as_control_array
         M = base.M
@@ -541,16 +535,74 @@ class TestSecondOrder:
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
         # nu1 along the cost gradient breaks criticality at tiny delta_act
-        nu1 = np.ones(spec.n)
-        u1 = np.ones((21, 1))
-        x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1,
-                                       np.zeros(spec.n), np.zeros((21, 1)))
         with pytest.raises(NotCritical):
             second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                               data, (x1, u1, nu1),
-                               (x2, np.zeros((21, 1)), np.zeros(spec.n)),
-                               delta_act=1e-6)
+                               (np.ones(spec.n), np.ones((21, 1))),
+                               (np.zeros(spec.n), np.zeros((21, 1))), delta_act=1e-6)
+
+    def test_nonzero_nu1_matches_processes_simulated_outside(self):
+        # at nu1 != 0 the Q-term's process is a first variation from zero,
+        # and the psi atom brings x2 into the value
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 300, seed=15)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        rng = np.random.default_rng(3)
+        mult = MultiplierSet(1.0, {}, DiscreteBVMeasure({7: rng.standard_normal(spec.n)}))
+        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        nu1, nu2 = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
+        u1 = np.sin(np.pi * g.times)[:, None]
+        u2 = np.cos(np.pi * g.times)[:, None]
+        assert np.any(relaxed.Qtensor.values != 0.0)
+        rep = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, (nu1, u1),
+                                 (nu2, u2), delta_act=1e6)
+        assert rep.worst_violation == _second_order_value_from_processes(
+            spec, g, paths, base, u, mult, adj, relaxed, data, nu1, u1, nu2, u2)
+
+
+def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relaxed, data,
+                                      nu1, u1, nu2, u2):
+    """The second order value built from processes simulated outside the check:
+    x1 and x2 from the variations, and the Q-term's test process phi from
+    ``simulate_phi`` driven by (0, a_u u1, b_u u1)."""
+    x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
+    x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu2, u2)
+    M, n, d, N, dt = base.M, spec.n, spec.d, g.N, g.dt
+    u_arr, u1_arr, u2_arr = (as_control_array(v, g, M, spec.m) for v in (u, u1, u2))
+    y0 = adj.y.values[:, 0, :].mean(axis=0)
+    P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
+    value_det = float(y0 @ nu2) + 0.5 * float(nu1 @ P0 @ nu1)
+    along = _along(spec, g, base, u_arr)
+    a_u, b_u, b_x = along("drift_u"), along("diffusion_u"), along("diffusion_x")
+    a_xu, b_xu = along("drift_xu"), along("diffusion_xu")
+    a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
+    ft = time_major_zeros(M, N + 1, (n,))
+    fh = time_major_zeros(M, N + 1, (n, d))
+    per_path = np.zeros(M)
+    for k in range(N):
+        yk, Yk, Pk = adj.y.values[:, k], adj.Y.values[:, k], relaxed.P.values[:, k]
+        u1k, x1k = u1_arr[:, k], x1.values[:, k]
+        a2, b2, b1 = a_u(k), b_u(k), b_x(k)
+        Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
+        Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)
+        ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
+        fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
+        cross = _total(_contract("pjk,pj->pk", Hxu, x1k),
+                       np.einsum("pij,pi->pj", a2, np.einsum("pij,pj->pi", Pk, x1k)),
+                       np.einsum("pilj,pil->pj", b2, Pk @ np.einsum("pilj,pj->pil", b1, x1k)))
+        per_path += dt * _total(
+            np.einsum("pj,pj->p", _hamiltonian_u(a2, b2, yk, Yk), u2_arr[:, k]),
+            None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
+            0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
+            np.einsum("pk,pk->p", cross, u1k))
+    phi = simulate_phi(spec, g, paths, data, 0, np.zeros(n), ft, fh)
+    Qsum = q_view(relaxed, phi, 0).values
+    Qsum += q_view(relaxed, phi, 0, adjoint=True).values
+    per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
+    for k in sorted(mult.psi.atoms):
+        per_path += np.einsum("pi,pi->p", x2.values[:, k, :], mult.psi.atom(k, M, n))
+    return value_det + float(np.mean(per_path))
 
 
 class TestDtBiasFit:

@@ -379,8 +379,8 @@ def _consumer_outputs(spec):
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid, base, u_bar, sol, mult)
     relaxed = solve_second_adjoint(spec, grid, paths, base, data)
-    report = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed, data,
-                                (x1, u1, nu1), (x2, u2, nu2), delta_act=1e6)
+    report = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed,
+                                (nu1, u1), (nu2, u2), delta_act=1e6)
     return {
         "simulate_forward": base.values,
         "simulate_first_variation": x1.values,
@@ -391,7 +391,7 @@ def _consumer_outputs(spec):
         "check_transposition_identity": check_transposition_identity(
             spec, grid, paths, base, u_bar, sol, 1, nu1, f1, f2, psi=psi, f=f),
         "check_first_variation_duality": check_first_variation_duality(
-            spec, grid, paths, base, u_bar, sol, x1, nu1, u1, psi=psi),
+            spec, grid, paths, base, u_bar, sol, nu1, u1, psi=psi),
         "second_adjoint_F": [np.zeros((M, n, n)) if data.F is None else data.F(k)
                              for k in range(N)],
         "solve_second_adjoint_P": relaxed.P.values,

@@ -115,3 +115,65 @@ def test_every_parameter_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread += [f"{path.stem}.{name}({p.arg})" for p in params if p.arg not in read]
     assert unread == []
+
+
+ROOT = SRC.parent.parent
+# options that no call sets yet, each kept for the ROADMAP item that will set it
+UNSET_EXEMPT = {
+    "adjoint_second.solve_second_adjoint(basis)": "item 9: the benchmark chooses its basis",
+    "conditions.second_adjoint_data_for(restricted)": "item 10: the constrained P_T",
+}
+
+
+def _defaulted_options(path):
+    """(qualified name, callee name, [(position or None, parameter)]) for every
+    module-level function and method of a package module with a defaulted
+    parameter; a method's position counts after its self or cls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [(fn.name, fn.name, fn, 0) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", cls.name if fn.name == "__init__" else fn.name,
+                   fn, 1) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    for name, callee, fn, skip in functions:
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        options = [(i, p) for i, p in enumerate(positional)
+                   if i >= len(positional) - len(args.defaults)]
+        options += [(None, p) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+        if options:
+            yield f"{path.stem}.{name}", callee, options
+
+
+def test_every_option_is_set_by_some_call():
+    """Every defaulted parameter of the package is passed, by position, by
+    keyword or through **, by some call of its name in src/, tests/,
+    scripts/ or perfbench/; an option that no call sets is a constant."""
+    calls = {}
+    for tree_dir in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else \
+                        func.attr if isinstance(func, ast.Attribute) else None
+                    calls.setdefault(name, []).append(node)
+
+    def is_set(callee, position, param):
+        for call in calls.get(callee, ()):
+            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            if position is not None and (position < len(call.args)
+                                         or (starred and starred[0] <= position)):
+                return True
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+        return False
+
+    unset = [f"{name}({p.arg})" for path in sorted(SRC.glob("*.py"))
+             for name, callee, options in _defaulted_options(path)
+             for position, p in options if not is_set(callee, position, p.arg)]
+    missing = [u for u in unset if u not in UNSET_EXEMPT]
+    assert not missing, "options that no call sets: " + ", ".join(missing)
+    stale = sorted(set(UNSET_EXEMPT) - set(unset))
+    assert not stale, "exempt options that a call now sets: " + ", ".join(stale)
