@@ -125,15 +125,6 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     return TranspositionSolution(y=PathEnsemble(y, grid), Y=PathEnsemble(Y, grid))
 
 
-def measure_pairing(psi: DiscreteBVMeasure, z: PathEnsemble) -> float:
-    """E integral of <z, d psi>: the mean of sum_k <z(t_k), mu_k>."""
-    M, _, n = z.values.shape
-    total = np.zeros(M)
-    for k in sorted(psi.atoms):
-        total += np.einsum("pi,pi->p", z.values[:, k, :], psi.atom(k, M, n))
-    return float(np.mean(total))
-
-
 def simulate_test_process(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                           t_index: int, eta: np.ndarray, f1, f2) -> PathEnsemble:
     """Forward test dynamics d phi = (A phi + f1) ds + f2 dW from t_index.
@@ -228,20 +219,3 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
             rhs += np.einsum("pi,pi->p", x1.values[:, k, :], psi.atom(k, M, n))
     mean, se = mc_mean(lhs - rhs)
     return abs(float(mean)), float(se)
-
-
-def export_moments_csv(sol: TranspositionSolution, path: str) -> None:
-    """Per-time mean and covariance entries of y, for comparison plots."""
-    y = sol.y.values
-    M, K, n = y.shape
-    times = sol.y.grid.times
-    with open(path, "w", encoding="utf-8") as fh:
-        head = ["time"] + [f"mean_{i}" for i in range(n)] \
-            + [f"cov_{i}_{j}" for i in range(n) for j in range(i, n)]
-        fh.write(",".join(head) + "\n")
-        for k in range(K):
-            mean = y[:, k, :].mean(axis=0)
-            cov = np.cov(y[:, k, :].T, ddof=1).reshape(n, n) if M > 1 else np.zeros((n, n))
-            row = [repr(times[k])] + [repr(v) for v in mean] \
-                + [repr(cov[i, j]) for i in range(n) for j in range(i, n)]
-            fh.write(",".join(row) + "\n")

@@ -185,17 +185,3 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
             rhs += dt * np.einsum("pil,pil->p", Qv1.values[:, k], fh2_arr[:, k])
     mean, se = mc_mean(lhs - rhs)
     return abs(float(mean)), float(se)
-
-
-def export_P_csv(sol: RelaxedSolution, path: str) -> None:
-    """Mean P slices, flattened row-major, one grid time per row."""
-    P = sol.P.values
-    M, K, n, _ = P.shape
-    times = sol.P.grid.times
-    with open(path, "w", encoding="utf-8") as fh:
-        head = ["time"] + [f"P_{i}_{j}" for i in range(n) for j in range(n)]
-        fh.write(",".join(head) + "\n")
-        for k in range(K):
-            mean = P[:, k].mean(axis=0)
-            fh.write(",".join([repr(times[k])]
-                              + [repr(v) for v in mean.ravel()]) + "\n")

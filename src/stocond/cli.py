@@ -3,18 +3,21 @@
 Scenarios come from CLI flags and/or a flat ``key = value`` config file;
 the selected suite runs and a versioned JSON summary plus CSV tables land
 in the output directory.  Exit codes: 0 all checks pass, 2 at least one
-check fails, 1 configuration error.
+check fails, 1 a configuration error or a run that stops on a toolkit error
+(say a singular regression or a state blow-up); both print a message and
+write no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
 from . import suites
-from .errors import ConfigError
-from .reporting import convergence_csv, write_json_report
+from .errors import ConfigError, StocondError
+from .reporting import write_csv_table, write_json_report
 
 # Tolerance overrides: config key ``tol.<name>`` -> the suite keyword it sets.
 # Each default is stated once, in that suite function's signature.
@@ -89,6 +92,10 @@ class Scenario:
                               f"benchmark {self.benchmark!r}")
         if self.paths < 1 or self.steps < 1:
             raise ConfigError("paths and steps must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not math.isfinite(self.perturb):
+            raise ConfigError(f"perturb must be finite, got {self.perturb}")
 
 
 # the config keys and their casts, in field order; ``tol.*`` keys aside
@@ -150,9 +157,8 @@ def run(scenario: Scenario) -> int:
     for runner in runners:
         for cs, ts in runner(scenario):
             checks.extend(cs)
-            # an (xs, ys) tuple is a table; a scalar or a list is not
-            tables.update((name, val) for name, val in ts.items()
-                          if isinstance(val, tuple) and len(val) == 2)
+            # a dict of named columns is a table; a scalar or a list is not
+            tables.update((name, val) for name, val in ts.items() if isinstance(val, dict))
 
     failed = [c for c in checks if c["verdict"] != "pass"]
     payload = {
@@ -162,8 +168,8 @@ def run(scenario: Scenario) -> int:
         "failures": len(failed),
     }
     write_json_report(f"{scenario.out}/report.json", payload)
-    for name, (xs, ys) in tables.items():
-        convergence_csv(f"{scenario.out}/{name}.csv", xs, ys)
+    for name, table in tables.items():
+        write_csv_table(f"{scenario.out}/{name}.csv", table)
     for c in checks:
         print(f"[{c['verdict']:4s}] {c['name']}")
     return 2 if failed else 0
@@ -186,6 +192,9 @@ def main(argv=None) -> int:
         return run(scenario_from(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except StocondError as exc:
+        print(f"run stopped: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

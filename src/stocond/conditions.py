@@ -85,11 +85,11 @@ def tangent_project_field(U: cones.SetDescriptor, u_values: np.ndarray,
     polyhedra fall back to a per-point cone projection.  A point within
     1e-9 of a face counts as on it.
     """
+    if isinstance(U, cones.WholeSpace):
+        return v_values
     v = np.array(v_values, dtype=float, copy=True)
     u = u_values
     tol = 1e-9
-    if isinstance(U, cones.WholeSpace):
-        return v
     if isinstance(U, cones.Singleton):
         return np.zeros_like(v)
     if isinstance(U, cones.Box):
@@ -164,7 +164,8 @@ def sample_tangent_directions(spec: ProblemSpec, grid: TimeGrid, base: PathEnsem
         nrm = np.sqrt(np.mean(np.sum(v[:, :-1, :] ** 2, axis=2)) * grid.T
                       + np.sum(nus[i] ** 2))
         if nrm > 1e-14:
-            v = v / nrm
+            # a field that the projection left a broadcast view stays one
+            v = np.broadcast_to(v[0] / nrm, v.shape) if v.strides[0] == 0 else v / nrm
             nu = nus[i] / nrm
         else:
             nu = nus[i]

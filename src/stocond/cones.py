@@ -371,11 +371,6 @@ def adjacent_cone(K: SetDescriptor, z: np.ndarray, tol: float = 1e-9) -> ConeDes
     raise TypeError(f"no closed-form tangent cone for {type(K).__name__}")
 
 
-def normal_cone(K: SetDescriptor, z: np.ndarray) -> ConeDescriptor:
-    """Normal cone at z: the dual of the (Clarke = adjacent) tangent cone."""
-    return dual_cone(adjacent_cone(K, z))
-
-
 def second_order_adjacent(K: SetDescriptor, z: np.ndarray, v: np.ndarray) -> ConeDescriptor:
     """Second order adjacent set at (z, v), for the polyhedral-like variants.
 

@@ -47,12 +47,6 @@ class RemainderReport:
     ses: np.ndarray
     fitted_slope: float
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epsilon,norm,se\n")
-            for eps, nrm, se in zip(self.epsilons, self.norms, self.ses):
-                fh.write(f"{eps!r},{nrm!r},{se!r}\n")
-
 
 def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
     """exp(A dt) via scaling-and-squaring, computed once per grid."""

@@ -109,19 +109,10 @@ def fit_slope(xs, ys) -> tuple[float, float]:
     return float(slope), float(half)
 
 
-def convergence_csv(path: str, xs, ys) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dt,error\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x!r},{y!r}\n")
-
-
-def report_convergence(xs, ys, csv_path: str | None = None) -> dict:
-    """CSV emission plus fitted slope; flags degenerate all-zero ladders."""
+def report_convergence(xs, ys) -> dict:
+    """Fitted slope; flags degenerate all-zero ladders."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if csv_path:
-        convergence_csv(csv_path, xs, ys)
     if np.all(ys == 0):
         return {"slope": None, "half_width": None, "degenerate": True}
     slope, half = fit_slope(xs, ys)
@@ -129,6 +120,38 @@ def report_convergence(xs, ys, csv_path: str | None = None) -> dict:
     if np.isnan(slope):
         out["degenerate"] = True
     return out
+
+
+def mean_table(times, values, prefix: str) -> dict:
+    """Per-time path mean of an (M, N+1, ...) ensemble as a table: a time
+    column, then one column prefix_i[_j...] per entry, row-major."""
+    means = np.array([values[:, k].mean(axis=0) for k in range(len(times))])
+    names = ["_".join(map(str, (prefix, *idx))) for idx in np.ndindex(means.shape[1:])]
+    return {"time": times, **dict(zip(names, means.reshape(len(times), -1).T))}
+
+
+def moments_table(times, values) -> dict:
+    """mean_table of an (M, N+1, n) ensemble plus its per-time sample
+    covariance (ddof=1), one column cov_i_j per entry with i <= j."""
+    n = values.shape[2]
+    iu = np.triu_indices(n)
+    covs = np.array([np.cov(values[:, k].T, ddof=1).reshape(n, n)[iu]
+                     for k in range(len(times))])
+    return {**mean_table(times, values, "mean"),
+            **{f"cov_{i}_{j}": covs[:, c] for c, (i, j) in enumerate(zip(*iu))}}
+
+
+def write_csv_table(path: str, table: dict) -> None:
+    """A table of equal-length named columns as CSV: a header of its keys,
+    then one row per index, each cell the repr of a Python float or int."""
+    columns = [np.asarray(col).tolist() for col in table.values()]
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"columns of unequal length: "
+                         f"{dict(zip(table, map(len, columns)))}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(table) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_json_report(path: str, payload: dict) -> None:

@@ -1,9 +1,10 @@
 """Named experiment suites: convergence, remainders, identities, conditions.
 
 Each suite returns a list of check records (dicts with name / verdict /
-violation / tolerance provenance) plus a dict in which every (xs, ys)
-tuple is a CSV-ready table.  The CLI maps scenarios onto these functions;
-the acceptance tests call them directly.
+violation / tolerance provenance) plus a dict in which every dict value is
+a table: equal-length columns under their names, one CSV file each.  The
+CLI maps scenarios onto these functions; the acceptance tests call them
+directly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .forward import (VariationData, remainder_study_first, remainder_study_seco
 from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
                     time_major_zeros)
 from .regression import PolynomialBasis
-from .reporting import ConditionReport, dt_bias_envelope, dt_bias_fit, report_convergence
+from .reporting import (ConditionReport, dt_bias_envelope, dt_bias_fit, mean_table,
+                        moments_table, report_convergence)
 
 
 def _check(name, passed, **extra):
@@ -114,7 +116,7 @@ def forward_strong_convergence(M: int = 4000, seed: int = 7,
     checks = [_check("forward_strong_convergence_slope",
                      fit["slope"] is not None and fit["slope"] >= 0.45,
                      slope=fit["slope"], half_width=fit["half_width"])]
-    return checks, {"forward_strong_error": (dts, errs)}
+    return checks, {"forward_strong_error": {"dt": dts, "error": errs}}
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,9 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
     checks = []
     tables = {}
     grid = TimeGrid(N, 1.0)
+
+    def table(rep):
+        return {"epsilon": rep.epsilons, "norm": rep.norms, "se": rep.ses}
 
     # linear benchmark: remainders vanish identically
     lq = lq_unconstrained()
@@ -157,7 +162,7 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
     checks.append(_check("remainder1_bilinear_ratio",
                          bool(np.all(ratios <= 0.7)),
                          ratios=ratios.tolist(), slope=rep_b.fitted_slope))
-    tables["remainder1_bilinear"] = (rep_b.epsilons.tolist(), rep_b.norms.tolist())
+    tables["remainder1_bilinear"] = table(rep_b)
 
     rep_b2 = remainder_study_second(bil, grid, paths_b, np.array([1.0]), u_bar, var_b)
     ratios2 = rep_b2.norms[1:] / rep_b2.norms[:-1]
@@ -180,7 +185,7 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
                                    np.zeros((N + 1, 1)), var_q)
     checks.append(_check("remainder2_cubic_slope", rep_c.fitted_slope >= 0.8,
                          slope=rep_c.fitted_slope))
-    tables["remainder2_cubic"] = (rep_c.epsilons.tolist(), rep_c.norms.tolist())
+    tables["remainder2_cubic"] = table(rep_c)
     return checks, tables
 
 
@@ -261,11 +266,12 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
     checks.append(_check("transposition_identity_decreasing",
                          bool(np.all(np.diff(max_resid) < 0)),
                          residuals=max_resid))
-    return checks, {"transposition_residuals": (list(Ns), max_resid)}
+    return checks, {"transposition_residuals": {"N": list(Ns), "residual": max_resid}}
 
 
 def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
-    """First adjoint regression solve against the Riccati closed form."""
+    """First adjoint regression solve against the Riccati closed form; the
+    table adjoint_y_moments holds the per-time mean and covariance of y."""
     lq = lq_unconstrained()
     spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
     sol = _cost_adjoint(spec, grid, paths, base, u)
@@ -288,12 +294,13 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
                   / np.sqrt(np.mean(Y_ref ** 2)))
     checks.append(_check("adjoint_Y_vs_constant_diffusion_oracle",
                          rel_Y <= 0.10, rel_rmse=rel_Y))
-    return checks, {}
+    return checks, {"adjoint_y_moments": moments_table(grid.times, sol.y.values)}
 
 
 def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
                            draws: int = 10):
-    """Relaxed-transposition identity: deterministic and stochastic cases."""
+    """Relaxed-transposition identity: deterministic and stochastic cases;
+    the table relaxed_P_mean holds the stochastic case's per-time mean P."""
     checks = []
     # deterministic-coefficient scalar case: everything noise-free, Q = 0
     T = 1.0
@@ -355,7 +362,7 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     resids, ses = zip(*family)
     rep = ConditionReport.gate("relaxed_identity_stochastic", resids, ses, biases[100])
     checks.append(_gated(rep.name, rep, value="residual", draws=list(resids)))
-    return checks, {}
+    return checks, {"relaxed_P_mean": mean_table(grid_s.times, relaxed.P.values, "P")}
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@ import pytest
 
 from stocond import cones
 from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_duality,
-                                   check_transposition_identity, export_moments_csv,
-                                   measure_pairing, simulate_test_process,
+                                   check_transposition_identity, simulate_test_process,
                                    solve_first_adjoint)
 from stocond.benchmarks import adjoint_oracle_lq, lq_unconstrained
 from stocond.errors import SingularRegression
 from stocond.forward import semigroup_step, simulate_forward
-from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
-                           generate_brownian, zero_map)
+from stocond.model import Functional, ProblemSpec, TimeGrid, generate_brownian, zero_map
 from stocond.regression import PolynomialBasis
 from stocond.suites import _lq_setup
 from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
@@ -152,49 +150,8 @@ class TestSolveFirstAdjoint:
             solve_first_adjoint(spec, g, paths, base, np.zeros((6, 1)),
                                 np.array([1.0]), basis=PolynomialBasis(3))
 
-    def test_moments_export(self, tmp_path):
-        spec = _drift_free_spec()
-        g = TimeGrid(5, 1.0)
-        paths = generate_brownian(g, 16, 1, seed=7)
-        base = simulate_forward(spec, g, paths, np.array([1.0]), np.zeros((6, 1)))
-        sol = solve_first_adjoint(spec, g, paths, base, np.zeros((6, 1)),
-                                  np.array([1.0]))
-        out = tmp_path / "moments.csv"
-        export_moments_csv(sol, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("time,mean_0")
-        assert len(lines) == g.N + 2
 
-
-class TestMeasurePairing:
-    def test_zero_measure(self):
-        g = TimeGrid(4, 1.0)
-        z = PathEnsemble(np.ones((8, 5, 2)), g)
-        assert measure_pairing(DiscreteBVMeasure(), z) == 0.0
-
-    def test_single_atom(self):
-        g = TimeGrid(4, 1.0)
-        z = PathEnsemble(np.tile(np.array([3.0, 5.0]), (8, 5, 1)), g)
-        psi = DiscreteBVMeasure({2: np.array([1.0, 0.0])})
-        assert measure_pairing(psi, z) == pytest.approx(3.0)
-
-    def test_against_pathwise_stieltjes_oracle(self):
-        rng = np.random.default_rng(8)
-        g = TimeGrid(6, 1.0)
-        M, n = 16, 3
-        z = PathEnsemble(rng.standard_normal((M, 7, n)), g)
-        atoms = {k: rng.standard_normal((M, n)) for k in (0, 2, 5)}
-        psi = DiscreteBVMeasure(atoms)
-        # oracle: per-path explicit sum over atoms
-        total = 0.0
-        for p in range(M):
-            acc = 0.0
-            for k, mu in atoms.items():
-                acc += float(np.dot(z.values[p, k], mu[p]))
-            total += acc
-        oracle = total / M
-        assert measure_pairing(psi, z) == pytest.approx(oracle, abs=1e-12)
-
+class TestDiscreteBVMeasure:
     def test_total_variation(self):
         psi = DiscreteBVMeasure({0: np.array([3.0, 4.0]),
                                  2: np.array([0.0, 1.0])})

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from stocond.adjoint_first import solve_first_adjoint
-from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity,
-                                    export_P_csv, q_view, simulate_phi,
-                                    solve_second_adjoint)
+from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity, q_view,
+                                    simulate_phi, solve_second_adjoint)
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
 from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for)
 from stocond.adjoint_first import DiscreteBVMeasure
@@ -85,19 +84,6 @@ class TestSolveSecondAdjoint:
         for k in range(g.N + 1):
             eigs = np.linalg.eigvalsh(mean_P[k])
             assert np.all(eigs <= 1e-8)
-
-    def test_P_export(self, tmp_path):
-        spec = _drift_free_spec(n=2, d=1)
-        g = TimeGrid(5, 1.0)
-        paths = generate_brownian(g, 16, 1, seed=5)
-        base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((6, 1)))
-        sol = solve_second_adjoint(spec, g, paths, base,
-                                   SecondAdjointData(P_T=np.eye(2)))
-        out = tmp_path / "P.csv"
-        export_P_csv(sol, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "time,P_0_0,P_0_1,P_1_0,P_1_1"
-        assert len(lines) == g.N + 2
 
 
 class TestApplyQ:

@@ -117,6 +117,21 @@ class TestExitCodes:
         assert "configuration error" in err and "does not read" in err and named in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--suite", "cones", "--seed", "-1"],
+         "configuration error: seed must be non-negative"),
+        (["--suite", "first-order", "--perturb", "nan", "--paths", "50", "--steps", "8"],
+         "configuration error: perturb must be finite"),
+        # a run that stops on a toolkit error: one path cannot fit a regression
+        (["--suite", "first-order", "--paths", "1", "--steps", "8"],
+         "run stopped: SingularRegression")],
+        ids=["negative_seed", "nan_perturb", "one_path"])
+    def test_bad_input_exit_1_with_a_message(self, tmp_path, capsys, argv, message):
+        code = cli.main(["run", "lq_unconstrained", *argv, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv,block", [
         (["lq_unconstrained", "--suite", "cones", "--seed", "4"],
          {"benchmark": "lq_unconstrained", "suite": "cones", "seed": 4}),
@@ -140,6 +155,9 @@ class TestExitCodes:
         assert code != 1
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["scenario"]["benchmark"] == "cubic_drift"
+        for name in ("remainder1_bilinear", "remainder2_cubic"):
+            lines = (tmp_path / "r" / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == "epsilon,norm,se" and len(lines) == 7
 
     @pytest.mark.parametrize("name,expected", [
         ("lq_unconstrained", ["convergence", "remainder", "identities",
@@ -156,9 +174,10 @@ class TestExitCodes:
         assert code == 0
         assert ran == expected
 
-    def test_only_xs_ys_tuples_become_tables(self, tmp_path, monkeypatch):
-        # a two-element list (say the active constraint indices) is not a table
-        stub = ([], {"t": ([0.1], [1.0]), "lst": [0, 1]})
+    def test_only_column_dicts_become_tables(self, tmp_path, monkeypatch):
+        # a pair of lists or a list (say the active constraint indices) is not a table
+        stub = ([], {"t": {"dt": [0.1], "error": [1.0]}, "pair": ([0.1], [1.0]),
+                     "lst": [0, 1]})
         monkeypatch.setattr(cli, "RUNS", {"cones": (("lq_unconstrained",), ("seed",),
                                                     lambda sc: [stub])})
         out = tmp_path / "a"
@@ -206,15 +225,11 @@ class TestExitCodes:
 
 
 class TestConvergenceReport:
-    def test_exact_slope_one(self, tmp_path):
+    def test_exact_slope_one(self):
         xs = np.array([0.1, 0.05, 0.025, 0.0125])
-        ys = 3.0 * xs
-        out = report_convergence(xs, ys, csv_path=str(tmp_path / "c.csv"))
+        out = report_convergence(xs, 3.0 * xs)
         assert out["slope"] == pytest.approx(1.0, abs=1e-12)
         assert out["half_width"] <= 1e-10
-        lines = (tmp_path / "c.csv").read_text().strip().splitlines()
-        assert lines[0] == "dt,error"
-        assert len(lines) == 5
 
     def test_degenerate_all_zero_flagged(self):
         out = report_convergence([0.1, 0.05, 0.025], [0.0, 0.0, 0.0])

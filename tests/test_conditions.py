@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stocond import cones
-from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution, measure_pairing,
+from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                                    solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
@@ -14,7 +14,7 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze
                                 hamiltonian_u_field, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
-                                tangent_project_field)
+                                smooth_random_fields, tangent_project_field)
 from stocond.adjoint_second import q_view, simulate_phi, solve_second_adjoint
 from stocond.errors import AdjointMismatch, NotCritical
 from stocond.forward import (_along, _at, _contract, _quadratic, _total,
@@ -323,6 +323,24 @@ class TestFirstOrderChecks:
         assert rep_p.verdict == "fail"
         assert rep_p.worst_violation >= 5 * rep.tolerance
 
+    def test_whole_space_directions_stay_broadcast_views(self):
+        # each field keeps one (N+1, m) array behind a stride-0 path axis and
+        # equals, bit for bit, the full array normalized as before
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 64, seed=3)
+        assert isinstance(spec.U, cones.WholeSpace)
+        dirs = sample_tangent_directions(spec, g, base, u, 4, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        fields = smooth_random_fields(g, spec.m, 4, rng)
+        C_ka = cones.adjacent_cone(spec.Ka, base.values[0, 0, :spec.Ka.dim])
+        nus = cones.sample_cone_points(C_ka, 4, rng)
+        for (nu, v), f, nu_raw in zip(dirs, fields, nus):
+            full = np.array(np.broadcast_to(f, v.shape))
+            nrm = np.sqrt(np.mean(np.sum(full[:, :-1, :] ** 2, axis=2)) * g.T
+                          + np.sum(nu_raw ** 2))
+            assert v.strides[0] == 0
+            assert np.array_equal(v, full / nrm) and np.array_equal(nu, nu_raw / nrm)
+
     def test_singleton_control_reduces_to_initial_condition(self):
         # B = 0 and U = {0}: only the initial-state condition remains
         lq = LQSpec(A=np.array([[-0.4]]), B=np.zeros((1, 1)),
@@ -434,7 +452,10 @@ class TestMultiplierMachinery:
         psi = state_constraint_measure(spec, base, {3: 0.5, 7: 0.2})
         z = np.ones((base.M, g.N + 1, spec.n))
         z[:, [3, 7], :] = 0.0
-        assert measure_pairing(psi, PathEnsemble(z, g)) == 0.0
+        # E sum_k <z(t_k), mu_k>, the pairing of z with d psi
+        pairing = sum(np.einsum("pi,pi->p", z[:, k], psi.atom(k, base.M, spec.n))
+                      for k in psi.atoms)
+        assert np.mean(pairing) == 0.0
 
     def test_verdict_scaling_invariance_abnormal_branch(self):
         # scaling an abnormal multiplier by c > 0 scales violations by c

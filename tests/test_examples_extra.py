@@ -64,9 +64,22 @@ def test_infeasible_polyhedron_raises_empty_set():
 def test_forward_ladder_slope_band_via_report():
     _, tables = forward_strong_convergence(M=2000, seed=43,
                                            levels=(4, 5, 6, 7, 8))
-    dts, errs = tables["forward_strong_error"]
-    out = report_convergence(dts, errs)
+    table = tables["forward_strong_error"]
+    out = report_convergence(table["dt"], table["error"])
     assert 0.45 <= out["slope"] <= 0.6
+
+
+def test_identity_suites_tabulate_y_moments_and_mean_P():
+    # one row per grid time over the reduced state (the cost accumulator too);
+    # the relaxed suite's stochastic case runs at N = 100
+    _, tables = suites.adjoint_oracle_comparison(M=200, N=10, seed=1)
+    y = tables["adjoint_y_moments"]
+    assert list(y) == ["time", "mean_0", "mean_1", "cov_0_0", "cov_0_1", "cov_1_1"]
+    assert {len(col) for col in y.values()} == {11}
+    _, tables = suites.relaxed_identity_suite(M=200, N=20, seed=1, draws=1)
+    P = tables["relaxed_P_mean"]
+    assert list(P) == ["time", "P_0_0", "P_0_1", "P_1_0", "P_1_1"]
+    assert {len(col) for col in P.values()} == {101}
 
 
 def test_linear_remainder_ladder_reports_degenerate():

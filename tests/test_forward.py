@@ -268,19 +268,6 @@ class TestRemainders:
         assert np.all(np.diff(rep2.norms) < 0)
         assert rep2.fitted_slope >= 0.8
 
-    def test_report_serialization(self, tmp_path):
-        spec = make_bilinear_scalar()
-        g = TimeGrid(50, 1.0)
-        paths = generate_brownian(g, 64, 1, seed=15)
-        var = VariationData(nu1=np.array([0.2]), u1=np.ones((51, 1)))
-        rep = remainder_study_first(spec, g, paths, np.array([1.0]),
-                                    np.zeros((51, 1)), var)
-        csv_path = tmp_path / "rep.csv"
-        rep.to_csv(str(csv_path))
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "epsilon,norm,se"
-        assert len(lines) == 1 + len(rep.epsilons)
-
     def test_epsilon_ladder_validation(self):
         with pytest.raises(ValueError):
             VariationData(nu1=np.zeros(1), u1=np.zeros((2, 1)),

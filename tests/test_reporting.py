@@ -1,4 +1,5 @@
-"""The one Monte Carlo gate: ``mc_mean`` and ``ConditionReport.gate``."""
+"""The one Monte Carlo gate (``mc_mean`` and ``ConditionReport.gate``), the
+table writer, and guards over the package's own source."""
 
 import ast
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stocond.reporting import ConditionReport, mc_mean
+from stocond.reporting import (ConditionReport, mc_mean, mean_table, moments_table,
+                               write_csv_table)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stocond"
 
@@ -69,8 +71,32 @@ class TestMcMean:
 
 # 3 * se, 3.0 * rep.se, 3 * max_se[i]: a tolerance assembled by hand
 THREE_SE = re.compile(r"(?<![\w.])3(?:\.0)?\s*\*\s*(?:[\w.]*[._])?se\b")
-# a CSV export's sample covariance, not a verdict's SE
-DDOF_EXEMPT = {("adjoint_first.py", "export_moments_csv")}
+class TestTables:
+    def test_cells_are_reprs_of_python_numbers(self, tmp_path):
+        table = {"N": np.array([50, 100]), "residual": np.array([0.1, 1 / 3])}
+        write_csv_table(str(tmp_path / "t.csv"), table)
+        assert (tmp_path / "t.csv").read_text() == \
+            "N,residual\n50,0.1\n100,0.3333333333333333\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            write_csv_table(str(tmp_path / "t.csv"), {"a": [1.0, 2.0], "b": [1.0]})
+
+    def test_moments_are_per_time_slice_reductions(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((50, 3, 2))
+        table = moments_table(np.arange(3.0), values)
+        assert list(table) == ["time", "mean_0", "mean_1", "cov_0_0", "cov_0_1", "cov_1_1"]
+        for k in range(3):
+            cov = np.cov(values[:, k].T, ddof=1)
+            assert table["mean_1"][k] == values[:, k].mean(axis=0)[1]
+            assert table["cov_0_1"][k] == cov[0, 1] and table["cov_1_1"][k] == cov[1, 1]
+
+    def test_matrix_means_are_flattened_row_major(self):
+        values = np.arange(24.0).reshape(2, 3, 2, 2)
+        table = mean_table(np.arange(3.0), values, "P")
+        assert list(table) == ["time", "P_0_0", "P_0_1", "P_1_0", "P_1_1"]
+        assert table["P_1_0"].tolist() == values[:, :, 1, 0].mean(axis=0).tolist()
 
 
 def test_gate_arithmetic_lives_only_in_reporting():
@@ -81,13 +107,8 @@ def test_gate_arithmetic_lives_only_in_reporting():
         if path.name == "reporting.py":
             continue
         text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text)
-        exempt = set()
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in DDOF_EXEMPT:
-                exempt.update(range(fn.lineno, fn.end_lineno + 1))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and node.lineno not in exempt and any(
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and any(
                     k.arg == "ddof" and isinstance(k.value, ast.Constant)
                     and k.value.value == 1 for k in node.keywords):
                 offenders.append(f"{path.name}:{node.lineno}: ddof=1")
@@ -148,10 +169,10 @@ def _defaulted_options(path):
 
 def test_every_option_is_set_by_some_call():
     """Every defaulted parameter of the package is passed, by position, by
-    keyword or through **, by some call of its name in src/, tests/,
-    scripts/ or perfbench/; an option that no call sets is a constant."""
+    keyword or through **, by some call of its name in src/, tests/ or
+    perfbench/; an option that no call sets is a constant."""
     calls = {}
-    for tree_dir in ("src", "tests", "scripts", "perfbench"):
+    for tree_dir in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / tree_dir).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
@@ -177,3 +198,53 @@ def test_every_option_is_set_by_some_call():
     assert not missing, "options that no call sets: " + ", ".join(missing)
     stale = sorted(set(UNSET_EXEMPT) - set(unset))
     assert not stale, "exempt options that a call now sets: " + ", ".join(stale)
+
+
+# public code that only tests use, each kept for a ROADMAP item or as a test oracle
+TEST_ONLY_EXEMPT = {
+    "adjoint_first.check_first_variation_duality": "item 14: the cost-expansion harness",
+    "benchmarks.heat_lq": "item 9: the heat-equation benchmark",
+    "cones.second_order_adjacent": "item 10: the constrained second-order verdict",
+    "model.validate_spec": "item 13: a benchmark's maps checked once, at registration",
+    "model.ValidationReport.max_mismatch": "item 13: the summary of validate_spec",
+    "model.with_maps": "the only safe way to swap a declared-zero map",
+    "benchmarks.lq_second_adjoint_ode": "test oracle: the LQ second adjoint P",
+    "benchmarks.RiccatiSolution.optimal_cost": "test oracle: the LQ optimal cost",
+    "cones.cone_contains": "test oracle: exact cone membership",
+    "cones.dual_cone": "test oracle: the normal cone, dual of the adjacent cone",
+}
+
+
+def _public_definitions(path):
+    """(qualified name, node) for every public module-level function and
+    class of a package module and every public method of its classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{path.stem}.{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_"))
+
+
+def test_no_public_code_only_tests_use():
+    """Every public module-level function, class and method of the package
+    is referenced by its name in src/, outside its own body, or in
+    perfbench/; code that only its own test calls goes with that test."""
+    refs = {}
+    for tree_dir in ("src", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name:
+                    refs.setdefault(name, []).append((path, node.lineno))
+
+    unused = [qual for path in sorted(SRC.glob("*.py"))
+              for qual, node in _public_definitions(path)
+              if all(ref == path and node.lineno <= line <= node.end_lineno
+                     for ref, line in refs.get(node.name, ()))]
+    missing = [u for u in unused if u not in TEST_ONLY_EXEMPT]
+    assert not missing, "public code that only tests use: " + ", ".join(missing)
+    stale = sorted(set(TEST_ONLY_EXEMPT) - set(unused))
+    assert not stale, "exempt code that src/ or perfbench/ now uses: " + ", ".join(stale)
