@@ -122,7 +122,7 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
             target_y = target_y - psi.atom(k, M, n)
         y[:, k] = reg.fit(target_y)
 
-    return TranspositionSolution(y=PathEnsemble(y, grid), Y=PathEnsemble(Y, grid))
+    return TranspositionSolution(y=PathEnsemble(y), Y=PathEnsemble(Y))
 
 
 def simulate_test_process(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,

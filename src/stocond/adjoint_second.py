@@ -106,7 +106,7 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
         Pk = reg.fit(target_P)
         P[:, k] = 0.5 * (Pk + Pk.transpose(0, 2, 1))
 
-    return RelaxedSolution(P=PathEnsemble(P, grid), Qtensor=PathEnsemble(Q, grid))
+    return RelaxedSolution(P=PathEnsemble(P), Qtensor=PathEnsemble(Q))
 
 
 def simulate_phi(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -127,7 +127,7 @@ def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
     else:
         out = np.einsum("pkijl,pkj->pkil", Q, phi.values)
     out[:, :t_index] = 0.0
-    return PathEnsemble(out, phi.grid)
+    return PathEnsemble(out)
 
 
 def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,

@@ -69,7 +69,6 @@ class LQSpec:
 
 @dataclass
 class RiccatiSolution:
-    grid: TimeGrid
     Pi: np.ndarray          # (N+1, n, n) on the coarse grid
     gains: np.ndarray       # (N+1, m, n) feedback u = -gain x
 
@@ -141,7 +140,7 @@ def solve_lq_riccati(lq: LQSpec, grid: TimeGrid, cap: float = 1e8) -> RiccatiSol
     z = Pi.reshape(grid.N + 1, n * n) @ op[:sl].T
     gains = np.linalg.solve(lq.R_run + z[:, :mm].reshape(-1, m, m),
                             z[:, mm:].reshape(-1, m, n))
-    return RiccatiSolution(grid=grid, Pi=Pi, gains=gains)
+    return RiccatiSolution(Pi=Pi, gains=gains)
 
 
 def lq_second_adjoint_ode(lq: LQSpec, grid: TimeGrid) -> np.ndarray:

@@ -182,7 +182,6 @@ class MultiplierSet:
     lambda0: float
     lambdas: dict[int, float]
     psi: DiscreteBVMeasure
-    normalization: float = 1.0
 
     def nontriviality(self, M: int, n: int) -> float:
         return self.lambda0 + sum(self.lambdas.values()) \
@@ -193,7 +192,7 @@ class MultiplierSet:
         if self.lambda0 != 0.0:
             raise ValueError("only abnormal multipliers admit rescaling")
         return MultiplierSet(0.0, {j: c * v for j, v in self.lambdas.items()},
-                             self.psi.scaled(c), normalization=c)
+                             self.psi.scaled(c))
 
     def normalized(self, M: int, n: int) -> "MultiplierSet":
         """Rescale an abnormal multiplier to unit nontriviality size."""
@@ -524,7 +523,7 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     nu2, u2 = candidate
     x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
     if analysis is None:
-        analysis = analyze_active_sets(spec, grid, base, x1, delta_act)
+        analysis = analyze_active_sets(spec, grid, base, delta_act=delta_act)
     crit_viol = check_critical(spec, grid, base, x1, analysis)
     if crit_viol > 10 * delta_act:
         raise NotCritical(f"critical-cone inequalities violated by {crit_viol:.3g}")

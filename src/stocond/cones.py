@@ -441,18 +441,14 @@ class OracleResult:
 # the epsilon ladder of the membership oracle and of the remainder studies
 DEFAULT_EPSILON_LADDER = tuple(2.0 ** (-k) for k in range(3, 9))
 _ORACLE_TOL = 1e-2
-_CLARKE_SAMPLES = 24
 
 
 def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
                            mode: str = "adjacent",
-                           h: np.ndarray | None = None,
-                           rng: np.random.Generator | None = None) -> OracleResult:
+                           h: np.ndarray | None = None) -> OracleResult:
     """Brute-force limit evaluation of the tangent-cone definitions.
 
     adjacent:     residual(eps) = dist(z + eps v, K) / eps
-    clarke:       sup over 24 sampled y in K with |y - z| <= sqrt(eps) of
-                  dist(y + eps v, K) / eps
     second_order: residual(eps) = dist(z + eps v + eps^2 h, K) / eps^2
 
     with eps on ``DEFAULT_EPSILON_LADDER``.  Member when the residual at the
@@ -463,32 +459,16 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
-    res = []
     if mode == "adjacent":
-        for eps in DEFAULT_EPSILON_LADDER:
-            res.append(distance(K, z + eps * v) / eps)
+        res = np.array([distance(K, z + eps * v) / eps for eps in DEFAULT_EPSILON_LADDER])
     elif mode == "second_order":
         if h is None:
             raise ValueError("second_order mode needs h")
         h = np.asarray(h, dtype=float)
-        for eps in DEFAULT_EPSILON_LADDER:
-            res.append(distance(K, z + eps * v + eps ** 2 * h) / eps ** 2)
-    elif mode == "clarke":
-        rng = np.random.default_rng(0) if rng is None else rng
-        for eps in DEFAULT_EPSILON_LADDER:
-            worst = distance(K, z + eps * v) / eps
-            for _ in range(_CLARKE_SAMPLES):
-                y = z + np.sqrt(eps) * rng.standard_normal(z.size)
-                if not isinstance(K, CustomSet):
-                    y = project(K, y)
-                    if np.linalg.norm(y - z) > np.sqrt(eps):
-                        y = z + (y - z) * np.sqrt(eps) / np.linalg.norm(y - z)
-                        y = project(K, y)
-                worst = max(worst, distance(K, y + eps * v) / eps)
-            res.append(worst)
+        res = np.array([distance(K, z + eps * v + eps ** 2 * h) / eps ** 2
+                        for eps in DEFAULT_EPSILON_LADDER])
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
-    res = np.asarray(res)
     increasing = res.size > 1 and res[-1] > res[0] + 10 * _ORACLE_TOL
     if res[-1] <= _ORACLE_TOL and not increasing:
         verdict = Verdict.MEMBER

@@ -56,7 +56,9 @@ def semigroup_step(A: np.ndarray, dt: float) -> np.ndarray:
 def _check_cap(x: np.ndarray, cap: float, what: str) -> None:
     # max |x| without the temporary |x|; a NaN reaches mx through x.max()
     mx = max(float(x.max()), -float(x.min())) if x.size else 0.0
-    if not np.isfinite(mx) or mx > cap:
+    if not np.isfinite(mx):
+        raise BlowUp(f"{what} became non-finite")
+    if mx > cap:
         raise BlowUp(f"{what} norm exceeded cap {cap:.3g} (max component {mx:.3g})")
 
 
@@ -97,18 +99,20 @@ def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, s
     ET = np.ascontiguousarray(semigroup_step(spec.A, dt).T)
     X = time_major_zeros(M, N + 1, (spec.n,))
     X[:, t_index] = np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n))
-    for k in range(t_index, N):
-        xk = X[:, k]
-        drift, noise = step(k, xk)
-        incr = xk
-        if drift is not None:
-            incr = incr + drift * dt
-        if noise is not None:
-            incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
-        x_next = incr @ ET
-        _check_cap(x_next, cap, what)
-        X[:, k + 1] = x_next
-    return PathEnsemble(values=X, grid=grid)
+    # an overflow ends in _check_cap's BlowUp, not in a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(t_index, N):
+            xk = X[:, k]
+            drift, noise = step(k, xk)
+            incr = xk
+            if drift is not None:
+                incr = incr + drift * dt
+            if noise is not None:
+                incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
+            x_next = incr @ ET
+            _check_cap(x_next, cap, what)
+            X[:, k + 1] = x_next
+    return PathEnsemble(X)
 
 
 def _total(*terms):

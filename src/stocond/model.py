@@ -142,9 +142,7 @@ def with_maps(spec: ProblemSpec, **maps) -> ProblemSpec:
 class BrownianEnsemble:
     """Independent N(0, dt) increments per path, step and channel."""
 
-    grid: TimeGrid
     increments: np.ndarray  # (M, N, d)
-    seed: int
 
     @property
     def M(self) -> int:
@@ -166,7 +164,6 @@ class PathEnsemble:
     """
 
     values: np.ndarray
-    grid: TimeGrid
 
     @property
     def M(self) -> int:
@@ -187,7 +184,7 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
     if M < 1 or grid.N < 1:
         raise ValueError("need at least one path and one step")
     incs = np.random.default_rng(seed).standard_normal((M, grid.N, d)) * np.sqrt(grid.dt)
-    return BrownianEnsemble(grid=grid, increments=incs, seed=seed)
+    return BrownianEnsemble(incs)
 
 
 def as_control_array(u, grid: TimeGrid, M: int, m: int) -> np.ndarray:
@@ -216,8 +213,6 @@ def as_control_array(u, grid: TimeGrid, M: int, m: int) -> np.ndarray:
 class ValidationReport:
     mismatches: dict[str, float] = field(default_factory=dict)
     log_norm_A: float = 0.0
-    lipschitz_drift: float = 0.0
-    lipschitz_diffusion: float = 0.0
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -252,7 +247,7 @@ def validate_spec(spec: ProblemSpec, samples: int = 20, seed: int = 0,
     a nonzero value is reported as that map's mismatch (its norm).  Also
     reports the log-norm of A (a positive value only warns: the
     contractive-semigroup assumption is a modelling choice, not something
-    the checks require) and crude Lipschitz estimates for drift/diffusion.
+    the checks require).
     """
     rng = np.random.default_rng(seed)
     report = ValidationReport()
@@ -300,20 +295,6 @@ def validate_spec(spec: ProblemSpec, samples: int = 20, seed: int = 0,
                _fd_jacobian(lambda xx: spec.terminal_cost.grad(xx), xs, step),
                spec.terminal_cost.hess(xs))
 
-    # crude Lipschitz estimates over sampled pairs (same t, u)
-    lip_a, lip_b = 0.0, 0.0
-    for i in range(samples - 1):
-        t, u = ts[i], us[i:i + 1]
-        x1, x2 = xs[i:i + 1], xs[i + 1:i + 2]
-        dx = float(np.linalg.norm(x1 - x2))
-        if dx < 1e-12:
-            continue
-        lip_a = max(lip_a, float(np.linalg.norm(
-            np.ravel(spec.drift(t, x1, u) - spec.drift(t, x2, u)))) / dx)
-        lip_b = max(lip_b, float(np.linalg.norm(
-            np.ravel(spec.diffusion(t, x1, u) - spec.diffusion(t, x2, u)))) / dx)
-    report.lipschitz_drift = lip_a
-    report.lipschitz_diffusion = lip_b
     return report
 
 

@@ -27,7 +27,7 @@ from .conditions import (MultiplierSet, _smooth_field, analyze_active_sets,
                          sample_tangent_directions, search_multipliers,
                          second_adjoint_data_for, second_order_check,
                          smooth_random_fields)
-from .errors import TranscriptionMismatch
+from .errors import ConfigError, TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
                       simulate_forward, semigroup_step)
 from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
@@ -106,7 +106,7 @@ def forward_strong_convergence(M: int = 4000, seed: int = 7,
         grid = TimeGrid(N, T)
         ratio = n_fine // N
         incs = fine.increments.reshape(M, N, ratio, 1).sum(axis=2)
-        paths = type(fine)(grid=grid, increments=incs, seed=seed)
+        paths = type(fine)(incs)
         ens = simulate_forward(spec, grid, paths, np.array([x0]),
                                np.zeros((grid.N + 1, 1)))
         err = float(np.sqrt(np.mean((ens.values[:, -1, 0] - exact) ** 2)))
@@ -240,7 +240,7 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
         grid = TimeGrid(N, lq.T)
         ratio = N_fine // N
         incs = fine.increments.reshape(M, N, ratio, lq.d).sum(axis=2)
-        paths = type(fine)(grid=grid, increments=incs, seed=seed)
+        paths = type(fine)(incs)
         spec, _, base, u = _lq_closed_loop(lq, grid, paths)
         sol = _cost_adjoint(spec, grid, paths, base, u)
         family = []
@@ -308,7 +308,7 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     Mdet = 4
     paths_det = generate_brownian(grid, Mdet, 1, seed)
     spec_det = make_polynomial_scalar(2, coeff=0.0)  # shell spec: A = 0, n = 1
-    base_det = PathEnsemble(np.ones((Mdet, N + 1, 1)), grid)
+    base_det = PathEnsemble(np.ones((Mdet, N + 1, 1)))
     alpha = 0.3
     data_det = SecondAdjointData(P_T=np.array([[1.0]]), F=None,
                                  J=np.array([[alpha]]), K=None)
@@ -369,6 +369,17 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
 # first order suite
 # ---------------------------------------------------------------------------
 
+def _coarse_ladder_biases(N: int, violations) -> tuple:
+    """One ``dt_bias_envelope`` at N per gated family, extrapolated from the
+    coarse grids N // 4 and N // 2 (evaluated in that order);
+    violations(NN) gives the families' worst violations at NN steps."""
+    if N < 4:
+        raise ConfigError(f"the coarse dt-bias ladder needs at least 4 steps, got {N}")
+    coarse_Ns = (N // 4, N // 2)
+    per_grid = [violations(NN) for NN in coarse_Ns]
+    return tuple(dt_bias_envelope(coarse_Ns, family, N) for family in zip(*per_grid))
+
+
 def _first_order_violations(lq, N, M, seed, rng, perturb=0.0, dt_biases=(0.0, 0.0)):
     """Integral and pointwise first order reports for one grid size, gated
     with the (integral, pointwise) dt biases; the integral check runs over 12
@@ -404,14 +415,8 @@ def first_order_suite(M: int = 20000, N: int = 100, seed: int = 13,
     """
     lq = lq_unconstrained()
     rng = np.random.default_rng(seed)
-    coarse_Ns = (N // 4, N // 2)
-    int_coarse, pw_coarse = [], []
-    for NN in coarse_Ns:
-        rep_int, rep_pw = _first_order_violations(lq, NN, M, seed, rng)
-        int_coarse.append(rep_int.worst_violation)
-        pw_coarse.append(rep_pw.worst_violation)
-    biases = (dt_bias_envelope(coarse_Ns, int_coarse, N),
-              dt_bias_envelope(coarse_Ns, pw_coarse, N))
+    biases = _coarse_ladder_biases(N, lambda NN: [
+        rep.worst_violation for rep in _first_order_violations(lq, NN, M, seed, rng)])
     rep_int, rep_pw = _first_order_violations(lq, N, M, seed, rng,
                                               perturb=perturb, dt_biases=biases)
     if perturb:
@@ -435,7 +440,7 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
     grid = TimeGrid(N, lq.T)
     M = 8
     paths = generate_brownian(grid, M, lq.d, seed)
-    paths = type(paths)(grid=grid, increments=0.0 * paths.increments, seed=seed)
+    paths = type(paths)(0.0 * paths.increments)
     E = semigroup_step(lq.A, grid.dt)
     EN = [np.linalg.matrix_power(E, k) for k in range(N + 1)]
     dt = grid.dt
@@ -569,12 +574,8 @@ def terminal_constraint_multiplier_recovery(M: int = 8000, N: int = 100,
     """Binding terminal-mean constraint: recovered multiplier vs Lagrangian
     oracle, with a coarse-ladder dt bias for the stationarity residual."""
     lq = lq_terminal_constrained()
-    coarse_Ns = (N // 4, N // 2)
-    coarse = []
-    for NN in coarse_Ns:
-        _, rep, _ = _terminal_recovery_once(lq, NN, M, seed)
-        coarse.append(rep.worst_violation)
-    bias = dt_bias_envelope(coarse_Ns, coarse, N)
+    bias, = _coarse_ladder_biases(N, lambda NN: [
+        _terminal_recovery_once(lq, NN, M, seed)[1].worst_violation])
     mult, report, lam_star = _terminal_recovery_once(lq, N, M, seed)
     stationarity = ConditionReport.gate("terminal_multiplier_stationarity",
                                         report.worst_violation, report.se, bias)
@@ -591,6 +592,20 @@ def terminal_constraint_multiplier_recovery(M: int = 8000, N: int = 100,
     return checks, {}
 
 
+def _transition_blocks(F, Bdt, x0, N: int):
+    """(hom, S) with x(k) = hom[k] + sum_j S[k, :, j] z_j for the recursion
+    x_{k+1} = F x_k + Bdt z_k from x0, k = 0..N: S[k, :, j] = F^(k-1-j) Bdt
+    for j < k and zero otherwise, gathered from the powers by the lag."""
+    powers = [np.eye(len(x0))]
+    for _ in range(N):
+        powers.append(F @ powers[-1])
+    G = np.array([(P @ Bdt)[:, 0] for P in powers[:N]])    # G[i] = F^i Bdt
+    k, j = np.tril_indices(N + 1, -1, N)                   # the pairs j < k
+    S = np.zeros((N + 1, len(x0), N))
+    S[k, :, j] = G[k - 1 - j]
+    return np.array([P @ x0 for P in powers]), S
+
+
 def transcribe_double_integrator(N: int, limit: float):
     """Direct transcription oracle for the state-constrained double
     integrator: exact discrete QP over the piecewise-constant control.
@@ -603,16 +618,7 @@ def transcribe_double_integrator(N: int, limit: float):
     A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
     F = np.eye(2) + dt * A2
-    x0 = np.array([0.0, 1.0])
-    # x(k) = powers[k] x0 + sum_j S[k, j] z_j with S[k, j] = F^{k-1-j} B dt
-    powers = [np.eye(2)]
-    for _ in range(N):
-        powers.append(F @ powers[-1])
-    hom = np.array([powers[k] @ x0 for k in range(N + 1)])  # (N+1, 2)
-    S = np.zeros((N + 1, 2, N))
-    for k in range(1, N + 1):
-        for j in range(k):
-            S[k, :, j] = (powers[k - 1 - j] @ (B * dt))[:, 0]
+    hom, S = _transition_blocks(F, B * dt, np.array([0.0, 1.0]), N)
 
     def cost(z):
         return 0.5 * dt * float(z @ z)
@@ -653,7 +659,7 @@ def double_integrator_contact_mass(N: int = 200, seed: int = 29):
     grid = TimeGrid(N, 1.0)
     M = 12
     paths0 = generate_brownian(grid, M, spec.d, seed)
-    paths = type(paths0)(grid=grid, increments=0.0 * paths0.increments, seed=seed)
+    paths = type(paths0)(0.0 * paths0.increments)
     ts = grid.times
     tau = 3.0 * limit
     z, states = transcribe_double_integrator(N, limit)
@@ -786,7 +792,7 @@ def cone_suite(cases: int = 200, poly_instances: int = 100, seed: int = 37,
         margin_nonmember = residual >= 5e-2
         if not closed_member and not margin_nonmember:
             continue  # boundary-fuzzy cases are not decidable either way
-        result = cones.cone_membership_oracle(K, z, v, mode="adjacent", rng=rng)
+        result = cones.cone_membership_oracle(K, z, v, mode="adjacent")
         total += 1
         if result.verdict is cones.Verdict.INCONCLUSIVE:
             inconclusive += 1

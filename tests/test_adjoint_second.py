@@ -144,7 +144,7 @@ class TestRelaxedIdentity:
         N = 200
         g = TimeGrid(N, 1.0)
         paths = generate_brownian(g, 4, 1, seed=9)
-        base = PathEnsemble(np.ones((4, N + 1, 1)), g)
+        base = PathEnsemble(np.ones((4, N + 1, 1)))
         data = SecondAdjointData(P_T=np.array([[1.0]]), J=np.array([[0.3]]))
         sol = solve_second_adjoint(spec, g, paths, base, data)
         ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)[:, None]
@@ -317,7 +317,7 @@ class TestEinsumReference:
         Ff, F = _coefficient(rng, layout, M, N, (n, n), 1.0)
         data = SecondAdjointData(P_T=PT, F=F, J=J, K=K)
 
-        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base, g), data)
+        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base), data)
         P_ref, Q_ref = _ref_solve_second_adjoint(E, g, paths, base, PT, Ff, Jf, Kf)
         scale = np.max(np.abs(P_ref))
         assert np.max(np.abs(sol.P.values - P_ref)) <= 1e-12 * scale

@@ -98,7 +98,7 @@ class TestAdjointOracle:
         ric = solve_lq_riccati(lq, g)
         spec = lq_reduced_spec(lq)
         paths = generate_brownian(g, 2, lq.d, seed=2)
-        paths = type(paths)(grid=g, increments=0.0 * paths.increments, seed=2)
+        paths = type(paths)(0.0 * paths.increments)
 
         def feedback(k, x):
             return -x[:, :1] @ ric.gains[k].T
@@ -129,7 +129,7 @@ class TestAdjointOracle:
         # feedback gain dynamics imply u(t) along the optimal path is constant
         spec = lq_reduced_spec(lq)
         paths = generate_brownian(g, 2, 1, seed=3)
-        paths = type(paths)(grid=g, increments=0.0 * paths.increments, seed=3)
+        paths = type(paths)(0.0 * paths.increments)
 
         def feedback(k, x):
             return -x[:, :1] @ ric.gains[k].T

@@ -124,12 +124,19 @@ class TestExitCodes:
          "configuration error: perturb must be finite"),
         # a run that stops on a toolkit error: one path cannot fit a regression
         (["--suite", "first-order", "--paths", "1", "--steps", "8"],
-         "run stopped: SingularRegression")],
-        ids=["negative_seed", "nan_perturb", "one_path"])
-    def test_bad_input_exit_1_with_a_message(self, tmp_path, capsys, argv, message):
+         "run stopped: SingularRegression"),
+        # the coarse dt-bias ladder runs at N // 4 and N // 2 steps
+        (["--suite", "first-order", "--paths", "50", "--steps", "3"],
+         "configuration error: the coarse dt-bias ladder needs at least 4 steps, got 3"),
+        (["--suite", "first-order", "--perturb", "1e300", "--paths", "50", "--steps", "8"],
+         "run stopped: BlowUp: state became non-finite")],
+        ids=["negative_seed", "nan_perturb", "one_path", "three_steps", "overflow"])
+    def test_bad_input_exit_1_with_a_message(self, tmp_path, capsys, recwarn, argv, message):
         code = cli.main(["run", "lq_unconstrained", *argv, "--out", str(tmp_path / "o")])
         assert code == 1
         assert message in capsys.readouterr().err
+        # a numpy warning would reach stderr outside the test run
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv,block", [

@@ -40,7 +40,7 @@ def _hu_one_step(spec, x, u, p, q):
     g = TimeGrid(1, 1.0)
 
     def path(v):
-        return PathEnsemble(np.stack([v, np.zeros_like(v)], axis=1), g)
+        return PathEnsemble(np.stack([v, np.zeros_like(v)], axis=1))
 
     sol = TranspositionSolution(y=path(p), Y=path(q))
     return hamiltonian_u_field(spec, g, path(x), path(u).values, sol)[:, 0]
@@ -243,7 +243,7 @@ class TestActiveSets:
                         lambda x: np.zeros(x.shape[:-1] + (x.shape[-1],) * 2))
         spec = self._spec_with_state_constraint(g0)
         g = TimeGrid(50, 1.0)
-        base = PathEnsemble(np.ones((8, 51, 1)), g)
+        base = PathEnsemble(np.ones((8, 51, 1)))
         analysis = analyze_active_sets(spec, g, base)
         assert analysis.I0 == []
         assert np.all(analysis.e_values == 0.0)
@@ -255,7 +255,7 @@ class TestActiveSets:
         spec = self._spec_with_state_constraint(g0)
         g = TimeGrid(100, 1.0)
         path = 1.0 - (g.times - 0.5) ** 2
-        base = PathEnsemble(np.tile(path[None, :, None], (4, 1, 1)), g)
+        base = PathEnsemble(np.tile(path[None, :, None], (4, 1, 1)))
         analysis = analyze_active_sets(spec, g, base, delta_act=1e-6)
         assert analysis.I0 == [50]
 
@@ -272,10 +272,10 @@ class TestActiveSets:
         g = TimeGrid(200, 1.0)
         vals = np.zeros((4, 201, 2))
         vals[:, :, 0] = -(g.times - t_hat) ** 2
-        base = PathEnsemble(vals, g)
+        base = PathEnsemble(vals)
         x1v = np.zeros((4, 201, 2))
         x1v[:, :, 0] = c * (g.times - t_hat)
-        x1 = PathEnsemble(x1v, g)
+        x1 = PathEnsemble(x1v)
         analysis = analyze_active_sets(spec, g, base, x1=x1, delta_act=1e-9)
         k_hat = 100
         assert k_hat in analysis.tau_g
@@ -666,7 +666,7 @@ def _double_integrator_candidate(N):
     spec = bolza_reduce(spec_raw, running)
     g = TimeGrid(N, 1.0)
     noisy = generate_brownian(g, 12, spec.d, seed=29)
-    paths = type(noisy)(grid=g, increments=0.0 * noisy.increments, seed=29)
+    paths = type(noisy)(0.0 * noisy.increments)
     z, _ = transcribe_double_integrator(N, 0.1)
     u = np.zeros((N + 1, 1))
     u[:N, 0] = z

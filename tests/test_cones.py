@@ -341,15 +341,7 @@ class TestMembershipOracle:
         # the deficit approaches (1 - h2) = 0.5
         assert bad.residuals[-1] == pytest.approx(0.5, rel=0.05)
 
-    def test_ball_clarke_member(self):
-        K = cones.Ball(vec(0, 0), 1.0)
-        res = cones.cone_membership_oracle(K, vec(1, 0), vec(-1, 0), mode="clarke",
-                                           rng=np.random.default_rng(5))
-        assert res.verdict is cones.Verdict.MEMBER
-
-    def test_clarke_subset_of_adjacent_sampled(self):
-        # members of the closed-form (Clarke = adjacent here) cone pass the
-        # adjacent-mode oracle
+    def test_closed_form_members_pass_the_adjacent_oracle(self):
         rng = np.random.default_rng(6)
         K = cones.Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), vec(0, 0))
         z = vec(0, 0)

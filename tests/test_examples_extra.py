@@ -127,6 +127,24 @@ def test_contact_mass_refuses_candidate_off_its_transcription(monkeypatch):
     assert isinstance(err.value, StocondError)
 
 
+def test_transition_blocks_equal_the_double_loop():
+    # the transcription's S gathered by lag, against S[k, :, j] = (F^(k-1-j) B dt)[:, 0]
+    N = 9
+    F = np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]]) / N
+    Bdt = np.array([[0.0], [1.0]]) / N
+    x0 = np.array([0.0, 1.0])
+    hom, S = suites._transition_blocks(F, Bdt, x0, N)
+    powers = [np.eye(2)]
+    for _ in range(N):
+        powers.append(F @ powers[-1])
+    loop = np.zeros((N + 1, 2, N))
+    for k in range(1, N + 1):
+        for j in range(k):
+            loop[k, :, j] = (powers[k - 1 - j] @ Bdt)[:, 0]
+    assert np.array_equal(S, loop)
+    assert np.array_equal(hom, [P @ x0 for P in powers])
+
+
 def test_terminal_recovery_reads_unconstrained_mean_without_bisection(monkeypatch):
     # m0 comes from one integration at lambda = 0; the oracle's bisection
     # runs once, for the constrained target c = m0 / 2

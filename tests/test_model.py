@@ -305,7 +305,7 @@ class TestCoefficientTable:
             drift_x=lambda t, x, u: np.broadcast_to(K, (x.shape[0], 1, 1)))
         assert swapped.zeros == spec.zeros - {"drift_x"}
         g = TimeGrid(4, spec.T)
-        base = PathEnsemble(np.ones((3, g.N + 1, 1)), g)
+        base = PathEnsemble(np.ones((3, g.N + 1, 1)))
         assert _along(swapped, g, base, np.zeros((3, g.N + 1, 1)))("drift_x") is not None
         assert validate_spec(swapped, samples=6, seed=0).max_mismatch <= 1e-6
         # a swapped-in zero map declares itself; an unknown name is refused
@@ -339,7 +339,7 @@ def test_along_skips_exactly_the_maps_that_vanish(factory, reduced):
     M, N = 6, 3
     rng = np.random.default_rng(5)
     grid = TimeGrid(N, spec.T)
-    base = PathEnsemble(rng.standard_normal((M, N + 1, spec.n)), grid)
+    base = PathEnsemble(rng.standard_normal((M, N + 1, spec.n)))
     u_bar = rng.standard_normal((M, N + 1, spec.m))
     along = _along(spec, grid, base, u_bar)
     vanishing = {name for name in COEFFICIENT_MAPS

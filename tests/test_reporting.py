@@ -248,3 +248,27 @@ def test_no_public_code_only_tests_use():
     assert not missing, "public code that only tests use: " + ", ".join(missing)
     stale = sorted(set(TEST_ONLY_EXEMPT) - set(unused))
     assert not stale, "exempt code that src/ or perfbench/ now uses: " + ", ".join(stale)
+
+
+def test_every_field_is_read():
+    """Every annotated class field of the package is read somewhere in src/,
+    tests/ or perfbench/: by an attribute load, or by a string constant of
+    its name (as ``getattr`` reads it).  A field that is only ever written
+    is state that nothing uses.  A name that other code also reads (say
+    ``grid``) passes however its own field is used."""
+    read = set()
+    for tree_dir in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    unread = [f"{path.stem}.{cls.name}.{field.target.id}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(cls, ast.ClassDef)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and field.target.id not in read]
+    assert not unread, "fields that nothing reads: " + ", ".join(unread)
