@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (_along, _at, _contract, _on_paths, _simulate_linear, _total, semigroup_step,
+from .forward import (_along, _at, _contract, _linear_steps, _on_paths, _total, semigroup_step,
                       simulate_first_variation)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
@@ -125,16 +125,6 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     return TranspositionSolution(y=PathEnsemble(y), Y=PathEnsemble(Y))
 
 
-def simulate_test_process(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                          t_index: int, eta: np.ndarray, f1, f2) -> PathEnsemble:
-    """Forward test dynamics d phi = (A phi + f1) ds + f2 dW from t_index.
-
-    phi is zero before t_index; eta may be deterministic (n,) or (M, n).
-    """
-    return _simulate_linear(spec, grid, paths, eta, None, None, f1, f2,
-                            t_index=t_index, what="test process")
-
-
 def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
                                  paths: BrownianEnsemble, base_state: PathEnsemble,
                                  u_bar, sol: TranspositionSolution, t_index: int,
@@ -146,12 +136,16 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     RHS = E<eta, y(t)> + E sum <E f1_k, y_{k+1}> dt + E sum <f2_k, Y_k> dt
           + E sum_{k >= t} <phi_k, mu_k>
 
-    The SE is the Monte Carlo standard error of the pathwise LHS-RHS.
+    The test process d phi = (A phi + f1) ds + f2 dW from phi(t) = eta
+    (deterministic (n,) or (M, n)) is stepped alongside the sums, one step
+    at a time, and never stored.  The SE is the Monte Carlo standard error
+    of the pathwise LHS-RHS.
     """
     M, d, n = paths.M, paths.d, spec.n
     psi = psi or DiscreteBVMeasure()
     u_arr = as_control_array(u_bar, grid, M, spec.m)
-    phi = simulate_test_process(spec, grid, paths, t_index, eta, f1, f2)
+    steps = _linear_steps(spec, grid, paths, eta, None, None, f1, f2, t_index=t_index,
+                          what="test process")
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
@@ -162,24 +156,27 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     f2_arr = _on_paths(f2, M, grid.N, (n, d))
     f_arr = _on_paths(f, M, grid.N, (n,))
 
-    lhs = np.einsum("pi,pi->p", phi.values[:, grid.N, :], sol.y.values[:, grid.N, :])
+    lhs = np.zeros(M)
     rhs = np.einsum("pi,pi->p",
                     np.broadcast_to(np.asarray(eta, dtype=float), (M, n)),
                     sol.y.values[:, t_index, :])
-    for k in range(t_index, grid.N):
+    for k, phi in steps:
+        if k == grid.N:
+            lhs += np.einsum("pi,pi->p", phi, sol.y.values[:, k, :])
+            break
         integrand = _total(
             _contract("pij,pi->pj", _at(a_x, k), sol.y.values[:, k + 1, :]),
             _contract("pilj,pil->pj", _at(b_x, k), sol.Y.values[:, k, :, :]),
             None if f_arr is None else -f_arr[:, k, :])
         if integrand is not None:
-            lhs += dt * np.einsum("pi,pi->p", phi.values[:, k, :], integrand)
+            lhs += dt * np.einsum("pi,pi->p", phi, integrand)
         if Ef1 is not None:
             rhs += dt * np.einsum("pi,pi->p", Ef1[:, k, :], sol.y.values[:, k + 1, :])
         if f2_arr is not None:
             rhs += dt * np.einsum("pil,pil->p", f2_arr[:, k, :, :],
                                   sol.Y.values[:, k, :, :])
         if k in psi.atoms:
-            rhs += np.einsum("pi,pi->p", phi.values[:, k, :], psi.atom(k, M, n))
+            rhs += np.einsum("pi,pi->p", phi, psi.atom(k, M, n))
     mean, se = mc_mean(lhs - rhs)
     return abs(float(mean)), float(se)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _on_paths, _quadratic, _simulate_linear, _slice_bc, semigroup_step
+from .forward import _linear_steps, _on_paths, _quadratic, _slice_bc, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
 from .regression import ConditionalRegression, PolynomialBasis
 from .reporting import mc_mean
@@ -109,14 +109,6 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
     return RelaxedSolution(P=PathEnsemble(P), Qtensor=PathEnsemble(Q))
 
 
-def simulate_phi(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                 data: SecondAdjointData, t_index: int, xi, f_tilde, f_hat
-                 ) -> PathEnsemble:
-    """Forward test dynamics of the relaxed identity, from t_index."""
-    return _simulate_linear(spec, grid, paths, xi, data.J, data.K, f_tilde, f_hat,
-                            t_index=t_index, what="relaxed test process")
-
-
 def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
            adjoint: bool = False) -> PathEnsemble:
     """Channel l at time s is Q_l(s) phi(s) (Q_l(s)^T phi(s) for the hat
@@ -136,52 +128,61 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
                            ) -> tuple[float, float]:
     """Both sides of the relaxed-transposition identity; returns (|LHS-RHS|, SE).
 
-    data1 = (xi1, f_tilde1, f_hat1), data2 = (xi2, f_tilde2, f_hat2).
+    data1 = (xi1, f_tilde1, f_hat1), data2 = (xi2, f_tilde2, f_hat2).  The
+    test processes phi1 and phi2 are stepped alongside the sums, one step at
+    a time, and their Q-view channels Q_l phi1 and Q_l^T phi2 (see
+    ``q_view``) are formed per step; neither is stored.
     """
     M, d, n = paths.M, paths.d, spec.n
     dt = grid.dt
     xi1, ft1, fh1 = data1
     xi2, ft2, fh2 = data2
-    phi1 = simulate_phi(spec, grid, paths, data, t_index, xi1, ft1, fh1)
-    phi2 = simulate_phi(spec, grid, paths, data, t_index, xi2, ft2, fh2)
-    Qv1 = q_view(sol, phi1, t_index)
-    Qv2_hat = q_view(sol, phi2, t_index, adjoint=True)
-    P = sol.P.values
+    steps1 = _linear_steps(spec, grid, paths, xi1, data.J, data.K, ft1, fh1, t_index=t_index,
+                           what="relaxed test process")
+    steps2 = _linear_steps(spec, grid, paths, xi2, data.J, data.K, ft2, fh2, t_index=t_index,
+                           what="relaxed test process")
+    P, Q = sol.P.values, sol.Qtensor.values
     PT = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
 
     # <P a, b> = sum_ij P_ij a_j b_i, as one two-operand contraction each
-    lhs = _quadratic(PT, phi2.values[:, grid.N], phi1.values[:, grid.N])
+    lhs = np.zeros(M)
     rhs = _quadratic(P[:, t_index],
                      np.broadcast_to(np.asarray(xi2, dtype=float), (M, n)),
                      np.broadcast_to(np.asarray(xi1, dtype=float), (M, n)))
     ft1_arr, ft2_arr = _on_paths(ft1, M, grid.N, (n,)), _on_paths(ft2, M, grid.N, (n,))
     fh1_arr, fh2_arr = _on_paths(fh1, M, grid.N, (n, d)), _on_paths(fh2, M, grid.N, (n, d))
 
-    for k in range(t_index, grid.N):
+    for (k, phi1), (_, phi2) in zip(steps1, steps2):
+        if k == grid.N:
+            lhs += _quadratic(PT, phi2, phi1)
+            break
         Fk = _slice_bc(data.F, k, M, (n, n))
         Kk = _slice_bc(data.K, k, M, (n, d, n))
         Pk = P[:, k]
         if Fk is not None:
-            lhs -= dt * _quadratic(Fk, phi2.values[:, k], phi1.values[:, k])
+            lhs -= dt * _quadratic(Fk, phi2, phi1)
         if ft1_arr is not None:
-            rhs += dt * _quadratic(Pk, phi2.values[:, k], ft1_arr[:, k])
+            rhs += dt * _quadratic(Pk, phi2, ft1_arr[:, k])
         if ft2_arr is not None:
-            rhs += dt * _quadratic(Pk, ft2_arr[:, k], phi1.values[:, k])
+            rhs += dt * _quadratic(Pk, ft2_arr[:, k], phi1)
         if fh2_arr is not None and Kk is not None:
-            Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1.values[:, k])
+            Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1)
             PKphi1 = Pk @ Kphi1
             rhs += dt * np.einsum("pil,pil->p", PKphi1, fh2_arr[:, k])
         if fh1_arr is not None:
             Pfh1 = Pk @ fh1_arr[:, k]
             other = np.zeros((M, n, d))
             if Kk is not None:
-                other += np.einsum("pilj,pj->pil", Kk, phi2.values[:, k])
+                other += np.einsum("pilj,pj->pil", Kk, phi2)
             if fh2_arr is not None:
                 other += fh2_arr[:, k]
             rhs += dt * np.einsum("pil,pil->p", Pfh1, other)
+            # <f_hat1, Q^T phi2>, the hat family's channels
             rhs += dt * np.einsum("pil,pil->p", fh1_arr[:, k],
-                                  Qv2_hat.values[:, k])
+                                  np.einsum("pjil,pj->pil", Q[:, k], phi2))
         if fh2_arr is not None:
-            rhs += dt * np.einsum("pil,pil->p", Qv1.values[:, k], fh2_arr[:, k])
+            # <Q phi1, f_hat2>
+            rhs += dt * np.einsum("pil,pil->p", np.einsum("pijl,pj->pil", Q[:, k], phi1),
+                                  fh2_arr[:, k])
     mean, se = mc_mean(lhs - rhs)
     return abs(float(mean)), float(se)

@@ -83,35 +83,48 @@ def _on_paths(f, M: int, N: int, tail: tuple):
                                                   (M, N + 1) + tail)
 
 
-def _step_loop(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
-               t_index: int = 0, cap: float = DEFAULT_STATE_CAP,
-               what: str = "state") -> PathEnsemble:
-    """The exponential-Euler loop shared by every forward process.
+def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
+           t_index: int = 0, cap: float = DEFAULT_STATE_CAP, what: str = "state"):
+    """The exponential-Euler loop shared by every forward process, as a
+    stream of (k, x_k) for k = t_index..N.
 
     x_{k+1} = (x_k + drift dt + noise dW_k) exp(A dt)^T from x(t_index) = x0,
-    zero before t_index, with (drift (M, n), noise (M, n, d)) = step(k, x_k);
-    either part may be None when it vanishes.
+    with (drift (M, n), noise (M, n, d)) = step(k, x_k); either part may be
+    None when it vanishes.  t_index is checked at the call; each step runs
+    when the caller asks for it, and the caller must not write to x_k.
     """
     N = grid.N
     if not 0 <= t_index <= N:
         raise ValueError(f"t_index must lie in 0..{N}, got {t_index}")
     M, dt = paths.M, grid.dt
     ET = np.ascontiguousarray(semigroup_step(spec.A, dt).T)
-    X = time_major_zeros(M, N + 1, (spec.n,))
-    X[:, t_index] = np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n))
-    # an overflow ends in _check_cap's BlowUp, not in a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def stream():
+        xk = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n)))
+        yield t_index, xk
         for k in range(t_index, N):
-            xk = X[:, k]
-            drift, noise = step(k, xk)
-            incr = xk
-            if drift is not None:
-                incr = incr + drift * dt
-            if noise is not None:
-                incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
-            x_next = incr @ ET
-            _check_cap(x_next, cap, what)
-            X[:, k + 1] = x_next
+            # an overflow ends in _check_cap's BlowUp, not in a numpy warning;
+            # the block closes before the yield, so the caller's arithmetic
+            # keeps its own error state
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift, noise = step(k, xk)
+                incr = xk
+                if drift is not None:
+                    incr = incr + drift * dt
+                if noise is not None:
+                    incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
+                xk = incr @ ET
+                _check_cap(xk, cap, what)
+            yield k + 1, xk
+    return stream()
+
+
+def _stored(steps, M: int, N: int, n: int) -> PathEnsemble:
+    """The (M, N+1, n) ensemble of a ``_steps`` stream, zero before its
+    first step."""
+    X = time_major_zeros(M, N + 1, (n,))
+    for k, xk in steps:
+        X[:, k] = xk
     return PathEnsemble(X)
 
 
@@ -142,10 +155,10 @@ def _quadratic(h, v, w):
     return np.einsum("p...jk,pjk->p...", h, np.einsum("pj,pk->pjk", v, w))
 
 
-def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                     x0, J, K, f_tilde, f_hat, t_index: int = 0,
-                     what: str = "state") -> PathEnsemble:
-    """d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW from t_index.
+def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
+                  x0, J, K, f_tilde, f_hat, t_index: int = 0, what: str = "state"):
+    """The ``_steps`` stream of d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW
+    from t_index.
 
     J and K are callables k -> (M, n, n) and (M, n, d, n) or constant
     (n, n) and (n, d, n) arrays (see ``_slice_bc``); f_tilde and f_hat are
@@ -167,7 +180,7 @@ def _simulate_linear(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
         return (_total(_contract("pij,pj->pi", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
                 _total(_contract("pilj,pj->pil", _slice_bc(K, k, M, (n, d, n)), x),
                        _at(fh, k)))
-    return _step_loop(spec, grid, paths, x0, step, t_index, what=what)
+    return _steps(spec, grid, paths, x0, step, t_index, what=what)
 
 
 def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
@@ -217,7 +230,7 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                 np.broadcast_to(np.asarray(drift(ts[k], x, uk)), (M, spec.n)),
                 None if diffusion is None else
                 np.broadcast_to(np.asarray(diffusion(ts[k], x, uk)), (M, spec.n, paths.d)))
-    return _step_loop(spec, grid, paths, nu0, step, cap=cap)
+    return _stored(_steps(spec, grid, paths, nu0, step, cap=cap), M, grid.N, spec.n)
 
 
 def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -231,11 +244,11 @@ def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianE
     u1 = as_control_array(u1, grid, M, spec.m)
     along = _along(spec, grid, base, u_bar)
     a_u, b_u = along("drift_u"), along("diffusion_u")
-    return _simulate_linear(
+    return _stored(_linear_steps(
         spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
         f_tilde=None if a_u is None else lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
         f_hat=None if b_u is None else lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
-        what="first variation")
+        what="first variation"), M, grid.N, spec.n)
 
 
 def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
@@ -268,10 +281,10 @@ def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: Brownian
                 None if h_uu is None else 0.5 * _quadratic(h_uu(k), u1k, u1k))
         return f
 
-    return _simulate_linear(
+    return _stored(_linear_steps(
         spec, grid, paths, nu2, along("drift_x"), along("diffusion_x"),
         f_tilde=source("drift"), f_hat=source("diffusion"),
-        what="second variation")
+        what="second variation"), M, grid.N, spec.n)
 
 
 def sup_moment_norm(values: np.ndarray) -> tuple[float, float]:

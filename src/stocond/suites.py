@@ -193,26 +193,46 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _lq_closed_loop(lq: LQSpec, grid: TimeGrid, paths, perturb_field=None):
-    """Reduced spec, Riccati solution on grid and the closed loop under its
-    feedback (plus perturb_field when given)."""
+def _lq_closed_loop(lq: LQSpec, grid: TimeGrid, paths, ric: RiccatiSolution, perturb_field=None):
+    """Reduced spec and closed loop under ric's feedback (plus perturb_field when given)."""
     spec = lq_reduced_spec(lq)
-    ric = solve_lq_riccati(lq, grid)
 
     def feedback(k, x):
         return -x[:, : lq.n] @ ric.gains[k].T
 
     base, u = simulate_closed_loop(spec, grid, paths, extend_initial_state(lq.x0, spec),
                                    feedback, perturb_field=perturb_field)
-    return spec, ric, base, u
+    return spec, base, u
 
 
 def _lq_setup(lq: LQSpec, N: int, M: int, seed: int):
     """Reduced spec, grid, paths, Riccati solution and closed-loop ensembles."""
     grid = TimeGrid(N, lq.T)
     paths = generate_brownian(grid, M, lq.d, seed)
-    spec, ric, base, u = _lq_closed_loop(lq, grid, paths)
+    ric = solve_lq_riccati(lq, grid)
+    spec, base, u = _lq_closed_loop(lq, grid, paths, ric)
     return spec, grid, paths, ric, base, u
+
+
+def _transposition_case(lq: LQSpec, N: int, fine, coeff_sets):
+    """The gate over one duality check per coefficient set at N steps, on
+    sums of fine's increments; its ensembles are freed when it returns."""
+    M, grid = fine.M, TimeGrid(N, lq.T)
+    paths = type(fine)(fine.increments.reshape(M, N, -1, lq.d).sum(axis=2))
+    spec, base, u = _lq_closed_loop(lq, grid, paths, solve_lq_riccati(lq, grid))
+    sol = _cost_adjoint(spec, grid, paths, base, u)
+    t_index = N // 4
+    family = []
+    for cf1, cf2, eta_w in coeff_sets:
+        f1 = np.zeros((N + 1, spec.n))
+        f1[:, 0] = _smooth_field(cf1, grid.times)
+        f2 = np.zeros((N + 1, spec.n, lq.d))
+        f2[:, 0, 0] = _smooth_field(cf2, grid.times)
+        eta = (eta_w[0] * np.ones((M, spec.n)) + eta_w[1] * base.values[:, t_index, :]
+               + eta_w[2] * 0.1)
+        family.append(check_transposition_identity(
+            spec, grid, paths, base, u, sol, t_index, eta, f1, f2))
+    return ConditionReport.gate(f"transposition_identity_N{N}", *zip(*family))
 
 
 def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
@@ -233,30 +253,8 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
                    rng.standard_normal(n_modes + 1) * weights,
                    rng.standard_normal(3))
                   for _ in range(draws)]
-    N_fine = max(Ns)
-    fine = generate_brownian(TimeGrid(N_fine, lq.T), M, lq.d, seed)
-    worst = []          # per N, the gate over the draws
-    for N in Ns:
-        grid = TimeGrid(N, lq.T)
-        ratio = N_fine // N
-        incs = fine.increments.reshape(M, N, ratio, lq.d).sum(axis=2)
-        paths = type(fine)(incs)
-        spec, _, base, u = _lq_closed_loop(lq, grid, paths)
-        sol = _cost_adjoint(spec, grid, paths, base, u)
-        family = []
-        for cf1, cf2, eta_w in coeff_sets:
-            t_index = N // 4
-            f1 = np.zeros((grid.N + 1, spec.n))
-            f1[:, 0] = _smooth_field(cf1, grid.times)
-            f2 = np.zeros((grid.N + 1, spec.n, lq.d))
-            f2[:, 0, 0] = _smooth_field(cf2, grid.times)
-            eta = (eta_w[0] * np.ones((M, spec.n))
-                   + eta_w[1] * base.values[:, t_index, :]
-                   + eta_w[2] * 0.1)
-            family.append(check_transposition_identity(
-                spec, grid, paths, base, u, sol, t_index, eta, f1, f2))
-        resids, ses = zip(*family)
-        worst.append(ConditionReport.gate(f"transposition_identity_N{N}", resids, ses))
+    fine = generate_brownian(TimeGrid(max(Ns), lq.T), M, lq.d, seed)
+    worst = [_transposition_case(lq, N, fine, coeff_sets) for N in Ns]
     max_resid = [w.worst_violation for w in worst]
     _, biases = dt_bias_fit(Ns, max_resid, lq.T)
     # the bias needs every N: each N's deciding draw is gated again with it
@@ -269,39 +267,63 @@ def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
     return checks, {"transposition_residuals": {"N": list(Ns), "residual": max_resid}}
 
 
+def _adjoint_case(lq: LQSpec, N: int, M: int, seed: int):
+    """Relative RMS errors of y and Y (slice N left out) against the Riccati
+    closed form and the moments table of y; frees its ensembles on return."""
+    spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
+    sol = _cost_adjoint(spec, grid, paths, base, u)
+    y_or, Y_or = adjoint_oracle_lq(lq, ric, base.values[:, :, : lq.n])
+
+    def rel_rmse(values, ref):
+        return float(np.sqrt(np.mean((values - ref) ** 2)) / np.sqrt(np.mean(ref ** 2)))
+    return (rel_rmse(sol.y.values[:, :, : lq.n], y_or),
+            rel_rmse(sol.Y.values[:, :-1, : lq.n, :], Y_or[:, :-1]),
+            moments_table(grid.times, sol.y.values))
+
+
 def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
     """First adjoint regression solve against the Riccati closed form; the
     table adjoint_y_moments holds the per-time mean and covariance of y."""
     lq = lq_unconstrained()
-    spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
-    sol = _cost_adjoint(spec, grid, paths, base, u)
-    y_or, Y_or = adjoint_oracle_lq(lq, ric, base.values[:, :, : lq.n])
-    y_num = sol.y.values[:, :, : lq.n]
-    rel_y = float(np.sqrt(np.mean((y_num - y_or) ** 2))
-                  / np.sqrt(np.mean(y_or ** 2)))
-    checks = [_check("adjoint_y_vs_riccati", rel_y <= 0.05, rel_rmse=rel_y)]
-
+    rel_y, _, table = _adjoint_case(lq, N, M, seed)
     # additive-noise variant isolates the constant-diffusion Y oracle
     lq_add = LQSpec(A=lq.A, B=lq.B, C=0.0 * lq.C, D=0.0 * lq.D,
                     sigma=0.4 * np.ones((lq.d, lq.n)),
                     G=lq.G, Q_run=lq.Q_run, R_run=lq.R_run, T=lq.T, x0=lq.x0)
-    spec_a, grid_a, paths_a, ric_a, base_a, u_a = _lq_setup(lq_add, N, M, seed + 1)
-    sol_a = _cost_adjoint(spec_a, grid_a, paths_a, base_a, u_a)
-    _, Y_or_a = adjoint_oracle_lq(lq_add, ric_a, base_a.values[:, :, : lq_add.n])
-    Y_num = sol_a.Y.values[:, :-1, : lq_add.n, :]
-    Y_ref = Y_or_a[:, :-1]
-    rel_Y = float(np.sqrt(np.mean((Y_num - Y_ref) ** 2))
-                  / np.sqrt(np.mean(Y_ref ** 2)))
-    checks.append(_check("adjoint_Y_vs_constant_diffusion_oracle",
-                         rel_Y <= 0.10, rel_rmse=rel_Y))
-    return checks, {"adjoint_y_moments": moments_table(grid.times, sol.y.values)}
+    _, rel_Y, _ = _adjoint_case(lq_add, N, M, seed + 1)
+    return [_check("adjoint_y_vs_riccati", rel_y <= 0.05, rel_rmse=rel_y),
+            _check("adjoint_Y_vs_constant_diffusion_oracle", rel_Y <= 0.10, rel_rmse=rel_Y)
+            ], {"adjoint_y_moments": table}
+
+
+def _relaxed_case(lq: LQSpec, N: int, M: int, seed: int, ric: RiccatiSolution, tests):
+    """The relaxed identity's (residual, SE) per (cf1, cf2, xi1, xi2, c) in
+    tests, and the mean P table, on the LQ closed loop at N steps under ric;
+    its ensembles, P and Q included, are freed when it returns.  The test data
+    are (xi1, ft, fh) and (xi2, c ft, fh): ft and fh are half the smooth
+    fields of cf1 and cf2 on the first state entry and noise channel."""
+    grid = TimeGrid(N, lq.T)
+    paths = generate_brownian(grid, M, lq.d, seed)
+    spec, base, u = _lq_closed_loop(lq, grid, paths, ric)
+    adj = _cost_adjoint(spec, grid, paths, base, u)
+    data = second_adjoint_data_for(spec, grid, base, u, adj,
+                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
+    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
+    family = []
+    for cf1, cf2, xi1, xi2, c in tests:
+        ft = np.zeros((N + 1, spec.n))
+        ft[:, 0] = _smooth_field(cf1, grid.times) * 0.5
+        fh = np.zeros((N + 1, spec.n, lq.d))
+        fh[:, 0, 0] = _smooth_field(cf2, grid.times) * 0.5
+        family.append(check_relaxed_identity(spec, grid, paths, relaxed, data, 0,
+                                             (xi1, ft, fh), (xi2, ft * c, fh)))
+    return family, mean_table(grid.times, relaxed.P.values, "P")
 
 
 def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
                            draws: int = 10):
     """Relaxed-transposition identity: deterministic and stochastic cases;
     the table relaxed_P_mean holds the stochastic case's per-time mean P."""
-    checks = []
     # deterministic-coefficient scalar case: everything noise-free, Q = 0
     T = 1.0
     grid = TimeGrid(N, T)
@@ -321,48 +343,25 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     resid_det, _ = check_relaxed_identity(
         spec_det, grid, paths_det, sol_det, data_det, 0,
         (np.array([1.0]), ft1, None), (np.array([0.7]), ft2, None))
-    checks.append(_check("relaxed_identity_deterministic",
-                         resid_det <= 1e-3, residual=resid_det, tolerance=1e-3))
+    deterministic = _check("relaxed_identity_deterministic",
+                           resid_det <= 1e-3, residual=resid_det, tolerance=1e-3)
 
-    # stochastic LQ case with control-in-diffusion data
+    # stochastic LQ case at N = 100 with control-in-diffusion data, and its
+    # dt-bias from a short ladder at smaller M; one Riccati solve per grid
     lq = lq_unconstrained()
-    spec, grid_s, paths, ric, base, u = _lq_setup(lq, 100, M, seed + 1)
-    adj = _cost_adjoint(spec, grid_s, paths, base, u)
-    mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-    data = second_adjoint_data_for(spec, grid_s, base, u, adj, mult)
-    relaxed = solve_second_adjoint(spec, grid_s, paths, base, data)
-    family = []
-    for _ in range(draws):
-        cf1, cf2 = rng.standard_normal(3), rng.standard_normal(3)
-        xi1 = rng.standard_normal(spec.n) * 0.5
-        xi2 = rng.standard_normal(spec.n) * 0.5
-        ft = np.zeros((grid_s.N + 1, spec.n))
-        ft[:, 0] = _smooth_field(cf1, grid_s.times) * 0.5
-        fh = np.zeros((grid_s.N + 1, spec.n, lq.d))
-        fh[:, 0, 0] = _smooth_field(cf2, grid_s.times) * 0.5
-        family.append(check_relaxed_identity(spec, grid_s, paths, relaxed, data, 0,
-                                             (xi1, ft, fh), (xi2, ft * 0.5, fh)))
-    # dt-bias for the stochastic case from a short ladder at smaller M
-    ladder_resid = []
-    ladder_Ns = (50, 100)
-    for NN in ladder_Ns:
-        specL, gridL, pathsL, ricL, baseL, uL = _lq_setup(lq, NN, 4000, seed + 2)
-        adjL = _cost_adjoint(specL, gridL, pathsL, baseL, uL)
-        dataL = second_adjoint_data_for(specL, gridL, baseL, uL, adjL, mult)
-        relaxedL = solve_second_adjoint(specL, gridL, pathsL, baseL, dataL)
-        ftL = np.zeros((gridL.N + 1, specL.n))
-        ftL[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), gridL.times) * 0.5
-        fhL = np.zeros((gridL.N + 1, specL.n, lq.d))
-        fhL[:, 0, 0] = _smooth_field(np.array([-0.2, 0.5, 0.1]), gridL.times) * 0.5
-        r, _ = check_relaxed_identity(specL, gridL, pathsL, relaxedL, dataL, 0,
-                                      (np.ones(specL.n) * 0.5, ftL, fhL),
-                                      (np.ones(specL.n) * 0.3, ftL, fhL))
-        ladder_resid.append(r)
-    _, biases = dt_bias_fit(ladder_Ns, ladder_resid, lq.T)
+    n = lq_reduced_spec(lq).n
+    rics = {NN: solve_lq_riccati(lq, TimeGrid(NN, lq.T)) for NN in (50, 100)}
+    drawn = [(rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(n) * 0.5,
+              rng.standard_normal(n) * 0.5, 0.5) for _ in range(draws)]
+    family, table = _relaxed_case(lq, 100, M, seed + 1, rics[100], drawn)
+    fixed = [([0.4, 0.3, -0.2], [-0.2, 0.5, 0.1], np.ones(n) * 0.5, np.ones(n) * 0.3, 1.0)]
+    ladder_resid = [_relaxed_case(lq, NN, 4000, seed + 2, ric, fixed)[0][0][0]
+                    for NN, ric in rics.items()]
+    _, biases = dt_bias_fit(tuple(rics), ladder_resid, lq.T)
     resids, ses = zip(*family)
     rep = ConditionReport.gate("relaxed_identity_stochastic", resids, ses, biases[100])
-    checks.append(_gated(rep.name, rep, value="residual", draws=list(resids)))
-    return checks, {"relaxed_P_mean": mean_table(grid_s.times, relaxed.P.values, "P")}
+    return ([deterministic, _gated(rep.name, rep, value="residual", draws=list(resids))],
+            {"relaxed_P_mean": table})
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def _first_order_violations(lq, N, M, seed, rng, perturb=0.0, dt_biases=(0.0, 0.
     if perturb:
         perturb_field = np.zeros((N + 1, lq.m))
         perturb_field[:, 0] = perturb * np.sin(np.pi * grid.times / lq.T)
-    spec, _, base, u = _lq_closed_loop(lq, grid, paths, perturb_field)
+    spec, base, u = _lq_closed_loop(lq, grid, paths, solve_lq_riccati(lq, grid), perturb_field)
     sol = _cost_adjoint(spec, grid, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     Hu = hamiltonian_u_field(spec, grid, base, u, sol)

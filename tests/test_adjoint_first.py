@@ -3,11 +3,10 @@ import pytest
 
 from stocond import cones
 from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_duality,
-                                   check_transposition_identity, simulate_test_process,
-                                   solve_first_adjoint)
+                                   check_transposition_identity, solve_first_adjoint)
 from stocond.benchmarks import adjoint_oracle_lq, lq_unconstrained
 from stocond.errors import SingularRegression
-from stocond.forward import semigroup_step, simulate_forward
+from stocond.forward import _linear_steps, _stored, semigroup_step, simulate_forward
 from stocond.model import Functional, ProblemSpec, TimeGrid, generate_brownian, zero_map
 from stocond.regression import PolynomialBasis
 from stocond.suites import _lq_setup
@@ -225,23 +224,32 @@ class TestTranspositionIdentity:
         assert resid <= 3 * se + 0.02
 
 
+def _test_process_steps(spec, g, paths, t_index, eta, f1, f2):
+    """The steps of d phi = (A phi + f1) ds + f2 dW from phi(t_index) = eta,
+    as ``check_transposition_identity`` streams them."""
+    return _linear_steps(spec, g, paths, eta, None, None, f1, f2, t_index=t_index)
+
+
 class TestTestProcess:
     def test_starts_at_eta_and_stays_adapted_zero_before(self):
+        # the stream starts at t_index; collected, the process is zero before it
         spec = _drift_free_spec()
         g = TimeGrid(10, 1.0)
         paths = generate_brownian(g, 8, 1, seed=15)
-        phi = simulate_test_process(spec, g, paths, 4, np.array([2.0]),
-                                    None, None)
+        steps = list(_test_process_steps(spec, g, paths, 4, np.array([2.0]), None, None))
+        assert [k for k, _ in steps] == list(range(4, 11))
+        phi = _stored(iter(steps), 8, g.N, 1)
         assert np.all(phi.values[:, :4, :] == 0.0)
         assert np.allclose(phi.values[:, 4:, 0], 2.0)
 
     @pytest.mark.parametrize("t_index", [-1, 11])
     def test_t_index_outside_grid_raises(self, t_index):
+        # at the call, before any step is asked for
         spec = _drift_free_spec()
         g = TimeGrid(10, 1.0)
         paths = generate_brownian(g, 8, 1, seed=15)
         with pytest.raises(ValueError, match="t_index"):
-            simulate_test_process(spec, g, paths, t_index, np.array([1.0]), None, None)
+            _test_process_steps(spec, g, paths, t_index, np.array([1.0]), None, None)
 
 
 def _ref_test_process(spec, grid, paths, t_index, eta, f1, f2):
@@ -259,6 +267,34 @@ def _ref_test_process(spec, grid, paths, t_index, eta, f1, f2):
     return phi
 
 
+def _ref_check_transposition_identity(spec, grid, paths, base, u, sol, t_index, eta,
+                                      f1, f2, psi, f):
+    """check_transposition_identity from a stored test process and the
+    coefficient paths a_x, b_x materialised as (M, N+1) + tail arrays."""
+    M, n, d, N, dt = paths.M, spec.n, paths.d, grid.N, grid.dt
+    phi = _ref_test_process(spec, grid, paths, t_index, eta, f1, f2)
+    E = semigroup_step(spec.A, dt)
+    a_x = np.stack([np.broadcast_to(spec.drift_x(grid.times[k], base[:, k], u[:, k]),
+                                    (M, n, n)) for k in range(N + 1)], axis=1)
+    b_x = np.stack([np.broadcast_to(spec.diffusion_x(grid.times[k], base[:, k], u[:, k]),
+                                    (M, n, d, n)) for k in range(N + 1)], axis=1)
+    y, Y = sol.y.values, sol.Y.values
+    f1, f2, f = (np.broadcast_to(v, (M, N + 1) + tail)
+                 for v, tail in ((f1, (n,)), (f2, (n, d)), (f, (n,))))
+    lhs = np.einsum("pi,pi->p", phi[:, N], y[:, N])
+    rhs = np.einsum("pi,pi->p", np.broadcast_to(eta, (M, n)), y[:, t_index])
+    for k in range(t_index, N):
+        integrand = (np.einsum("pij,pi->pj", a_x[:, k], y[:, k + 1])
+                     + np.einsum("pilj,pil->pj", b_x[:, k], Y[:, k]) - f[:, k])
+        lhs += dt * np.einsum("pi,pi->p", phi[:, k], integrand)
+        rhs += dt * (np.einsum("ij,pj,pi->p", E, f1[:, k], y[:, k + 1])
+                     + np.einsum("pil,pil->p", f2[:, k], Y[:, k]))
+        if k in psi.atoms:
+            rhs += np.einsum("pi,pi->p", phi[:, k], psi.atom(k, M, n))
+    diff = lhs - rhs
+    return abs(float(np.mean(diff))), float(np.std(diff, ddof=1)) / np.sqrt(M)
+
+
 class TestTestProcessAgainstReference:
     @pytest.mark.parametrize("t_index", [0, 7])
     @pytest.mark.parametrize("case", REFERENCE_CASES)
@@ -268,11 +304,33 @@ class TestTestProcessAgainstReference:
         eta = rng.standard_normal((M, n))
         f1 = rng.standard_normal((M, g.N + 1, n))
         f2 = rng.standard_normal((g.N + 1, n, d))
-        phi = simulate_test_process(spec, g, paths, t_index, eta, f1, f2)
-        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, f1, f2))
-        assert np.all(phi.values[:, :t_index] == 0.0)
+
+        def phi(f1, f2):
+            return _stored(_test_process_steps(spec, g, paths, t_index, eta, f1, f2),
+                           M, g.N, n).values
+        assert_matches(phi(f1, f2), _ref_test_process(spec, g, paths, t_index, eta, f1, f2))
         # absent sources are zero sources
-        phi = simulate_test_process(spec, g, paths, t_index, eta, None, f2)
-        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, 0.0, f2))
-        phi = simulate_test_process(spec, g, paths, t_index, eta, f1, None)
-        assert_matches(phi.values, _ref_test_process(spec, g, paths, t_index, eta, f1, 0.0))
+        assert_matches(phi(None, f2), _ref_test_process(spec, g, paths, t_index, eta, 0.0, f2))
+        assert_matches(phi(f1, None), _ref_test_process(spec, g, paths, t_index, eta, f1, 0.0))
+
+    @pytest.mark.parametrize("t_index", [3, 7])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_check_matches_stored_reference(self, case, t_index):
+        # the streamed check against the identity summed over a stored phi,
+        # with a psi atom after t_index and a forcing f
+        spec, g, paths, nu0, u_bar, rng = reference_case(case)
+        M, n, d = paths.M, spec.n, paths.d
+        base = simulate_forward(spec, g, paths, nu0, u_bar)
+        f = rng.standard_normal((g.N + 1, n))
+        psi = DiscreteBVMeasure({t_index + 2: rng.standard_normal((M, n))})
+        sol = solve_first_adjoint(spec, g, paths, base, u_bar, rng.standard_normal((M, n)),
+                                  f=f, psi=psi)
+        eta = rng.standard_normal((M, n))
+        f1 = rng.standard_normal((M, g.N + 1, n))
+        f2 = rng.standard_normal((g.N + 1, n, d))
+        resid, se = check_transposition_identity(spec, g, paths, base, u_bar, sol, t_index,
+                                                 eta, f1, f2, psi=psi, f=f)
+        ref_resid, ref_se = _ref_check_transposition_identity(
+            spec, g, paths, base.values, u_bar, sol, t_index, eta, f1, f2, psi, f)
+        assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
+        assert abs(se - ref_se) <= 1e-12 * ref_se

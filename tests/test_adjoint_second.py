@@ -1,20 +1,29 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stocond.adjoint_first import solve_first_adjoint
+from stocond.adjoint_first import check_transposition_identity, solve_first_adjoint
 from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity, q_view,
-                                    simulate_phi, solve_second_adjoint)
+                                    solve_second_adjoint)
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
 from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for)
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.forward import semigroup_step, simulate_first_variation, simulate_forward
+from stocond.forward import (_linear_steps, _stored, semigroup_step, simulate_first_variation,
+                             simulate_forward)
 from stocond.model import PathEnsemble, TimeGrid, generate_brownian
 from stocond.regression import ConditionalRegression, PolynomialBasis
 from stocond.suites import _lq_setup
 from tests.test_adjoint_first import _drift_free_spec
 from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
+
+
+def _phi(spec, g, paths, data, t_index, xi, ft, fh):
+    """The relaxed identity's test process from t_index: the streamed steps
+    that ``check_relaxed_identity`` consumes, collected."""
+    return _stored(_linear_steps(spec, g, paths, xi, data.J, data.K, ft, fh, t_index=t_index),
+                   paths.M, g.N, spec.n)
 
 
 class TestSolveSecondAdjoint:
@@ -94,7 +103,7 @@ class TestApplyQ:
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.eye(1))
         sol = solve_second_adjoint(spec, g, paths, base, data)
-        out = q_view(sol, simulate_phi(spec, g, paths, data, 0, np.ones(1), None, None), 0)
+        out = q_view(sol, _phi(spec, g, paths, data, 0, np.ones(1), None, None), 0)
         assert np.max(np.abs(out.values)) <= 1e-8
 
     def test_phi_equals_first_variation_for_variation_data(self):
@@ -122,7 +131,7 @@ class TestApplyQ:
                                  u1k)
             fh[:, k] = np.einsum("pilj,pj->pil",
                                  np.broadcast_to(b2, (M, spec.n, 1, 1)), u1k)
-        phi = simulate_phi(spec, g, paths, data, 0, np.zeros(spec.n), ft, fh)
+        phi = _phi(spec, g, paths, data, 0, np.zeros(spec.n), ft, fh)
         assert np.allclose(phi.values, x1.values, atol=1e-12)
 
 
@@ -254,13 +263,14 @@ def _ref_simulate_phi(E, grid, paths, J, K, xi, ft, fh, t_index=0):
     return phi
 
 
-def _ref_check_relaxed_identity(grid, paths, P, Q, PT, F, K, phi1, phi2, data1, data2):
+def _ref_check_relaxed_identity(grid, paths, P, Q, PT, F, K, phi1, phi2, data1, data2,
+                                t_index=0):
     M = paths.M
     dt = grid.dt
     (xi1, ft1, fh1), (xi2, ft2, fh2) = data1, data2
     lhs = np.einsum("ij,pj,pi->p", PT, phi1[:, grid.N], phi2[:, grid.N])
-    rhs = np.einsum("pij,j,i->p", P[:, 0], xi1, xi2)
-    for k in range(grid.N):
+    rhs = np.einsum("pij,j,i->p", P[:, t_index], xi1, xi2)
+    for k in range(t_index, grid.N):
         Pk, Kk = P[:, k], K[:, k]
         lhs -= dt * np.einsum("pij,pj,pi->p", F[:, k], phi1[:, k], phi2[:, k])
         rhs += dt * np.einsum("pij,j,pi->p", Pk, ft1[k], phi2[:, k])
@@ -330,18 +340,19 @@ class TestEinsumReference:
         for _ in range(2):
             tests.append((rng.standard_normal(n), rng.standard_normal((N + 1, n)),
                           rng.standard_normal((N + 1, n, d))))
-        phis = []
-        for xi, ft, fh in tests:
-            phi = simulate_phi(spec, g, paths, data, 0, xi, ft, fh)
-            ref = _ref_simulate_phi(E, g, paths, Jf, Kf, xi, ft, fh)
-            assert np.max(np.abs(phi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
-            phis.append(ref)
+        for t_index in (0, 3):
+            phis = []
+            for xi, ft, fh in tests:
+                phi = _phi(spec, g, paths, data, t_index, xi, ft, fh)
+                ref = _ref_simulate_phi(E, g, paths, Jf, Kf, xi, ft, fh, t_index)
+                assert np.max(np.abs(phi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+                phis.append(ref)
 
-        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0, *tests)
-        ref_resid, ref_se = _ref_check_relaxed_identity(
-            g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests)
-        assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
-        assert abs(se - ref_se) <= 1e-12 * ref_se
+            resid, se = check_relaxed_identity(spec, g, paths, sol, data, t_index, *tests)
+            ref_resid, ref_se = _ref_check_relaxed_identity(
+                g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests, t_index)
+            assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
+            assert abs(se - ref_se) <= 1e-12 * ref_se
 
 
 class TestSimulatePhiAgainstReference:
@@ -362,7 +373,7 @@ class TestSimulatePhiAgainstReference:
         xi = rng.standard_normal(n)
         ft = rng.standard_normal((g.N + 1, n))
         fh = rng.standard_normal((g.N + 1, n, d))
-        phi = simulate_phi(spec, g, paths, data, t_index, xi, ft, fh)
+        phi = _phi(spec, g, paths, data, t_index, xi, ft, fh)
         ref = _ref_simulate_phi(semigroup_step(spec.A, g.dt), g, paths, J, K, xi, ft, fh,
                                 t_index)
         assert_matches(phi.values, ref)
@@ -376,7 +387,7 @@ class TestSimulatePhiAgainstReference:
         paths = generate_brownian(g, 11, 1, seed=15)
         data = SecondAdjointData(P_T=np.eye(1), J=np.ones((11, 1, 1)))
         with pytest.raises(ValueError, match="constant coefficient"):
-            simulate_phi(spec, g, paths, data, 0, np.ones(1), None, None)
+            _phi(spec, g, paths, data, 0, np.ones(1), None, None)
 
     @pytest.mark.parametrize("t_index", [-1, 11])
     def test_t_index_outside_grid_raises(self, t_index):
@@ -385,4 +396,46 @@ class TestSimulatePhiAgainstReference:
         paths = generate_brownian(g, 8, 1, seed=15)
         data = SecondAdjointData(P_T=np.eye(1))
         with pytest.raises(ValueError, match="t_index"):
-            simulate_phi(spec, g, paths, data, t_index, np.ones(1), None, None)
+            _phi(spec, g, paths, data, t_index, np.ones(1), None, None)
+
+
+@pytest.fixture(scope="module")
+def lq_identity_inputs():
+    """Both adjoints on the LQ closed loop at M = 2000, N = 100, with smooth
+    test data, as the identity suites pass them to the checks."""
+    lq = lq_unconstrained()
+    spec, g, paths, _, base, u = _lq_setup(lq, 100, 2000, seed=21)
+    adj = solve_first_adjoint(spec, g, paths, base, u,
+                              -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+    data = second_adjoint_data_for(spec, g, base, u, adj,
+                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
+    relaxed = solve_second_adjoint(spec, g, paths, base, data)
+    ft = np.zeros((g.N + 1, spec.n))
+    ft[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)
+    fh = np.zeros((g.N + 1, spec.n, lq.d))
+    fh[:, 0, 0] = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)
+    eta = 0.5 + 0.3 * base.values[:, 25]
+    return {
+        "transposition": lambda: check_transposition_identity(
+            spec, g, paths, base, u, adj, 25, eta, ft, fh),
+        "relaxed": lambda: check_relaxed_identity(
+            spec, g, paths, relaxed, data, 0, (np.full(spec.n, 0.5), ft, fh),
+            (np.full(spec.n, 0.3), ft, fh)),
+        "ensemble_bytes": base.values.nbytes,
+    }
+
+
+@pytest.mark.parametrize("check", ["transposition", "relaxed"])
+def test_checks_store_no_test_process(lq_identity_inputs, check):
+    """The duality checks step their test processes and Q-views one time
+    step at a time: what a check allocates beyond its inputs stays below one
+    (M, N+1, n) ensemble, which one stored test process would fill."""
+    run = lq_identity_inputs[check]
+    run()                                   # first-call allocations, not traced
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lq_identity_inputs["ensemble_bytes"]

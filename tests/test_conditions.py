@@ -15,10 +15,10 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
                                 smooth_random_fields, tangent_project_field)
-from stocond.adjoint_second import q_view, simulate_phi, solve_second_adjoint
+from stocond.adjoint_second import q_view, solve_second_adjoint
 from stocond.errors import AdjointMismatch, NotCritical
-from stocond.forward import (_along, _at, _contract, _quadratic, _total,
-                             simulate_first_variation, simulate_forward,
+from stocond.forward import (_along, _at, _contract, _linear_steps, _quadratic, _stored,
+                             _total, simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
                            as_control_array, extend_initial_state, generate_brownian,
@@ -585,8 +585,8 @@ class TestSecondOrder:
 def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relaxed, data,
                                       nu1, u1, nu2, u2):
     """The second order value built from processes simulated outside the check:
-    x1 and x2 from the variations, and the Q-term's test process phi from
-    ``simulate_phi`` driven by (0, a_u u1, b_u u1)."""
+    x1 and x2 from the variations, and the Q-term's test process phi, the
+    relaxed identity's test process driven by (0, a_u u1, b_u u1)."""
     x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
     x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu2, u2)
     M, n, d, N, dt = base.M, spec.n, spec.d, g.N, g.dt
@@ -617,7 +617,7 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relax
             None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
             0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
             np.einsum("pk,pk->p", cross, u1k))
-    phi = simulate_phi(spec, g, paths, data, 0, np.zeros(n), ft, fh)
+    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), data.J, data.K, ft, fh), M, N, n)
     Qsum = q_view(relaxed, phi, 0).values
     Qsum += q_view(relaxed, phi, 0, adjoint=True).values
     per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])

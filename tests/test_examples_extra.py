@@ -5,13 +5,14 @@ import pytest
 
 from stocond import cones, suites
 from stocond.adjoint_first import DiscreteBVMeasure
+from stocond.adjoint_second import solve_second_adjoint
 from stocond.benchmarks import lq_reduced_spec, lq_unconstrained, solve_lq_riccati
-from stocond.conditions import (MultiplierSet, analyze_active_sets,
-                                search_multipliers, state_constraint_measure)
+from stocond.conditions import (MultiplierSet, analyze_active_sets, search_multipliers,
+                                second_adjoint_data_for, state_constraint_measure)
 from stocond.errors import EmptySet
 from stocond.forward import VariationData, remainder_study_first
 from stocond.model import TimeGrid, extend_initial_state, generate_brownian
-from stocond.reporting import report_convergence
+from stocond.reporting import mean_table, moments_table, report_convergence
 from stocond.suites import _lq_setup, forward_strong_convergence, simulate_closed_loop
 
 
@@ -193,3 +194,30 @@ def test_lq_mean_xT_is_bit_identical_to_the_loop(lam):
     m_ref, r_ref = _looped_lq_mean_xT(lq, g, ric, lam)
     assert m == m_ref
     assert np.array_equal(r, r_ref)
+
+
+def _assert_tables_equal(got, ref):
+    assert list(got) == list(ref)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
+
+
+def test_suite_tables_are_those_of_a_stored_solve():
+    """The identity suites compute their tables inside per-case helpers; each
+    table is bit for bit that of the same solve made outside the suite."""
+    lq = lq_unconstrained()
+    M, N, seed = 300, 20, 5
+    _, tables = suites.adjoint_oracle_comparison(M=M, N=N, seed=seed)
+    spec, g, paths, _, base, u = _lq_setup(lq, N, M, seed)
+    sol = suites._cost_adjoint(spec, g, paths, base, u)
+    _assert_tables_equal(tables["adjoint_y_moments"], moments_table(g.times, sol.y.values))
+
+    seed = 9
+    _, tables = suites.relaxed_identity_suite(M=M, N=N, seed=seed, draws=1)
+    # the stochastic case runs at N = 100 on seed + 1
+    spec, g, paths, _, base, u = _lq_setup(lq, 100, M, seed + 1)
+    adj = suites._cost_adjoint(spec, g, paths, base, u)
+    data = second_adjoint_data_for(spec, g, base, u, adj,
+                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
+    relaxed = solve_second_adjoint(spec, g, paths, base, data)
+    _assert_tables_equal(tables["relaxed_P_mean"], mean_table(g.times, relaxed.P.values, "P"))

@@ -3,9 +3,8 @@ import pytest
 
 from stocond import cones
 from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_duality,
-                                   check_transposition_identity, simulate_test_process,
-                                   solve_first_adjoint)
-from stocond.adjoint_second import SecondAdjointData, simulate_phi, solve_second_adjoint
+                                   check_transposition_identity, solve_first_adjoint)
+from stocond.adjoint_second import SecondAdjointData, solve_second_adjoint
 from dataclasses import replace
 
 from stocond.benchmarks import (LQSpec, double_integrator_state_constrained, heat_lq,
@@ -477,14 +476,10 @@ def swept_ensembles():
     sol_c = solve_first_adjoint(spec, grid, paths, base, u, np.stack([yT, 2 * yT], axis=-1))
     data = SecondAdjointData(P_T=np.eye(n), J=0.1 * np.eye(n))
     rel = solve_second_adjoint(spec, grid, paths, base, data)
-    f1, f2 = np.ones((N + 1, n)), np.ones((N + 1, n, paths.d))
     return {
         "simulate_forward": simulate_forward(spec, grid, paths, np.ones(n), u).values,
         "simulate_first_variation": x1.values,
         "simulate_second_variation": x2.values,
-        "simulate_test_process": simulate_test_process(spec, grid, paths, 2, np.ones(n),
-                                                       f1, f2).values,
-        "simulate_phi": simulate_phi(spec, grid, paths, data, 2, np.ones(n), f1, f2).values,
         "closed_loop_X": base.values,
         "closed_loop_U": u,
         "first_adjoint_y": sol.y.values,
@@ -499,7 +494,7 @@ def swept_ensembles():
 
 @pytest.mark.parametrize("name", [
     "simulate_forward", "simulate_first_variation", "simulate_second_variation",
-    "simulate_test_process", "simulate_phi", "closed_loop_X", "closed_loop_U",
+    "closed_loop_X", "closed_loop_U",
     "first_adjoint_y", "first_adjoint_Y", "first_adjoint_y_components",
     "first_adjoint_Y_components", "hamiltonian_u_field", "second_adjoint_P",
     "second_adjoint_Q",
