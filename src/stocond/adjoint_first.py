@@ -150,9 +150,7 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_x, b_x = along("drift_x"), along("diffusion_x")
-    # <E f1_k, y_{k+1}>: E is applied to f1 once, before it is broadcast
-    Ef1 = None if f1 is None else _on_paths(np.asarray(f1, dtype=float) @ E.T,
-                                            M, grid.N, (n,))
+    f1_arr = _on_paths(f1, M, grid.N, (n,))
     f2_arr = _on_paths(f2, M, grid.N, (n, d))
     f_arr = _on_paths(f, M, grid.N, (n,))
 
@@ -170,8 +168,9 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
             None if f_arr is None else -f_arr[:, k, :])
         if integrand is not None:
             lhs += dt * np.einsum("pi,pi->p", phi, integrand)
-        if Ef1 is not None:
-            rhs += dt * np.einsum("pi,pi->p", Ef1[:, k, :], sol.y.values[:, k + 1, :])
+        if f1_arr is not None:
+            # <E f1_k, y_{k+1}>, E applied to this step's slice only
+            rhs += dt * np.einsum("pi,pi->p", f1_arr[:, k, :] @ E.T, sol.y.values[:, k + 1, :])
         if f2_arr is not None:
             rhs += dt * np.einsum("pil,pil->p", f2_arr[:, k, :, :],
                                   sol.Y.values[:, k, :, :])

@@ -13,7 +13,8 @@ f_hat) the forward process phi solves
 
 and channel l of Q^{(t)}(xi, f_tilde, f_hat)(s) is Q_l(s) phi(s); the hat
 family applies Q_l(s)^T instead.  ``check_relaxed_identity`` evaluates the
-defining identity term by term.
+defining identity term by term; it and ``conditions.second_order_check``
+form these views one step at a time and store none.
 
 Conventions: K has shape (M, n, d, n) (channel l matrix K[., :, l, :]);
 P acts on (n, d) arrays channel-wise.
@@ -109,19 +110,6 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
     return RelaxedSolution(P=PathEnsemble(P), Qtensor=PathEnsemble(Q))
 
 
-def q_view(sol: RelaxedSolution, phi: PathEnsemble, t_index: int,
-           adjoint: bool = False) -> PathEnsemble:
-    """Channel l at time s is Q_l(s) phi(s) (Q_l(s)^T phi(s) for the hat
-    family) for a given test process phi, zero before t_index."""
-    Q = sol.Qtensor.values
-    if adjoint:
-        out = np.einsum("pkjil,pkj->pkil", Q, phi.values)
-    else:
-        out = np.einsum("pkijl,pkj->pkil", Q, phi.values)
-    out[:, :t_index] = 0.0
-    return PathEnsemble(out)
-
-
 def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                            sol: RelaxedSolution, data: SecondAdjointData,
                            t_index: int, data1: tuple, data2: tuple
@@ -130,8 +118,8 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
 
     data1 = (xi1, f_tilde1, f_hat1), data2 = (xi2, f_tilde2, f_hat2).  The
     test processes phi1 and phi2 are stepped alongside the sums, one step at
-    a time, and their Q-view channels Q_l phi1 and Q_l^T phi2 (see
-    ``q_view``) are formed per step; neither is stored.
+    a time, and their Q-view channels Q_l phi1 and Q_l^T phi2 are formed per
+    step; neither is stored.
     """
     M, d, n = paths.M, paths.d, spec.n
     dt = grid.dt

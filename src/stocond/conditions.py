@@ -22,10 +22,9 @@ import scipy.optimize
 from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
-from .adjoint_second import RelaxedSolution, SecondAdjointData, q_view
+from .adjoint_second import RelaxedSolution, SecondAdjointData
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import (_along, _at, _contract, _quadratic, _total, simulate_first_variation,
-                      simulate_second_variation)
+from .forward import _along, _at, _contract, _steps, _total
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -487,116 +486,171 @@ def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsembl
                              J=along("drift_x"), K=along("diffusion_x"))
 
 
-def check_critical(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                   x1: PathEnsemble, analysis: ActiveSetAnalysis) -> float:
-    """Largest violation of the critical-cone inequalities for (x1, ...)."""
-    N = grid.N
-    xT = base.values[:, N, :]
-    x1T = x1.values[:, N, :]
-    worst = abs(float(np.mean(np.einsum(
-        "pi,pi->p", np.asarray(spec.terminal_cost.grad(xT)), x1T))))
-    for j in analysis.I:
-        g = spec.terminal_constraints[j]
-        val = float(np.mean(np.einsum("pi,pi->p", g.grad(xT), x1T)))
-        worst = max(worst, val)
-    if spec.state_constraint is not None:
-        for k in analysis.I0:
-            grad = np.asarray(spec.state_constraint.grad(base.values[:, k, :]))
-            val = float(np.mean(np.einsum("pi,pi->p", grad, x1.values[:, k, :])))
-            worst = max(worst, val)
-    return worst
+def _on_direction_axis(fields, grid: TimeGrid, M: int, m: int):
+    """k -> the control fields at step k on a trailing direction axis: (1, m, C)
+    from one (N+1, m, C) array when every field is deterministic, else
+    (M, m, C)."""
+    arrs = [as_control_array(f, grid, M, m) for f in fields]
+    if all(a.strides[0] == 0 for a in arrs):
+        fixed = np.stack([a[0] for a in arrs], axis=-1)
+        return lambda k: fixed[k][None]
+    return lambda k: np.stack([a[:, k] for a in arrs], axis=-1)
+
+
+def _apply(h, w):
+    """h w per path and direction, one batched matmul: h is (M,) + head + (b,)
+    and w (M or 1, b, C); the result is (M,) + head + (C,).  None for a
+    declared-zero h."""
+    if h is None:
+        return None
+    return (h.reshape(h.shape[0], -1, h.shape[-1]) @ w).reshape(h.shape[:-1] + w.shape[-1:])
+
+
+def _bilinear(h, v, w):
+    """h(v, w) per path and direction: h is (M,) + head + (a, b), v and w are
+    (M or 1, a, C) and (M or 1, b, C); the result is (M,) + head + (C,).
+    None for a declared-zero h."""
+    if h is None:
+        return None
+    v = v.reshape(v.shape[:1] + (1,) * (h.ndim - 3) + v.shape[1:])
+    return np.sum(_apply(h, w) * v, axis=-2)
+
+
+def _curvature(h_xx, h_xu, h_uu, x1, u1):
+    """A second variation's curvature source h_xx(x1, x1) / 2 + h_xu(x1, u1)
+    + h_uu(u1, u1) / 2 per path and direction; None when all three maps are
+    declared zeros."""
+    return _total(_bilinear(h_xx, 0.5 * x1, x1), _bilinear(h_xu, x1, u1),
+                  _bilinear(h_uu, 0.5 * u1, u1))
+
+
+def _with_x2_source(f, width, src):
+    """f, a source over every column of the process, with src added to its
+    x2 columns (those from ``width`` on); an absent f or src counts as zero."""
+    if src is None:
+        return f
+    if f is None:
+        f = np.zeros(src.shape[:-1] + (width + src.shape[-1],))
+    f[..., width:] += src
+    return f
 
 
 def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                        base: PathEnsemble, u_bar, mult: MultiplierSet,
                        adjoint: TranspositionSolution, relaxed: RelaxedSolution,
-                       critical, candidate, analysis: ActiveSetAnalysis | None = None,
-                       delta_act: float = 1e-3) -> ConditionReport:
-    """Second order quadratic-form inequality at an optimal candidate.
+                       directions, analysis: ActiveSetAnalysis | None = None,
+                       delta_act: float = 1e-3) -> list[ConditionReport]:
+    """Second order quadratic-form inequality at an optimal candidate, one
+    gated report per direction.
 
-    critical = (nu1, u1) drives the first variation x1, which must satisfy
-    the critical-cone inequalities to 10 * delta_act; candidate = (nu2, u2)
-    drives the second variation x2.  The value must be <= 3 SE for a true
-    local minimizer.
+    Each direction is ((nu1, u1), (nu2, u2)): (nu1, u1) drives the first
+    variation x1, which must satisfy the critical-cone inequalities to
+    10 * delta_act, and (nu2, u2) the second variation x2.  Each value must
+    be <= 3 SE for a true local minimizer.
+
+    One pass over k = 0..N-1 carries the C directions on a trailing axis as
+    one linear process (M, n, C'), stepped by ``forward._steps``: the C
+    columns of x1; then the Q-term's test process phi, the first variation
+    from zero, for each direction with nu1 != 0 (elsewhere it is x1); then,
+    only when a multiplier term reads it, x2.  Each map and Hessian block is
+    evaluated once per step for the whole batch and each step's terms are
+    added as the step arrives, so no process is stored.  A direction off the
+    critical cone raises ``NotCritical`` after the pass, naming its index.
     """
-    nu1, u1 = critical
-    nu2, u2 = candidate
-    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
+    M, n, m, d, N, dt = base.M, spec.n, spec.m, spec.d, grid.N, grid.dt
+    C = len(directions)
     if analysis is None:
         analysis = analyze_active_sets(spec, grid, base, delta_act=delta_act)
-    crit_viol = check_critical(spec, grid, base, x1, analysis)
-    if crit_viol > 10 * delta_act:
-        raise NotCritical(f"critical-cone inequalities violated by {crit_viol:.3g}")
-    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2)
-    M, n, d = base.M, spec.n, spec.d
-    N = grid.N
-    dt = grid.dt
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    u1_arr = as_control_array(u1, grid, M, spec.m)
-    u2_arr = as_control_array(u2, grid, M, spec.m)
-    nu1 = np.asarray(nu1, dtype=float)
-    nu2 = np.asarray(nu2, dtype=float)
-
-    y0 = adjoint.y.values[:, 0, :].mean(axis=0)
-    P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
-    value_det = float(y0 @ nu2) + 0.5 * float(nu1 @ P0 @ nu1)
-
+    u_arr = as_control_array(u_bar, grid, M, m)
+    nu1 = np.stack([np.asarray(nu, dtype=float) for (nu, _), _ in directions], axis=-1)
+    nu2 = np.stack([np.asarray(nu, dtype=float) for _, (nu, _) in directions], axis=-1)
     along = _along(spec, grid, base, u_arr)
-    a_u, b_u, b_x = along("drift_u"), along("diffusion_u"), along("diffusion_x")
-    a_xu, b_xu = along("drift_xu"), along("diffusion_xu")
-    a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
-    # One pass evaluates each coefficient map once per step and fills the
-    # b_u u1 source field of the Q-view term, which is added after the pass.
-    # A declared-zero map drops its terms (and b_u = 0 the Q-view term).
-    fh = None if b_u is None else time_major_zeros(M, N + 1, (n, d))
-    per_path = np.zeros(M)
-    for k in range(N):
-        yk = adjoint.y.values[:, k, :]
-        Yk = adjoint.Y.values[:, k, :, :]
-        Pk = relaxed.P.values[:, k, :, :]
-        u1k = u1_arr[:, k, :]
-        x1k = x1.values[:, k, :]
+    a_x, b_x, a_u, b_u = (along(name) for name in
+                          ("drift_x", "diffusion_x", "drift_u", "diffusion_u"))
+    a_xu, b_xu, a_uu, b_uu = (along(name) for name in
+                              ("drift_xu", "diffusion_xu", "drift_uu", "diffusion_uu"))
+    with_x2 = bool(mult.lambdas or mult.psi.atoms)
+    a_xx, b_xx = (along("drift_xx"), along("diffusion_xx")) if with_x2 else (None, None)
+
+    # The process's columns: x1 for every direction, phi for each direction
+    # with nu1 != 0 (phi enters only the Q-term, which needs b_u), then x2
+    # when it is read.  drive(k) holds u1 for the x1 and phi columns, then
+    # u2, which drives x2 and enters the H_u term.
+    moved = [c for c in range(C) if np.any(nu1[:, c])] if b_u is not None else []
+    width = C + len(moved)
+    phi_cols = np.arange(C)
+    phi_cols[moved] = np.arange(C, width)
+    u1s = [u for (_, u), _ in directions]
+    drive = _on_direction_axis(u1s + [u1s[c] for c in moved]
+                               + [u for _, (_, u) in directions], grid, M, m)
+    x0 = np.concatenate([nu1, np.zeros((n, len(moved)))] + ([nu2] if with_x2 else []), axis=1)
+    cols = x0.shape[1]
+
+    y0 = adjoint.y.values[:, 0].mean(axis=0)
+    P0 = relaxed.P.values[:, 0].mean(axis=0)
+    value_det = [float(y0 @ nu2[:, c]) + 0.5 * float(nu1[:, c] @ P0 @ nu1[:, c])
+                 for c in range(C)]
+    y, Y, P, Q = adjoint.y.values, adjoint.Y.values, relaxed.P.values, relaxed.Qtensor.values
+    per_path = np.zeros((M, C))
+
+    def step(k, X):
+        """Add step k's terms to per_path; return the process's (drift, noise)."""
+        nonlocal per_path
+        yk, Yk, Pk = y[:, k], Y[:, k], P[:, k]
+        D = drive(k)
+        x1, U1, U2 = X[..., :C], D[..., :C], D[..., width:]
         a2, b2, b1 = _at(a_u, k), _at(b_u, k), _at(b_x, k)
-        Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
-        Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)
-        b2u1 = None
-        if b2 is not None:
-            fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
+        axu, bxu, auu, buu = _at(a_xu, k), _at(b_xu, k), _at(a_uu, k), _at(b_uu, k)
+        ft, fh, KX = _apply(a2, D[..., :cols]), _apply(b2, D[..., :cols]), _apply(b1, X)
         Hu = _hamiltonian_u(a2, b2, yk, Yk)
-        cross = _total(
-            _contract("pjk,pj->pk", Hxu, x1k),
-            None if a2 is None else np.einsum("pij,pi->pj", a2,
-                                              np.einsum("pij,pj->pi", Pk, x1k)),
-            None if b2 is None or b1 is None else np.einsum(
-                "pilj,pil->pj", b2, Pk @ np.einsum("pilj,pj->pil", b1, x1k)))
         term = _total(
-            _contract("pj,pj->p", Hu, u2_arr[:, k, :]),
-            None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
-            None if b2u1 is None else 0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
-            _contract("pk,pk->p", cross, u1k))
+            None if Hu is None else np.sum(Hu[..., None] * U2, axis=1),
+            _bilinear(_hessian(axu, bxu, yk, Yk), x1, U1),
+            _bilinear(_hessian(auu, buu, yk, Yk), 0.5 * U1, U1),
+            None if ft is None else _bilinear(Pk, ft[..., :C], x1))
+        if fh is not None:
+            # <P (b_x x1 + b_u u1 / 2) + (Q + Q^T) phi / 2, b_u u1>, P and Q
+            # channel-wise
+            fh1 = fh[..., :C]
+            G = 0.5 * fh1 if KX is None else KX[..., :C] + 0.5 * fh1
+            G = (Pk @ G.reshape(M, n, d * C)).reshape(M, n, d, C)
+            S = Q[:, k] + Q[:, k].transpose(0, 2, 1, 3)
+            G += 0.5 * _apply(S.transpose(0, 1, 3, 2), X[..., phi_cols] if moved else x1)
+            term = _total(term, np.sum(G * fh1, axis=(1, 2)))
         if term is not None:
             per_path += dt * term
-    if fh is not None:
-        # Q acts on the test process driven by (0, a_u u1, b_u u1): by
-        # linearity the first variation from zero, which is x1 when nu1 = 0
-        phi = simulate_first_variation(spec, grid, paths, base, u_arr, np.zeros(n), u1_arr) \
-            if np.any(nu1) else x1
-        Qsum = q_view(relaxed, phi, 0).values
-        Qsum += q_view(relaxed, phi, 0, adjoint=True).values
-        per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
-    # multiplier terms
-    xT = base.values[:, N, :]
+        if with_x2:
+            ft = _with_x2_source(ft, width, _curvature(_at(a_xx, k), axu, auu, x1, U1))
+            fh = _with_x2_source(fh, width, _curvature(_at(b_xx, k), bxu, buu, x1, U1))
+        return _total(_apply(_at(a_x, k), X), ft), _total(KX, fh)
+
+    # the critical-cone pairings at the I0 times as they pass, then at T
+    g0 = spec.state_constraint
+    I0 = set(analysis.I0) if g0 is not None else set()
+    crit = np.zeros(C)
+    for k, X in _steps(spec, grid, paths, np.broadcast_to(x0, (M,) + x0.shape), step,
+                       what="variation"):
+        if k in I0:
+            crit = np.maximum(crit, np.einsum("pi,pic->c", g0.grad(base.values[:, k]),
+                                              X[..., :C]) / M)
+        if with_x2 and k in mult.psi.atoms:
+            per_path += np.einsum("pi,pic->pc", mult.psi.atom(k, M, n), X[..., width:])
+    xT = base.values[:, N]
+    x1T = X[..., :C]
+    crit = np.maximum(crit, np.abs(np.einsum(
+        "pi,pic->c", np.asarray(spec.terminal_cost.grad(xT)), x1T) / M))
+    for j in analysis.I:
+        crit = np.maximum(crit, np.einsum(
+            "pi,pic->c", spec.terminal_constraints[j].grad(xT), x1T) / M)
+    off = np.flatnonzero(crit > 10 * delta_act)
+    if off.size:
+        raise NotCritical(f"direction {off[0]}: critical-cone inequalities violated "
+                          f"by {crit[off[0]]:.3g}")
     for j, lam in mult.lambdas.items():
-        g = spec.terminal_constraints[j]
-        per_path += lam * np.einsum("pi,pi->p", np.asarray(g.grad(xT)),
-                                    x2.values[:, N, :])
-    if mult.psi.atoms:
-        for k in sorted(mult.psi.atoms):
-            per_path += np.einsum("pi,pi->p", x2.values[:, k, :],
-                                  mult.psi.atom(k, M, n))
-    mean, se = mc_mean(per_path)
-    return ConditionReport.gate(
-        "second_order", value_det + float(mean), se,
-        details={"critical_violation": crit_viol,
-                 "deterministic_part": value_det,
-                 "delta_act": delta_act})
+        per_path += lam * np.einsum("pi,pic->pc", np.asarray(
+            spec.terminal_constraints[j].grad(xT)), X[..., width:])
+    means, ses = mc_mean(np.ascontiguousarray(per_path.T))
+    return [ConditionReport.gate(
+        "second_order", value_det[c] + float(means[c]), ses[c],
+        details={"critical_violation": float(crit[c]), "deterministic_part": value_det[c],
+                 "delta_act": delta_act}) for c in range(C)]

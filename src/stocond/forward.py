@@ -90,17 +90,22 @@ def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
 
     x_{k+1} = (x_k + drift dt + noise dW_k) exp(A dt)^T from x(t_index) = x0,
     with (drift (M, n), noise (M, n, d)) = step(k, x_k); either part may be
-    None when it vanishes.  t_index is checked at the call; each step runs
-    when the caller asks for it, and the caller must not write to x_k.
+    None when it vanishes.  x0 is (n,) or (M, n); an (M, n, C) x0 carries C
+    processes on a trailing axis, with drift (M, n, C) and noise
+    (M, n, d, C), and E = exp(A dt) applied from the left.  t_index is
+    checked at the call; each step runs when the caller asks for it, and
+    the caller must not write to x_k.
     """
     N = grid.N
     if not 0 <= t_index <= N:
         raise ValueError(f"t_index must lie in 0..{N}, got {t_index}")
     M, dt = paths.M, grid.dt
-    ET = np.ascontiguousarray(semigroup_step(spec.A, dt).T)
+    E = semigroup_step(spec.A, dt)
+    ET = np.ascontiguousarray(E.T)
+    x0 = np.asarray(x0, dtype=float)
 
     def stream():
-        xk = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (M, spec.n)))
+        xk = np.array(np.broadcast_to(x0, (M, spec.n) + x0.shape[2:]))
         yield t_index, xk
         for k in range(t_index, N):
             # an overflow ends in _check_cap's BlowUp, not in a numpy warning;
@@ -112,8 +117,8 @@ def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
                 if drift is not None:
                     incr = incr + drift * dt
                 if noise is not None:
-                    incr = incr + np.einsum("pil,pl->pi", noise, paths.increments[:, k])
-                xk = incr @ ET
+                    incr = incr + np.einsum("pil...,pl->pi...", noise, paths.increments[:, k])
+                xk = incr @ ET if incr.ndim == 2 else E @ incr
                 _check_cap(xk, cap, what)
             yield k + 1, xk
     return stream()

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from stocond.adjoint_first import check_transposition_identity, solve_first_adjoint
-from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity, q_view,
+from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity,
                                     solve_second_adjoint)
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
-from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for)
+from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for,
+                                second_order_check, smooth_random_fields)
 from stocond.adjoint_first import DiscreteBVMeasure
 from stocond.forward import (_linear_steps, _stored, semigroup_step, simulate_first_variation,
                              simulate_forward)
@@ -103,8 +104,7 @@ class TestApplyQ:
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.eye(1))
         sol = solve_second_adjoint(spec, g, paths, base, data)
-        out = q_view(sol, _phi(spec, g, paths, data, 0, np.ones(1), None, None), 0)
-        assert np.max(np.abs(out.values)) <= 1e-8
+        assert np.max(np.abs(sol.Qtensor.values)) <= 1e-8
 
     def test_phi_equals_first_variation_for_variation_data(self):
         lq = lq_unconstrained()
@@ -402,22 +402,32 @@ class TestSimulatePhiAgainstReference:
 @pytest.fixture(scope="module")
 def lq_identity_inputs():
     """Both adjoints on the LQ closed loop at M = 2000, N = 100, with smooth
-    test data, as the identity suites pass them to the checks."""
+    test data, as the identity suites pass them to the checks; the
+    transposition check also with a per-path f1, and the second order check
+    over 7 deterministic directions, as its suite passes them."""
     lq = lq_unconstrained()
     spec, g, paths, _, base, u = _lq_setup(lq, 100, 2000, seed=21)
     adj = solve_first_adjoint(spec, g, paths, base, u,
                               -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
-    data = second_adjoint_data_for(spec, g, base, u, adj,
-                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
+    mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
+    data = second_adjoint_data_for(spec, g, base, u, adj, mult)
     relaxed = solve_second_adjoint(spec, g, paths, base, data)
     ft = np.zeros((g.N + 1, spec.n))
     ft[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)
     fh = np.zeros((g.N + 1, spec.n, lq.d))
     fh[:, 0, 0] = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)
     eta = 0.5 + 0.3 * base.values[:, 25]
+    ft_paths = ft * (0.5 + 0.3 * base.values[:, :, :1])
+    nu, still = np.zeros(spec.n), np.zeros((g.N + 1, spec.m))
+    directions = [((nu, v), (nu, still))
+                  for v in smooth_random_fields(g, spec.m, 7, np.random.default_rng(2))]
     return {
         "transposition": lambda: check_transposition_identity(
             spec, g, paths, base, u, adj, 25, eta, ft, fh),
+        "transposition_per_path_f1": lambda: check_transposition_identity(
+            spec, g, paths, base, u, adj, 25, eta, ft_paths, fh),
+        "second_order": lambda: second_order_check(
+            spec, g, paths, base, u, mult, adj, relaxed, directions, delta_act=1e6),
         "relaxed": lambda: check_relaxed_identity(
             spec, g, paths, relaxed, data, 0, (np.full(spec.n, 0.5), ft, fh),
             (np.full(spec.n, 0.3), ft, fh)),
@@ -425,11 +435,13 @@ def lq_identity_inputs():
     }
 
 
-@pytest.mark.parametrize("check", ["transposition", "relaxed"])
+@pytest.mark.parametrize("check", ["transposition", "transposition_per_path_f1", "relaxed",
+                                   "second_order"])
 def test_checks_store_no_test_process(lq_identity_inputs, check):
-    """The duality checks step their test processes and Q-views one time
-    step at a time: what a check allocates beyond its inputs stays below one
-    (M, N+1, n) ensemble, which one stored test process would fill."""
+    """The duality checks and the second order check step their processes
+    and Q-views one time step at a time: what a check allocates beyond its
+    inputs stays below one (M, N+1, n) ensemble, which one stored process
+    would fill."""
     run = lq_identity_inputs[check]
     run()                                   # first-call allocations, not traced
     tracemalloc.start()

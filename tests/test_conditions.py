@@ -15,7 +15,7 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
                                 smooth_random_fields, tangent_project_field)
-from stocond.adjoint_second import q_view, solve_second_adjoint
+from stocond.adjoint_second import solve_second_adjoint
 from stocond.errors import AdjointMismatch, NotCritical
 from stocond.forward import (_along, _at, _contract, _linear_steps, _quadratic, _stored,
                              _total, simulate_first_variation, simulate_forward,
@@ -188,17 +188,22 @@ class TestDerivativeMapCalls:
         expect(*first)
         simulate_second_variation(counted, g, paths, base, u, x1, u1, nu, u2)
         expect(*COEFF_MAPS)
-        # the check: both variations on the same direction, plus its own loop's
-        # maps; at nu1 = 0 phi is x1 and costs nothing, otherwise one more
-        # first variation
-        loop = ("drift_u", "diffusion_u", "diffusion_x", "drift_xu", "diffusion_xu",
-                "drift_uu", "diffusion_uu")
-        second_order_check(counted, g, paths, base, u, mult, adj, relaxed, (nu, u1),
-                           (nu, u2), delta_act=1.0)
-        expect(*first, *COEFF_MAPS, *loop)
+        # the check: one pass evaluates each map it needs once per step,
+        # whatever the number of directions and nu1; the curvature maps of
+        # x2 only when a multiplier term reads x2
+        loop = first + ("drift_xu", "diffusion_xu", "drift_uu", "diffusion_uu")
         second_order_check(counted, g, paths, base, u, mult, adj, relaxed,
-                           (np.ones(spec.n), u1), (nu, u2), delta_act=1e6)
-        expect(*first, *first, *COEFF_MAPS, *loop)
+                           [((nu, u1), (nu, u2))], delta_act=1.0)
+        expect(*loop)
+        second_order_check(counted, g, paths, base, u, mult, adj, relaxed,
+                           [((nu, u1), (nu, u2)), ((np.ones(spec.n), u1), (nu, u2)),
+                            ((nu, 2 * u1), (np.ones(spec.n), u1))], delta_act=1e6)
+        expect(*loop)
+        with_psi = MultiplierSet(1.0, {}, DiscreteBVMeasure({3: np.ones(spec.n)}))
+        second_order_check(counted, g, paths, base, u, with_psi, adj, relaxed,
+                           [((nu, u1), (nu, u2)), ((np.ones(spec.n), u1), (nu, u2))],
+                           delta_act=1e6)
+        expect(*loop, "drift_xx", "diffusion_xx")
         counted_data = second_adjoint_data_for(counted, g, base, u, adj, mult)
         expect()
         counted_data.F(3)
@@ -495,8 +500,8 @@ class TestSecondOrder:
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u0, sol, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
-        rep = second_order_check(spec, g, paths, base, u0, mult, sol, relaxed,
-                                 (np.zeros(1), np.ones((21, 1))), (np.zeros(1), u0))
+        rep, = second_order_check(spec, g, paths, base, u0, mult, sol, relaxed,
+                                  [((np.zeros(1), np.ones((21, 1))), (np.zeros(1), u0))])
         assert abs(rep.worst_violation) <= 1e-10
 
     def test_lq_optimum_nonpositive_and_scaling(self):
@@ -511,12 +516,12 @@ class TestSecondOrder:
         u1 = np.sin(np.pi * g.times)[:, None]
         nu = np.zeros(spec.n)
         u2 = np.zeros((51, 1))
-        rep1 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                  (nu, u1), (nu, u2), delta_act=5e-2)
+        rep1, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+                                   [((nu, u1), (nu, u2))], delta_act=5e-2)
         assert rep1.verdict == "pass"
         assert rep1.worst_violation < 0
-        rep2 = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                  (nu, 2 * u1), (nu, u2), delta_act=5e-2)
+        rep2, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+                                   [((nu, 2 * u1), (nu, u2))], delta_act=5e-2)
         assert rep2.worst_violation / rep1.worst_violation == pytest.approx(4.0, abs=1e-6)
 
     def test_value_matches_cost_expansion_oracle(self):
@@ -532,8 +537,8 @@ class TestSecondOrder:
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
         u1 = np.sin(np.pi * g.times)[:, None]
         nu = np.zeros(spec.n)
-        rep = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                                 (nu, u1), (nu, np.zeros((101, 1))), delta_act=5e-2)
+        rep, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+                                  [((nu, u1), (nu, np.zeros((101, 1))))], delta_act=5e-2)
         # direct expansion oracle on the same paths (common random numbers)
         from stocond.model import as_control_array
         M = base.M
@@ -555,11 +560,14 @@ class TestSecondOrder:
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         data = second_adjoint_data_for(spec, g, base, u, adj, mult)
         relaxed = solve_second_adjoint(spec, g, paths, base, data)
-        # nu1 along the cost gradient breaks criticality at tiny delta_act
-        with pytest.raises(NotCritical):
-            second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
-                               (np.ones(spec.n), np.ones((21, 1))),
-                               (np.zeros(spec.n), np.zeros((21, 1))), delta_act=1e-6)
+        zero, still = np.zeros(spec.n), np.zeros((21, 1))
+        # x1 = 0 is critical; nu1 along the cost gradient breaks criticality
+        # at tiny delta_act, and the error names that direction
+        directions = [((zero, still), (zero, still))] * 4
+        directions[2] = ((np.ones(spec.n), np.ones((21, 1))), (zero, still))
+        with pytest.raises(NotCritical, match="^direction 2: "):
+            second_order_check(spec, g, paths, base, u, mult, adj, relaxed, directions,
+                               delta_act=1e-6)
 
     def test_nonzero_nu1_matches_processes_simulated_outside(self):
         # at nu1 != 0 the Q-term's process is a first variation from zero,
@@ -576,17 +584,51 @@ class TestSecondOrder:
         u1 = np.sin(np.pi * g.times)[:, None]
         u2 = np.cos(np.pi * g.times)[:, None]
         assert np.any(relaxed.Qtensor.values != 0.0)
-        rep = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, (nu1, u1),
-                                 (nu2, u2), delta_act=1e6)
+        rep, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+                                  [((nu1, u1), (nu2, u2))], delta_act=1e6)
         assert rep.worst_violation == _second_order_value_from_processes(
             spec, g, paths, base, u, mult, adj, relaxed, data, nu1, u1, nu2, u2)
+
+    def test_batch_equals_one_direction_calls_and_processes(self):
+        # nu1 != 0 (phi gets its own column), u2 != 0, a per-path u1, and a
+        # psi atom that brings x2 into the pass
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 300, seed=16)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        rng = np.random.default_rng(5)
+        mult = MultiplierSet(1.0, {}, DiscreteBVMeasure({6: rng.standard_normal(spec.n)}))
+        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
+        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        zero = np.zeros(spec.n)
+        sin, cos = np.sin(np.pi * g.times)[:, None], np.cos(np.pi * g.times)[:, None]
+        per_path = sin[None] * (1.0 + 0.2 * rng.standard_normal((base.M, 1, 1)))
+        directions = [((zero, sin), (zero, np.zeros_like(sin))),
+                      ((rng.standard_normal(spec.n), cos), (zero, sin)),
+                      ((zero, per_path), (rng.standard_normal(spec.n), cos)),
+                      ((rng.standard_normal(spec.n), per_path), (zero, 0.5 * sin))]
+        batch = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, directions,
+                                   delta_act=1e6)
+        assert len(batch) == 4
+        for rep, direction in zip(batch, directions):
+            one, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, [direction],
+                                      delta_act=1e6)
+            (nu1, u1), (nu2, u2) = direction
+            reference = _second_order_value_from_processes(
+                spec, g, paths, base, u, mult, adj, relaxed, data, nu1, u1, nu2, u2)
+            assert rep.worst_violation == pytest.approx(one.worst_violation, rel=1e-12)
+            assert rep.se == pytest.approx(one.se, rel=1e-12)
+            assert rep.worst_violation == pytest.approx(reference, rel=1e-12)
 
 
 def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relaxed, data,
                                       nu1, u1, nu2, u2):
     """The second order value built from processes simulated outside the check:
     x1 and x2 from the variations, and the Q-term's test process phi, the
-    relaxed identity's test process driven by (0, a_u u1, b_u u1)."""
+    relaxed identity's test process driven by (0, a_u u1, b_u u1).  Each
+    step's terms are grouped as the check groups them: the Hessian blocks,
+    <P x1, a_u u1>, and one pairing of P (b_x x1 + b_u u1 / 2) +
+    (Q + Q^T) phi / 2 against b_u u1."""
     x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
     x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu2, u2)
     M, n, d, N, dt = base.M, spec.n, spec.d, g.N, g.dt
@@ -600,27 +642,25 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relax
     a_uu, b_uu = along("drift_uu"), along("diffusion_uu")
     ft = time_major_zeros(M, N + 1, (n,))
     fh = time_major_zeros(M, N + 1, (n, d))
+    for k in range(N):
+        ft[:, k] = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k])
+        fh[:, k] = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k])
+    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), data.J, data.K, ft, fh), M, N, n)
     per_path = np.zeros(M)
     for k in range(N):
-        yk, Yk, Pk = adj.y.values[:, k], adj.Y.values[:, k], relaxed.P.values[:, k]
-        u1k, x1k = u1_arr[:, k], x1.values[:, k]
-        a2, b2, b1 = a_u(k), b_u(k), b_x(k)
+        yk, Yk, Pk, Qk = adj.y.values[:, k], adj.Y.values[:, k], relaxed.P.values[:, k], \
+            relaxed.Qtensor.values[:, k]
+        u1k, x1k, phik, fhk = u1_arr[:, k], x1.values[:, k], phi.values[:, k], fh[:, k]
         Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
         Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)
-        ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
-        fh[:, k] = b2u1 = np.einsum("pilj,pj->pil", b2, u1k)
-        cross = _total(_contract("pjk,pj->pk", Hxu, x1k),
-                       np.einsum("pij,pi->pj", a2, np.einsum("pij,pj->pi", Pk, x1k)),
-                       np.einsum("pilj,pil->pj", b2, Pk @ np.einsum("pilj,pj->pil", b1, x1k)))
+        G = np.einsum("pij,pjl->pil", Pk, np.einsum("pilj,pj->pil", b_x(k), x1k) + 0.5 * fhk) \
+            + 0.5 * (np.einsum("pijl,pj->pil", Qk, phik) + np.einsum("pjil,pj->pil", Qk, phik))
         per_path += dt * _total(
-            np.einsum("pj,pj->p", _hamiltonian_u(a2, b2, yk, Yk), u2_arr[:, k]),
+            np.einsum("pj,pj->p", _hamiltonian_u(a_u(k), b_u(k), yk, Yk), u2_arr[:, k]),
+            None if Hxu is None else np.einsum("pj,pjk,pk->p", x1k, Hxu, u1k),
             None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
-            0.5 * np.einsum("pil,pil->p", Pk @ b2u1, b2u1),
-            np.einsum("pk,pk->p", cross, u1k))
-    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), data.J, data.K, ft, fh), M, N, n)
-    Qsum = q_view(relaxed, phi, 0).values
-    Qsum += q_view(relaxed, phi, 0, adjoint=True).values
-    per_path += 0.5 * dt * np.einsum("pkil,pkil->p", Qsum[:, :N], fh[:, :N])
+            np.einsum("pi,pij,pj->p", ft[:, k], Pk, x1k),
+            np.einsum("pil,pil->p", G, fhk))
     for k in sorted(mult.psi.atoms):
         per_path += np.einsum("pi,pi->p", x2.values[:, k, :], mult.psi.atom(k, M, n))
     return value_det + float(np.mean(per_path))

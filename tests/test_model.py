@@ -378,8 +378,8 @@ def _consumer_outputs(spec):
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
     data = second_adjoint_data_for(spec, grid, base, u_bar, sol, mult)
     relaxed = solve_second_adjoint(spec, grid, paths, base, data)
-    report = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed,
-                                (nu1, u1), (nu2, u2), delta_act=1e6)
+    report, = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed,
+                                 [((nu1, u1), (nu2, u2))], delta_act=1e6)
     return {
         "simulate_forward": base.values,
         "simulate_first_variation": x1.values,
