@@ -106,8 +106,8 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
 
     for k in range(grid.N - 1, -1, -1):
         reg = ConditionalRegression(basis.features(base_state.values[:, k, :]))
-        # (E* y_{k+1})_i = sum_j E_ji y_j, with the state axis moved last
-        Sy = np.moveaxis(np.moveaxis(y[:, k + 1], 1, -1) @ E, -1, 1)
+        # (E* y_{k+1})_i = sum_j E_ji y_j
+        Sy = np.einsum("ji,pj...->pi...", E, y[:, k + 1])
         m_next = reg.fit(Sy)
         # centered-increment regression for the martingale part
         dW = paths.increments[:, k, :]

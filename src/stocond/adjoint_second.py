@@ -78,7 +78,8 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
     for k in range(grid.N - 1, -1, -1):
         xk, Pn = base_state.values[:, k, :], P[:, k + 1]
         reg = ConditionalRegression(basis.features(xk))
-        SP = (Pn.reshape(M, n * n) @ EE).reshape(M, n, n)
+        # the GEMM on the (n n, M) memory of the path-innermost slice
+        SP = (EE.T @ Pn.reshape(M, n * n).T).T.reshape(M, n, n)
         m_next = reg.fit(SP)
         dW = paths.increments[:, k, :]
         target_Q = (SP - m_next)[..., None] * dW[:, None, None, :] / dt
@@ -89,18 +90,16 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
         Kk = _slice_bc(data.K, k, M, (n, d, n))
         Fk = _slice_bc(data.F, k, M, (n, n))
         drift = np.zeros((M, n, n))
+        # per-path contractions as einsums, which run along the unit-stride
+        # path axis (a batched matmul loops over M tiny matrices)
         if Jk is not None:
             # J^T P + P J
-            drift += np.matmul(Jk.transpose(0, 2, 1), Pn) + Pn @ Jk
+            drift += np.einsum("pji,pjk->pik", Jk, Pn) + np.einsum("pij,pjk->pik", Pn, Jk)
         if Kk is not None:
             # sum_l K_l^T (P K_l + Q_l) + Q_l K_l with channel matrix
-            # K_l = K[., :, l, :]; (n, d, n) -> (n d, n) stacks the channels
-            # so each sum over l is one batched matmul
-            Kr = Kk.reshape(M, n * d, n)
-            X = (Pn @ Kk.reshape(M, n, d * n)).reshape(M, n, d, n) \
-                + Qk.transpose(0, 1, 3, 2)
-            drift += Kr.transpose(0, 2, 1) @ X.reshape(M, n * d, n) \
-                + Qk.reshape(M, n, n * d) @ Kr
+            # K_l = K[., :, l, :] and Q_l = Q[..., l]
+            X = np.einsum("pij,pjlk->pilk", Pn, Kk) + Qk.transpose(0, 1, 3, 2)
+            drift += np.einsum("pjli,pjlk->pik", Kk, X) + np.einsum("pijl,pjlk->pik", Qk, Kk)
         if Fk is not None:
             drift -= Fk
         target_P = SP + dt * drift
@@ -155,10 +154,10 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
             rhs += dt * _quadratic(Pk, ft2_arr[:, k], phi1)
         if fh2_arr is not None and Kk is not None:
             Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1)
-            PKphi1 = Pk @ Kphi1
+            PKphi1 = np.einsum("pij,pjl->pil", Pk, Kphi1)
             rhs += dt * np.einsum("pil,pil->p", PKphi1, fh2_arr[:, k])
         if fh1_arr is not None:
-            Pfh1 = Pk @ fh1_arr[:, k]
+            Pfh1 = np.einsum("pij,pjl->pil", Pk, fh1_arr[:, k])
             other = np.zeros((M, n, d))
             if Kk is not None:
                 other += np.einsum("pilj,pj->pil", Kk, phi2)

@@ -498,12 +498,12 @@ def _on_direction_axis(fields, grid: TimeGrid, M: int, m: int):
 
 
 def _apply(h, w):
-    """h w per path and direction, one batched matmul: h is (M,) + head + (b,)
-    and w (M or 1, b, C); the result is (M,) + head + (C,).  None for a
-    declared-zero h."""
+    """h w per path and direction, one einsum along the unit-stride path
+    axis: h is (M,) + head + (b,) and w (M or 1, b, C); the result is
+    (M,) + head + (C,).  None for a declared-zero h."""
     if h is None:
         return None
-    return (h.reshape(h.shape[0], -1, h.shape[-1]) @ w).reshape(h.shape[:-1] + w.shape[-1:])
+    return np.einsum("p...b,pbc->p...c", h, w)
 
 
 def _bilinear(h, v, w):
@@ -613,7 +613,7 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
             # channel-wise
             fh1 = fh[..., :C]
             G = 0.5 * fh1 if KX is None else KX[..., :C] + 0.5 * fh1
-            G = (Pk @ G.reshape(M, n, d * C)).reshape(M, n, d, C)
+            G = np.einsum("pij,pjlc->pilc", Pk, G)
             S = Q[:, k] + Q[:, k].transpose(0, 2, 1, 3)
             G += 0.5 * _apply(S.transpose(0, 1, 3, 2), X[..., phi_cols] if moved else x1)
             term = _total(term, np.sum(G * fh1, axis=(1, 2)))

@@ -101,7 +101,6 @@ def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
         raise ValueError(f"t_index must lie in 0..{N}, got {t_index}")
     M, dt = paths.M, grid.dt
     E = semigroup_step(spec.A, dt)
-    ET = np.ascontiguousarray(E.T)
     x0 = np.asarray(x0, dtype=float)
 
     def stream():
@@ -118,7 +117,9 @@ def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
                     incr = incr + drift * dt
                 if noise is not None:
                     incr = incr + np.einsum("pil...,pl->pi...", noise, paths.increments[:, k])
-                xk = incr @ ET if incr.ndim == 2 else E @ incr
+                # E on the state axis: with paths innermost, incr.T is a
+                # C-ordered stack of (n, M) blocks, one GEMM each
+                xk = (E @ incr.T).T
                 _check_cap(xk, cap, what)
             yield k + 1, xk
     return stream()

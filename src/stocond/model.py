@@ -142,7 +142,7 @@ def with_maps(spec: ProblemSpec, **maps) -> ProblemSpec:
 class BrownianEnsemble:
     """Independent N(0, dt) increments per path, step and channel."""
 
-    increments: np.ndarray  # (M, N, d)
+    increments: np.ndarray  # (M, N, d), stored like a PathEnsemble's values
 
     @property
     def M(self) -> int:
@@ -158,9 +158,10 @@ class PathEnsemble:
     """Adapted process samples on a grid; values has shape (M, N+1, k).
 
     That shape is logical: ensembles filled one time step at a time are
-    stored time-major (see ``time_major_zeros``), so ``values[:, k]`` is one
-    contiguous block while the whole array is not C-contiguous.  Index it;
-    do not assume the memory order of ``values`` itself.
+    stored time-major with paths innermost (see ``time_major_zeros``), so
+    ``values[:, k]`` is one contiguous block whose path axis has unit
+    stride, while the whole array is not C-contiguous.  Index it; do not
+    assume the memory order of ``values`` itself.
     """
 
     values: np.ndarray
@@ -170,20 +171,44 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
+def paths_innermost(memory: np.ndarray) -> np.ndarray:
+    """The logical (M,) + tail view of tail + (M,) memory: the last axis,
+    the path axis, moved to the front."""
+    last = memory.ndim - 1
+    return memory.transpose((last,) + tuple(range(last)))
+
+
 def time_major_zeros(M: int, K: int, tail: tuple) -> np.ndarray:
-    """Zeros of logical shape (M, K) + tail, stored time-major.
+    """Zeros of logical shape (M, K) + tail, stored time-major with paths
+    innermost, as (K,) + tail + (M,) memory.
 
     A sweep over the K grid times reads and writes ``out[:, k]``; in this
-    layout that time slice is one C-contiguous (M,) + tail block.
+    layout that time slice is one contiguous tail + (M,) block, so a
+    per-path contraction of small tail matrices runs along the unit-stride
+    path axis.
     """
-    return np.zeros((K, M) + tail).swapaxes(0, 1)
+    return paths_innermost(np.zeros((K,) + tail + (M,)))
+
+
+# paths per standard_normal call when drawing increments: consecutive draws
+# continue one stream, so the blocks reproduce one (M, N, d) draw exactly
+# while only a block is held in path-first order
+_DRAW_BLOCK = 256
 
 
 def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnsemble:
-    """Draw an (M, N, d) ensemble of N(0, dt) increments, reproducibly."""
+    """Draw an (M, N, d) ensemble of N(0, dt) increments, reproducibly.
+
+    The values are those of ``default_rng(seed).standard_normal((M, N, d))
+    * sqrt(dt)``, stored as ``time_major_zeros`` stores an ensemble.
+    """
     if M < 1 or grid.N < 1:
         raise ValueError("need at least one path and one step")
-    incs = np.random.default_rng(seed).standard_normal((M, grid.N, d)) * np.sqrt(grid.dt)
+    rng, scale = np.random.default_rng(seed), np.sqrt(grid.dt)
+    incs = paths_innermost(np.empty((grid.N, d, M)))
+    for start in range(0, M, _DRAW_BLOCK):
+        stop = min(M, start + _DRAW_BLOCK)
+        incs[start:stop] = rng.standard_normal((stop - start, grid.N, d)) * scale
     return BrownianEnsemble(incs)
 
 
@@ -317,7 +342,8 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
     part is None, so a missing second derivative stays missing; it is a
     declared zero when both parts are, and otherwise evaluates only the
     parts that are not declared zero (a running-cost field is declared zero
-    when it is built by ``zero_map``).
+    when it is built by ``zero_map``).  A lifted map's array is stored with
+    the path axis innermost, as ``time_major_zeros`` stores a time slice.
     """
     n, m, d = spec.n, spec.m, spec.d
     A_ext = np.zeros((n + 1, n + 1))
@@ -344,7 +370,7 @@ def bolza_reduce(spec: ProblemSpec, running_cost: RunningCost) -> ProblemSpec:
 
         def lifted(t, x, u):
             xa = split(x)
-            out = np.zeros(x.shape[:-1] + tail)
+            out = paths_innermost(np.zeros(tail + x.shape[:1]))
             for index, fn in parts:
                 out[index] = fn(t, xa, u)
             return out

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SingularRegression
+from .model import paths_innermost
 
 RIDGE = 1e-10
 
@@ -52,20 +53,29 @@ class ConditionalRegression:
         self.phi = features
         gram = features.T @ features / M + RIDGE * np.eye(B)
         try:
-            self._chol = np.linalg.cholesky(gram)
+            # Fortran order, as LAPACK takes it, so no call copies it
+            self._chol = np.asfortranarray(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError as exc:
             raise SingularRegression("normal equations not positive definite "
                                      "beyond ridge tolerance") from exc
         self._M = M
 
     def fit(self, target: np.ndarray) -> np.ndarray:
-        """Fitted values of E[target | features]; target is (M,) or (M, ...)."""
-        shape = target.shape
+        """Fitted values of E[target | features]; target is (M,) or (M, ...).
+
+        The result has the target's logical shape, stored with the path
+        axis innermost (see ``model.time_major_zeros``).
+        """
         flat = target.reshape(self._M, -1)
         rhs = self.phi.T @ flat / self._M
-        # non-finite targets surface through the check on the fitted values
-        coef = scipy.linalg.cho_solve((self._chol, True), rhs, check_finite=False)
+        # LAPACK's solver itself, as scipy's cho_solve calls it, without the
+        # wrapper's per-call cost; non-finite targets surface through the
+        # check on the fitted values
+        coef, info = dpotrs(self._chol, rhs, lower=1)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
         fitted = self.phi @ coef
         if not np.all(np.isfinite(fitted)):
             raise SingularRegression("regression produced non-finite values")
-        return fitted.reshape(shape)
+        return paths_innermost(np.ascontiguousarray(fitted.T).reshape(
+            target.shape[1:] + (self._M,)))

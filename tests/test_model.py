@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from stocond import cones
-from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_duality,
+from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
+                                   check_first_variation_duality,
                                    check_transposition_identity, solve_first_adjoint)
-from stocond.adjoint_second import SecondAdjointData, solve_second_adjoint
+from stocond.adjoint_second import (RelaxedSolution, SecondAdjointData, check_relaxed_identity,
+                                    solve_second_adjoint)
 from dataclasses import replace
 
 from stocond.benchmarks import (LQSpec, double_integrator_state_constrained, heat_lq,
@@ -51,6 +53,14 @@ class TestBrownian:
         ens = generate_brownian(g, M, 1, seed=3)
         band = 4.0 * np.sqrt(g.dt / M)
         assert np.all(np.abs(ens.increments.mean(axis=0)) <= band)
+
+    @pytest.mark.parametrize("M", [1, 255, 256, 257, 1000])
+    def test_values_are_one_path_first_draw(self, M):
+        # the block-wise draw reproduces one (M, N, d) draw bit for bit
+        g = TimeGrid(7, 0.3)
+        ens = generate_brownian(g, M, 2, seed=11)
+        ref = np.random.default_rng(11).standard_normal((M, g.N, 2)) * np.sqrt(g.dt)
+        assert np.array_equal(ens.increments, ref)
 
     def test_total_variance_over_seeds(self):
         # Var of W(T) estimated across independent seeds matches T
@@ -489,6 +499,7 @@ def swept_ensembles():
         "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u, sol),
         "second_adjoint_P": rel.P.values,
         "second_adjoint_Q": rel.Qtensor.values,
+        "increments": paths.increments,
     }
 
 
@@ -497,11 +508,49 @@ def swept_ensembles():
     "closed_loop_X", "closed_loop_U",
     "first_adjoint_y", "first_adjoint_Y", "first_adjoint_y_components",
     "first_adjoint_Y_components", "hamiltonian_u_field", "second_adjoint_P",
-    "second_adjoint_Q",
+    "second_adjoint_Q", "increments",
 ])
 def test_time_slices_are_contiguous(swept_ensembles, name):
-    """Ensembles are stored time-major: each time slice is one C block."""
+    """Ensembles are stored time-major with paths innermost: each time slice
+    is one C block of tail + (M,) memory."""
     values = swept_ensembles[name]
     assert values.shape[0] == 32
     for k in (0, values.shape[1] - 1):
-        assert values[:, k].flags.c_contiguous
+        assert np.moveaxis(values[:, k], 0, -1).flags.c_contiguous
+
+
+def test_results_do_not_depend_on_the_layout():
+    """Path-first, C-ordered copies of the base, paths and solutions give the
+    stored layout's results to round-off: the layout affects speed only."""
+    spec, grid, paths, _, base, u = _lq_setup(lq_unconstrained(), 12, 200, seed=4)
+    N, n, d = grid.N, spec.n, paths.d
+    c = np.ascontiguousarray
+    paths_c, base_c, u_c = type(paths)(c(paths.increments)), PathEnsemble(c(base.values)), c(u)
+    assert not np.moveaxis(base_c.values[:, 0], 0, -1).flags.c_contiguous
+    yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
+    mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
+    times = grid.times[:, None]
+    f1, f2 = np.sin(3 * times) * np.ones(n), np.cos(2 * times)[..., None] * np.ones((n, d))
+    eta = c(base.values[:, N // 4] + 0.1)
+    xi1, xi2 = np.full(n, 0.5), np.full(n, 0.3)
+
+    def run(paths, base, u, copy):
+        adj = solve_first_adjoint(spec, grid, paths, base, u, yT)
+        adj_in = TranspositionSolution(PathEnsemble(copy(adj.y.values)),
+                                       PathEnsemble(copy(adj.Y.values)))
+        data = second_adjoint_data_for(spec, grid, base, u, adj_in, mult)
+        rel = solve_second_adjoint(spec, grid, paths, base, data)
+        rel_in = RelaxedSolution(PathEnsemble(copy(rel.P.values)),
+                                 PathEnsemble(copy(rel.Qtensor.values)))
+        return {"y": adj.y.values, "Y": adj.Y.values, "P": rel.P.values,
+                "Q": rel.Qtensor.values,
+                "transposition": check_transposition_identity(
+                    spec, grid, paths, base, u, adj_in, N // 4, eta, f1, f2),
+                "relaxed": check_relaxed_identity(spec, grid, paths, rel_in, data, 0,
+                                                  (xi1, f1, f2), (xi2, 0.5 * f1, f2))}
+
+    stored = run(paths, base, u, lambda a: a)
+    path_first = run(paths_c, base_c, u_c, c)
+    for name, ref in stored.items():
+        got, ref = np.asarray(path_first[name]), np.asarray(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
