@@ -213,20 +213,12 @@ class MultiplierSet:
 class ActiveSetAnalysis:
     I0: list[int]
     I: list[int]
-    tau_g: list[int]
-    e_values: np.ndarray
 
 
 def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsemble,
-                        x1: PathEnsemble | None = None,
                         delta_act: float = 1e-3) -> ActiveSetAnalysis:
-    """Active times/indices for the constraints and the curvature weight e(t).
-
-    e(t) is estimated as the windowed maximum over neighbor times s of
-    (E<g0_x(x(s)), x1(s)>)_+^2 / (4 |E g0(x(s))|), restricted to s with
-    E g0(x(s)) < -delta_act, the discrete analogue of its limsup definition;
-    the window shrinks like sqrt(dt).
-    """
+    """Active grid times of the state constraint (I0) and active terminal
+    constraint indices (I): those whose mean value is within delta_act of 0."""
     N = grid.N
     xT = base_state.values[:, N, :]
     I = []
@@ -234,29 +226,11 @@ def analyze_active_sets(spec: ProblemSpec, grid: TimeGrid, base_state: PathEnsem
         if abs(float(np.mean(g.value(xT)))) <= delta_act:
             I.append(j)
     if spec.state_constraint is None:
-        return ActiveSetAnalysis([], I, [], np.zeros(N + 1))
+        return ActiveSetAnalysis([], I)
     g0 = spec.state_constraint
-    g0_path = np.array([float(np.mean(g0.value(base_state.values[:, k, :])))
-                        for k in range(N + 1)])
-    I0 = [k for k in range(N + 1) if abs(g0_path[k]) <= delta_act]
-    tau_g: list[int] = []
-    e_values = np.zeros(N + 1)
-    if x1 is not None:
-        g0_dir = np.array([
-            float(np.mean(np.einsum("pi,pi->p", g0.grad(base_state.values[:, k, :]),
-                                    x1.values[:, k, :])))
-            for k in range(N + 1)])
-        window = max(1, int(np.ceil(np.sqrt(grid.dt) / grid.dt)))
-        for k in range(N + 1):
-            lo, hi = max(0, k - window), min(N, k + window)
-            cands = []
-            for s in range(lo, hi + 1):
-                if g0_path[s] < -delta_act and g0_dir[s] > 0:
-                    cands.append(g0_dir[s] ** 2 / (4.0 * abs(g0_path[s])))
-            if cands:
-                tau_g.append(k)
-                e_values[k] = max(cands)
-    return ActiveSetAnalysis(I0, I, tau_g, e_values)
+    I0 = [k for k in range(N + 1)
+          if abs(float(np.mean(g0.value(base_state.values[:, k, :])))) <= delta_act]
+    return ActiveSetAnalysis(I0, I)
 
 
 def state_constraint_measure(spec: ProblemSpec, base_state: PathEnsemble,
@@ -275,11 +249,9 @@ def state_constraint_measure(spec: ProblemSpec, base_state: PathEnsemble,
 # first order checkers
 # ---------------------------------------------------------------------------
 
-def _check_terminal_match(spec, mult, sol, base_state):
-    xT = base_state.values[:, -1, :]
-    expected = mult.terminal_datum(spec, xT)
-    got = sol.y.values[:, -1, :]
-    err = float(np.max(np.abs(expected - got)))
+def _check_terminal_match(spec, mult, yT, base_state):
+    expected = mult.terminal_datum(spec, base_state.values[:, -1, :])
+    err = float(np.max(np.abs(expected - yT)))
     scale = max(1.0, float(np.max(np.abs(expected))))
     if err > 1e-7 * scale:
         raise AdjointMismatch(
@@ -287,21 +259,18 @@ def _check_terminal_match(spec, mult, sol, base_state):
 
 
 def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                               u_bar, mult: MultiplierSet,
-                               adjoint: TranspositionSolution,
-                               directions, dt_bias: float = 0.0,
-                               Hu: np.ndarray | None = None) -> ConditionReport:
+                               mult: MultiplierSet, y0: np.ndarray, yT: np.ndarray,
+                               Hu: np.ndarray, directions,
+                               dt_bias: float = 0.0) -> ConditionReport:
     """Integral-form first order condition over the supplied directions.
 
     For each (nu, v): E<y(0), nu> + E int <H_u(t), v(t)> dt must be <= 0 up
-    to 3 SE + dt bias.  Hu is this adjoint's ``hamiltonian_u_field`` when
-    the caller has it already; it is computed otherwise.
+    to 3 SE + dt bias.  y0 and yT are the adjoint's y(0) and y(T), (M, n),
+    and Hu its ``hamiltonian_u_field``, (M, N, m); yT must match the
+    multiplier's terminal datum.
     """
-    _check_terminal_match(spec, mult, adjoint, base)
+    _check_terminal_match(spec, mult, yT, base)
     M = base.M
-    if Hu is None:
-        Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
-    y0 = adjoint.y.values[:, 0, :]
     per_path = np.empty((len(directions), M))     # family-major, see mc_mean
     for i, (nu, v) in enumerate(directions):
         v_arr = as_control_array(v, grid, M, spec.m)
@@ -314,34 +283,28 @@ def first_order_integral_check(spec: ProblemSpec, grid: TimeGrid, base: PathEnse
                                 details={"per_direction": means.tolist()})
 
 
-def pointwise_violation_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                              u_bar, adjoint: TranspositionSolution,
-                              Hu: np.ndarray | None = None) -> np.ndarray:
+def pointwise_violation_field(spec: ProblemSpec, grid: TimeGrid, u_bar,
+                              Hu: np.ndarray) -> np.ndarray:
     """|proj of H_u onto C_U(u)| per (path, time): the support of H_u on the
     unit ball of the tangent cone, whose positive mean is the violation.
-    Hu as in ``first_order_integral_check``."""
-    M = base.M
-    u_arr = as_control_array(u_bar, grid, M, spec.m)
-    if Hu is None:
-        Hu = hamiltonian_u_field(spec, grid, base, u_bar, adjoint)
+    Hu is the (M, N, m) ``hamiltonian_u_field``."""
+    u_arr = as_control_array(u_bar, grid, Hu.shape[0], spec.m)
     proj = tangent_project_field(spec.U, u_arr[:, :-1, :], Hu)
     return np.linalg.norm(proj, axis=2)
 
 
 def first_order_pointwise_check(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                                u_bar, adjoint: TranspositionSolution,
-                                dt_bias: float = 0.0,
-                                Hu: np.ndarray | None = None) -> ConditionReport:
+                                u_bar, y0: np.ndarray, Hu: np.ndarray,
+                                dt_bias: float = 0.0) -> ConditionReport:
     """Pointwise conditions: H_u in the normal cone of U at u_bar (in mean
-    of the positive support), and y(0) in the normal cone of Ka.  Hu as in
-    ``first_order_integral_check``."""
-    viol = pointwise_violation_field(spec, grid, base, u_bar, adjoint, Hu)
+    of the positive support), and y(0) in the normal cone of Ka.  y0 and Hu
+    as in ``first_order_integral_check``."""
+    viol = pointwise_violation_field(spec, grid, u_bar, Hu)
     means, ses = mc_mean(viol.T)        # one member per grid time
     worst = ConditionReport.gate("first_order_pointwise", means, ses)
-    y0 = adjoint.y.values[:, 0, :].mean(axis=0)
     nu0 = base.values[0, 0, : spec.Ka.dim]
     C_ka = cones.adjacent_cone(spec.Ka, nu0)
-    ka_viol = float(np.linalg.norm(cones.cone_project(C_ka, y0[: spec.Ka.dim])))
+    ka_viol = float(np.linalg.norm(cones.cone_project(C_ka, y0.mean(axis=0)[: spec.Ka.dim])))
     # the initial-cone term is gated at the worst time's SE
     return ConditionReport.gate(
         "first_order_pointwise", max(worst.worst_violation, ka_viol), worst.se, dt_bias,
@@ -361,24 +324,20 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     The adjoint is linear in (lambda_0, lambda_j, m_k), so the basis
     adjoints of all 1 + |I| + |I0| components are solved together in one
     backward sweep, stacked on a trailing component axis (see
-    ``solve_first_adjoint``), and combined; one more sweep solves for the
-    chosen multiplier.  The normal branch (lambda_0=1)
-    is attempted first; if its stationarity residual exceeds tol an abnormal
-    branch (lambda_0=0, multipliers normalized to unit size) is fit as well
-    and returned when markedly better.  The report is the integral check
-    over 8 tangent directions drawn with seed 0.
+    ``solve_first_adjoint``); the chosen multiplier's y(0), y(T) and H_u
+    are their sums weighted by its components.  The normal branch
+    (lambda_0=1) is attempted first; if its stationarity residual exceeds
+    tol an abnormal branch (lambda_0=0, multipliers normalized to unit
+    size) is fit as well and returned when markedly better.  The report is
+    the integral check over 8 tangent directions drawn with seed 0.
 
-    Returns (MultiplierSet, TranspositionSolution, residual report).
+    Returns (MultiplierSet, residual report).
     """
     M, n = base.M, spec.n
     N = grid.N
     xT = base.values[:, N, :]
     basis = basis or PolynomialBasis(2)
     u_arr = as_control_array(u_bar, grid, M, spec.m)
-
-    def solve_for(yT, psi):
-        return solve_first_adjoint(spec, grid, paths, base, u_arr, yT,
-                                   psi=psi, basis=basis)
 
     # components on a trailing axis: the cost, then the active terminal
     # constraints, then unit atoms along g0_x at the active times
@@ -393,8 +352,13 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     for c, k in enumerate(atom_indices, start=1 + len(analysis.I)):
         atoms[k] = np.zeros_like(yT)
         atoms[k][..., c] = spec.state_constraint.grad(base.values[:, k, :])
-    Hu = hamiltonian_u_field(spec, grid, base, u_arr,
-                             solve_for(yT, DiscreteBVMeasure(atoms)))
+    sol = solve_first_adjoint(spec, grid, paths, base, u_arr, yT,
+                              psi=DiscreteBVMeasure(atoms), basis=basis)
+    Hu = hamiltonian_u_field(spec, grid, base, u_arr, sol)
+    # the fits and the report read H_u, y(0) and y(T), which is yT itself:
+    # the rest of the solve goes before the fits
+    y0 = sol.y.values[:, 0].copy()
+    del sol, atoms
 
     weight = np.sqrt(grid.dt / M)
     g_vec = (Hu[..., 0] * weight).ravel()
@@ -443,16 +407,17 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
             f"{best_resid:.3g} > {1e3 * tol:.3g})")
 
     mult = build(best_theta, best_l0)
+    w = np.concatenate([[best_l0], best_theta])
     if best_l0 == 0.0:
+        w /= mult.nontriviality(M, n)
         mult = mult.normalized(M, n)
-    yT = mult.terminal_datum(spec, xT)
-    sol = solve_for(yT, mult.psi if mult.psi.atoms else None)
     directions = sample_tangent_directions(spec, grid, base, u_arr, 8,
                                            np.random.default_rng(0))
-    report = first_order_integral_check(spec, grid, base, u_arr, mult, sol, directions)
+    report = first_order_integral_check(spec, grid, base, mult, y0 @ w, yT @ w,
+                                        np.einsum("...c,c->...", Hu, w), directions)
     report.details["stationarity_residual"] = best_resid
     report.details["lambda0"] = best_l0
-    return mult, sol, report
+    return mult, report
 
 
 # ---------------------------------------------------------------------------

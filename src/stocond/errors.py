@@ -42,7 +42,8 @@ class NotCritical(StocondError):
 
 
 class Infeasible(StocondError):
-    """No multiplier in the searched family comes close to stationarity."""
+    """No multiplier in the searched family comes close to stationarity, or an
+    oracle's own solve (a bracket, a transcription QP) finds no solution."""
 
 
 class RiccatiBlowup(StocondError):

@@ -27,7 +27,7 @@ from .conditions import (MultiplierSet, _smooth_field, analyze_active_sets,
                          sample_tangent_directions, search_multipliers,
                          second_adjoint_data_for, second_order_check,
                          smooth_random_fields)
-from .errors import ConfigError, TranscriptionMismatch
+from .errors import ConfigError, Infeasible, TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
                       simulate_forward, semigroup_step)
 from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
@@ -397,10 +397,11 @@ def _first_order_violations(lq, N, M, seed, rng, perturb=0.0, dt_biases=(0.0, 0.
     greedy[:, :-1, :] = Hu
     dirs = sample_tangent_directions(spec, grid, base, u, 12, rng,
                                      extra_fields=[greedy])
-    rep_int = first_order_integral_check(spec, grid, base, u, mult, sol, dirs,
-                                         dt_biases[0], Hu=Hu)
-    rep_pw = first_order_pointwise_check(spec, grid, base, u, sol,
-                                         dt_bias=dt_biases[1], Hu=Hu)
+    y0 = sol.y.values[:, 0]
+    rep_int = first_order_integral_check(spec, grid, base, mult, y0, sol.y.values[:, N],
+                                         Hu, dirs, dt_biases[0])
+    rep_pw = first_order_pointwise_check(spec, grid, base, u, y0, Hu,
+                                         dt_bias=dt_biases[1])
     return rep_int, rep_pw
 
 
@@ -471,7 +472,8 @@ def box_lq_pointwise_check(N: int = 50, seed: int = 17, gate: float = 1e-2):
     base = simulate_forward(spec, grid, paths, extend_initial_state(lq.x0, spec),
                             u_field)
     sol = _cost_adjoint(spec, grid, paths, base, u_field, basis=PolynomialBasis(1))
-    rep = first_order_pointwise_check(spec, grid, base, u_field, sol)
+    Hu = hamiltonian_u_field(spec, grid, base, u_field, sol)
+    rep = first_order_pointwise_check(spec, grid, base, u_field, sol.y.values[:, 0], Hu)
     passed = rep.worst_violation <= gate
     some_active = bool(np.any(z_star <= lo + 1e-6) or np.any(z_star >= hi - 1e-6))
     return [_check("box_lq_pointwise", passed and some_active,
@@ -527,7 +529,8 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
     while mean_xT(hi_l)[0] > c_target:
         hi_l *= 2.0
         if hi_l > 1e6:
-            raise RuntimeError("bisection bracket failed")
+            raise Infeasible("bisection bracket failed: no multiplier up to 1e6 "
+                             f"reaches the terminal target {c_target:.3g}")
     for _ in range(200):
         bracket = (lo_l, hi_l)
         mid = 0.5 * (lo_l + hi_l)
@@ -542,7 +545,10 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
     return lam, r, m0
 
 
-def _terminal_recovery_once(lq, N, M, seed):
+def _terminal_constrained_candidate(lq, N, M, seed):
+    """The closed loop at the Lagrangian oracle's multiplier for the
+    terminal-mean target of half the unconstrained mean; returns (spec,
+    grid, paths, base, u, active sets, oracle multiplier)."""
     from .benchmarks import _affine_functional
     from dataclasses import replace as dc_replace
 
@@ -563,8 +569,12 @@ def _terminal_recovery_once(lq, N, M, seed):
     base, u = simulate_closed_loop(spec, grid, paths,
                                    extend_initial_state(lq.x0, spec), feedback)
     analysis = analyze_active_sets(spec, grid, base, delta_act=2e-2)
-    mult, sol, report = search_multipliers(spec, grid, paths, base, u, analysis,
-                                           tol=5e-2)
+    return spec, grid, paths, base, u, analysis, lam_star
+
+
+def _terminal_recovery_once(lq, N, M, seed):
+    *candidate, lam_star = _terminal_constrained_candidate(lq, N, M, seed)
+    mult, report = search_multipliers(*candidate, tol=5e-2)
     return mult, report, lam_star
 
 
@@ -636,7 +646,7 @@ def transcribe_double_integrator(N: int, limit: float):
                                   constraints=cons,
                                   options={"maxiter": 500, "ftol": 1e-14})
     if not res.success:
-        raise RuntimeError(f"transcription QP failed: {res.message}")
+        raise Infeasible(f"transcription QP failed: {res.message}")
     z = res.x
     states = hom + np.einsum("kij,j->ki", S, z)[:, :]
     return z, states
@@ -672,8 +682,8 @@ def double_integrator_contact_mass(N: int = 200, seed: int = 29):
         raise TranscriptionMismatch(
             f"simulated candidate departs from the transcription states by {gap:.3g}")
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-5)
-    mult, sol, report = search_multipliers(spec, grid, paths, base, u_field,
-                                           analysis, tol=5e-2, basis=PolynomialBasis(1))
+    mult, report = search_multipliers(spec, grid, paths, base, u_field,
+                                      analysis, tol=5e-2, basis=PolynomialBasis(1))
     masses = {k: float(np.mean(np.linalg.norm(mult.psi.atom(k, M, spec.n),
                                               axis=1)))
               for k in mult.psi.atoms}

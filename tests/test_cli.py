@@ -139,6 +139,23 @@ class TestExitCodes:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
+    def test_failed_transcription_qp_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        # the double integrator's transcription oracle raises a toolkit
+        # error when its QP fails, so the multiplier suite stops with exit 1
+        import scipy.optimize
+        from stocond import suites
+
+        def failed(fun, x0, **kwargs):
+            return scipy.optimize.OptimizeResult(x=x0, success=False, message="forced failure")
+
+        monkeypatch.setattr(suites.scipy.optimize, "minimize", failed)
+        code = cli.main(["run", "double_integrator_state", "--suite", "multipliers",
+                         "--paths", "500", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "run stopped: Infeasible: transcription QP failed: forced failure" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv,block", [
         (["lq_unconstrained", "--suite", "cones", "--seed", "4"],
          {"benchmark": "lq_unconstrained", "suite": "cones", "seed": 4}),

@@ -251,7 +251,6 @@ class TestActiveSets:
         base = PathEnsemble(np.ones((8, 51, 1)))
         analysis = analyze_active_sets(spec, g, base)
         assert analysis.I0 == []
-        assert np.all(analysis.e_values == 0.0)
 
     def test_touching_path_single_index(self):
         g0 = Functional(lambda x: x[..., 0] - 1.0,
@@ -263,28 +262,6 @@ class TestActiveSets:
         base = PathEnsemble(np.tile(path[None, :, None], (4, 1, 1)))
         analysis = analyze_active_sets(spec, g, base, delta_act=1e-6)
         assert analysis.I0 == [50]
-
-    def test_e_value_analytic_limit(self):
-        # E g0 = -(s - t_hat)^2 and E <g0_x, x1> = c (s - t_hat): e = c^2 / 4
-        c, t_hat = 1.6, 0.5
-        g0 = Functional(lambda x: x[..., 0],
-                        lambda x: np.concatenate([np.ones_like(x[..., :1]),
-                                                  np.zeros_like(x[..., 1:])], -1),
-                        lambda x: np.zeros(x.shape[:-1] + (2, 2)))
-        spec_raw = lq_to_spec(lq_unconstrained())
-        from dataclasses import replace
-        spec = replace(spec_raw, n=2, state_constraint=g0)
-        g = TimeGrid(200, 1.0)
-        vals = np.zeros((4, 201, 2))
-        vals[:, :, 0] = -(g.times - t_hat) ** 2
-        base = PathEnsemble(vals)
-        x1v = np.zeros((4, 201, 2))
-        x1v[:, :, 0] = c * (g.times - t_hat)
-        x1 = PathEnsemble(x1v)
-        analysis = analyze_active_sets(spec, g, base, x1=x1, delta_act=1e-9)
-        k_hat = 100
-        assert k_hat in analysis.tau_g
-        assert analysis.e_values[k_hat] == pytest.approx(c ** 2 / 4, rel=1e-9)
 
 
 class TestFirstOrderChecks:
@@ -301,8 +278,8 @@ class TestFirstOrderChecks:
         greedy[:, :-1, :] = Hu
         dirs = sample_tangent_directions(spec, g, base, u, 8, rng,
                                          extra_fields=[greedy])
-        rep = first_order_integral_check(spec, g, base, u, mult, sol,
-                                         dirs, dt_bias=0.02)
+        rep = first_order_integral_check(spec, g, base, mult, sol.y.values[:, 0],
+                                         sol.y.values[:, -1], Hu, dirs, dt_bias=0.02)
         assert rep.verdict == "pass"
 
         # perturbed control: moving along the greedy direction must expose it
@@ -323,8 +300,8 @@ class TestFirstOrderChecks:
         greedy_p[:, :-1, :] = Hu_p
         dirs_p = sample_tangent_directions(spec, g, base_p, u_p, 8, rng,
                                            extra_fields=[greedy_p])
-        rep_p = first_order_integral_check(spec, g, base_p, u_p, mult,
-                                           sol_p, dirs_p, dt_bias=0.02)
+        rep_p = first_order_integral_check(spec, g, base_p, mult, sol_p.y.values[:, 0],
+                                           sol_p.y.values[:, -1], Hu_p, dirs_p, dt_bias=0.02)
         assert rep_p.verdict == "fail"
         assert rep_p.worst_violation >= 5 * rep.tolerance
 
@@ -363,7 +340,8 @@ class TestFirstOrderChecks:
         xT = base.values[:, -1, :]
         sol = solve_first_adjoint(spec, g, paths, base, u0,
                                   -np.asarray(spec.terminal_cost.grad(xT)))
-        rep = first_order_pointwise_check(spec, g, base, u0, sol,
+        rep = first_order_pointwise_check(spec, g, base, u0, sol.y.values[:, 0],
+                                          hamiltonian_u_field(spec, g, base, u0, sol),
                                           dt_bias=1e-3)
         # y(0) < 0 and the tangent cone at the lower box corner is R_+,
         # so the projection of y(0) onto it vanishes: pass
@@ -381,7 +359,8 @@ class TestFirstOrderChecks:
         xTb = base_b.values[:, -1, :]
         sol_b = solve_first_adjoint(spec_b, g, paths, base_b, u0,
                                     -np.asarray(spec_b.terminal_cost.grad(xTb)))
-        rep_b = first_order_pointwise_check(spec_b, g, base_b, u0, sol_b,
+        rep_b = first_order_pointwise_check(spec_b, g, base_b, u0, sol_b.y.values[:, 0],
+                                            hamiltonian_u_field(spec_b, g, base_b, u0, sol_b),
                                             dt_bias=1e-3)
         assert rep_b.verdict == "fail"
 
@@ -392,7 +371,9 @@ class TestFirstOrderChecks:
                                   np.ones((base.M, spec.n)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
         with pytest.raises(AdjointMismatch):
-            first_order_integral_check(spec, g, base, u, mult, sol, [])
+            first_order_integral_check(spec, g, base, mult, sol.y.values[:, 0],
+                                       sol.y.values[:, -1],
+                                       hamiltonian_u_field(spec, g, base, u, sol), [])
 
     def test_consistency_pointwise_implies_integral(self):
         # when the pointwise field passes, every tangent direction built from
@@ -402,12 +383,14 @@ class TestFirstOrderChecks:
         xT = base.values[:, -1, :]
         sol = solve_first_adjoint(spec, g, paths, base, u,
                                   -np.asarray(spec.terminal_cost.grad(xT)))
-        viol = pointwise_violation_field(spec, g, base, u, sol)
+        Hu = hamiltonian_u_field(spec, g, base, u, sol)
+        viol = pointwise_violation_field(spec, g, u, Hu)
         pw = float(np.max(viol.mean(axis=0)))
         rng = np.random.default_rng(6)
         dirs = sample_tangent_directions(spec, g, base, u, 6, rng)
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        rep = first_order_integral_check(spec, g, base, u, mult, sol, dirs)
+        rep = first_order_integral_check(spec, g, base, mult, sol.y.values[:, 0],
+                                         sol.y.values[:, -1], Hu, dirs)
         assert rep.worst_violation <= pw * np.sqrt(lq.T) + 3 * rep.se + 1e-9
 
 
@@ -478,8 +461,9 @@ class TestMultiplierMachinery:
             mult = MultiplierSet(0.0, {0: c}, DiscreteBVMeasure())
             sol = solve_first_adjoint(spec, g, paths, base, u,
                                       mult.terminal_datum(spec, xT))
-            rep = first_order_integral_check(spec, g, base, u, mult,
-                                             sol, dirs)
+            rep = first_order_integral_check(spec, g, base, mult, sol.y.values[:, 0],
+                                             sol.y.values[:, -1],
+                                             hamiltonian_u_field(spec, g, base, u, sol), dirs)
             vals[c] = rep.details["per_direction"]
         ratio = np.array(vals[3.0]) / np.array(vals[1.0])
         assert np.allclose(ratio, 3.0, rtol=1e-6)
@@ -747,8 +731,8 @@ class TestBatchedMultiplierSearch:
         spec, g, paths, base, u, analysis = _double_integrator_candidate(40)
         assert len(analysis.I0) >= 5
         basis = PolynomialBasis(1)
-        mult, sol, report = search_multipliers(spec, g, paths, base, u, analysis,
-                                               tol=5e-2, basis=basis)
+        mult, report = search_multipliers(spec, g, paths, base, u, analysis,
+                                          tol=5e-2, basis=basis)
         lambdas, masses, stationarity = _per_component_multipliers(
             spec, g, paths, base, u, analysis, basis)
 
@@ -771,23 +755,111 @@ class TestBatchedMultiplierSearch:
         assert close(report.details["stationarity_residual"], stationarity, Hu_scale)
 
     @pytest.mark.parametrize("case", ["unconstrained_lq", "double_integrator"])
-    def test_two_sweeps_per_search(self, monkeypatch, case):
+    def test_one_sweep_per_search(self, monkeypatch, case):
         from stocond import conditions
-        from stocond.regression import PolynomialBasis
-        if case == "unconstrained_lq":
-            spec, g, paths, ric, base, u = _lq_setup(lq_unconstrained(), 25, 500, seed=3)
-            analysis = analyze_active_sets(spec, g, base)
-            basis = None
-        else:
-            spec, g, paths, base, u, analysis = _double_integrator_candidate(40)
-            basis = PolynomialBasis(1)
+        spec, g, paths, base, u, analysis, basis, tol = _search_case(case)
         components = 1 + len(analysis.I) + len([k for k in analysis.I0 if k < g.N])
-        shapes = []
+        shapes, fields = [], []
 
         def counted(*args, **kwargs):
             shapes.append(np.shape(args[5]))
             return solve_first_adjoint(*args, **kwargs)
 
+        def counted_field(*args, **kwargs):
+            fields.append(1)
+            return hamiltonian_u_field(*args, **kwargs)
+
         monkeypatch.setattr(conditions, "solve_first_adjoint", counted)
-        search_multipliers(spec, g, paths, base, u, analysis, tol=5e-2, basis=basis)
-        assert shapes == [(base.M, spec.n, components), (base.M, spec.n)]
+        monkeypatch.setattr(conditions, "hamiltonian_u_field", counted_field)
+        search_multipliers(spec, g, paths, base, u, analysis, tol=tol, basis=basis)
+        assert shapes == [(base.M, spec.n, components)]
+        assert fields == [1]
+
+    @pytest.mark.parametrize("case", ["unconstrained_lq", "double_integrator", "abnormal"])
+    def test_report_matches_a_solve_for_the_chosen_multiplier(self, case):
+        # y(0), y(T) and H_u weighted from the component sweep give the
+        # report that a separate solve for the chosen multiplier gives
+        spec, g, paths, base, u, analysis, basis, tol = _search_case(case)
+        mult, report = search_multipliers(spec, g, paths, base, u, analysis,
+                                          tol=tol, basis=basis)
+        if case == "abnormal":
+            assert mult.lambda0 == 0.0
+            assert np.allclose(list(mult.lambdas.values()), [0.5, 0.5], rtol=1e-6)
+        xT = base.values[:, -1, :]
+        sol = solve_first_adjoint(spec, g, paths, base, u, mult.terminal_datum(spec, xT),
+                                  psi=mult.psi, basis=basis)
+        Hu = hamiltonian_u_field(spec, g, base, u, sol)
+        dirs = sample_tangent_directions(spec, g, base, u, 8, np.random.default_rng(0))
+        ref = first_order_integral_check(spec, g, base, mult, sol.y.values[:, 0],
+                                         sol.y.values[:, -1], Hu, dirs)
+        weight = np.sqrt(g.dt / base.M)
+        # values that are themselves round-off (a stationary candidate's)
+        # are compared on the scale of the cost's H_u
+        cost_sol = solve_first_adjoint(spec, g, paths, base, u,
+                                       -spec.terminal_cost.grad(xT), basis=basis)
+        Hu_scale = np.linalg.norm(hamiltonian_u_field(spec, g, base, u, cost_sol)) * weight
+        assert Hu_scale > 1e-3
+
+        def close(a, b):
+            return abs(a - b) <= 1e-9 * max(abs(a), abs(b)) + 1e-12 * Hu_scale
+
+        got, want = report.details["per_direction"], ref.details["per_direction"]
+        assert len(got) == len(want) and all(map(close, got, want))
+        assert close(report.se, ref.se)
+        assert close(report.details["stationarity_residual"], np.linalg.norm(Hu) * weight)
+
+    def test_search_peak_memory_within_one_ensemble_of_its_sweep(self):
+        # the search keeps H_u and y(0) of its component sweep and frees the
+        # rest before the fits: its traced peak stays within one (M, N+1, n)
+        # ensemble of the sweep's own
+        import tracemalloc
+        from stocond.benchmarks import lq_terminal_constrained
+        from stocond.suites import _terminal_constrained_candidate
+        spec, g, paths, base, u, analysis, _ = _terminal_constrained_candidate(
+            lq_terminal_constrained(), 100, 2000, seed=23)
+        assert analysis.I == [0] and analysis.I0 == []
+        xT = base.values[:, -1, :]
+        yT = np.stack([-spec.terminal_cost.grad(xT),
+                       -spec.terminal_constraints[0].grad(xT)], axis=-1)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep = peak(lambda: hamiltonian_u_field(
+            spec, g, base, u, solve_first_adjoint(spec, g, paths, base, u, yT)))
+        search = peak(lambda: search_multipliers(spec, g, paths, base, u, analysis,
+                                                 tol=5e-2))
+        assert search - sweep < base.M * (g.N + 1) * spec.n * 8
+
+
+def _search_case(case):
+    """(spec, grid, paths, base, u, analysis, basis, tol) of a multiplier search:
+    the unconstrained LQ optimum, the double integrator's transcription
+    optimum, or a perturbed closed loop whose two opposite terminal
+    constraints admit only abnormal multipliers."""
+    from stocond.benchmarks import _affine_functional
+    from stocond.regression import PolynomialBasis
+    if case == "double_integrator":
+        return (*_double_integrator_candidate(40), PolynomialBasis(1), 5e-2)
+    lq = lq_unconstrained()
+    if case == "unconstrained_lq":
+        spec, g, paths, ric, base, u = _lq_setup(lq, 25, 500, seed=3)
+        return spec, g, paths, base, u, analyze_active_sets(spec, g, base), None, 5e-2
+    spec, g, paths, ric, base, _ = _lq_setup(lq, 25, 1000, seed=21)
+    pert = np.zeros((g.N + 1, lq.m))
+    pert[:, 0] = 0.5
+
+    def feedback(k, x):
+        return -x[:, : lq.n] @ ric.gains[k].T
+
+    base, u = simulate_closed_loop(spec, g, paths, extend_initial_state(lq.x0, spec),
+                                   feedback, perturb_field=pert)
+    c = float(np.mean(base.values[:, -1, 0]))
+    spec = replace(spec, terminal_constraints=(_affine_functional(np.array([1.0]), -c),
+                                               _affine_functional(np.array([-1.0]), c)))
+    return spec, g, paths, base, u, analyze_active_sets(spec, g, base), None, 1e-7

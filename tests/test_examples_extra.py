@@ -40,8 +40,7 @@ def test_search_multipliers_unconstrained_returns_cost_only():
     spec, g, paths, ric, base, u = _lq_setup(lq, 50, 4000, seed=42)
     analysis = analyze_active_sets(spec, g, base)
     assert analysis.I0 == [] and analysis.I == []
-    mult, sol, report = search_multipliers(spec, g, paths, base, u, analysis,
-                                           tol=5e-2)
+    mult, report = search_multipliers(spec, g, paths, base, u, analysis, tol=5e-2)
     assert mult.lambda0 == 1.0
     assert mult.lambdas == {}
     assert mult.psi.atoms == {}

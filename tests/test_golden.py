@@ -1,6 +1,6 @@
 """Golden numbers: the benchmark's recorded check records at case 0.
 
-Runs seven benchmark operations at their benchmark scale and requires
+Runs every benchmark operation at its benchmark scale and requires
 every check record to repeat ``perfbench/golden.json`` (same verdict, every
 number within the benchmark's round-off bound), so a refactor that moves a
 number beyond round-off fails here and not only in a benchmark run.
@@ -20,9 +20,12 @@ import workloads  # noqa: E402
     ("lq_optimum", "first_order_optimum"),
     ("lq_optimum", "first_order_perturbed"),
     ("multipliers", "terminal_multiplier"),
+    ("multipliers", "contact_mass"),
     ("identities", "transposition_ladder"),
     ("identities", "adjoint_vs_riccati"),
     ("identities", "relaxed_identity"),
+    ("cones", "cli_cone_suite"),
+    ("cones", "projection_ladder"),
 ])
 def test_case_0_repeats_golden_records(workload, op, tmp_path):
     w = workloads.WORKLOADS[workload]
