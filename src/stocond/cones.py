@@ -21,8 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
-from .errors import EmptySet, PointNotInSet, UnboundedSupport, WitnessInvalid
+from .errors import (EmptySet, PointNotInSet, SolverFailure, StocondError,
+                     UnboundedSupport, WitnessInvalid)
 
 _MEMBERSHIP_TOL = 1e-9
 
@@ -115,7 +117,8 @@ SetDescriptor = Box | Ball | Polyhedron | AffineSet | Singleton | WholeSpace | C
 
 
 def check_nonempty(K: SetDescriptor) -> None:
-    """Raise EmptySet when the descriptor is provably empty."""
+    """Raise EmptySet when the descriptor is provably empty, and
+    SolverFailure when a polyhedron's feasibility LP stops undecided."""
     if isinstance(K, Box):
         if np.any(K.lo > K.hi):
             raise EmptySet(f"box has lo > hi: {K.lo} > {K.hi}")
@@ -129,6 +132,8 @@ def check_nonempty(K: SetDescriptor) -> None:
             bounds=[(None, None)] * K.dim, method="highs")
         if res.status == 2:
             raise EmptySet("polyhedron is infeasible")
+        if res.status not in (0, 3):  # unbounded (3) implies a feasible point
+            raise SolverFailure(f"feasibility LP stopped with status {res.status}")
 
 
 def _ortho_rows(basis: np.ndarray) -> np.ndarray:
@@ -483,34 +488,68 @@ def cone_membership_oracle(K: SetDescriptor, z: np.ndarray, v: np.ndarray,
 # polyhedral multiplier lemmas
 # ---------------------------------------------------------------------------
 
-def polyhedral_support_decomposition(K: Polyhedron, xi: np.ndarray):
-    """Maximize <xi, y> over the polyhedron and decompose xi over active normals.
+def _support_lp_error(status: int, where: str) -> StocondError:
+    """The typed error of a support LP that stopped with ``status`` != 0."""
+    if status == 2:
+        return EmptySet(f"{where}: support LP is infeasible, the polyhedron is empty")
+    if status == 3:
+        return UnboundedSupport(f"{where}: support function is +infinity in this direction")
+    return SolverFailure(f"{where}: support LP stopped with status {status}")
 
-    Returns (y_bar, coefficients) with coefficients c >= 0 supported on the
-    constraints active at y_bar and sum_j c_j a_j = xi up to 1e-8 relative.
+
+def _support_lp(pairs: Sequence[tuple[Polyhedron, np.ndarray]]):
+    """Maximize sum_i <xi_i, y_i> over the product of the polyhedra: one LP
+    whose constraint matrix is block diagonal, one block per pair."""
+    A = scipy.sparse.block_diag([K.normals for K, _ in pairs], format="csr")
+    return scipy.optimize.linprog(
+        -np.concatenate([xi for _, xi in pairs]), A_ub=A,
+        b_ub=-np.concatenate([K.offsets for K, _ in pairs]),
+        bounds=(None, None), method="highs")
+
+
+def polyhedral_support_decomposition(pairs: Sequence[tuple[Polyhedron, np.ndarray]]):
+    """Maximize <xi, y> over each polyhedron and decompose xi over the
+    normals active at the maximizer.
+
+    ``pairs`` is a sequence of (K, xi); every support LP goes to one HiGHS
+    call, whose optimum splits into the per-pair maximizers since the
+    blocks share no variable.  Returns one (y_bar, coefficients) per pair,
+    in order, with coefficients c >= 0 supported on the constraints active
+    at y_bar and sum_j c_j a_j = xi up to 1e-8 relative.  When the batch
+    fails, the pairs are solved one by one and the first failing pair's
+    error names its index: EmptySet (infeasible), UnboundedSupport, or
+    SolverFailure for any other LP status.
     """
-    xi = np.asarray(xi, dtype=float)
-    if np.linalg.norm(xi) == 0:
-        raise ValueError("direction must be nonzero")
-    # the support LP reports an empty polyhedron as infeasible (status 2)
-    res = scipy.optimize.linprog(-xi, A_ub=K.normals, b_ub=-K.offsets,
-                                 bounds=[(None, None)] * K.dim, method="highs")
-    if res.status == 3:
-        raise UnboundedSupport("support function is +infinity in this direction")
-    if res.status != 0:
-        raise EmptySet(f"support LP failed with status {res.status}")
-    y_bar = res.x
-    act = K.normals @ y_bar + K.offsets >= -1e-8 * max(1.0, float(np.linalg.norm(y_bar)))
-    idx = np.flatnonzero(act)
-    if idx.size == 0:
-        raise UnboundedSupport("no active constraint at the maximizer")
-    coef_act, resid = scipy.optimize.nnls(K.normals[idx].T, xi)
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(xi))):
-        raise UnboundedSupport(
-            f"direction not decomposable over active normals (residual {resid:.3g})")
-    coef = np.zeros(len(K.normals))
-    coef[idx] = coef_act
-    return y_bar, coef
+    pairs = [(K, np.asarray(xi, dtype=float)) for K, xi in pairs]
+    for i, (_K, xi) in enumerate(pairs):
+        if np.linalg.norm(xi) == 0:
+            raise ValueError(f"pair {i}: direction must be nonzero")
+    if not pairs:
+        return []
+    res = _support_lp(pairs)
+    if res.status == 0:
+        y_bars = np.split(res.x, np.cumsum([K.dim for K, _ in pairs])[:-1])
+    else:
+        y_bars = []
+        for i, pair in enumerate(pairs):
+            res = _support_lp([pair])
+            if res.status != 0:
+                raise _support_lp_error(res.status, f"pair {i}")
+            y_bars.append(res.x)
+    out = []
+    for i, ((K, xi), y_bar) in enumerate(zip(pairs, y_bars)):
+        act = K.normals @ y_bar + K.offsets >= -1e-8 * max(1.0, float(np.linalg.norm(y_bar)))
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            raise UnboundedSupport(f"pair {i}: no active constraint at the maximizer")
+        coef_act, resid = scipy.optimize.nnls(K.normals[idx].T, xi)
+        if resid > 1e-8 * max(1.0, float(np.linalg.norm(xi))):
+            raise UnboundedSupport(f"pair {i}: direction not decomposable over "
+                                   f"active normals (residual {resid:.3g})")
+        coef = np.zeros(len(K.normals))
+        coef[idx] = coef_act
+        out.append((y_bar, coef))
+    return out
 
 
 def dual_of_intersection(cones: Sequence[ConeDescriptor], witness: np.ndarray,

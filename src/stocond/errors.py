@@ -25,6 +25,11 @@ class UnboundedSupport(StocondError):
     """The support function of a polyhedron is unbounded in the given direction."""
 
 
+class SolverFailure(StocondError):
+    """An LP solve stopped without a verdict (iteration limit, numerical
+    difficulties), so it proves neither emptiness nor unboundedness."""
+
+
 class WitnessInvalid(StocondError):
     """An interiority witness fails strict feasibility."""
 

@@ -817,20 +817,20 @@ def cone_suite(cases: int = 200, poly_instances: int = 100, seed: int = 37,
                inconclusive <= 0.05 * total, inconclusive=inconclusive),
     ]
 
-    # support decompositions over bounded random polytopes
-    worst_dec = 0.0
+    # support decompositions over bounded random polytopes, in one LP
+    pairs = []
     for _ in range(poly_instances):
         n = int(rng.integers(1, 4))
         A = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((n + 1, n))])
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         b = -rng.uniform(0.3, 1.5, len(A))
-        K = cones.Polyhedron(A, b)
         xi = rng.standard_normal(n)
         if np.linalg.norm(xi) < 1e-9:
             continue
-        y_bar, coef = cones.polyhedral_support_decomposition(K, xi)
-        resid = float(np.linalg.norm(coef @ K.normals - xi))
-        worst_dec = max(worst_dec, resid)
+        pairs.append((cones.Polyhedron(A, b), xi))
+    worst_dec = 0.0
+    for (K, xi), (_y_bar, coef) in zip(pairs, cones.polyhedral_support_decomposition(pairs)):
+        worst_dec = max(worst_dec, float(np.linalg.norm(coef @ K.normals - xi)))
     checks.append(_check("polyhedral_support_decomposition",
                          worst_dec <= decomposition_gate,
                          worst_residual=worst_dec))

@@ -5,8 +5,9 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from stocond import cones
-from stocond.errors import EmptySet, PointNotInSet, UnboundedSupport, WitnessInvalid
+from stocond import cones, suites
+from stocond.errors import (EmptySet, PointNotInSet, SolverFailure, UnboundedSupport,
+                            WitnessInvalid)
 
 
 def vec(*xs):
@@ -378,23 +379,43 @@ class TestSecondOrderSets:
         assert not cones.cone_contains(S, vec(1, 0), tol=1e-6)
 
 
+def _random_polytope_pairs(rng, count):
+    """Bounded random polytopes with directions, drawn like the cone suite's."""
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        A = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((n + 1, n))])
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        pairs.append((cones.Polyhedron(A, -rng.uniform(0.3, 1.5, len(A))),
+                      rng.standard_normal(n)))
+    return pairs
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_cone_suite_seed_59():
+    # the membership oracle calls an adjacent-cone direction a non-member
+    # when z is closer to an inactive face than the smallest ladder step
+    checks, _ = suites.cone_suite(seed=59)
+    assert all(c["verdict"] == "pass" for c in checks), checks
+
+
 class TestPolyhedralLemmas:
     def test_scalar_halfline(self):
         K = cones.Polyhedron(np.array([[1.0]]), vec(0))
-        y, c = cones.polyhedral_support_decomposition(K, vec(2))
+        y, c = cones.polyhedral_support_decomposition([(K, vec(2))])[0]
         assert y == pytest.approx(vec(0), abs=1e-9)
         assert c == pytest.approx(vec(2), abs=1e-9)
 
     def test_orthant_corner(self):
         K = cones.Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), vec(0, 0))
-        y, c = cones.polyhedral_support_decomposition(K, vec(1, 1))
+        y, c = cones.polyhedral_support_decomposition([(K, vec(1, 1))])[0]
         assert y == pytest.approx(vec(0, 0), abs=1e-9)
         assert c == pytest.approx(vec(1, 1), abs=1e-9)
 
     def test_simplex_facet(self):
         K = cones.Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                              vec(-1, 0, 0))
-        y, c = cones.polyhedral_support_decomposition(K, vec(2, 2))
+        y, c = cones.polyhedral_support_decomposition([(K, vec(2, 2))])[0]
         assert y[0] + y[1] == pytest.approx(1.0, abs=1e-9)
         assert c[0] == pytest.approx(2.0, abs=1e-8)
         assert c[1] == pytest.approx(0.0, abs=1e-8)
@@ -403,12 +424,113 @@ class TestPolyhedralLemmas:
     def test_empty_polyhedron_raises(self):
         K = cones.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), vec(1, 1))
         with pytest.raises(EmptySet):
-            cones.polyhedral_support_decomposition(K, vec(0, 1))
+            cones.polyhedral_support_decomposition([(K, vec(0, 1))])
 
     def test_unbounded_support(self):
         K = cones.Polyhedron(np.array([[1.0, 0.0]]), vec(0))
         with pytest.raises(UnboundedSupport):
-            cones.polyhedral_support_decomposition(K, vec(-1, 0))
+            cones.polyhedral_support_decomposition([(K, vec(-1, 0))])
+
+    def test_batch_equals_one_pair_calls(self, monkeypatch):
+        # the cone suite's 100 polytopes at seed 37, as one batch and one by one
+        batches = []
+        decompose = cones.polyhedral_support_decomposition
+        monkeypatch.setattr(cones, "polyhedral_support_decomposition",
+                            lambda pairs: batches.append(pairs) or decompose(pairs))
+        suites.cone_suite(seed=37)
+        (pairs,) = batches
+        assert len(pairs) == 100
+        for pair, (y, c) in zip(pairs, decompose(pairs)):
+            ((y1, c1),) = decompose([pair])
+            assert y == pytest.approx(y1, abs=1e-12)
+            assert c == pytest.approx(c1, abs=1e-12)
+
+    def test_simplex_facet_inside_a_batch(self):
+        # the optimum is a whole facet: the vertex HiGHS picks may depend on
+        # the batch, the decomposition of xi may not
+        K = cones.Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                             vec(-1, 0, 0))
+        ((_, c_alone),) = cones.polyhedral_support_decomposition([(K, vec(2, 2))])
+        pairs = _random_polytope_pairs(np.random.default_rng(11), 6)
+        pairs.insert(3, (K, vec(2, 2)))
+        _, c = cones.polyhedral_support_decomposition(pairs)[3]
+        assert c == pytest.approx(c_alone, abs=1e-8)
+        assert c == pytest.approx(vec(2, 0, 0), abs=1e-8)
+
+    def test_batch_names_the_empty_pair(self):
+        pairs = _random_polytope_pairs(np.random.default_rng(12), 4)
+        pairs[2] = (cones.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), vec(1, 1)),
+                    vec(0, 1))
+        with pytest.raises(EmptySet, match="pair 2"):
+            cones.polyhedral_support_decomposition(pairs)
+
+    def test_batch_names_the_unbounded_pair(self):
+        pairs = _random_polytope_pairs(np.random.default_rng(13), 4)
+        pairs[1] = (cones.Polyhedron(np.array([[1.0, 0.0]]), vec(0)), vec(-1, 0))
+        with pytest.raises(UnboundedSupport, match="pair 1"):
+            cones.polyhedral_support_decomposition(pairs)
+
+    def test_cone_suite_makes_one_lp_call(self, monkeypatch):
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+        decompose = cones.polyhedral_support_decomposition
+        per_call = []
+
+        def counted(pairs):
+            before = len(calls)
+            out = decompose(pairs)
+            per_call.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(cones, "polyhedral_support_decomposition", counted)
+        suites.cone_suite(seed=37)
+        assert per_call == [1]
+
+    def test_failed_batch_is_solved_pair_by_pair(self, monkeypatch):
+        # a batch that stops undecided falls back to one LP per pair
+        pairs = _random_polytope_pairs(np.random.default_rng(14), 5)
+        expected = cones.polyhedral_support_decomposition(pairs)
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def first_fails(*a, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                return scipy.optimize.OptimizeResult(status=4, x=None, message="forced")
+            return linprog(*a, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", first_fails)
+        got = cones.polyhedral_support_decomposition(pairs)
+        assert len(calls) == 1 + len(pairs)
+        for (y, c), (y0, c0) in zip(got, expected):
+            assert y == pytest.approx(y0, abs=1e-12)
+            assert c == pytest.approx(c0, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_undecided_support_lp_is_not_emptiness(self, monkeypatch, count):
+        # status 4 (numerical difficulties) proves nothing about the set
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw:
+                            scipy.optimize.OptimizeResult(status=4, x=None, message="forced"))
+        pairs = _random_polytope_pairs(np.random.default_rng(15), count)
+        with pytest.raises(SolverFailure, match="pair 0.*status 4") as err:
+            cones.polyhedral_support_decomposition(pairs)
+        assert not isinstance(err.value, EmptySet)
+
+    def test_undecided_feasibility_lp_is_not_emptiness(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw:
+                            scipy.optimize.OptimizeResult(status=4, x=None, message="forced"))
+        K = cones.Polyhedron(np.array([[1.0], [-1.0]]), vec(1, 1))
+        with pytest.raises(SolverFailure, match="status 4") as err:
+            cones.check_nonempty(K)
+        assert not isinstance(err.value, EmptySet)
+
+    def test_zero_direction_names_its_pair(self):
+        pairs = _random_polytope_pairs(np.random.default_rng(16), 3)
+        pairs[1] = (pairs[1][0], np.zeros_like(pairs[1][1]))
+        with pytest.raises(ValueError, match="pair 1"):
+            cones.polyhedral_support_decomposition(pairs)
 
     def test_dual_sum_scalar(self):
         C0 = cones.ConeDescriptor(1, normals=np.array([[-1.0]]))  # R+
