@@ -66,10 +66,6 @@ class DiscreteBVMeasure:
             tv += np.linalg.norm(self.atom(k, M, n), axis=1)
         return float(np.sqrt(np.mean(tv ** 2)))
 
-    def scaled(self, c: float) -> "DiscreteBVMeasure":
-        return DiscreteBVMeasure({k: c * np.asarray(v, dtype=float)
-                                  for k, v in self.atoms.items()})
-
 
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                         base_state: PathEnsemble, u_bar, yT: np.ndarray,

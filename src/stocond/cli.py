@@ -13,28 +13,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import suites
 from .errors import ConfigError, StocondError
 from .reporting import write_csv_table, write_json_report
 
-# Tolerance overrides: config key ``tol.<name>`` -> the suite keyword it sets.
-# Each default is stated once, in that suite function's signature.
-TOLERANCES = {"box_pointwise": "gate", "cone_decomposition": "decomposition_gate"}
-
-
-def _tol(sc, name):
-    return {TOLERANCES[name]: sc.tolerances[name]} if name in sc.tolerances else {}
-
-
 # suite -> (benchmarks whose instances it runs, scenario keys its runner
 # reads, runner).  A runner takes the scenario and returns the suite's (checks,
 # tables) results in order; the benchmark names are the registry.  A key is a
-# Scenario field or ``tol.<name>``; `benchmark`, `suite` and `out` are read by
-# every run.  `convergence` (geometric Brownian motion) and `cones` (random
-# sets) run no registered benchmark: they are listed under the default one so
-# that `stocond run lq_unconstrained --suite cones` runs.
+# Scenario field; `benchmark`, `suite` and `out` are read by every run.
+# `convergence` (geometric Brownian motion) and `cones` (random sets) run no
+# registered benchmark: they are listed under the default one so that
+# `stocond run lq_unconstrained --suite cones` runs.
 RUNS = {
     "convergence": (("lq_unconstrained",), ("paths", "seed"), lambda sc: [
         suites.forward_strong_convergence(M=min(sc.paths, 4000), seed=sc.seed)]),
@@ -46,10 +37,10 @@ RUNS = {
         suites.adjoint_oracle_comparison(M=sc.paths, N=sc.steps, seed=sc.seed),
         suites.relaxed_identity_suite(M=sc.paths, seed=sc.seed)]),
     "first-order": (("lq_unconstrained", "lq_box"),
-                    ("paths", "steps", "seed", "perturb", "tol.box_pointwise"), lambda sc: [
+                    ("paths", "steps", "seed", "perturb"), lambda sc: [
         suites.first_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed,
                                  perturb=sc.perturb),
-        suites.box_lq_pointwise_check(seed=sc.seed, **_tol(sc, "box_pointwise"))]),
+        suites.box_lq_pointwise_check(seed=sc.seed)]),
     "second-order": (("lq_unconstrained",), ("paths", "steps", "seed"), lambda sc: [
         suites.second_order_suite(M=sc.paths, N=sc.steps, seed=sc.seed)]),
     "multipliers": (("lq_terminal", "double_integrator_state"), ("paths", "seed"),
@@ -57,8 +48,8 @@ RUNS = {
         suites.terminal_constraint_multiplier_recovery(M=min(sc.paths, 8000),
                                                        seed=sc.seed),
         suites.double_integrator_contact_mass(seed=sc.seed)]),
-    "cones": (("lq_unconstrained",), ("seed", "tol.cone_decomposition"), lambda sc: [
-        suites.cone_suite(seed=sc.seed, **_tol(sc, "cone_decomposition"))]),
+    "cones": (("lq_unconstrained",), ("seed",), lambda sc: [
+        suites.cone_suite(seed=sc.seed)]),
 }
 
 
@@ -80,7 +71,6 @@ class Scenario:
     seed: int = 0
     out: str = "out"
     perturb: float = 0.0
-    tolerances: dict = field(default_factory=dict)
 
     def validate(self):
         if self.suite not in RUNS and self.suite != "all":
@@ -98,8 +88,8 @@ class Scenario:
             raise ConfigError(f"perturb must be finite, got {self.perturb}")
 
 
-# the config keys and their casts, in field order; ``tol.*`` keys aside
-KEYS = {f.name: type(f.default) for f in fields(Scenario) if f.name != "tolerances"}
+# the config keys and their casts, in field order
+KEYS = {f.name: type(f.default) for f in fields(Scenario)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -125,14 +115,10 @@ def scenario_from(args) -> Scenario:
     given = set()
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            tol = key[4:] if key.startswith("tol.") else None
-            if key not in KEYS and tol not in TOLERANCES:
+            if key not in KEYS:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
             try:
-                if tol:
-                    sc.tolerances[tol] = float(val)
-                else:
-                    setattr(sc, key, KEYS[key](val))
+                setattr(sc, key, KEYS[key](val))
             except ValueError as exc:
                 raise ConfigError(f"{args.config}: bad value {val!r} for {key!r}") from exc
             given.add(key)

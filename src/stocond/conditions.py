@@ -186,22 +186,6 @@ class MultiplierSet:
         return self.lambda0 + sum(self.lambdas.values()) \
             + self.psi.total_variation(M, n)
 
-    def scaled(self, c: float) -> "MultiplierSet":
-        """Scale the abnormal part; lambda_0 in {0, 1} is never rescaled."""
-        if self.lambda0 != 0.0:
-            raise ValueError("only abnormal multipliers admit rescaling")
-        return MultiplierSet(0.0, {j: c * v for j, v in self.lambdas.items()},
-                             self.psi.scaled(c))
-
-    def normalized(self, M: int, n: int) -> "MultiplierSet":
-        """Rescale an abnormal multiplier to unit nontriviality size."""
-        if self.lambda0 != 0.0:
-            return self
-        size = self.nontriviality(M, n)
-        if size <= 0:
-            raise ValueError("trivial multiplier cannot be normalized")
-        return self.scaled(1.0 / size)
-
     def terminal_datum(self, spec: ProblemSpec, xT: np.ndarray) -> np.ndarray:
         yT = -self.lambda0 * np.asarray(spec.terminal_cost.grad(xT))
         for j, lam in self.lambdas.items():
@@ -406,11 +390,13 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
             f"no multiplier in the family reaches stationarity (residual "
             f"{best_resid:.3g} > {1e3 * tol:.3g})")
 
+    if best_l0 == 0.0:
+        size = build(best_theta, 0.0).nontriviality(M, n)
+        if not size > 0:
+            raise Infeasible("the abnormal multiplier is trivial and cannot be normalized")
+        best_theta = best_theta / size
     mult = build(best_theta, best_l0)
     w = np.concatenate([[best_l0], best_theta])
-    if best_l0 == 0.0:
-        w /= mult.nontriviality(M, n)
-        mult = mult.normalized(M, n)
     directions = sample_tangent_directions(spec, grid, base, u_arr, 8,
                                            np.random.default_rng(0))
     report = first_order_integral_check(spec, grid, base, mult, y0 @ w, yT @ w,

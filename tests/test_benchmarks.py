@@ -72,7 +72,7 @@ class TestRiccati:
         pert[:, 0] = 0.3 * np.cos(np.pi * g.times)
         base_p, _ = simulate_closed_loop(spec, g, paths,
                                          extend_initial_state(lq.x0, spec),
-                                         feedback, perturb_field=pert)
+                                         lambda k, x: feedback(k, x) + pert[k])
         pert_cost = float(np.mean(spec.terminal_cost.value(base_p.values[:, -1, :])))
         assert pert_cost > opt_cost
 

@@ -52,11 +52,9 @@ class TestRunTable:
         names = set(cli.RUNS) | {b for listed, _k, _r in cli.RUNS.values() for b in listed}
         assert {n for n in names if f"`{n}`" not in section} == set()
 
-    def test_read_keys_are_scenario_fields_or_tolerances(self):
-        known = set(cli.KEYS) | {f"tol.{name}" for name in cli.TOLERANCES}
+    def test_read_keys_are_scenario_fields(self):
         read = {k for _names, keys, _r in cli.RUNS.values() for k in keys}
-        assert read <= known
-        assert {f"tol.{name}" for name in cli.TOLERANCES} <= read
+        assert read <= set(cli.KEYS)
 
 
 class TestExitCodes:
@@ -70,7 +68,9 @@ class TestExitCodes:
                                             ("extras = 1", "'extras'"),
                                             ("paths = many", "'paths'"),
                                             ("tol.cone_decompositon = 1e-6",
-                                             "'tol.cone_decompositon'")])
+                                             "'tol.cone_decompositon'"),
+                                            ("tol.box_pointwise = 0.1",
+                                             "unknown config key 'tol.box_pointwise'")])
     def test_bad_config_key_exit_1(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"suite = cones\n{line}\n")
@@ -104,9 +104,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,cfg,named", [
         (["lq_unconstrained", "--suite", "cones", "--perturb", "0.5"], None, "'perturb'"),
         (["lq_unconstrained", "--suite", "cones", "--paths", "10"], None, "'paths'"),
-        (["lq_terminal", "--suite", "multipliers"], "steps = 5", "'steps'"),
-        (["lq_unconstrained", "--suite", "cones"], "tol.box_pointwise = 0.1",
-         "'tol.box_pointwise'")])
+        (["lq_terminal", "--suite", "multipliers"], "steps = 5", "'steps'")])
     def test_given_but_unread_key_exit_1(self, tmp_path, capsys, argv, cfg, named):
         if cfg is not None:
             (tmp_path / "run.cfg").write_text(cfg + "\n")
@@ -227,17 +225,6 @@ class TestExitCodes:
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["failures"] >= 1
 
-    def test_perturbed_first_order_reads_the_box_tolerance(self, tmp_path):
-        (tmp_path / "run.cfg").write_text("tol.box_pointwise = 0.5\n")
-        code = cli.main(["run", "lq_unconstrained", "--suite", "first-order",
-                         "--perturb", "0.2", "--paths", "300", "--steps", "12",
-                         "--config", str(tmp_path / "run.cfg"),
-                         "--out", str(tmp_path / "b")])
-        assert code == 2
-        report = json.loads((tmp_path / "b" / "report.json").read_text())
-        box = [c for c in report["checks"] if c["name"] == "box_lq_pointwise"]
-        assert len(box) == 1 and box[0]["tolerance"] == 0.5
-
     def test_reports_reproducible(self, tmp_path):
         for sub in ("r1", "r2"):
             code = cli.main(["run", "lq_unconstrained", "--suite", "cones",
@@ -264,14 +251,3 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             fit_slope([0.1, 0.05], [1.0, 0.5])
 
-
-class TestToleranceOverrides:
-    def test_config_tolerance_keys_parsed(self, tmp_path):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text("suite = cones\ntol.cone_decomposition = 1e-6\n")
-        import argparse
-        args = argparse.Namespace(config=str(cfg), benchmark=None, suite=None,
-                                  paths=None, steps=None, seed=None, out=None,
-                                  perturb=None)
-        sc = cli.scenario_from(args)
-        assert sc.tolerances == {"cone_decomposition": 1e-6}

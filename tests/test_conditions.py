@@ -287,11 +287,11 @@ class TestFirstOrderChecks:
         pert[:, 0] = 0.2 * np.sin(np.pi * g.times / lq.T)
 
         def feedback(k, x):
-            return -x[:, : lq.n] @ ric.gains[k].T
+            return -x[:, : lq.n] @ ric.gains[k].T + pert[k]
 
         base_p, u_p = simulate_closed_loop(spec, g, paths,
                                            extend_initial_state(lq.x0, spec),
-                                           feedback, perturb_field=pert)
+                                           feedback)
         xTp = base_p.values[:, -1, :]
         sol_p = solve_first_adjoint(spec, g, paths, base_p, u_p,
                                     -np.asarray(spec.terminal_cost.grad(xTp)))
@@ -670,11 +670,11 @@ class TestInfeasibleGuard:
         pert[:, 0] = 0.5
 
         def feedback(k, x):
-            return -x[:, : lq.n] @ ric.gains[k].T
+            return -x[:, : lq.n] @ ric.gains[k].T + pert[k]
 
         base_p, u_p = simulate_closed_loop(spec, g, paths,
                                            extend_initial_state(lq.x0, spec),
-                                           feedback, perturb_field=pert)
+                                           feedback)
         analysis = analyze_active_sets(spec, g, base_p)
         with pytest.raises(Infeasible):
             search_multipliers(spec, g, paths, base_p, u_p, analysis, tol=1e-7)
@@ -855,10 +855,10 @@ def _search_case(case):
     pert[:, 0] = 0.5
 
     def feedback(k, x):
-        return -x[:, : lq.n] @ ric.gains[k].T
+        return -x[:, : lq.n] @ ric.gains[k].T + pert[k]
 
     base, u = simulate_closed_loop(spec, g, paths, extend_initial_state(lq.x0, spec),
-                                   feedback, perturb_field=pert)
+                                   feedback)
     c = float(np.mean(base.values[:, -1, 0]))
     spec = replace(spec, terminal_constraints=(_affine_functional(np.array([1.0]), -c),
                                                _affine_functional(np.array([-1.0]), c)))

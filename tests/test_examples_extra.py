@@ -48,9 +48,11 @@ def test_search_multipliers_unconstrained_returns_cost_only():
 
 
 def test_abnormal_multiplier_normalization():
-    psi = DiscreteBVMeasure({3: np.array([0.5, 0.0])})
-    mult = MultiplierSet(0.0, {0: 2.0}, psi)
-    normed = mult.normalized(M=4, n=2)
+    # the search divides an abnormal multiplier's components by its size
+    atom = np.array([0.5, 0.0])
+    mult = MultiplierSet(0.0, {0: 2.0}, DiscreteBVMeasure({3: atom}))
+    size = mult.nontriviality(M=4, n=2)
+    normed = MultiplierSet(0.0, {0: 2.0 / size}, DiscreteBVMeasure({3: atom / size}))
     assert normed.nontriviality(M=4, n=2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -145,9 +147,9 @@ def test_transition_blocks_equal_the_double_loop():
     assert np.array_equal(hom, [P @ x0 for P in powers])
 
 
-def test_terminal_recovery_reads_unconstrained_mean_without_bisection(monkeypatch):
-    # m0 comes from one integration at lambda = 0; the oracle's bisection
-    # runs once, for the constrained target c = m0 / 2
+def test_terminal_recovery_asks_the_oracle_once_at_half_the_mean(monkeypatch):
+    # m0 comes from one integration at lambda = 0; the oracle runs once,
+    # for the constrained target c = m0 / 2
     oracle = suites.lagrangian_lq_oracle
     targets = []
 
@@ -161,6 +163,74 @@ def test_terminal_recovery_reads_unconstrained_mean_without_bisection(monkeypatc
     g = TimeGrid(25, lq.T)
     m0 = oracle(lq, g, solve_lq_riccati(lq, g), 0.0)[2]
     assert targets == [0.5 * m0]
+
+
+def _terminal_oracle_case(N):
+    lq = suites.lq_terminal_constrained()
+    g = TimeGrid(N, lq.T)
+    ric = solve_lq_riccati(lq, g)
+    return lq, g, ric, suites._lq_mean_xT(lq, g, ric, 0.0)[0]
+
+
+# lambda* at c = m(0) / 2 as the 58-evaluation bisection on m(lambda) found it
+@pytest.mark.parametrize("N,lam_bisection", [(25, 0.49124760255317446),
+                                             (50, 0.49192304847030266),
+                                             (100, 0.49225309647482385)])
+def test_lagrangian_oracle_meets_the_target_in_closed_form(N, lam_bisection):
+    lq, g, ric, m0 = _terminal_oracle_case(N)
+    c = 0.5 * m0
+    lam, r, m_unc = suites.lagrangian_lq_oracle(lq, g, ric, c)
+    m, r_ref = suites._lq_mean_xT(lq, g, ric, lam)
+    assert m == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert lam == pytest.approx(lam_bisection, rel=1e-13, abs=0.0)
+    assert m_unc == m0 and np.array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_lagrangian_oracle_inactive_target_is_exactly_zero(scale):
+    lq, g, ric, m0 = _terminal_oracle_case(25)
+    lam, r, _ = suites.lagrangian_lq_oracle(lq, g, ric, scale * m0)
+    assert lam == 0.0 and not np.any(r)
+
+
+def test_lagrangian_oracle_without_control_is_infeasible():
+    from dataclasses import replace
+    from stocond.errors import Infeasible
+    lq = replace(suites.lq_terminal_constrained(), B=np.zeros((1, 1)))
+    g = TimeGrid(25, lq.T)
+    ric = solve_lq_riccati(lq, g)
+    m0 = suites._lq_mean_xT(lq, g, ric, 0.0)[0]
+    with pytest.raises(Infeasible, match="terminal target"):
+        suites.lagrangian_lq_oracle(lq, g, ric, 0.5 * m0)
+
+
+def test_box_rollout_is_the_simulators_xT(monkeypatch):
+    # the box check's x(T) = hom[N, 0] + S[N, 0] @ z against simulate_forward
+    # on its zero-noise paths; A != 0 so that the semigroup step E matters
+    from dataclasses import replace
+    from stocond.forward import simulate_forward
+    lq = replace(suites.lq_box_constrained(), A=np.array([[-0.8]]))
+    exact = suites._transition_blocks
+    blocks = []
+
+    def spy(*args):
+        blocks.append(exact(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(suites, "lq_box_constrained", lambda: lq)
+    monkeypatch.setattr(suites, "_transition_blocks", spy)
+    N = 20
+    suites.box_lq_pointwise_check(N=N, seed=3)
+    (hom, S), = blocks
+    spec = lq_reduced_spec(lq)
+    g = TimeGrid(N, lq.T)
+    paths = generate_brownian(g, 8, lq.d, seed=3)
+    paths = type(paths)(0.0 * paths.increments)
+    z = np.random.default_rng(4).uniform(lq.U.lo[0], lq.U.hi[0], N)
+    u = np.zeros((N + 1, lq.m))
+    u[:N, 0] = z
+    xT = simulate_forward(spec, g, paths, extend_initial_state(lq.x0, spec), u).values[:, N, 0]
+    assert np.allclose(xT, hom[N, 0] + S[N, 0] @ z, rtol=0.0, atol=1e-12)
 
 
 def _looped_lq_mean_xT(lq, grid, ric, lam, substeps=4):

@@ -303,14 +303,14 @@ def _ref_simulate_forward(spec, grid, paths, nu0, u):
     return X
 
 
-def _ref_closed_loop(spec, grid, paths, nu0, feedback, perturb_field):
+def _ref_closed_loop(spec, grid, paths, nu0, feedback):
     M, n, d = paths.M, spec.n, paths.d
     E = semigroup_step(spec.A, grid.dt)
     X = np.zeros((M, grid.N + 1, n))
     U = np.zeros((M, grid.N + 1, spec.m))
     X[:, 0] = nu0
     for k in range(grid.N + 1):
-        u = feedback(k, X[:, k]) + perturb_field[k]
+        u = feedback(k, X[:, k])
         U[:, k] = u
         if k == grid.N:
             break
@@ -420,13 +420,13 @@ class TestSharedLoopAgainstReference:
     def test_closed_loop(self, case):
         spec, g, paths, nu0, _, rng = reference_case(case)
         gain = rng.standard_normal((g.N + 1, spec.m, spec.n))
+        perturb = 0.1 * rng.standard_normal((g.N + 1, spec.m))
 
         def feedback(k, x):
-            return -x @ gain[k].T
+            return -x @ gain[k].T + perturb[k]
 
-        perturb = 0.1 * rng.standard_normal((g.N + 1, spec.m))
-        X, U = simulate_closed_loop(spec, g, paths, nu0, feedback, perturb)
-        X_ref, U_ref = _ref_closed_loop(spec, g, paths, nu0, feedback, perturb)
+        X, U = simulate_closed_loop(spec, g, paths, nu0, feedback)
+        X_ref, U_ref = _ref_closed_loop(spec, g, paths, nu0, feedback)
         assert_matches(X.values, X_ref)
         assert_matches(U, U_ref)
 
