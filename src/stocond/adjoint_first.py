@@ -125,55 +125,59 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
                                  paths: BrownianEnsemble, base_state: PathEnsemble,
                                  u_bar, sol: TranspositionSolution, t_index: int,
                                  eta, f1, f2, psi: DiscreteBVMeasure | None = None,
-                                 f=None) -> tuple[float, float]:
-    """Both sides of the defining duality identity; returns (|LHS-RHS|, SE).
+                                 f=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the defining duality identity for C draws of test data;
+    returns the (C,) |LHS-RHS| and their SEs.
 
     LHS = E<phi(T), y(T)> + E sum_k <phi_k, a_x* y_{k+1} + b_x* Y_k - f_k> dt
     RHS = E<eta, y(t)> + E sum <E f1_k, y_{k+1}> dt + E sum <f2_k, Y_k> dt
           + E sum_{k >= t} <phi_k, mu_k>
 
-    The test process d phi = (A phi + f1) ds + f2 dW from phi(t) = eta
-    (deterministic (n,) or (M, n)) is stepped alongside the sums, one step
-    at a time, and never stored.  The SE is the Monte Carlo standard error
-    of the pathwise LHS-RHS.
+    The draws sit on a trailing axis: eta is (n, C) or (M, n, C), f1
+    broadcasts to (M, N+1, n, C) and f2 to (M, N+1, n, d, C).  The C test
+    processes d phi = (A phi + f1) ds + f2 dW from phi(t) = eta are stepped
+    as one stream alongside the sums and never stored; the draw-independent
+    integrand is formed once per step.  An SE is the Monte Carlo standard
+    error of that draw's pathwise LHS-RHS.
     """
-    M, d, n = paths.M, paths.d, spec.n
+    M, d, n, N = paths.M, paths.d, spec.n, grid.N
     psi = psi or DiscreteBVMeasure()
     u_arr = as_control_array(u_bar, grid, M, spec.m)
+    C = np.shape(eta)[-1]
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), (M, n, C))
     steps = _linear_steps(spec, grid, paths, eta, None, None, f1, f2, t_index=t_index,
                           what="test process")
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_x, b_x = along("drift_x"), along("diffusion_x")
-    f1_arr = _on_paths(f1, M, grid.N, (n,))
-    f2_arr = _on_paths(f2, M, grid.N, (n, d))
-    f_arr = _on_paths(f, M, grid.N, (n,))
+    f1_arr = _on_paths(f1, M, N, (n, C))
+    f2_arr = _on_paths(f2, M, N, (n, d, C))
+    f_arr = _on_paths(f, M, N, (n,))
+    y, Y = sol.y.values, sol.Y.values
 
-    lhs = np.zeros(M)
-    rhs = np.einsum("pi,pi->p",
-                    np.broadcast_to(np.asarray(eta, dtype=float), (M, n)),
-                    sol.y.values[:, t_index, :])
+    # family-major (C, M) sums, so each draw's row reduces as its path vector
+    lhs = np.zeros((C, M))
+    rhs = np.einsum("pic,pi->cp", eta, y[:, t_index])
     for k, phi in steps:
-        if k == grid.N:
-            lhs += np.einsum("pi,pi->p", phi, sol.y.values[:, k, :])
+        if k == N:
+            lhs += np.einsum("pic,pi->cp", phi, y[:, k])
             break
-        integrand = _total(
-            _contract("pij,pi->pj", _at(a_x, k), sol.y.values[:, k + 1, :]),
-            _contract("pilj,pil->pj", _at(b_x, k), sol.Y.values[:, k, :, :]),
-            None if f_arr is None else -f_arr[:, k, :])
+        integrand = _total(_contract("pij,pi->pj", _at(a_x, k), y[:, k + 1]),
+                           _contract("pilj,pil->pj", _at(b_x, k), Y[:, k]),
+                           None if f_arr is None else -f_arr[:, k])
         if integrand is not None:
-            lhs += dt * np.einsum("pi,pi->p", phi, integrand)
+            lhs += dt * np.einsum("pic,pi->cp", phi, integrand)
         if f1_arr is not None:
-            # <E f1_k, y_{k+1}>, E applied to this step's slice only
-            rhs += dt * np.einsum("pi,pi->p", f1_arr[:, k, :] @ E.T, sol.y.values[:, k + 1, :])
+            # <E f1_k, y_{k+1}> = <f1_k, E* y_{k+1}>
+            rhs += dt * np.einsum("pic,pi->cp", f1_arr[:, k],
+                                  np.einsum("ji,pj->pi", E, y[:, k + 1]))
         if f2_arr is not None:
-            rhs += dt * np.einsum("pil,pil->p", f2_arr[:, k, :, :],
-                                  sol.Y.values[:, k, :, :])
+            rhs += dt * np.einsum("pilc,pil->cp", f2_arr[:, k], Y[:, k])
         if k in psi.atoms:
-            rhs += np.einsum("pi,pi->p", phi, psi.atom(k, M, n))
+            rhs += np.einsum("pic,pi->cp", phi, psi.atom(k, M, n))
     mean, se = mc_mean(lhs - rhs)
-    return abs(float(mean)), float(se)
+    return np.abs(mean), se
 
 
 def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,

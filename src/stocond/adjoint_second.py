@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _linear_steps, _on_paths, _quadratic, _slice_bc, semigroup_step
+from .forward import _linear_steps, _on_paths, _slice_bc, _total, semigroup_step
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, time_major_zeros
 from .regression import ConditionalRegression, PolynomialBasis
 from .reporting import mc_mean
@@ -112,64 +112,79 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsem
 def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                            sol: RelaxedSolution, data: SecondAdjointData,
                            t_index: int, data1: tuple, data2: tuple
-                           ) -> tuple[float, float]:
-    """Both sides of the relaxed-transposition identity; returns (|LHS-RHS|, SE).
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the relaxed-transposition identity for C draws of test
+    data; returns the (C,) |LHS-RHS| and their SEs.
 
-    data1 = (xi1, f_tilde1, f_hat1), data2 = (xi2, f_tilde2, f_hat2).  The
-    test processes phi1 and phi2 are stepped alongside the sums, one step at
-    a time, and their Q-view channels Q_l phi1 and Q_l^T phi2 are formed per
-    step; neither is stored.
+    data1 = (xi1, f_tilde1, f_hat1), data2 = (xi2, f_tilde2, f_hat2), with
+    the draws on a trailing axis: xi is (n, C) or (M, n, C), f_tilde
+    broadcasts to (M, N+1, n, C) and f_hat to (M, N+1, n, d, C); either
+    source may be None.  The test processes phi1 and phi2 of every draw are
+    stepped as one (M, n, 2C) process alongside the sums, one step at a
+    time, and their Q-view channels Q_l phi1 and Q_l^T phi2 are formed per
+    step; none is stored.
     """
-    M, d, n = paths.M, paths.d, spec.n
+    M, d, n, N = paths.M, paths.d, spec.n, grid.N
     dt = grid.dt
     xi1, ft1, fh1 = data1
     xi2, ft2, fh2 = data2
-    steps1 = _linear_steps(spec, grid, paths, xi1, data.J, data.K, ft1, fh1, t_index=t_index,
-                           what="relaxed test process")
-    steps2 = _linear_steps(spec, grid, paths, xi2, data.J, data.K, ft2, fh2, t_index=t_index,
-                           what="relaxed test process")
+    C = np.shape(xi1)[-1]
+    x0 = np.concatenate([np.broadcast_to(np.asarray(xi, dtype=float), (M, n, C))
+                         for xi in (xi1, xi2)], axis=-1)
+    ft1, ft2 = (_on_paths(f, M, N, (n, C)) for f in (ft1, ft2))
+    fh1, fh2 = (_on_paths(f, M, N, (n, d, C)) for f in (fh1, fh2))
+
+    def joined(f1, f2, tail):
+        """k -> the sources of phi1 and phi2 at step k side by side on the
+        trailing axis, path innermost, an absent one as zeros; None when
+        both are absent."""
+        if f1 is None and f2 is None:
+            return None
+        zero = np.zeros((C,) + tail[::-1] + (M,))
+        return lambda k: np.concatenate([zero if f is None else f[:, k].T for f in (f1, f2)]).T
+
+    steps = _linear_steps(spec, grid, paths, x0, data.J, data.K,
+                          joined(ft1, ft2, (n,)), joined(fh1, fh2, (n, d)),
+                          t_index=t_index, what="relaxed test process")
     P, Q = sol.P.values, sol.Qtensor.values
     PT = np.broadcast_to(np.asarray(data.P_T, dtype=float), (M, n, n))
 
-    # <P a, b> = sum_ij P_ij a_j b_i, as one two-operand contraction each
-    lhs = np.zeros(M)
-    rhs = _quadratic(P[:, t_index],
-                     np.broadcast_to(np.asarray(xi2, dtype=float), (M, n)),
-                     np.broadcast_to(np.asarray(xi1, dtype=float), (M, n)))
-    ft1_arr, ft2_arr = _on_paths(ft1, M, grid.N, (n,)), _on_paths(ft2, M, grid.N, (n,))
-    fh1_arr, fh2_arr = _on_paths(fh1, M, grid.N, (n, d)), _on_paths(fh2, M, grid.N, (n, d))
+    def pair(h, a, b):
+        # <h a, b> = sum_ij h_ij a_j b_i per draw, family-major (C, M)
+        return np.einsum("pic,pic->cp", np.einsum("pij,pjc->pic", h, a), b)
 
-    for (k, phi1), (_, phi2) in zip(steps1, steps2):
-        if k == grid.N:
-            lhs += _quadratic(PT, phi2, phi1)
+    lhs = np.zeros((C, M))
+    rhs = pair(P[:, t_index], x0[..., :C], x0[..., C:])
+    for k, X in steps:
+        phi1, phi2 = X[..., :C], X[..., C:]
+        if k == N:
+            lhs += pair(PT, phi1, phi2)
             break
         Fk = _slice_bc(data.F, k, M, (n, n))
-        Kk = _slice_bc(data.K, k, M, (n, d, n))
-        Pk = P[:, k]
+        Pk, Qk = P[:, k], Q[:, k]
         if Fk is not None:
-            lhs -= dt * _quadratic(Fk, phi2, phi1)
-        if ft1_arr is not None:
-            rhs += dt * _quadratic(Pk, phi2, ft1_arr[:, k])
-        if ft2_arr is not None:
-            rhs += dt * _quadratic(Pk, ft2_arr[:, k], phi1)
-        if fh2_arr is not None and Kk is not None:
-            Kphi1 = np.einsum("pilj,pj->pil", Kk, phi1)
-            PKphi1 = np.einsum("pij,pjl->pil", Pk, Kphi1)
-            rhs += dt * np.einsum("pil,pil->p", PKphi1, fh2_arr[:, k])
-        if fh1_arr is not None:
-            Pfh1 = np.einsum("pij,pjl->pil", Pk, fh1_arr[:, k])
-            other = np.zeros((M, n, d))
-            if Kk is not None:
-                other += np.einsum("pilj,pj->pil", Kk, phi2)
-            if fh2_arr is not None:
-                other += fh2_arr[:, k]
-            rhs += dt * np.einsum("pil,pil->p", Pfh1, other)
-            # <f_hat1, Q^T phi2>, the hat family's channels
-            rhs += dt * np.einsum("pil,pil->p", fh1_arr[:, k],
-                                  np.einsum("pjil,pj->pil", Q[:, k], phi2))
-        if fh2_arr is not None:
-            # <Q phi1, f_hat2>
-            rhs += dt * np.einsum("pil,pil->p", np.einsum("pijl,pj->pil", Q[:, k], phi1),
-                                  fh2_arr[:, k])
+            lhs -= dt * pair(Fk, phi1, phi2)
+        if ft1 is not None:
+            # as <P^T phi2, f_tilde1>: P then meets no path-broadcast source
+            rhs += dt * pair(Pk.transpose(0, 2, 1), phi2, ft1[:, k])
+        if ft2 is not None:
+            rhs += dt * pair(Pk, phi1, ft2[:, k])
+        Kk = None if fh1 is None and fh2 is None else _slice_bc(data.K, k, M, (n, d, n))
+        KX = None if Kk is None else np.einsum("pilj,pjc->pilc", Kk, X)
+        if fh2 is not None:
+            # <P K phi1 + Q phi1, f_hat2>, P channel-wise
+            G = np.einsum("pijl,pjc->pilc", Qk, phi1)
+            if KX is not None:
+                G += np.einsum("pij,pjlc->pilc", Pk, KX[..., :C])
+            rhs += dt * np.einsum("pilc,pilc->cp", G, fh2[:, k])
+        if fh1 is not None:
+            # <P f_hat1, K phi2 + f_hat2> and <f_hat1, Q^T phi2>, the hat
+            # family's channels
+            other = np.einsum("pjil,pjc->pilc", Qk, phi2)
+            rest = _total(None if KX is None else KX[..., C:],
+                          None if fh2 is None else fh2[:, k])
+            if rest is not None:
+                other += np.einsum("pji,pjlc->pilc", Pk, rest)
+            rhs += dt * np.einsum("pilc,pilc->cp", fh1[:, k], other)
     mean, se = mc_mean(lhs - rhs)
-    return abs(float(mean)), float(se)
+    return np.abs(mean), se

@@ -273,17 +273,9 @@ def cone_contains(C: ConeDescriptor, v: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 def cone_residual(C: ConeDescriptor, v: np.ndarray) -> float:
-    """Distance from v to the cone (NNLS over generators or H-rep projection)."""
+    """Distance from v to the cone, |v - cone_project(C, v)|."""
     v = np.asarray(v, dtype=float)
-    if C.normals is not None:
-        y = _project_polyhedron(Polyhedron(C.normals, np.zeros(len(C.normals))), v) \
-            if len(C.normals) else v
-        return float(np.linalg.norm(v - y))
-    G = C.generators
-    if G is None or len(G) == 0:
-        return float(np.linalg.norm(v))
-    coef, res = scipy.optimize.nnls(G.T, v)
-    return float(res)
+    return float(np.linalg.norm(v - cone_project(C, v)))
 
 
 def cone_project(C: ConeDescriptor, v: np.ndarray) -> np.ndarray:

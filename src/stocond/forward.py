@@ -169,22 +169,26 @@ def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     J and K are callables k -> (M, n, n) and (M, n, d, n) or constant
     (n, n) and (n, d, n) arrays (see ``_slice_bc``); f_tilde and f_hat are
     callables k -> (M, n) and (M, n, d) or arrays broadcastable to
-    (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.
+    (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.  An
+    (M, n, C) x0 carries C processes on a trailing axis, as in ``_steps``:
+    J and K act on each, and the sources then carry the axis last too,
+    (M, n, C) and (M, n, d, C) per step.
     """
     M, n, d = paths.M, spec.n, paths.d
+    comp = np.shape(x0)[2:]
 
     def per_step(f, tail):
         if f is None or callable(f):
             return f
-        f = _on_paths(f, M, grid.N, tail)
+        f = _on_paths(f, M, grid.N, tail + comp)
         return lambda k: f[:, k]
 
     ft, fh = per_step(f_tilde, (n,)), per_step(f_hat, (n, d))
 
     def step(k, x):
         # (J x + f_tilde, K x + f_hat), an absent part dropped
-        return (_total(_contract("pij,pj->pi", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
-                _total(_contract("pilj,pj->pil", _slice_bc(K, k, M, (n, d, n)), x),
+        return (_total(_contract("pij,pj...->pi...", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
+                _total(_contract("pilj,pj...->pil...", _slice_bc(K, k, M, (n, d, n)), x),
                        _at(fh, k)))
     return _steps(spec, grid, paths, x0, step, t_index, what=what)
 

@@ -109,19 +109,6 @@ def fit_slope(xs, ys) -> tuple[float, float]:
     return float(slope), float(half)
 
 
-def report_convergence(xs, ys) -> dict:
-    """Fitted slope; flags degenerate all-zero ladders."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.all(ys == 0):
-        return {"slope": None, "half_width": None, "degenerate": True}
-    slope, half = fit_slope(xs, ys)
-    out = {"slope": slope, "half_width": half, "degenerate": False}
-    if np.isnan(slope):
-        out["degenerate"] = True
-    return out
-
-
 def mean_table(times, values, prefix: str) -> dict:
     """Per-time path mean of an (M, N+1, ...) ensemble as a table: a time
     column, then one column prefix_i[_j...] per entry, row-major."""

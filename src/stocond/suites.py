@@ -33,8 +33,8 @@ from .forward import (VariationData, remainder_study_first, remainder_study_seco
 from .model import (PathEnsemble, ProblemSpec, TimeGrid, bolza_reduce, extend_initial_state, generate_brownian,
                     time_major_zeros)
 from .regression import PolynomialBasis
-from .reporting import (ConditionReport, dt_bias_envelope, dt_bias_fit, mean_table,
-                        moments_table, report_convergence)
+from .reporting import (ConditionReport, dt_bias_envelope, dt_bias_fit, fit_slope, mean_table,
+                        moments_table)
 
 
 def _check(name, passed, **extra):
@@ -108,10 +108,9 @@ def forward_strong_convergence(M: int = 4000, seed: int = 7,
         err = float(np.sqrt(np.mean((ens.values[:, -1, 0] - exact) ** 2)))
         dts.append(grid.dt)
         errs.append(err)
-    fit = report_convergence(dts, errs)
-    checks = [_check("forward_strong_convergence_slope",
-                     fit["slope"] is not None and fit["slope"] >= 0.45,
-                     slope=fit["slope"], half_width=fit["half_width"])]
+    slope, half = fit_slope(dts, errs)
+    checks = [_check("forward_strong_convergence_slope", slope >= 0.45,
+                     slope=slope, half_width=half)]
     return checks, {"forward_strong_error": {"dt": dts, "error": errs}}
 
 
@@ -151,7 +150,7 @@ def remainder_suite(M: int = 2000, N: int = 200, seed: int = 11):
     ts = grid.times
     u_bar = 0.5 * np.ones((N + 1, 1))
     var_b = VariationData(nu1=np.array([0.2]),
-                          u1=np.sin(np.pi * ts)[:, None],
+                          u1=_smooth_field(np.array([0.0, 1.0]), ts)[:, None],
                           nu2=np.zeros(1), u2=np.zeros((N + 1, 1)))
     rep_b = remainder_study_first(bil, grid, paths_b, np.array([1.0]), u_bar, var_b)
     ratios = rep_b.norms[1:] / rep_b.norms[:-1]
@@ -212,24 +211,23 @@ def _lq_setup(lq: LQSpec, N: int, M: int, seed: int):
 
 
 def _transposition_case(lq: LQSpec, N: int, fine, coeff_sets):
-    """The gate over one duality check per coefficient set at N steps, on
-    sums of fine's increments; its ensembles are freed when it returns."""
+    """The gate over the duality check of every coefficient set at N steps,
+    one draw each on the check's trailing axis, on sums of fine's
+    increments; its ensembles are freed when it returns."""
     M, grid = fine.M, TimeGrid(N, lq.T)
     paths = type(fine)(fine.increments.reshape(M, N, -1, lq.d).sum(axis=2))
     spec, base, u = _lq_closed_loop(lq, grid, paths, solve_lq_riccati(lq, grid))
     sol = _cost_adjoint(spec, grid, paths, base, u)
     t_index = N // 4
-    family = []
-    for cf1, cf2, eta_w in coeff_sets:
-        f1 = np.zeros((N + 1, spec.n))
-        f1[:, 0] = _smooth_field(cf1, grid.times)
-        f2 = np.zeros((N + 1, spec.n, lq.d))
-        f2[:, 0, 0] = _smooth_field(cf2, grid.times)
-        eta = (eta_w[0] * np.ones((M, spec.n)) + eta_w[1] * base.values[:, t_index, :]
-               + eta_w[2] * 0.1)
-        family.append(check_transposition_identity(
-            spec, grid, paths, base, u, sol, t_index, eta, f1, f2))
-    return ConditionReport.gate(f"transposition_identity_N{N}", *zip(*family))
+    cf1, cf2, eta_w = (np.array(part) for part in zip(*coeff_sets))
+    f1 = np.zeros((N + 1, spec.n, len(coeff_sets)))
+    f1[:, 0] = np.stack([_smooth_field(cf, grid.times) for cf in cf1], axis=-1)
+    f2 = np.zeros((N + 1, spec.n, lq.d, len(coeff_sets)))
+    f2[:, 0, 0] = np.stack([_smooth_field(cf, grid.times) for cf in cf2], axis=-1)
+    eta = (eta_w[:, 0] * np.ones((M, spec.n, 1)) + eta_w[:, 1] * base.values[:, t_index, :, None]
+           + eta_w[:, 2] * 0.1)
+    return ConditionReport.gate(f"transposition_identity_N{N}", *check_transposition_identity(
+        spec, grid, paths, base, u, sol, t_index, eta, f1, f2))
 
 
 def transposition_identity_ladder(M: int = 20000, Ns=(50, 100, 200),
@@ -294,11 +292,12 @@ def adjoint_oracle_comparison(M: int = 20000, N: int = 100, seed: int = 5):
 
 
 def _relaxed_case(lq: LQSpec, N: int, M: int, seed: int, ric: RiccatiSolution, tests):
-    """The relaxed identity's (residual, SE) per (cf1, cf2, xi1, xi2, c) in
-    tests, and the mean P table, on the LQ closed loop at N steps under ric;
-    its ensembles, P and Q included, are freed when it returns.  The test data
-    are (xi1, ft, fh) and (xi2, c ft, fh): ft and fh are half the smooth
-    fields of cf1 and cf2 on the first state entry and noise channel."""
+    """The relaxed identity's (residuals, SEs) over the (cf1, cf2, xi1, xi2,
+    c) in tests, one draw each on the check's trailing axis, and the mean P
+    table, on the LQ closed loop at N steps under ric; its ensembles, P and
+    Q included, are freed when it returns.  The test data are (xi1, ft, fh)
+    and (xi2, c ft, fh): ft and fh are half the smooth fields of cf1 and cf2
+    on the first state entry and noise channel."""
     grid = TimeGrid(N, lq.T)
     paths = generate_brownian(grid, M, lq.d, seed)
     spec, base, u = _lq_closed_loop(lq, grid, paths, ric)
@@ -306,14 +305,13 @@ def _relaxed_case(lq: LQSpec, N: int, M: int, seed: int, ric: RiccatiSolution, t
     data = second_adjoint_data_for(spec, grid, base, u, adj,
                                    MultiplierSet(1.0, {}, DiscreteBVMeasure()))
     relaxed = solve_second_adjoint(spec, grid, paths, base, data)
-    family = []
-    for cf1, cf2, xi1, xi2, c in tests:
-        ft = np.zeros((N + 1, spec.n))
-        ft[:, 0] = _smooth_field(cf1, grid.times) * 0.5
-        fh = np.zeros((N + 1, spec.n, lq.d))
-        fh[:, 0, 0] = _smooth_field(cf2, grid.times) * 0.5
-        family.append(check_relaxed_identity(spec, grid, paths, relaxed, data, 0,
-                                             (xi1, ft, fh), (xi2, ft * c, fh)))
+    cf1, cf2, xi1, xi2, c = (np.array(part) for part in zip(*tests))
+    ft = np.zeros((N + 1, spec.n, len(tests)))
+    ft[:, 0] = np.stack([_smooth_field(cf, grid.times) * 0.5 for cf in cf1], axis=-1)
+    fh = np.zeros((N + 1, spec.n, lq.d, len(tests)))
+    fh[:, 0, 0] = np.stack([_smooth_field(cf, grid.times) * 0.5 for cf in cf2], axis=-1)
+    family = check_relaxed_identity(spec, grid, paths, relaxed, data, 0,
+                                    (xi1.T, ft, fh), (xi2.T, ft * c, fh))
     return family, mean_table(grid.times, relaxed.P.values, "P")
 
 
@@ -333,15 +331,13 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
                                  J=np.array([[alpha]]), K=None)
     sol_det = solve_second_adjoint(spec_det, grid, paths_det, base_det, data_det)
     rng = np.random.default_rng(seed)
-    ft1 = np.zeros((N + 1, 1))
-    ft1[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), grid.times)
-    ft2 = np.zeros((N + 1, 1))
-    ft2[:, 0] = _smooth_field(np.array([-0.2, 0.5, 0.1]), grid.times)
-    resid_det, _ = check_relaxed_identity(
-        spec_det, grid, paths_det, sol_det, data_det, 0,
-        (np.array([1.0]), ft1, None), (np.array([0.7]), ft2, None))
+    ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), grid.times)[:, None, None]
+    ft2 = _smooth_field(np.array([-0.2, 0.5, 0.1]), grid.times)[:, None, None]
+    (resid_det,), _ = check_relaxed_identity(spec_det, grid, paths_det, sol_det, data_det, 0,
+                                             (np.array([[1.0]]), ft1, None),
+                                             (np.array([[0.7]]), ft2, None))
     deterministic = _check("relaxed_identity_deterministic",
-                           resid_det <= 1e-3, residual=resid_det, tolerance=1e-3)
+                           resid_det <= 1e-3, residual=float(resid_det), tolerance=1e-3)
 
     # stochastic LQ case at N = 100 with control-in-diffusion data, and its
     # dt-bias from a short ladder at smaller M; one Riccati solve per grid
@@ -355,9 +351,9 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     ladder_resid = [_relaxed_case(lq, NN, 4000, seed + 2, ric, fixed)[0][0][0]
                     for NN, ric in rics.items()]
     _, biases = dt_bias_fit(tuple(rics), ladder_resid, lq.T)
-    resids, ses = zip(*family)
+    resids, ses = family
     rep = ConditionReport.gate("relaxed_identity_stochastic", resids, ses, biases[100])
-    return ([deterministic, _gated(rep.name, rep, value="residual", draws=list(resids))],
+    return ([deterministic, _gated(rep.name, rep, value="residual", draws=resids.tolist())],
             {"relaxed_P_mean": table})
 
 
@@ -385,7 +381,7 @@ def _first_order_violations(lq, N, M, seed, rng, perturb=0.0, dt_biases=(0.0, 0.
     perturb_field = None
     if perturb:
         perturb_field = np.zeros((N + 1, lq.m))
-        perturb_field[:, 0] = perturb * np.sin(np.pi * grid.times / lq.T)
+        perturb_field[:, 0] = _smooth_field(np.array([0.0, perturb]), grid.times)
     spec, base, u = _lq_closed_loop(lq, grid, paths, solve_lq_riccati(lq, grid), perturb_field)
     sol = _cost_adjoint(spec, grid, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
@@ -503,20 +499,21 @@ def _lq_mean_xT(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, lam: float):
     return m, np.array(r)
 
 
-def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
-                         c_target: float):
-    """Closed-form terminal-mean constraint multiplier.
+def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution, fraction: float):
+    """Closed-form multiplier of the terminal-mean target c = fraction m(0),
+    m(0) the unconstrained mean of x(T).
 
     For additive-noise scalar LQ, certainty equivalence makes the
     constrained optimum an affine feedback u = -(B/R)(Pi x + r) with r from
     a linear backward ODE with r(T) = lambda; ``ric`` is the Riccati
-    solution on ``grid``.  The mean m(lambda) of x(T) is affine in lambda,
-    so m(0) and m(1) fix the lambda >= 0 with m(lambda) = c_target; an
-    inactive target (c_target >= m(0)) gives lambda = 0.  Returns (lambda,
-    r path, unconstrained mean of x(T)).
+    solution on ``grid``.  r is linear in lambda and the mean m(lambda) of
+    x(T) affine, so the integrations at lambda = 0 and 1 fix the
+    lambda >= 0 with m(lambda) = c and its r path, lambda r(1); an inactive
+    target (c >= m(0)) gives lambda = 0.  Returns (lambda, r path, m(0)).
     """
     m0, _ = _lq_mean_xT(lq, grid, ric, 0.0)
-    m1, _ = _lq_mean_xT(lq, grid, ric, 1.0)
+    m1, r1 = _lq_mean_xT(lq, grid, ric, 1.0)
+    c_target = fraction * m0
     if c_target >= m0:
         lam = 0.0
     elif m1 < m0:
@@ -524,8 +521,7 @@ def lagrangian_lq_oracle(lq: LQSpec, grid: TimeGrid, ric: RiccatiSolution,
     else:
         raise Infeasible("no multiplier lowers the mean of x(T) to the terminal "
                          f"target {c_target:.3g}")
-    _, r = _lq_mean_xT(lq, grid, ric, lam)
-    return lam, r, m0
+    return lam, lam * r1, m0
 
 
 def _terminal_constrained_candidate(lq, N, M, seed):
@@ -537,9 +533,8 @@ def _terminal_constrained_candidate(lq, N, M, seed):
 
     grid = TimeGrid(N, lq.T)
     ric = solve_lq_riccati(lq, grid)
-    m_unc, _ = _lq_mean_xT(lq, grid, ric, 0.0)
+    lam_star, r_path, m_unc = lagrangian_lq_oracle(lq, grid, ric, 0.5)
     c_target = 0.5 * m_unc
-    lam_star, r_path, _ = lagrangian_lq_oracle(lq, grid, ric, c_target)
     spec0 = lq_reduced_spec(lq)
     spec = dc_replace(spec0, terminal_constraints=(
         _affine_functional(np.array([1.0]), -c_target),))

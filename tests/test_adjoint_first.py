@@ -164,10 +164,10 @@ class TestTranspositionIdentity:
         M = 256
         paths = generate_brownian(g, M, 1, seed=9)
         base = simulate_forward(spec, g, paths, np.array([1.0]), np.zeros((21, 1)))
-        eta = np.full((M, 1), 0.9)
+        eta = np.full((M, 1, 1), 0.9)
         sol = solve_first_adjoint(spec, g, paths, base, np.zeros((21, 1)),
                                   np.array([2.0]))
-        resid, se = check_transposition_identity(
+        (resid,), _ = check_transposition_identity(
             spec, g, paths, base, np.zeros((21, 1)), sol, 0, eta, None, None)
         # regression round-off only (ridge accumulates over the sweep)
         assert resid <= 1e-8
@@ -188,9 +188,9 @@ class TestTranspositionIdentity:
                                   np.array([1.0]), psi=psi)
         rng = np.random.default_rng(11)
         f2 = rng.standard_normal((1, N + 1, 1, 1)) * np.ones((M, 1, 1, 1))
-        resid, se = check_transposition_identity(
+        (resid,), (se,) = check_transposition_identity(
             spec, g, paths, base, np.zeros((N + 1, 1)), sol, 0,
-            np.array([0.5]), None, f2, psi=psi)
+            np.array([[0.5]]), None, f2[..., None], psi=psi)
         assert resid <= 3 * se + 2e-3
 
     def test_lq_random_draws(self):
@@ -200,14 +200,18 @@ class TestTranspositionIdentity:
         sol = solve_first_adjoint(spec, g, paths, base, u,
                                   -np.asarray(spec.terminal_cost.grad(xT)))
         rng = np.random.default_rng(13)
+        draws = []
         for _ in range(3):
             f1 = rng.standard_normal((1, 51, spec.n)) * np.ones((base.M, 1, 1))
             f2 = rng.standard_normal((1, 51, spec.n, 1)) * np.ones((base.M, 1, 1, 1))
             eta = rng.standard_normal(spec.n) * 0.5 \
                 + 0.3 * base.values[:, 10, :]
-            resid, se = check_transposition_identity(
-                spec, g, paths, base, u, sol, 10, eta, f1, f2)
-            assert resid <= 3 * se + 0.02
+            draws.append((eta, f1, f2))
+        eta, f1, f2 = (np.stack(part, axis=-1) for part in zip(*draws))
+        resid, se = check_transposition_identity(
+            spec, g, paths, base, u, sol, 10, eta, f1, f2)
+        assert resid.shape == (3,)
+        assert np.all(resid <= 3 * se + 0.02)
 
     def test_duality_with_first_variation(self):
         lq = lq_unconstrained()
@@ -328,9 +332,40 @@ class TestTestProcessAgainstReference:
         eta = rng.standard_normal((M, n))
         f1 = rng.standard_normal((M, g.N + 1, n))
         f2 = rng.standard_normal((g.N + 1, n, d))
-        resid, se = check_transposition_identity(spec, g, paths, base, u_bar, sol, t_index,
-                                                 eta, f1, f2, psi=psi, f=f)
+        (resid,), (se,) = check_transposition_identity(
+            spec, g, paths, base, u_bar, sol, t_index, eta[..., None], f1[..., None],
+            f2[..., None], psi=psi, f=f)
         ref_resid, ref_se = _ref_check_transposition_identity(
             spec, g, paths, base.values, u_bar, sol, t_index, eta, f1, f2, psi, f)
         assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
         assert abs(se - ref_se) <= 1e-12 * ref_se
+
+
+def _one_draw(a, c):
+    """Draw c of a batch as a batch of one, the trailing axis kept."""
+    return a[..., c:c + 1]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_batch_equals_its_one_draw_batches(case):
+    # three draws with a per-path f1, t_index > 0 and a psi atom after it:
+    # the batch's residuals and SEs are those of the draws one at a time
+    spec, g, paths, nu0, u_bar, rng = reference_case(case)
+    M, n, d, C, t_index = paths.M, spec.n, paths.d, 3, 5
+    base = simulate_forward(spec, g, paths, nu0, u_bar)
+    psi = DiscreteBVMeasure({t_index + 2: rng.standard_normal((M, n))})
+    sol = solve_first_adjoint(spec, g, paths, base, u_bar, rng.standard_normal((M, n)),
+                              psi=psi)
+    eta = rng.standard_normal((M, n, C))
+    f1 = rng.standard_normal((M, g.N + 1, n, C))
+    f2 = rng.standard_normal((g.N + 1, n, d, C))
+
+    def check(eta, f1, f2):
+        return check_transposition_identity(spec, g, paths, base, u_bar, sol, t_index,
+                                            eta, f1, f2, psi=psi)
+    resid, se = check(eta, f1, f2)
+    assert resid.shape == se.shape == (C,)
+    for c in range(C):
+        (one,), (one_se,) = check(*(_one_draw(a, c) for a in (eta, f1, f2)))
+        assert abs(resid[c] - one) <= 1e-10 * max(one, one_se)
+        assert abs(se[c] - one_se) <= 1e-10 * one_se

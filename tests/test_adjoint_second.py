@@ -143,9 +143,9 @@ class TestRelaxedIdentity:
         base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
         data = SecondAdjointData(P_T=np.array([[2.0]]))
         sol = solve_second_adjoint(spec, g, paths, base, data)
-        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
-                                           (np.array([0.7]), None, None),
-                                           (np.array([0.7]), None, None))
+        (resid,), _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
+                                             (np.array([[0.7]]), None, None),
+                                             (np.array([[0.7]]), None, None))
         assert resid <= 1e-9
 
     def test_deterministic_scalar_small_residual(self):
@@ -158,9 +158,9 @@ class TestRelaxedIdentity:
         sol = solve_second_adjoint(spec, g, paths, base, data)
         ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)[:, None]
         ft2 = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)[:, None]
-        resid, _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
-                                          (np.array([1.0]), ft1, None),
-                                          (np.array([0.7]), ft2, None))
+        (resid,), _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
+                                             (np.array([[1.0]]), ft1[..., None], None),
+                                             (np.array([[0.7]]), ft2[..., None], None))
         assert resid <= 1e-3
 
     def test_lq_identity_with_noise_data(self):
@@ -173,6 +173,7 @@ class TestRelaxedIdentity:
                                        MultiplierSet(1.0, {}, DiscreteBVMeasure()))
         sol = solve_second_adjoint(spec, g, paths, base, data)
         rng = np.random.default_rng(11)
+        draws = []
         for _ in range(3):
             xi1 = 0.5 * rng.standard_normal(spec.n)
             xi2 = 0.5 * rng.standard_normal(spec.n)
@@ -180,9 +181,12 @@ class TestRelaxedIdentity:
             ft[:, 0] = 0.5 * _smooth_field(rng.standard_normal(3), g.times)
             fh = np.zeros((g.N + 1, spec.n, 1))
             fh[:, 0, 0] = 0.5 * _smooth_field(rng.standard_normal(3), g.times)
-            resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
-                                               (xi1, ft, fh), (xi2, ft, fh))
-            assert resid <= 3 * se + 0.05
+            draws.append((xi1, xi2, ft, fh))
+        xi1, xi2, ft, fh = (np.stack(part, axis=-1) for part in zip(*draws))
+        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
+                                           (xi1, ft, fh), (xi2, ft, fh))
+        assert resid.shape == (3,)
+        assert np.all(resid <= 3 * se + 0.05)
 
     def test_first_variation_quadratic_consistency(self):
         # the identity with variational test data reproduces
@@ -212,8 +216,8 @@ class TestRelaxedIdentity:
             u1k = np.broadcast_to(u1[k], (M, 1))
             ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
             fh[:, k] = np.einsum("pilj,pj->pil", b2, u1k)
-        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
-                                           (nu1, ft, fh), (nu1, ft, fh))
+        test = (nu1[:, None], ft[..., None], fh[..., None])
+        (resid,), (se,) = check_relaxed_identity(spec, g, paths, sol, data, 0, test, test)
         assert resid <= 3 * se + 0.05
 
 
@@ -348,11 +352,46 @@ class TestEinsumReference:
                 assert np.max(np.abs(phi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
                 phis.append(ref)
 
-            resid, se = check_relaxed_identity(spec, g, paths, sol, data, t_index, *tests)
+            (resid,), (se,) = check_relaxed_identity(
+                spec, g, paths, sol, data, t_index,
+                *(tuple(a[..., None] for a in test) for test in tests))
             ref_resid, ref_se = _ref_check_relaxed_identity(
                 g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests, t_index)
             assert abs(resid - ref_resid) <= 1e-12 * max(ref_resid, ref_se)
             assert abs(se - ref_se) <= 1e-12 * ref_se
+
+
+@pytest.mark.parametrize("with_fh", [True, False], ids=["f_hat", "no_f_hat"])
+@pytest.mark.parametrize("t_index", [0, 3])
+def test_batch_equals_its_one_draw_batches(t_index, with_fh):
+    # three draws, xi deterministic in the first family and per path in the
+    # second, f_tilde per path and deterministic: the batch's residuals and
+    # SEs are those of the draws one at a time
+    rng = np.random.default_rng(7)
+    n, d, M, N, C = 2, 2, 64, 8, 3
+    g = TimeGrid(N, 1.0)
+    spec = replace(_drift_free_spec(n=n, d=d), A=-np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+    paths = generate_brownian(g, M, d, seed=5)
+    base = PathEnsemble(rng.standard_normal((M, N + 1, n)))
+    PT = rng.standard_normal((n, n))
+    data = SecondAdjointData(P_T=PT + PT.T, F=_coefficient(rng, "callable", M, N, (n, n), 1.0)[1],
+                             J=_coefficient(rng, "callable", M, N, (n, n), 0.5)[1],
+                             K=_coefficient(rng, "callable", M, N, (n, d, n), 0.5)[1])
+    sol = solve_second_adjoint(spec, g, paths, base, data)
+    data1 = (rng.standard_normal((n, C)), rng.standard_normal((M, N + 1, n, C)),
+             rng.standard_normal((N + 1, n, d, C)) if with_fh else None)
+    data2 = (rng.standard_normal((M, n, C)), rng.standard_normal((N + 1, n, C)),
+             rng.standard_normal((M, N + 1, n, d, C)) if with_fh else None)
+
+    def check(data1, data2):
+        return check_relaxed_identity(spec, g, paths, sol, data, t_index, data1, data2)
+    resid, se = check(data1, data2)
+    assert resid.shape == se.shape == (C,)
+    for c in range(C):
+        (one,), (one_se,) = check(*(tuple(None if a is None else a[..., c:c + 1] for a in test)
+                                    for test in (data1, data2)))
+        assert abs(resid[c] - one) <= 1e-10 * max(one, one_se)
+        assert abs(se[c] - one_se) <= 1e-10 * one_se
 
 
 class TestSimulatePhiAgainstReference:
@@ -416,8 +455,9 @@ def lq_identity_inputs():
     ft[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)
     fh = np.zeros((g.N + 1, spec.n, lq.d))
     fh[:, 0, 0] = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)
-    eta = 0.5 + 0.3 * base.values[:, 25]
-    ft_paths = ft * (0.5 + 0.3 * base.values[:, :, :1])
+    eta = 0.5 + 0.3 * base.values[:, 25, :, None]
+    ft_paths = (ft * (0.5 + 0.3 * base.values[:, :, :1]))[..., None]
+    ft, fh = ft[..., None], fh[..., None]
     nu, still = np.zeros(spec.n), np.zeros((g.N + 1, spec.m))
     directions = [((nu, v), (nu, still))
                   for v in smooth_random_fields(g, spec.m, 7, np.random.default_rng(2))]
@@ -429,8 +469,8 @@ def lq_identity_inputs():
         "second_order": lambda: second_order_check(
             spec, g, paths, base, u, mult, adj, relaxed, directions, delta_act=1e6),
         "relaxed": lambda: check_relaxed_identity(
-            spec, g, paths, relaxed, data, 0, (np.full(spec.n, 0.5), ft, fh),
-            (np.full(spec.n, 0.3), ft, fh)),
+            spec, g, paths, relaxed, data, 0, (np.full((spec.n, 1), 0.5), ft, fh),
+            (np.full((spec.n, 1), 0.3), ft, fh)),
         "ensemble_bytes": base.values.nbytes,
     }
 

@@ -7,7 +7,7 @@ import pytest
 
 from stocond import cli
 from stocond.errors import ConfigError
-from stocond.reporting import fit_slope, report_convergence
+from stocond.reporting import fit_slope
 
 
 class TestConfigParsing:
@@ -238,14 +238,15 @@ class TestExitCodes:
 class TestConvergenceReport:
     def test_exact_slope_one(self):
         xs = np.array([0.1, 0.05, 0.025, 0.0125])
-        out = report_convergence(xs, 3.0 * xs)
-        assert out["slope"] == pytest.approx(1.0, abs=1e-12)
-        assert out["half_width"] <= 1e-10
+        slope, half = fit_slope(xs, 3.0 * xs)
+        assert slope == pytest.approx(1.0, abs=1e-12)
+        assert half <= 1e-10
 
-    def test_degenerate_all_zero_flagged(self):
-        out = report_convergence([0.1, 0.05, 0.025], [0.0, 0.0, 0.0])
-        assert out["degenerate"] is True
-        assert out["slope"] is None
+    def test_degenerate_all_zero_is_nan(self):
+        # a NaN slope fails every slope gate
+        slope, half = fit_slope([0.1, 0.05, 0.025], [0.0, 0.0, 0.0])
+        assert np.isnan(slope) and half == np.inf
+        assert not slope >= 0.45
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):

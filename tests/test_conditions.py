@@ -5,7 +5,7 @@ import pytest
 
 from stocond import cones
 from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
-                                   solve_first_adjoint)
+                                   check_transposition_identity, solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
 from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze_active_sets,
@@ -15,7 +15,7 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze
                                 sample_tangent_directions, search_multipliers,
                                 second_adjoint_data_for, second_order_check,
                                 smooth_random_fields, tangent_project_field)
-from stocond.adjoint_second import solve_second_adjoint
+from stocond.adjoint_second import check_relaxed_identity, solve_second_adjoint
 from stocond.errors import AdjointMismatch, NotCritical
 from stocond.forward import (_along, _at, _contract, _linear_steps, _quadratic, _stored,
                              _total, simulate_first_variation, simulate_forward,
@@ -208,6 +208,38 @@ class TestDerivativeMapCalls:
         expect()
         counted_data.F(3)
         expect("drift_xx", "diffusion_xx", times=1)
+
+    @pytest.mark.parametrize("C", [1, 3])
+    def test_identity_checks_evaluate_once_per_step_for_any_batch(self, C):
+        # the C draws of a check share each step's maps: the counts are those
+        # of one draw; the relaxed check reads K again only for f_hat terms
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        relaxed = solve_second_adjoint(spec, g, paths, base,
+                                       second_adjoint_data_for(spec, g, base, u, adj))
+        counted, calls = _counted(spec)
+        N, n, t_index = g.N, spec.n, 4
+        rng = np.random.default_rng(5)
+        eta, ft = rng.standard_normal((n, C)), rng.standard_normal((N + 1, n, C))
+        fh = rng.standard_normal((N + 1, n, paths.d, C))
+
+        def expect(*names, times):
+            assert calls == {name: 0 if name in spec.zeros else times * names.count(name)
+                             for name in COEFF_MAPS}
+            calls.update(dict.fromkeys(COEFF_MAPS, 0))
+
+        check_transposition_identity(counted, g, paths, base, u, adj, t_index, eta, ft, fh)
+        expect("drift_x", "diffusion_x", times=N - t_index)
+        data = second_adjoint_data_for(counted, g, base, u, adj)
+        for steps_from in (0, t_index):
+            check_relaxed_identity(counted, g, paths, relaxed, data, steps_from,
+                                   (eta, ft, fh), (eta, ft, None))
+            expect("drift_x", "diffusion_x", "diffusion_x", "drift_xx", times=N - steps_from)
+            check_relaxed_identity(counted, g, paths, relaxed, data, steps_from,
+                                   (eta, ft, None), (eta, ft, None))
+            expect("drift_x", "diffusion_x", "drift_xx", times=N - steps_from)
 
 
 class TestTangentProjection:

@@ -12,7 +12,7 @@ from stocond.conditions import (MultiplierSet, analyze_active_sets, search_multi
 from stocond.errors import EmptySet
 from stocond.forward import VariationData, remainder_study_first
 from stocond.model import TimeGrid, extend_initial_state, generate_brownian
-from stocond.reporting import mean_table, moments_table, report_convergence
+from stocond.reporting import fit_slope, mean_table, moments_table
 from stocond.suites import _lq_setup, forward_strong_convergence, simulate_closed_loop
 
 
@@ -67,8 +67,8 @@ def test_forward_ladder_slope_band_via_report():
     _, tables = forward_strong_convergence(M=2000, seed=43,
                                            levels=(4, 5, 6, 7, 8))
     table = tables["forward_strong_error"]
-    out = report_convergence(table["dt"], table["error"])
-    assert 0.45 <= out["slope"] <= 0.6
+    slope, _ = fit_slope(table["dt"], table["error"])
+    assert 0.45 <= slope <= 0.6
 
 
 def test_identity_suites_tabulate_y_moments_and_mean_P():
@@ -84,7 +84,7 @@ def test_identity_suites_tabulate_y_moments_and_mean_P():
     assert {len(col) for col in P.values()} == {101}
 
 
-def test_linear_remainder_ladder_reports_degenerate():
+def test_linear_remainder_ladder_slope_is_nan():
     from stocond.benchmarks import lq_to_spec
     spec = lq_to_spec(lq_unconstrained())
     g = TimeGrid(50, 1.0)
@@ -92,9 +92,8 @@ def test_linear_remainder_ladder_reports_degenerate():
     var = VariationData(nu1=np.array([0.3]), u1=np.ones((51, 1)))
     rep = remainder_study_first(spec, g, paths, np.array([1.0]),
                                 np.zeros((51, 1)), var)
-    out = report_convergence(rep.epsilons, np.where(rep.norms < 1e-10, 0.0,
-                                                    rep.norms))
-    assert out["degenerate"] is True
+    slope, _ = fit_slope(rep.epsilons, np.where(rep.norms < 1e-10, 0.0, rep.norms))
+    assert np.isnan(slope)
 
 
 def test_complementary_slackness_masses_off_active_set_rejected():
@@ -148,21 +147,25 @@ def test_transition_blocks_equal_the_double_loop():
 
 
 def test_terminal_recovery_asks_the_oracle_once_at_half_the_mean(monkeypatch):
-    # m0 comes from one integration at lambda = 0; the oracle runs once,
-    # for the constrained target c = m0 / 2
-    oracle = suites.lagrangian_lq_oracle
-    targets = []
+    # the oracle runs once, for the constrained target c = m0 / 2, and the
+    # recovery integrates the mean twice, at lambda = 0 and 1
+    oracle, mean_xT = suites.lagrangian_lq_oracle, suites._lq_mean_xT
+    fractions, lams = [], []
 
-    def spy(lq, grid, ric, c_target, *args, **kwargs):
-        targets.append(c_target)
-        return oracle(lq, grid, ric, c_target, *args, **kwargs)
+    def spy(lq, grid, ric, fraction, *args, **kwargs):
+        fractions.append(fraction)
+        return oracle(lq, grid, ric, fraction, *args, **kwargs)
+
+    def counted_mean(lq, grid, ric, lam):
+        lams.append(lam)
+        return mean_xT(lq, grid, ric, lam)
 
     monkeypatch.setattr(suites, "lagrangian_lq_oracle", spy)
+    monkeypatch.setattr(suites, "_lq_mean_xT", counted_mean)
     lq = suites.lq_terminal_constrained()
     suites._terminal_recovery_once(lq, 25, 400, seed=23)
-    g = TimeGrid(25, lq.T)
-    m0 = oracle(lq, g, solve_lq_riccati(lq, g), 0.0)[2]
-    assert targets == [0.5 * m0]
+    assert fractions == [0.5]
+    assert lams == [0.0, 1.0]
 
 
 def _terminal_oracle_case(N):
@@ -179,17 +182,20 @@ def _terminal_oracle_case(N):
 def test_lagrangian_oracle_meets_the_target_in_closed_form(N, lam_bisection):
     lq, g, ric, m0 = _terminal_oracle_case(N)
     c = 0.5 * m0
-    lam, r, m_unc = suites.lagrangian_lq_oracle(lq, g, ric, c)
+    lam, r, m_unc = suites.lagrangian_lq_oracle(lq, g, ric, 0.5)
     m, r_ref = suites._lq_mean_xT(lq, g, ric, lam)
     assert m == pytest.approx(c, rel=1e-12, abs=0.0)
     assert lam == pytest.approx(lam_bisection, rel=1e-13, abs=0.0)
-    assert m_unc == m0 and np.array_equal(r, r_ref)
+    assert m_unc == m0
+    # r is lambda times the r path at lambda = 1, the integrated one to round-off
+    assert np.array_equal(r, lam * suites._lq_mean_xT(lq, g, ric, 1.0)[1])
+    assert np.allclose(r, r_ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_lagrangian_oracle_inactive_target_is_exactly_zero(scale):
-    lq, g, ric, m0 = _terminal_oracle_case(25)
-    lam, r, _ = suites.lagrangian_lq_oracle(lq, g, ric, scale * m0)
+    lq, g, ric, _ = _terminal_oracle_case(25)
+    lam, r, _ = suites.lagrangian_lq_oracle(lq, g, ric, scale)
     assert lam == 0.0 and not np.any(r)
 
 
@@ -199,9 +205,8 @@ def test_lagrangian_oracle_without_control_is_infeasible():
     lq = replace(suites.lq_terminal_constrained(), B=np.zeros((1, 1)))
     g = TimeGrid(25, lq.T)
     ric = solve_lq_riccati(lq, g)
-    m0 = suites._lq_mean_xT(lq, g, ric, 0.0)[0]
     with pytest.raises(Infeasible, match="terminal target"):
-        suites.lagrangian_lq_oracle(lq, g, ric, 0.5 * m0)
+        suites.lagrangian_lq_oracle(lq, g, ric, 0.5)
 
 
 def test_box_rollout_is_the_simulators_xT(monkeypatch):

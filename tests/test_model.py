@@ -398,7 +398,8 @@ def _consumer_outputs(spec):
         "solve_first_adjoint_Y": sol.Y.values,
         "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u_bar, sol),
         "check_transposition_identity": check_transposition_identity(
-            spec, grid, paths, base, u_bar, sol, 1, nu1, f1, f2, psi=psi, f=f),
+            spec, grid, paths, base, u_bar, sol, 1, nu1[:, None], f1[..., None], f2[..., None],
+            psi=psi, f=f),
         "check_first_variation_duality": check_first_variation_duality(
             spec, grid, paths, base, u_bar, sol, nu1, u1, psi=psi),
         "second_adjoint_F": [np.zeros((M, n, n)) if data.F is None else data.F(k)
@@ -529,10 +530,11 @@ def test_results_do_not_depend_on_the_layout():
     assert not np.moveaxis(base_c.values[:, 0], 0, -1).flags.c_contiguous
     yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-    times = grid.times[:, None]
-    f1, f2 = np.sin(3 * times) * np.ones(n), np.cos(2 * times)[..., None] * np.ones((n, d))
-    eta = c(base.values[:, N // 4] + 0.1)
-    xi1, xi2 = np.full(n, 0.5), np.full(n, 0.3)
+    times = grid.times[:, None, None]
+    f1 = np.sin(3 * times) * np.ones((n, 1))
+    f2 = np.cos(2 * times)[..., None] * np.ones((n, d, 1))
+    eta = c(base.values[:, N // 4, :, None] + 0.1)
+    xi1, xi2 = np.full((n, 1), 0.5), np.full((n, 1), 0.3)
 
     def run(paths, base, u, copy):
         adj = solve_first_adjoint(spec, grid, paths, base, u, yT)
