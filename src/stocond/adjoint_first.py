@@ -1,6 +1,7 @@
-"""First order adjoint backward equation, solved in the transposition sense.
+"""The backward sweep of both adjoint equations, and the first adjoint's
+duality checks.
 
-The backward equation
+The first adjoint equation
 
     dy = -(A* y + a_x* y + b_x* Y - f) dt + d psi + Y dW,   y(T) = yT
 
@@ -17,6 +18,12 @@ martingale part Y is regressed on the centered increment
 (y_{k+1} - E[y_{k+1}|F_k]) dW / dt, an exact reformulation that removes the
 O(1/sqrt(dt)) variance of the naive target.
 
+Given a terminal datum P_T, the same sweep also solves the second adjoint
+equation (see ``adjoint_second``), whose coefficients are the first's
+linearisation J = a_x and K = b_x plus F = -H_xx(y, Y): each step forms
+(y_k, Y_k), then F_k from them, then (P_k, Q_k), on one regression
+projector and one evaluation of each map.
+
 The defining duality identity against forward test processes is evaluated
 by ``check_transposition_identity``.
 """
@@ -27,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (_along, _at, _contract, _linear_steps, _on_paths, _total, semigroup_step,
-                      simulate_first_variation)
+from .forward import (_along, _at, _contract, _hessian, _linear_steps, _on_paths, _total,
+                      semigroup_step, simulate_first_variation)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis
@@ -37,8 +44,13 @@ from .reporting import mc_mean
 
 @dataclass(frozen=True)
 class TranspositionSolution:
-    y: PathEnsemble   # (M, N+1, n)
-    Y: PathEnsemble   # (M, N+1, n, d); slice N unused, kept zero
+    """The first adjoint (y, Y) and, when the sweep was given P_T, the
+    second (P, Q)."""
+
+    y: PathEnsemble               # (M, N+1, n)
+    Y: PathEnsemble               # (M, N+1, n, d); slice N unused, kept zero
+    P: PathEnsemble | None = None  # (M, N+1, n, n)
+    Q: PathEnsemble | None = None  # (M, N+1, n, n, d); slice N unused, kept zero
 
 
 @dataclass(frozen=True)
@@ -70,8 +82,10 @@ class DiscreteBVMeasure:
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                         base_state: PathEnsemble, u_bar, yT: np.ndarray,
                         f=None, psi: DiscreteBVMeasure | None = None,
-                        basis: PolynomialBasis | None = None) -> TranspositionSolution:
-    """Backward regression solve of the first adjoint pair (y, Y).
+                        basis: PolynomialBasis | None = None,
+                        P_T: np.ndarray | None = None) -> TranspositionSolution:
+    """Backward regression solve of the first adjoint pair (y, Y), and of the
+    second (P, Q) when P_T is given.
 
     yT is the pathwise terminal datum (M, n) or deterministic (n,);
     f is an optional forcing ensemble (M, N+1, n) or broadcastable.
@@ -81,44 +95,90 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     equation is linear in (yT, f, psi)).  Then f broadcasts to
     (M, N+1, n, C), psi atoms are (M, n, C) (or (n, C)), and the solution
     carries the axis last: y is (M, N+1, n, C) and Y is (M, N+1, n, d, C).
+
+    P_T, (n, n) or (M, n, n), asks for the second adjoint along the same
+    sweep; it needs a yT without a component axis and the spec's second
+    derivative maps.  Q is regressed per channel on centered-increment
+    targets; the K* Q + Q K drift coupling uses the freshly fitted Q (one
+    fixed-point sweep per step).  P is symmetrized after each step, which
+    removes regression-noise asymmetry without biasing symmetric truth.
     """
-    M, d, n = paths.M, paths.d, spec.n
+    M, d, n, N = paths.M, paths.d, spec.n, grid.N
     basis = basis or PolynomialBasis(2)
     u_bar = as_control_array(u_bar, grid, M, spec.m)
     psi = psi or DiscreteBVMeasure()
-    if psi.atoms and max(psi.atoms) >= grid.N:
+    if psi.atoms and max(psi.atoms) >= N:
         raise ValueError("psi atoms must sit at indices 0..N-1")
     yT = np.asarray(yT, dtype=float)
     comp = yT.shape[2:]                  # () or (C,)
+    if P_T is not None and comp:
+        raise ValueError("P_T needs a yT without a component axis")
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_bar)
     a_x, b_x = along("drift_x"), along("diffusion_x")
 
-    y = time_major_zeros(M, grid.N + 1, (n,) + comp)
-    Y = time_major_zeros(M, grid.N + 1, (n, d) + comp)
-    y[:, grid.N] = np.broadcast_to(yT, (M, n) + comp)
-    f_arr = _on_paths(f, M, grid.N, (n,) + comp)
+    y = time_major_zeros(M, N + 1, (n,) + comp)
+    Y = time_major_zeros(M, N + 1, (n, d) + comp)
+    y[:, N] = np.broadcast_to(yT, (M, n) + comp)
+    f_arr = _on_paths(f, M, N, (n,) + comp)
+    if P_T is not None:
+        a_xx, b_xx = along("drift_xx"), along("diffusion_xx")
+        P = time_major_zeros(M, N + 1, (n, n))
+        Q = time_major_zeros(M, N + 1, (n, n, d))
+        P[:, N] = np.broadcast_to(np.asarray(P_T, dtype=float), (M, n, n))
+        # E* P E is linear in P: on row-major flattened P it is one GEMM with
+        # kron(E, E), since (E* P E)_im = sum_jl P_jl E_ji E_lm
+        EE = np.kron(E, E)
 
-    for k in range(grid.N - 1, -1, -1):
+    for k in range(N - 1, -1, -1):
         reg = ConditionalRegression(basis.features(base_state.values[:, k, :]))
+        Jk, Kk = _at(a_x, k), _at(b_x, k)
+        dW = paths.increments[:, k, :]
         # (E* y_{k+1})_i = sum_j E_ji y_j
         Sy = np.einsum("ji,pj...->pi...", E, y[:, k + 1])
         m_next = reg.fit(Sy)
         # centered-increment regression for the martingale part
-        dW = paths.increments[:, k, :]
         target_Y = np.einsum("pi...,pl->pil...", Sy - m_next, dW) / dt
         Yk = reg.fit(target_Y)
         Y[:, k] = Yk
-        drift = _total(_contract("pij,pi...->pj...", _at(a_x, k), y[:, k + 1]),
-                       _contract("pilj,pil...->pj...", _at(b_x, k), Yk),
+        drift = _total(_contract("pij,pi...->pj...", Jk, y[:, k + 1]),
+                       _contract("pilj,pil...->pj...", Kk, Yk),
                        None if f_arr is None else -f_arr[:, k])
         target_y = Sy if drift is None else Sy + drift * dt
         if k in psi.atoms:
             target_y = target_y - psi.atom(k, M, n)
         y[:, k] = reg.fit(target_y)
+        if P_T is None:
+            continue
 
-    return TranspositionSolution(y=PathEnsemble(y), Y=PathEnsemble(Y))
+        Pn = P[:, k + 1]
+        # the GEMM on the (n n, M) memory of the path-innermost slice
+        SP = (EE.T @ Pn.reshape(M, n * n).T).T.reshape(M, n, n)
+        m_next = reg.fit(SP)
+        Qk = reg.fit((SP - m_next)[..., None] * dW[:, None, None, :] / dt)
+        Q[:, k] = Qk
+        drift = np.zeros((M, n, n))
+        # per-path contractions as einsums, which run along the unit-stride
+        # path axis (a batched matmul loops over M tiny matrices)
+        if Jk is not None:
+            # J^T P + P J
+            drift += np.einsum("pji,pjk->pik", Jk, Pn) + np.einsum("pij,pjk->pik", Pn, Jk)
+        if Kk is not None:
+            # sum_l K_l^T (P K_l + Q_l) + Q_l K_l with channel matrix
+            # K_l = K[., :, l, :] and Q_l = Q[..., l]
+            X = np.einsum("pij,pjlk->pilk", Pn, Kk) + Qk.transpose(0, 1, 3, 2)
+            drift += np.einsum("pjli,pjlk->pik", Kk, X) + np.einsum("pijl,pjlk->pik", Qk, Kk)
+        Hk = _hessian(_at(a_xx, k), _at(b_xx, k), y[:, k], Y[:, k])
+        if Hk is not None:
+            drift += Hk                  # - F_k, with F_k = -H_xx(y_k, Y_k)
+        Pk = reg.fit(SP + dt * drift)
+        P[:, k] = 0.5 * (Pk + Pk.transpose(0, 2, 1))
+
+    if P_T is None:
+        return TranspositionSolution(y=PathEnsemble(y), Y=PathEnsemble(Y))
+    return TranspositionSolution(y=PathEnsemble(y), Y=PathEnsemble(Y),
+                                 P=PathEnsemble(P), Q=PathEnsemble(Q))
 
 
 def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,

@@ -22,9 +22,8 @@ import scipy.optimize
 from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
-from .adjoint_second import RelaxedSolution, SecondAdjointData
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, _at, _contract, _steps, _total
+from .forward import _along, _at, _contract, _hessian, _steps, _total
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -41,17 +40,6 @@ def _hamiltonian_u(a2, b2, p, q):
     A declared-zero map (None) drops its term; None when both are.
     """
     return _total(_contract("pij,pi...->pj...", a2, p), _contract("pilj,pil...->pj...", b2, q))
-
-
-def _hessian(a, b, p, q):
-    """One block of the Hamiltonian's Hessian, a* p + b* q, at one step.
-
-    a and b are a drift and a diffusion second derivative map's values,
-    (M, n) + tail and (M, n, d) + tail with tail (n, n) for xx, (n, m) for
-    xu and (m, m) for uu; None for a declared-zero map drops its term, and
-    the block is None when both are.
-    """
-    return _total(_contract("pijk,pi->pjk", a, p), _contract("piljk,pil->pjk", b, q))
 
 
 def hamiltonian_u_field(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
@@ -410,31 +398,19 @@ def search_multipliers(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
 # second order checker
 # ---------------------------------------------------------------------------
 
-def second_adjoint_data_for(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble,
-                            u_bar, adjoint: TranspositionSolution,
+def second_adjoint_terminal(spec: ProblemSpec, base: PathEnsemble,
                             mult: MultiplierSet | None = None,
-                            restricted: bool = False) -> SecondAdjointData:
-    """Coefficients of the second adjoint equation along an optimal candidate.
-
-    P_T = -h_xx(x(T)) (or -lambda_0 h_xx - sum lambda_j g_xx when
-    ``restricted``), J = drift_x, K = diffusion_x, F = -H_xx along the pair.
-    """
-    xT = base.values[:, grid.N, :]
+                            restricted: bool = False) -> np.ndarray:
+    """Terminal datum of the second adjoint equation along an optimal
+    candidate, (M, n, n): P_T = -h_xx(x(T)), or -lambda_0 h_xx - sum
+    lambda_j g_xx when ``restricted``."""
+    xT = base.values[:, -1, :]
     if restricted and mult is not None:
         PT = -mult.lambda0 * np.asarray(spec.terminal_cost.hess(xT))
         for j, lam in mult.lambdas.items():
             PT = PT - lam * np.asarray(spec.terminal_constraints[j].hess(xT))
-    else:
-        PT = -np.asarray(spec.terminal_cost.hess(xT))
-    along = _along(spec, grid, base, as_control_array(u_bar, grid, base.M, spec.m))
-    a_xx, b_xx = along("drift_xx"), along("diffusion_xx")
-    y, Y = adjoint.y.values, adjoint.Y.values
-
-    def F(k):
-        return -_hessian(_at(a_xx, k), _at(b_xx, k), y[:, k], Y[:, k])
-
-    return SecondAdjointData(P_T=PT, F=None if a_xx is None and b_xx is None else F,
-                             J=along("drift_x"), K=along("diffusion_x"))
+        return PT
+    return -np.asarray(spec.terminal_cost.hess(xT))
 
 
 def _on_direction_axis(fields, grid: TimeGrid, M: int, m: int):
@@ -488,11 +464,12 @@ def _with_x2_source(f, width, src):
 
 def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
                        base: PathEnsemble, u_bar, mult: MultiplierSet,
-                       adjoint: TranspositionSolution, relaxed: RelaxedSolution,
-                       directions, analysis: ActiveSetAnalysis | None = None,
+                       sol: TranspositionSolution, directions,
+                       analysis: ActiveSetAnalysis | None = None,
                        delta_act: float = 1e-3) -> list[ConditionReport]:
     """Second order quadratic-form inequality at an optimal candidate, one
-    gated report per direction.
+    gated report per direction; sol carries both adjoints (a sweep given
+    P_T).
 
     Each direction is ((nu1, u1), (nu2, u2)): (nu1, u1) drives the first
     variation x1, which must satisfy the critical-cone inequalities to
@@ -537,11 +514,11 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     x0 = np.concatenate([nu1, np.zeros((n, len(moved)))] + ([nu2] if with_x2 else []), axis=1)
     cols = x0.shape[1]
 
-    y0 = adjoint.y.values[:, 0].mean(axis=0)
-    P0 = relaxed.P.values[:, 0].mean(axis=0)
+    y0 = sol.y.values[:, 0].mean(axis=0)
+    P0 = sol.P.values[:, 0].mean(axis=0)
     value_det = [float(y0 @ nu2[:, c]) + 0.5 * float(nu1[:, c] @ P0 @ nu1[:, c])
                  for c in range(C)]
-    y, Y, P, Q = adjoint.y.values, adjoint.Y.values, relaxed.P.values, relaxed.Qtensor.values
+    y, Y, P, Q = sol.y.values, sol.Y.values, sol.P.values, sol.Q.values
     per_path = np.zeros((M, C))
 
     def step(k, X):

@@ -62,20 +62,6 @@ def _check_cap(x: np.ndarray, cap: float, what: str) -> None:
         raise BlowUp(f"{what} norm exceeded cap {cap:.3g} (max component {mx:.3g})")
 
 
-def _slice_bc(arr, k, M, tail):
-    """Coefficient at step k: a callable k -> (M,) + tail, whose value is
-    used as returned, or a constant ``tail`` array broadcast to every path;
-    None stays None."""
-    if arr is None:
-        return None
-    if callable(arr):
-        return arr(k)
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim != len(tail):
-        raise ValueError(f"a constant coefficient has shape {tail}, got {arr.shape}")
-    return np.broadcast_to(arr, (M,) + tail)
-
-
 def _on_paths(f, M: int, N: int, tail: tuple):
     """Path data broadcast to every path and grid time, (M, N+1) + tail;
     None stays None."""
@@ -153,6 +139,17 @@ def _at(f, k):
     return None if f is None else f(k)
 
 
+def _hessian(a, b, p, q):
+    """One block of the Hamiltonian's Hessian, a* p + b* q, at one step.
+
+    a and b are a drift and a diffusion second derivative map's values,
+    (M, n) + tail and (M, n, d) + tail with tail (n, n) for xx, (n, m) for
+    xu and (m, m) for uu; None for a declared-zero map drops its term, and
+    the block is None when both are.
+    """
+    return _total(_contract("pijk,pi->pjk", a, p), _contract("piljk,pil->pjk", b, q))
+
+
 def _quadratic(h, v, w):
     """h(v, w) = sum_jk h[..., j, k] v_j w_k per path, as one two-operand
     contraction against the outer product of v and w (an einsum outer
@@ -166,8 +163,7 @@ def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     """The ``_steps`` stream of d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW
     from t_index.
 
-    J and K are callables k -> (M, n, n) and (M, n, d, n) or constant
-    (n, n) and (n, d, n) arrays (see ``_slice_bc``); f_tilde and f_hat are
+    J and K are callables k -> (M, n, n) and (M, n, d, n); f_tilde and f_hat are
     callables k -> (M, n) and (M, n, d) or arrays broadcastable to
     (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.  An
     (M, n, C) x0 carries C processes on a trailing axis, as in ``_steps``:
@@ -187,9 +183,8 @@ def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
 
     def step(k, x):
         # (J x + f_tilde, K x + f_hat), an absent part dropped
-        return (_total(_contract("pij,pj...->pi...", _slice_bc(J, k, M, (n, n)), x), _at(ft, k)),
-                _total(_contract("pilj,pj...->pil...", _slice_bc(K, k, M, (n, d, n)), x),
-                       _at(fh, k)))
+        return (_total(_contract("pij,pj...->pi...", _at(J, k), x), _at(ft, k)),
+                _total(_contract("pilj,pj...->pil...", _at(K, k), x), _at(fh, k)))
     return _steps(spec, grid, paths, x0, step, t_index, what=what)
 
 

@@ -14,8 +14,7 @@ import scipy.optimize
 
 from . import cones
 from .adjoint_first import (DiscreteBVMeasure, check_transposition_identity, solve_first_adjoint)
-from .adjoint_second import (SecondAdjointData, check_relaxed_identity,
-                             solve_second_adjoint)
+from .adjoint_second import check_relaxed_identity
 from .benchmarks import (LQSpec, RiccatiSolution, adjoint_oracle_lq,
                          double_integrator_state_constrained, lq_box_constrained,
                          lq_reduced_spec, lq_terminal_constrained, lq_to_spec,
@@ -25,7 +24,7 @@ from .conditions import (MultiplierSet, _smooth_field, analyze_active_sets,
                          first_order_integral_check,
                          first_order_pointwise_check, hamiltonian_u_field,
                          sample_tangent_directions, search_multipliers,
-                         second_adjoint_data_for, second_order_check,
+                         second_adjoint_terminal, second_order_check,
                          smooth_random_fields)
 from .errors import ConfigError, Infeasible, TranscriptionMismatch
 from .forward import (VariationData, remainder_study_first, remainder_study_second,
@@ -51,7 +50,8 @@ def _gated(name, rep, value="violation", provenance=("se", "dt_bias"), **extra):
 
 
 def _cost_adjoint(spec: ProblemSpec, grid: TimeGrid, paths, base: PathEnsemble, u, **kw):
-    """First adjoint of the cost alone, y(T) = -h_x(x(T)), along (base, u)."""
+    """First adjoint of the cost alone, y(T) = -h_x(x(T)), along (base, u);
+    the keywords (P_T for the second adjoint too) go to the sweep."""
     yT = -np.asarray(spec.terminal_cost.grad(base.values[:, -1, :]))
     return solve_first_adjoint(spec, grid, paths, base, u, yT, **kw)
 
@@ -301,18 +301,15 @@ def _relaxed_case(lq: LQSpec, N: int, M: int, seed: int, ric: RiccatiSolution, t
     grid = TimeGrid(N, lq.T)
     paths = generate_brownian(grid, M, lq.d, seed)
     spec, base, u = _lq_closed_loop(lq, grid, paths, ric)
-    adj = _cost_adjoint(spec, grid, paths, base, u)
-    data = second_adjoint_data_for(spec, grid, base, u, adj,
-                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
+    sol = _cost_adjoint(spec, grid, paths, base, u, P_T=second_adjoint_terminal(spec, base))
     cf1, cf2, xi1, xi2, c = (np.array(part) for part in zip(*tests))
     ft = np.zeros((N + 1, spec.n, len(tests)))
     ft[:, 0] = np.stack([_smooth_field(cf, grid.times) * 0.5 for cf in cf1], axis=-1)
     fh = np.zeros((N + 1, spec.n, lq.d, len(tests)))
     fh[:, 0, 0] = np.stack([_smooth_field(cf, grid.times) * 0.5 for cf in cf2], axis=-1)
-    family = check_relaxed_identity(spec, grid, paths, relaxed, data, 0,
+    family = check_relaxed_identity(spec, grid, paths, base, u, sol, 0,
                                     (xi1.T, ft, fh), (xi2.T, ft * c, fh))
-    return family, mean_table(grid.times, relaxed.P.values, "P")
+    return family, mean_table(grid.times, sol.P.values, "P")
 
 
 def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
@@ -324,17 +321,17 @@ def relaxed_identity_suite(M: int = 20000, N: int = 200, seed: int = 9,
     grid = TimeGrid(N, T)
     Mdet = 4
     paths_det = generate_brownian(grid, Mdet, 1, seed)
-    spec_det = make_polynomial_scalar(2, coeff=0.0)  # shell spec: A = 0, n = 1
+    # dx = alpha x dt with alpha = 0.3: J = alpha, K = 0 and drift_xx = 0, so F = 0
+    spec_det = make_polynomial_scalar(1, coeff=0.3)
     base_det = PathEnsemble(np.ones((Mdet, N + 1, 1)))
-    alpha = 0.3
-    data_det = SecondAdjointData(P_T=np.array([[1.0]]), F=None,
-                                 J=np.array([[alpha]]), K=None)
-    sol_det = solve_second_adjoint(spec_det, grid, paths_det, base_det, data_det)
+    u_det = np.zeros(1)
+    sol_det = solve_first_adjoint(spec_det, grid, paths_det, base_det, u_det, np.zeros(1),
+                                  P_T=np.array([[1.0]]))
     rng = np.random.default_rng(seed)
     ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), grid.times)[:, None, None]
     ft2 = _smooth_field(np.array([-0.2, 0.5, 0.1]), grid.times)[:, None, None]
-    (resid_det,), _ = check_relaxed_identity(spec_det, grid, paths_det, sol_det, data_det, 0,
-                                             (np.array([[1.0]]), ft1, None),
+    (resid_det,), _ = check_relaxed_identity(spec_det, grid, paths_det, base_det, u_det,
+                                             sol_det, 0, (np.array([[1.0]]), ft1, None),
                                              (np.array([[0.7]]), ft2, None))
     deterministic = _check("relaxed_identity_deterministic",
                            resid_det <= 1e-3, residual=float(resid_det), tolerance=1e-3)
@@ -699,10 +696,8 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
     lq = lq_unconstrained()
     rng = np.random.default_rng(seed)
     spec, grid, paths, ric, base, u = _lq_setup(lq, N, M, seed)
-    adj = _cost_adjoint(spec, grid, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-    data = second_adjoint_data_for(spec, grid, base, u, adj, mult)
-    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
+    sol = _cost_adjoint(spec, grid, paths, base, u, P_T=second_adjoint_terminal(spec, base, mult))
     analysis = analyze_active_sets(spec, grid, base, delta_act=1e-3)
 
     nu = np.zeros(spec.n)
@@ -711,7 +706,7 @@ def second_order_suite(M: int = 8000, N: int = 100, seed: int = 31,
 
     # one pass over every direction; the last, 2 u1 for the scaling check
     *reports, doubled = second_order_check(
-        spec, grid, paths, base, u, mult, adj, relaxed,
+        spec, grid, paths, base, u, mult, sol,
         [((nu, u1), (nu, u2)) for u1 in [*fields, 2.0 * fields[0]]],
         analysis=analysis, delta_act=2e-2)
     values = [rep.worst_violation for rep in reports]

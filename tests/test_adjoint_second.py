@@ -4,65 +4,67 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stocond import regression
 from stocond.adjoint_first import check_transposition_identity, solve_first_adjoint
-from stocond.adjoint_second import (SecondAdjointData, check_relaxed_identity,
-                                    solve_second_adjoint)
+from stocond.adjoint_second import check_relaxed_identity
 from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
-from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_data_for,
+from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_terminal,
                                 second_order_check, smooth_random_fields)
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.forward import (_linear_steps, _stored, semigroup_step, simulate_first_variation,
-                             simulate_forward)
-from stocond.model import PathEnsemble, TimeGrid, generate_brownian
+from stocond.forward import (_along, _linear_steps, _stored, semigroup_step,
+                             simulate_first_variation, simulate_forward)
+from stocond.model import PathEnsemble, TimeGrid, as_control_array, generate_brownian, with_maps
 from stocond.regression import ConditionalRegression, PolynomialBasis
-from stocond.suites import _lq_setup
+from stocond.suites import _lq_setup, second_order_suite
 from tests.test_adjoint_first import _drift_free_spec
 from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
 
 
-def _phi(spec, g, paths, data, t_index, xi, ft, fh):
-    """The relaxed identity's test process from t_index: the streamed steps
-    that ``check_relaxed_identity`` consumes, collected."""
-    return _stored(_linear_steps(spec, g, paths, xi, data.J, data.K, ft, fh, t_index=t_index),
-                   paths.M, g.N, spec.n)
+def _phi(spec, g, paths, base, u, t_index, xi, ft, fh):
+    """The relaxed identity's test process from t_index, J = drift_x and
+    K = diffusion_x along (base, u), as the streamed steps of
+    ``forward._linear_steps``, collected."""
+    along = _along(spec, g, base, as_control_array(u, g, paths.M, spec.m))
+    return _stored(_linear_steps(spec, g, paths, xi, along("drift_x"), along("diffusion_x"),
+                                 ft, fh, t_index=t_index), paths.M, g.N, spec.n)
 
 
-class TestSolveSecondAdjoint:
+def _both_adjoints(spec, g, paths, base, u):
+    """y(T) = -h_x(x(T)) and P(T) = -h_xx(x(T)) solved in one sweep."""
+    yT = -np.asarray(spec.terminal_cost.grad(base.values[:, -1]))
+    return solve_first_adjoint(spec, g, paths, base, u, yT,
+                               P_T=second_adjoint_terminal(spec, base))
+
+
+class TestSecondAdjointSweep:
     def test_identity_terminal_constant(self):
         spec = _drift_free_spec(n=2, d=1)
         g = TimeGrid(15, 1.0)
         paths = generate_brownian(g, 64, 1, seed=0)
-        base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((16, 1)))
-        data = SecondAdjointData(P_T=np.eye(2))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        u = np.zeros((16, 1))
+        base = simulate_forward(spec, g, paths, np.ones(2), u)
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(2), P_T=np.eye(2))
         assert np.allclose(sol.P.values, np.eye(2), atol=1e-9)
-        assert np.allclose(sol.Qtensor.values, 0.0, atol=1e-9)
+        assert np.allclose(sol.Q.values, 0.0, atol=1e-9)
 
     def test_scalar_exponential_closed_form(self):
         alpha, kappa, p = 0.4, 0.3, 1.5
-        spec = _drift_free_spec(b1=[[[0.5]]])
+        spec = _drift_free_spec(a1=[[alpha]], b1=[[[kappa]]])
         N = 200
         g = TimeGrid(N, 1.0)
         paths = generate_brownian(g, 128, 1, seed=1)
-        base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((N + 1, 1)))
-        data = SecondAdjointData(P_T=np.array([[p]]),
-                                 J=np.array([[alpha]]),
-                                 K=np.array([[[kappa]]]))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        u = np.zeros((N + 1, 1))
+        base = simulate_forward(spec, g, paths, np.ones(1), u)
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(1), P_T=np.array([[p]]))
         exact = p * np.exp((2 * alpha + kappa ** 2) * (1.0 - g.times))
         got = sol.P.values[:, :, 0, 0].mean(axis=0)
         assert np.max(np.abs(got - exact)) <= 0.01 * p * np.exp(2 * alpha + kappa ** 2)
-        assert np.max(np.abs(sol.Qtensor.values)) <= 1e-4
+        assert np.max(np.abs(sol.Q.values)) <= 1e-4
 
     def test_lq_matrix_ode_oracle(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 50, 4000, seed=2)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        sol = _both_adjoints(spec, g, paths, base, u)
         oracle = lq_second_adjoint_ode(lq, g)        # (N+1, n, n), raw block
         got = sol.P.values[:, :, : lq.n, : lq.n].mean(axis=0)
         rel = np.sqrt(np.mean((got - oracle) ** 2) / np.mean(oracle ** 2))
@@ -71,29 +73,64 @@ class TestSolveSecondAdjoint:
     def test_symmetry_preserved(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 25, 2000, seed=3)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        sol = _both_adjoints(spec, g, paths, base, u)
         P = sol.P.values
         asym = np.max(np.abs(P - P.transpose(0, 1, 3, 2)))
         assert asym <= 1e-6 * max(1.0, np.max(np.abs(P)))
 
     def test_negative_semidefinite_propagates(self):
         # F = 0, K = 0 and P_T <= 0 keep P(t) <= 0
-        spec = _drift_free_spec(n=2, d=1)
+        spec = _drift_free_spec(n=2, d=1, a1=[[0.1, 0.3], [0.0, -0.2]])
         g = TimeGrid(40, 1.0)
         paths = generate_brownian(g, 64, 1, seed=4)
-        base = simulate_forward(spec, g, paths, np.ones(2), np.zeros((41, 1)))
+        u = np.zeros((41, 1))
+        base = simulate_forward(spec, g, paths, np.ones(2), u)
         PT = -np.array([[2.0, 0.5], [0.5, 1.0]])
-        data = SecondAdjointData(P_T=PT, J=np.array([[0.1, 0.3], [0.0, -0.2]]))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(2), P_T=PT)
         mean_P = sol.P.values.mean(axis=0)
         for k in range(g.N + 1):
             eigs = np.linalg.eigvalsh(mean_P[k])
             assert np.all(eigs <= 1e-8)
+
+    def test_first_adjoint_is_the_same_with_or_without_P_T(self):
+        # the second adjoint rides along the sweep and changes no bit of (y, Y)
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 20, 300, seed=5)
+        yT = -np.asarray(spec.terminal_cost.grad(base.values[:, -1]))
+        alone = solve_first_adjoint(spec, g, paths, base, u, yT)
+        both = _both_adjoints(spec, g, paths, base, u)
+        assert alone.P is None and alone.Q is None
+        assert np.array_equal(both.y.values, alone.y.values)
+        assert np.array_equal(both.Y.values, alone.Y.values)
+
+    def test_one_projector_per_step(self, monkeypatch):
+        # the sweep fits (y, Y) and (P, Q) on one projector per step, and a
+        # second order suite run at N steps builds N projectors in all
+        built = []
+        init = regression.ConditionalRegression.__init__
+
+        def counted(self, features):
+            built.append(features.shape)
+            init(self, features)
+        monkeypatch.setattr(regression.ConditionalRegression, "__init__", counted)
+        lq = lq_unconstrained()
+        spec, g, paths, ric, base, u = _lq_setup(lq, 12, 200, seed=6)
+        _both_adjoints(spec, g, paths, base, u)
+        assert len(built) == g.N
+        built.clear()
+        checks, _ = second_order_suite(M=400, N=12, seed=31, directions=2)
+        assert [c["name"] for c in checks] == ["second_order_nonpositive",
+                                               "second_order_alpha_scaling"]
+        assert len(built) == 12
+
+    def test_component_axis_with_P_T_raises(self):
+        spec = _drift_free_spec()
+        g = TimeGrid(4, 1.0)
+        paths = generate_brownian(g, 16, 1, seed=0)
+        u = np.zeros((5, 1))
+        base = simulate_forward(spec, g, paths, np.ones(1), u)
+        with pytest.raises(ValueError, match="component axis"):
+            solve_first_adjoint(spec, g, paths, base, u, np.zeros((16, 1, 2)), P_T=np.eye(1))
 
 
 class TestApplyQ:
@@ -101,26 +138,20 @@ class TestApplyQ:
         spec = _drift_free_spec(n=1, d=1)
         g = TimeGrid(10, 1.0)
         paths = generate_brownian(g, 32, 1, seed=6)
-        base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
-        data = SecondAdjointData(P_T=np.eye(1))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
-        assert np.max(np.abs(sol.Qtensor.values)) <= 1e-8
+        u = np.zeros((11, 1))
+        base = simulate_forward(spec, g, paths, np.ones(1), u)
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(1), P_T=np.eye(1))
+        assert np.max(np.abs(sol.Q.values)) <= 1e-8
 
     def test_phi_equals_first_variation_for_variation_data(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 30, 500, seed=7)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
         u1 = np.sin(np.pi * g.times)[:, None]
         x1 = simulate_first_variation(spec, g, paths, base, u, np.zeros(spec.n), u1)
         M = base.M
         ft = np.zeros((M, g.N + 1, spec.n))
         fh = np.zeros((M, g.N + 1, spec.n, 1))
         ts = g.times
-        from stocond.model import as_control_array
         u_arr = as_control_array(u, g, M, spec.m)
         for k in range(g.N):
             a2 = np.asarray(spec.drift_u(ts[k], base.values[:, k, :], u_arr[:, k, :]))
@@ -131,7 +162,7 @@ class TestApplyQ:
                                  u1k)
             fh[:, k] = np.einsum("pilj,pj->pil",
                                  np.broadcast_to(b2, (M, spec.n, 1, 1)), u1k)
-        phi = _phi(spec, g, paths, data, 0, np.zeros(spec.n), ft, fh)
+        phi = _phi(spec, g, paths, base, u, 0, np.zeros(spec.n), ft, fh)
         assert np.allclose(phi.values, x1.values, atol=1e-12)
 
 
@@ -140,25 +171,25 @@ class TestRelaxedIdentity:
         spec = _drift_free_spec(n=1, d=1)
         g = TimeGrid(10, 1.0)
         paths = generate_brownian(g, 64, 1, seed=8)
-        base = simulate_forward(spec, g, paths, np.ones(1), np.zeros((11, 1)))
-        data = SecondAdjointData(P_T=np.array([[2.0]]))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
-        (resid,), _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
+        u = np.zeros((11, 1))
+        base = simulate_forward(spec, g, paths, np.ones(1), u)
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(1), P_T=np.array([[2.0]]))
+        (resid,), _ = check_relaxed_identity(spec, g, paths, base, u, sol, 0,
                                              (np.array([[0.7]]), None, None),
                                              (np.array([[0.7]]), None, None))
         assert resid <= 1e-9
 
     def test_deterministic_scalar_small_residual(self):
-        spec = _drift_free_spec(n=1, d=1)
+        spec = _drift_free_spec(n=1, d=1, a1=[[0.3]])
         N = 200
         g = TimeGrid(N, 1.0)
         paths = generate_brownian(g, 4, 1, seed=9)
         base = PathEnsemble(np.ones((4, N + 1, 1)))
-        data = SecondAdjointData(P_T=np.array([[1.0]]), J=np.array([[0.3]]))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        u = np.zeros((N + 1, 1))
+        sol = solve_first_adjoint(spec, g, paths, base, u, np.zeros(1), P_T=np.array([[1.0]]))
         ft1 = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)[:, None]
         ft2 = _smooth_field(np.array([-0.2, 0.5, 0.1]), g.times)[:, None]
-        (resid,), _ = check_relaxed_identity(spec, g, paths, sol, data, 0,
+        (resid,), _ = check_relaxed_identity(spec, g, paths, base, u, sol, 0,
                                              (np.array([[1.0]]), ft1[..., None], None),
                                              (np.array([[0.7]]), ft2[..., None], None))
         assert resid <= 1e-3
@@ -166,12 +197,7 @@ class TestRelaxedIdentity:
     def test_lq_identity_with_noise_data(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 50, 8000, seed=10)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
+        sol = _both_adjoints(spec, g, paths, base, u)
         rng = np.random.default_rng(11)
         draws = []
         for _ in range(3):
@@ -183,7 +209,7 @@ class TestRelaxedIdentity:
             fh[:, 0, 0] = 0.5 * _smooth_field(rng.standard_normal(3), g.times)
             draws.append((xi1, xi2, ft, fh))
         xi1, xi2, ft, fh = (np.stack(part, axis=-1) for part in zip(*draws))
-        resid, se = check_relaxed_identity(spec, g, paths, sol, data, 0,
+        resid, se = check_relaxed_identity(spec, g, paths, base, u, sol, 0,
                                            (xi1, ft, fh), (xi2, ft, fh))
         assert resid.shape == (3,)
         assert np.all(resid <= 3 * se + 0.05)
@@ -193,13 +219,7 @@ class TestRelaxedIdentity:
         # E <P(T) x1(T), x1(T)> through the P / Q pairing terms
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 50, 8000, seed=12)
-        xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-        sol = solve_second_adjoint(spec, g, paths, base, data)
-        from stocond.model import as_control_array
+        sol = _both_adjoints(spec, g, paths, base, u)
         M = base.M
         u_arr = as_control_array(u, g, M, spec.m)
         nu1 = np.zeros(spec.n)
@@ -217,14 +237,14 @@ class TestRelaxedIdentity:
             ft[:, k] = np.einsum("pij,pj->pi", a2, u1k)
             fh[:, k] = np.einsum("pilj,pj->pil", b2, u1k)
         test = (nu1[:, None], ft[..., None], fh[..., None])
-        (resid,), (se,) = check_relaxed_identity(spec, g, paths, sol, data, 0, test, test)
+        (resid,), (se,) = check_relaxed_identity(spec, g, paths, base, u, sol, 0, test, test)
         assert resid <= 3 * se + 0.05
 
 
 # ---------------------------------------------------------------------------
 # einsum reference: the contractions as plain einsums over materialised
-# (M, N+1, ...) coefficient paths, against which the batched-matmul forms in
-# adjoint_second are checked
+# (M, N+1, ...) coefficient paths, against which the sweep's second adjoint
+# and the relaxed check are checked
 # ---------------------------------------------------------------------------
 
 def _ref_solve_second_adjoint(E, grid, paths, base, PT, F, J, K):
@@ -290,12 +310,12 @@ def _ref_check_relaxed_identity(grid, paths, P, Q, PT, F, K, phi1, phi2, data1, 
 
 
 def _coefficient(rng, layout, M, N, tail, scale):
-    """A random coefficient path as full (M, N+1) + tail values and in the
-    given layout: a constant ``tail`` array, or a callable k -> (M,) + tail
-    returning a per-path copy ("callable"), a deterministic path's value
-    broadcast to every path, as ``forward._along`` returns a path-independent
-    map ("deterministic"), or a strided time slice of an ensemble
-    ("ensemble")."""
+    """A random coefficient path as full (M, N+1) + tail values and as a spec
+    map (t, x, u) -> its value at step k = t N (T = 1), in the given layout:
+    a constant ``tail`` array or a deterministic path's value, which
+    ``forward._along`` broadcasts to every path ("constant",
+    "deterministic"), a per-path copy ("callable"), or a strided time slice
+    of an ensemble ("ensemble")."""
     if layout == "constant":
         value = scale * rng.standard_normal(tail)
     elif layout == "deterministic":
@@ -304,10 +324,26 @@ def _coefficient(rng, layout, M, N, tail, scale):
         value = scale * rng.standard_normal((M, N + 1) + tail)
     full = np.broadcast_to(value, (M, N + 1) + tail)
     if layout == "constant":
-        return full, value
+        return full, lambda t, x, u: value
+    if layout == "deterministic":
+        return full, lambda t, x, u: value[round(t * N)]
     if layout == "callable":
-        return full, lambda k: value[:, k].copy()
-    return full, lambda k: full[:, k]
+        return full, lambda t, x, u: value[:, round(t * N)].copy()
+    return full, lambda t, x, u: full[:, round(t * N)]
+
+
+def _random_maps(rng, layout, M, N, n, d):
+    """Random drift_x, diffusion_x, drift_xx and diffusion_xx maps in one
+    layout, as {name: (full values, map)}."""
+    return {name: _coefficient(rng, layout, M, N, tail, scale) for name, tail, scale in (
+        ("drift_x", (n, n), 0.5), ("diffusion_x", (n, d, n), 0.5),
+        ("drift_xx", (n, n, n), 1.0), ("diffusion_xx", (n, d, n, n), 1.0))}
+
+
+def _ref_F(maps, y, Y):
+    """F = -H_xx(y, Y) = -(a_xx* y + b_xx* Y) over the materialised paths."""
+    return -(np.einsum("pkijl,pki->pkjl", maps["drift_xx"][0], y)
+             + np.einsum("pkiljm,pkil->pkjm", maps["diffusion_xx"][0], Y))
 
 
 class TestEinsumReference:
@@ -319,26 +355,29 @@ class TestEinsumReference:
         rng = np.random.default_rng(100 * n + 10 * d + self.LAYOUTS.index(layout))
         M, N = 64, 8
         g = TimeGrid(N, 1.0)
-        spec = replace(_drift_free_spec(n=n, d=d),
-                       A=-np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+        maps = _random_maps(rng, layout, M, N, n, d)
+        spec = with_maps(replace(_drift_free_spec(n=n, d=d),
+                                 A=-np.eye(n) + 0.3 * rng.standard_normal((n, n))),
+                         **{name: fn for name, (_, fn) in maps.items()})
         E = semigroup_step(spec.A, g.dt)
         paths = generate_brownian(g, M, d, seed=n + d)
         base = rng.standard_normal((M, N + 1, n))
+        u = np.zeros((N + 1, 1))
         PT = rng.standard_normal((n, n))
         PT = PT + PT.T
-        Jf, J = _coefficient(rng, layout, M, N, (n, n), 0.5)
-        Kf, K = _coefficient(rng, layout, M, N, (n, d, n), 0.5)
-        Ff, F = _coefficient(rng, layout, M, N, (n, n), 1.0)
-        data = SecondAdjointData(P_T=PT, F=F, J=J, K=K)
+        Jf, Kf = maps["drift_x"][0], maps["diffusion_x"][0]
 
-        sol = solve_second_adjoint(spec, g, paths, PathEnsemble(base), data)
+        sol = solve_first_adjoint(spec, g, paths, PathEnsemble(base), u,
+                                  rng.standard_normal((M, n)), P_T=PT)
+        # F from the sweep's own (y, Y)
+        Ff = _ref_F(maps, sol.y.values, sol.Y.values)
         P_ref, Q_ref = _ref_solve_second_adjoint(E, g, paths, base, PT, Ff, Jf, Kf)
         scale = np.max(np.abs(P_ref))
         assert np.max(np.abs(sol.P.values - P_ref)) <= 1e-12 * scale
         # with path-independent coefficients Q is round-off, so it is
         # measured on the scale of P
         scale = max(scale, np.max(np.abs(Q_ref)))
-        assert np.max(np.abs(sol.Qtensor.values - Q_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(sol.Q.values - Q_ref)) <= 1e-12 * scale
 
         tests = []
         for _ in range(2):
@@ -347,13 +386,13 @@ class TestEinsumReference:
         for t_index in (0, 3):
             phis = []
             for xi, ft, fh in tests:
-                phi = _phi(spec, g, paths, data, t_index, xi, ft, fh)
+                phi = _phi(spec, g, paths, PathEnsemble(base), u, t_index, xi, ft, fh)
                 ref = _ref_simulate_phi(E, g, paths, Jf, Kf, xi, ft, fh, t_index)
                 assert np.max(np.abs(phi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
                 phis.append(ref)
 
             (resid,), (se,) = check_relaxed_identity(
-                spec, g, paths, sol, data, t_index,
+                spec, g, paths, PathEnsemble(base), u, sol, t_index,
                 *(tuple(a[..., None] for a in test) for test in tests))
             ref_resid, ref_se = _ref_check_relaxed_identity(
                 g, paths, P_ref, Q_ref, PT, Ff, Kf, *phis, *tests, t_index)
@@ -370,21 +409,23 @@ def test_batch_equals_its_one_draw_batches(t_index, with_fh):
     rng = np.random.default_rng(7)
     n, d, M, N, C = 2, 2, 64, 8, 3
     g = TimeGrid(N, 1.0)
-    spec = replace(_drift_free_spec(n=n, d=d), A=-np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+    maps = _random_maps(rng, "callable", M, N, n, d)
+    spec = with_maps(replace(_drift_free_spec(n=n, d=d),
+                             A=-np.eye(n) + 0.3 * rng.standard_normal((n, n))),
+                     **{name: fn for name, (_, fn) in maps.items()})
     paths = generate_brownian(g, M, d, seed=5)
     base = PathEnsemble(rng.standard_normal((M, N + 1, n)))
+    u = np.zeros((N + 1, 1))
     PT = rng.standard_normal((n, n))
-    data = SecondAdjointData(P_T=PT + PT.T, F=_coefficient(rng, "callable", M, N, (n, n), 1.0)[1],
-                             J=_coefficient(rng, "callable", M, N, (n, n), 0.5)[1],
-                             K=_coefficient(rng, "callable", M, N, (n, d, n), 0.5)[1])
-    sol = solve_second_adjoint(spec, g, paths, base, data)
+    sol = solve_first_adjoint(spec, g, paths, base, u, rng.standard_normal((M, n)),
+                              P_T=PT + PT.T)
     data1 = (rng.standard_normal((n, C)), rng.standard_normal((M, N + 1, n, C)),
              rng.standard_normal((N + 1, n, d, C)) if with_fh else None)
     data2 = (rng.standard_normal((M, n, C)), rng.standard_normal((N + 1, n, C)),
              rng.standard_normal((M, N + 1, n, d, C)) if with_fh else None)
 
     def check(data1, data2):
-        return check_relaxed_identity(spec, g, paths, sol, data, t_index, data1, data2)
+        return check_relaxed_identity(spec, g, paths, base, u, sol, t_index, data1, data2)
     resid, se = check(data1, data2)
     assert resid.shape == se.shape == (C,)
     for c in range(C):
@@ -398,8 +439,8 @@ class TestSimulatePhiAgainstReference:
     @pytest.mark.parametrize("t_index", [0, 7])
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_linearization_coefficients(self, case, t_index):
-        # J and K are the linearization along a nominal path, as in
-        # second_adjoint_data_for, given as a callable
+        # J and K are the linearization along a nominal path, drift_x and
+        # diffusion_x, against their values stacked by hand
         spec, g, paths, nu0, u_bar, rng = reference_case(case)
         M, n, d = paths.M, spec.n, paths.d
         base = simulate_forward(spec, g, paths, nu0, u_bar)
@@ -408,34 +449,23 @@ class TestSimulatePhiAgainstReference:
         K = np.stack([np.broadcast_to(spec.diffusion_x(g.times[k], base.values[:, k],
                                                        u_bar[:, k]), (M, n, d, n))
                       for k in range(g.N + 1)], axis=1)
-        data = SecondAdjointData(P_T=np.eye(n), J=lambda k: J[:, k], K=lambda k: K[:, k])
         xi = rng.standard_normal(n)
         ft = rng.standard_normal((g.N + 1, n))
         fh = rng.standard_normal((g.N + 1, n, d))
-        phi = _phi(spec, g, paths, data, t_index, xi, ft, fh)
+        phi = _phi(spec, g, paths, base, u_bar, t_index, xi, ft, fh)
         ref = _ref_simulate_phi(semigroup_step(spec.A, g.dt), g, paths, J, K, xi, ft, fh,
                                 t_index)
         assert_matches(phi.values, ref)
         assert np.all(phi.values[:, :t_index] == 0.0)
-
-    def test_time_indexed_coefficient_array_raises(self):
-        # an array coefficient is a constant; with M = N+1 a (N+1, n, n)
-        # path would otherwise broadcast over the paths unnoticed
-        spec = _drift_free_spec()
-        g = TimeGrid(10, 1.0)
-        paths = generate_brownian(g, 11, 1, seed=15)
-        data = SecondAdjointData(P_T=np.eye(1), J=np.ones((11, 1, 1)))
-        with pytest.raises(ValueError, match="constant coefficient"):
-            _phi(spec, g, paths, data, 0, np.ones(1), None, None)
 
     @pytest.mark.parametrize("t_index", [-1, 11])
     def test_t_index_outside_grid_raises(self, t_index):
         spec = _drift_free_spec()
         g = TimeGrid(10, 1.0)
         paths = generate_brownian(g, 8, 1, seed=15)
-        data = SecondAdjointData(P_T=np.eye(1))
+        base = PathEnsemble(np.ones((8, 11, 1)))
         with pytest.raises(ValueError, match="t_index"):
-            _phi(spec, g, paths, data, t_index, np.ones(1), None, None)
+            _phi(spec, g, paths, base, np.zeros(1), t_index, np.ones(1), None, None)
 
 
 @pytest.fixture(scope="module")
@@ -446,11 +476,8 @@ def lq_identity_inputs():
     over 7 deterministic directions, as its suite passes them."""
     lq = lq_unconstrained()
     spec, g, paths, _, base, u = _lq_setup(lq, 100, 2000, seed=21)
-    adj = solve_first_adjoint(spec, g, paths, base, u,
-                              -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+    sol = _both_adjoints(spec, g, paths, base, u)
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-    data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-    relaxed = solve_second_adjoint(spec, g, paths, base, data)
     ft = np.zeros((g.N + 1, spec.n))
     ft[:, 0] = _smooth_field(np.array([0.4, 0.3, -0.2]), g.times)
     fh = np.zeros((g.N + 1, spec.n, lq.d))
@@ -463,13 +490,13 @@ def lq_identity_inputs():
                   for v in smooth_random_fields(g, spec.m, 7, np.random.default_rng(2))]
     return {
         "transposition": lambda: check_transposition_identity(
-            spec, g, paths, base, u, adj, 25, eta, ft, fh),
+            spec, g, paths, base, u, sol, 25, eta, ft, fh),
         "transposition_per_path_f1": lambda: check_transposition_identity(
-            spec, g, paths, base, u, adj, 25, eta, ft_paths, fh),
+            spec, g, paths, base, u, sol, 25, eta, ft_paths, fh),
         "second_order": lambda: second_order_check(
-            spec, g, paths, base, u, mult, adj, relaxed, directions, delta_act=1e6),
+            spec, g, paths, base, u, mult, sol, directions, delta_act=1e6),
         "relaxed": lambda: check_relaxed_identity(
-            spec, g, paths, relaxed, data, 0, (np.full((spec.n, 1), 0.5), ft, fh),
+            spec, g, paths, base, u, sol, 0, (np.full((spec.n, 1), 0.5), ft, fh),
             (np.full((spec.n, 1), 0.3), ft, fh)),
         "ensemble_bytes": base.values.nbytes,
     }

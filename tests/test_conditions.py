@@ -8,17 +8,17 @@ from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                                    check_transposition_identity, solve_first_adjoint)
 from stocond.benchmarks import (LQSpec, lq_reduced_spec, lq_to_spec,
                                 lq_unconstrained)
-from stocond.conditions import (MultiplierSet, _hamiltonian_u, _hessian, analyze_active_sets,
+from stocond.conditions import (MultiplierSet, _hamiltonian_u, analyze_active_sets,
                                 first_order_integral_check,
                                 first_order_pointwise_check,
                                 hamiltonian_u_field, pointwise_violation_field,
                                 sample_tangent_directions, search_multipliers,
-                                second_adjoint_data_for, second_order_check,
+                                second_adjoint_terminal, second_order_check,
                                 smooth_random_fields, tangent_project_field)
-from stocond.adjoint_second import check_relaxed_identity, solve_second_adjoint
+from stocond.adjoint_second import check_relaxed_identity
 from stocond.errors import AdjointMismatch, NotCritical
-from stocond.forward import (_along, _at, _contract, _linear_steps, _quadratic, _stored,
-                             _total, simulate_first_variation, simulate_forward,
+from stocond.forward import (_along, _at, _contract, _hessian, _linear_steps, _quadratic,
+                             _stored, _total, simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
                            as_control_array, extend_initial_state, generate_brownian,
@@ -111,28 +111,31 @@ class TestHamiltonian:
         assert np.max(np.abs(Hu[:, 0] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_second_adjoint_F_is_minus_H_xx(self):
-        # the Bolza accumulator row makes H_xx path-dependent through y
+        # the sweep forms F_k = -_hessian(a_xx, b_xx, y_k, Y_k); the Bolza
+        # accumulator row makes H_xx path-dependent through y
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
         adj = solve_first_adjoint(spec, g, paths, base, u,
                                   -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
-        data = second_adjoint_data_for(spec, g, base, u, adj,
-                                       MultiplierSet(1.0, {}, DiscreteBVMeasure()))
         u_arr = as_control_array(u, g, base.M, spec.m)
+        along = _along(spec, g, base, u_arr)
+        a_xx, b_xx = along("drift_xx"), along("diffusion_xx")
         for k in range(g.N):
             Hxx = _ref_hamiltonian_xx(
                 spec, g.times[k], base.values[:, k], u_arr[:, k],
                 adj.y.values[:, k], adj.Y.values[:, k])
             assert np.any(Hxx != 0.0)
-            assert np.array_equal(data.F(k), -Hxx)
+            assert np.array_equal(
+                _hessian(_at(a_xx, k), _at(b_xx, k), adj.y.values[:, k], adj.Y.values[:, k]),
+                Hxx)
 
     def test_missing_second_derivative_maps_raise(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 4, 16, seed=4)
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        yT = -np.asarray(spec.terminal_cost.grad(base.values[:, -1]))
         with pytest.raises(ValueError, match="second derivative"):
-            second_adjoint_data_for(replace(spec, diffusion_xx=None), g, base, u, adj)
+            solve_first_adjoint(replace(spec, diffusion_xx=None), g, paths, base, u, yT,
+                                P_T=second_adjoint_terminal(spec, base))
 
 
 COEFF_MAPS = ("drift_x", "drift_u", "diffusion_x", "diffusion_u",
@@ -162,11 +165,10 @@ class TestDerivativeMapCalls:
     def test_each_map_once_per_step(self):
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
+        yT = -np.asarray(spec.terminal_cost.grad(base.values[:, -1]))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        relaxed = solve_second_adjoint(spec, g, paths, base,
-                                       second_adjoint_data_for(spec, g, base, u, adj, mult))
+        PT = second_adjoint_terminal(spec, base, mult)
+        sol = solve_first_adjoint(spec, g, paths, base, u, yT, P_T=PT)
         u1 = np.sin(np.pi * g.times)[:, None]
         u2 = np.zeros((g.N + 1, 1))
         nu = np.zeros(spec.n)
@@ -181,7 +183,12 @@ class TestDerivativeMapCalls:
                              for name in COEFF_MAPS}
             calls.update(dict.fromkeys(COEFF_MAPS, 0))
 
-        hamiltonian_u_field(counted, g, base, u, adj)
+        # the sweep of both adjoints: J, K and the H_xx map once per step
+        solve_first_adjoint(counted, g, paths, base, u, yT, P_T=PT)
+        expect("drift_x", "diffusion_x", "drift_xx")
+        solve_first_adjoint(counted, g, paths, base, u, yT)
+        expect("drift_x", "diffusion_x")
+        hamiltonian_u_field(counted, g, base, u, sol)
         expect("drift_u", "diffusion_u")
         x1 = simulate_first_variation(counted, g, paths, base, u, nu, u1)
         first = ("drift_x", "drift_u", "diffusion_x", "diffusion_u")
@@ -192,33 +199,29 @@ class TestDerivativeMapCalls:
         # whatever the number of directions and nu1; the curvature maps of
         # x2 only when a multiplier term reads x2
         loop = first + ("drift_xu", "diffusion_xu", "drift_uu", "diffusion_uu")
-        second_order_check(counted, g, paths, base, u, mult, adj, relaxed,
+        second_order_check(counted, g, paths, base, u, mult, sol,
                            [((nu, u1), (nu, u2))], delta_act=1.0)
         expect(*loop)
-        second_order_check(counted, g, paths, base, u, mult, adj, relaxed,
+        second_order_check(counted, g, paths, base, u, mult, sol,
                            [((nu, u1), (nu, u2)), ((np.ones(spec.n), u1), (nu, u2)),
                             ((nu, 2 * u1), (np.ones(spec.n), u1))], delta_act=1e6)
         expect(*loop)
         with_psi = MultiplierSet(1.0, {}, DiscreteBVMeasure({3: np.ones(spec.n)}))
-        second_order_check(counted, g, paths, base, u, with_psi, adj, relaxed,
+        second_order_check(counted, g, paths, base, u, with_psi, sol,
                            [((nu, u1), (nu, u2)), ((np.ones(spec.n), u1), (nu, u2))],
                            delta_act=1e6)
         expect(*loop, "drift_xx", "diffusion_xx")
-        counted_data = second_adjoint_data_for(counted, g, base, u, adj, mult)
-        expect()
-        counted_data.F(3)
-        expect("drift_xx", "diffusion_xx", times=1)
 
     @pytest.mark.parametrize("C", [1, 3])
     def test_identity_checks_evaluate_once_per_step_for_any_batch(self, C):
         # the C draws of a check share each step's maps: the counts are those
-        # of one draw; the relaxed check reads K again only for f_hat terms
+        # of one draw; the relaxed check's K phi serves its noise and its
+        # f_hat terms
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 10, 200, seed=4)
         adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
-        relaxed = solve_second_adjoint(spec, g, paths, base,
-                                       second_adjoint_data_for(spec, g, base, u, adj))
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])),
+                                  P_T=second_adjoint_terminal(spec, base))
         counted, calls = _counted(spec)
         N, n, t_index = g.N, spec.n, 4
         rng = np.random.default_rng(5)
@@ -232,12 +235,11 @@ class TestDerivativeMapCalls:
 
         check_transposition_identity(counted, g, paths, base, u, adj, t_index, eta, ft, fh)
         expect("drift_x", "diffusion_x", times=N - t_index)
-        data = second_adjoint_data_for(counted, g, base, u, adj)
         for steps_from in (0, t_index):
-            check_relaxed_identity(counted, g, paths, relaxed, data, steps_from,
+            check_relaxed_identity(counted, g, paths, base, u, adj, steps_from,
                                    (eta, ft, fh), (eta, ft, None))
-            expect("drift_x", "diffusion_x", "diffusion_x", "drift_xx", times=N - steps_from)
-            check_relaxed_identity(counted, g, paths, relaxed, data, steps_from,
+            expect("drift_x", "diffusion_x", "drift_xx", times=N - steps_from)
+            check_relaxed_identity(counted, g, paths, base, u, adj, steps_from,
                                    (eta, ft, None), (eta, ft, None))
             expect("drift_x", "diffusion_x", "drift_xx", times=N - steps_from)
 
@@ -512,11 +514,10 @@ class TestSecondOrder:
         paths = generate_brownian(g, 64, 1, seed=11)
         u0 = np.zeros((21, 1))
         base = simulate_forward(spec, g, paths, np.zeros(1), u0)
-        sol = solve_first_adjoint(spec, g, paths, base, u0, np.zeros((64, 1)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u0, sol, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
-        rep, = second_order_check(spec, g, paths, base, u0, mult, sol, relaxed,
+        sol = solve_first_adjoint(spec, g, paths, base, u0, np.zeros((64, 1)),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
+        rep, = second_order_check(spec, g, paths, base, u0, mult, sol,
                                   [((np.zeros(1), np.ones((21, 1))), (np.zeros(1), u0))])
         assert abs(rep.worst_violation) <= 1e-10
 
@@ -524,19 +525,18 @@ class TestSecondOrder:
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 50, 4000, seed=12)
         xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(xT)),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
         u1 = np.sin(np.pi * g.times)[:, None]
         nu = np.zeros(spec.n)
         u2 = np.zeros((51, 1))
-        rep1, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+        rep1, = second_order_check(spec, g, paths, base, u, mult, adj,
                                    [((nu, u1), (nu, u2))], delta_act=5e-2)
         assert rep1.verdict == "pass"
         assert rep1.worst_violation < 0
-        rep2, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+        rep2, = second_order_check(spec, g, paths, base, u, mult, adj,
                                    [((nu, 2 * u1), (nu, u2))], delta_act=5e-2)
         assert rep2.worst_violation / rep1.worst_violation == pytest.approx(4.0, abs=1e-6)
 
@@ -546,14 +546,13 @@ class TestSecondOrder:
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 100, 20000, seed=13)
         xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(xT)),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
         u1 = np.sin(np.pi * g.times)[:, None]
         nu = np.zeros(spec.n)
-        rep, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+        rep, = second_order_check(spec, g, paths, base, u, mult, adj,
                                   [((nu, u1), (nu, np.zeros((101, 1))))], delta_act=5e-2)
         # direct expansion oracle on the same paths (common random numbers)
         from stocond.model import as_control_array
@@ -571,18 +570,17 @@ class TestSecondOrder:
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 20, 500, seed=14)
         xT = base.values[:, -1, :]
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(xT)))
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(xT)),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
         zero, still = np.zeros(spec.n), np.zeros((21, 1))
         # x1 = 0 is critical; nu1 along the cost gradient breaks criticality
         # at tiny delta_act, and the error names that direction
         directions = [((zero, still), (zero, still))] * 4
         directions[2] = ((np.ones(spec.n), np.ones((21, 1))), (zero, still))
         with pytest.raises(NotCritical, match="^direction 2: "):
-            second_order_check(spec, g, paths, base, u, mult, adj, relaxed, directions,
+            second_order_check(spec, g, paths, base, u, mult, adj, directions,
                                delta_act=1e-6)
 
     def test_nonzero_nu1_matches_processes_simulated_outside(self):
@@ -590,32 +588,30 @@ class TestSecondOrder:
         # and the psi atom brings x2 into the value
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 20, 300, seed=15)
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
         rng = np.random.default_rng(3)
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure({7: rng.standard_normal(spec.n)}))
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
         nu1, nu2 = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
         u1 = np.sin(np.pi * g.times)[:, None]
         u2 = np.cos(np.pi * g.times)[:, None]
-        assert np.any(relaxed.Qtensor.values != 0.0)
-        rep, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed,
+        assert np.any(adj.Q.values != 0.0)
+        rep, = second_order_check(spec, g, paths, base, u, mult, adj,
                                   [((nu1, u1), (nu2, u2))], delta_act=1e6)
         assert rep.worst_violation == _second_order_value_from_processes(
-            spec, g, paths, base, u, mult, adj, relaxed, data, nu1, u1, nu2, u2)
+            spec, g, paths, base, u, mult, adj, nu1, u1, nu2, u2)
 
     def test_batch_equals_one_direction_calls_and_processes(self):
         # nu1 != 0 (phi gets its own column), u2 != 0, a per-path u1, and a
         # psi atom that brings x2 into the pass
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 20, 300, seed=16)
-        adj = solve_first_adjoint(spec, g, paths, base, u,
-                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])))
         rng = np.random.default_rng(5)
         mult = MultiplierSet(1.0, {}, DiscreteBVMeasure({6: rng.standard_normal(spec.n)}))
-        data = second_adjoint_data_for(spec, g, base, u, adj, mult)
-        relaxed = solve_second_adjoint(spec, g, paths, base, data)
+        adj = solve_first_adjoint(spec, g, paths, base, u,
+                                  -np.asarray(spec.terminal_cost.grad(base.values[:, -1])),
+                                  P_T=second_adjoint_terminal(spec, base, mult))
         zero = np.zeros(spec.n)
         sin, cos = np.sin(np.pi * g.times)[:, None], np.cos(np.pi * g.times)[:, None]
         per_path = sin[None] * (1.0 + 0.2 * rng.standard_normal((base.M, 1, 1)))
@@ -623,21 +619,21 @@ class TestSecondOrder:
                       ((rng.standard_normal(spec.n), cos), (zero, sin)),
                       ((zero, per_path), (rng.standard_normal(spec.n), cos)),
                       ((rng.standard_normal(spec.n), per_path), (zero, 0.5 * sin))]
-        batch = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, directions,
+        batch = second_order_check(spec, g, paths, base, u, mult, adj, directions,
                                    delta_act=1e6)
         assert len(batch) == 4
         for rep, direction in zip(batch, directions):
-            one, = second_order_check(spec, g, paths, base, u, mult, adj, relaxed, [direction],
+            one, = second_order_check(spec, g, paths, base, u, mult, adj, [direction],
                                       delta_act=1e6)
             (nu1, u1), (nu2, u2) = direction
             reference = _second_order_value_from_processes(
-                spec, g, paths, base, u, mult, adj, relaxed, data, nu1, u1, nu2, u2)
+                spec, g, paths, base, u, mult, adj, nu1, u1, nu2, u2)
             assert rep.worst_violation == pytest.approx(one.worst_violation, rel=1e-12)
             assert rep.se == pytest.approx(one.se, rel=1e-12)
             assert rep.worst_violation == pytest.approx(reference, rel=1e-12)
 
 
-def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relaxed, data,
+def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj,
                                       nu1, u1, nu2, u2):
     """The second order value built from processes simulated outside the check:
     x1 and x2 from the variations, and the Q-term's test process phi, the
@@ -650,7 +646,7 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relax
     M, n, d, N, dt = base.M, spec.n, spec.d, g.N, g.dt
     u_arr, u1_arr, u2_arr = (as_control_array(v, g, M, spec.m) for v in (u, u1, u2))
     y0 = adj.y.values[:, 0, :].mean(axis=0)
-    P0 = relaxed.P.values[:, 0, :, :].mean(axis=0)
+    P0 = adj.P.values[:, 0, :, :].mean(axis=0)
     value_det = float(y0 @ nu2) + 0.5 * float(nu1 @ P0 @ nu1)
     along = _along(spec, g, base, u_arr)
     a_u, b_u, b_x = along("drift_u"), along("diffusion_u"), along("diffusion_x")
@@ -661,11 +657,12 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj, relax
     for k in range(N):
         ft[:, k] = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k])
         fh[:, k] = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k])
-    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), data.J, data.K, ft, fh), M, N, n)
+    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), along("drift_x"), b_x, ft, fh),
+                  M, N, n)
     per_path = np.zeros(M)
     for k in range(N):
-        yk, Yk, Pk, Qk = adj.y.values[:, k], adj.Y.values[:, k], relaxed.P.values[:, k], \
-            relaxed.Qtensor.values[:, k]
+        yk, Yk, Pk, Qk = adj.y.values[:, k], adj.Y.values[:, k], adj.P.values[:, k], \
+            adj.Q.values[:, k]
         u1k, x1k, phik, fhk = u1_arr[:, k], x1.values[:, k], phi.values[:, k], fh[:, k]
         Hxu = _hessian(_at(a_xu, k), _at(b_xu, k), yk, Yk)
         Huu = _hessian(_at(a_uu, k), _at(b_uu, k), yk, Yk)

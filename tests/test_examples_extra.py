@@ -5,10 +5,9 @@ import pytest
 
 from stocond import cones, suites
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.adjoint_second import solve_second_adjoint
 from stocond.benchmarks import lq_reduced_spec, lq_unconstrained, solve_lq_riccati
 from stocond.conditions import (MultiplierSet, analyze_active_sets, search_multipliers,
-                                second_adjoint_data_for, state_constraint_measure)
+                                second_adjoint_terminal, state_constraint_measure)
 from stocond.errors import EmptySet
 from stocond.forward import VariationData, remainder_study_first
 from stocond.model import TimeGrid, extend_initial_state, generate_brownian
@@ -290,8 +289,5 @@ def test_suite_tables_are_those_of_a_stored_solve():
     _, tables = suites.relaxed_identity_suite(M=M, N=N, seed=seed, draws=1)
     # the stochastic case runs at N = 100 on seed + 1
     spec, g, paths, _, base, u = _lq_setup(lq, 100, M, seed + 1)
-    adj = suites._cost_adjoint(spec, g, paths, base, u)
-    data = second_adjoint_data_for(spec, g, base, u, adj,
-                                   MultiplierSet(1.0, {}, DiscreteBVMeasure()))
-    relaxed = solve_second_adjoint(spec, g, paths, base, data)
-    _assert_tables_equal(tables["relaxed_P_mean"], mean_table(g.times, relaxed.P.values, "P"))
+    sol = suites._cost_adjoint(spec, g, paths, base, u, P_T=second_adjoint_terminal(spec, base))
+    _assert_tables_equal(tables["relaxed_P_mean"], mean_table(g.times, sol.P.values, "P"))

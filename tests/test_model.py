@@ -5,15 +5,14 @@ from stocond import cones
 from stocond.adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                                    check_first_variation_duality,
                                    check_transposition_identity, solve_first_adjoint)
-from stocond.adjoint_second import (RelaxedSolution, SecondAdjointData, check_relaxed_identity,
-                                    solve_second_adjoint)
+from stocond.adjoint_second import check_relaxed_identity
 from dataclasses import replace
 
 from stocond.benchmarks import (LQSpec, double_integrator_state_constrained, heat_lq,
                                 lq_box_constrained, lq_reduced_spec, lq_running_cost,
                                 lq_terminal_constrained, lq_to_spec, lq_unconstrained,
                                 make_bilinear_scalar, make_polynomial_scalar)
-from stocond.conditions import (MultiplierSet, hamiltonian_u_field, second_adjoint_data_for,
+from stocond.conditions import (MultiplierSet, hamiltonian_u_field, second_adjoint_terminal,
                                second_order_check)
 from stocond.errors import NonFiniteValue
 from stocond.forward import (_along, simulate_first_variation, simulate_forward,
@@ -382,13 +381,12 @@ def _consumer_outputs(spec):
     x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2)
     f = rng.standard_normal((N + 1, n))
     psi = DiscreteBVMeasure({2: rng.standard_normal(n)})
-    sol = solve_first_adjoint(spec, grid, paths, base, u_bar,
-                              rng.standard_normal((M, n)), f=f, psi=psi)
-    f1, f2 = rng.standard_normal((N + 1, n)), rng.standard_normal((N + 1, n, d))
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
-    data = second_adjoint_data_for(spec, grid, base, u_bar, sol, mult)
-    relaxed = solve_second_adjoint(spec, grid, paths, base, data)
-    report, = second_order_check(spec, grid, paths, base, u_bar, mult, sol, relaxed,
+    sol = solve_first_adjoint(spec, grid, paths, base, u_bar,
+                              rng.standard_normal((M, n)), f=f, psi=psi,
+                              P_T=second_adjoint_terminal(spec, base, mult))
+    f1, f2 = rng.standard_normal((N + 1, n)), rng.standard_normal((N + 1, n, d))
+    report, = second_order_check(spec, grid, paths, base, u_bar, mult, sol,
                                  [((nu1, u1), (nu2, u2))], delta_act=1e6)
     return {
         "simulate_forward": base.values,
@@ -402,10 +400,8 @@ def _consumer_outputs(spec):
             psi=psi, f=f),
         "check_first_variation_duality": check_first_variation_duality(
             spec, grid, paths, base, u_bar, sol, nu1, u1, psi=psi),
-        "second_adjoint_F": [np.zeros((M, n, n)) if data.F is None else data.F(k)
-                             for k in range(N)],
-        "solve_second_adjoint_P": relaxed.P.values,
-        "solve_second_adjoint_Q": relaxed.Qtensor.values,
+        "solve_first_adjoint_P": sol.P.values,
+        "solve_first_adjoint_Q": sol.Q.values,
         "second_order_check": (report.worst_violation, report.se),
     }
 
@@ -468,9 +464,8 @@ def test_bolza_reduce_keeps_missing_second_derivative_missing(missing):
     u = np.full((paths.M, g.N + 1, red.m), 0.2)
     base = simulate_forward(red, g, paths, extend_initial_state(lq.x0, red), u)
     yT = -np.asarray(red.terminal_cost.grad(base.values[:, -1]))
-    sol = solve_first_adjoint(red, g, paths, base, u, yT)
     with pytest.raises(ValueError, match="second derivative"):
-        second_adjoint_data_for(red, g, base, u, sol)
+        solve_first_adjoint(red, g, paths, base, u, yT, P_T=second_adjoint_terminal(red, base))
 
 
 @pytest.fixture(scope="module")
@@ -485,8 +480,7 @@ def swept_ensembles():
     yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
     sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
     sol_c = solve_first_adjoint(spec, grid, paths, base, u, np.stack([yT, 2 * yT], axis=-1))
-    data = SecondAdjointData(P_T=np.eye(n), J=0.1 * np.eye(n))
-    rel = solve_second_adjoint(spec, grid, paths, base, data)
+    rel = solve_first_adjoint(spec, grid, paths, base, u, yT, P_T=np.eye(n))
     return {
         "simulate_forward": simulate_forward(spec, grid, paths, np.ones(n), u).values,
         "simulate_first_variation": x1.values,
@@ -499,7 +493,7 @@ def swept_ensembles():
         "first_adjoint_Y_components": sol_c.Y.values,
         "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u, sol),
         "second_adjoint_P": rel.P.values,
-        "second_adjoint_Q": rel.Qtensor.values,
+        "second_adjoint_Q": rel.Q.values,
         "increments": paths.increments,
     }
 
@@ -537,18 +531,14 @@ def test_results_do_not_depend_on_the_layout():
     xi1, xi2 = np.full((n, 1), 0.5), np.full((n, 1), 0.3)
 
     def run(paths, base, u, copy):
-        adj = solve_first_adjoint(spec, grid, paths, base, u, yT)
-        adj_in = TranspositionSolution(PathEnsemble(copy(adj.y.values)),
-                                       PathEnsemble(copy(adj.Y.values)))
-        data = second_adjoint_data_for(spec, grid, base, u, adj_in, mult)
-        rel = solve_second_adjoint(spec, grid, paths, base, data)
-        rel_in = RelaxedSolution(PathEnsemble(copy(rel.P.values)),
-                                 PathEnsemble(copy(rel.Qtensor.values)))
-        return {"y": adj.y.values, "Y": adj.Y.values, "P": rel.P.values,
-                "Q": rel.Qtensor.values,
+        sol = solve_first_adjoint(spec, grid, paths, base, u, yT,
+                                  P_T=second_adjoint_terminal(spec, base, mult))
+        sol_in = TranspositionSolution(*(PathEnsemble(copy(part.values))
+                                         for part in (sol.y, sol.Y, sol.P, sol.Q)))
+        return {"y": sol.y.values, "Y": sol.Y.values, "P": sol.P.values, "Q": sol.Q.values,
                 "transposition": check_transposition_identity(
-                    spec, grid, paths, base, u, adj_in, N // 4, eta, f1, f2),
-                "relaxed": check_relaxed_identity(spec, grid, paths, rel_in, data, 0,
+                    spec, grid, paths, base, u, sol_in, N // 4, eta, f1, f2),
+                "relaxed": check_relaxed_identity(spec, grid, paths, base, u, sol_in, 0,
                                                   (xi1, f1, f2), (xi2, 0.5 * f1, f2))}
 
     stored = run(paths, base, u, lambda a: a)

@@ -141,8 +141,7 @@ def test_every_parameter_is_read():
 ROOT = SRC.parent.parent
 # options that no call sets yet, each kept for the ROADMAP item that will set it
 UNSET_EXEMPT = {
-    "adjoint_second.solve_second_adjoint(basis)": "item 9: the benchmark chooses its basis",
-    "conditions.second_adjoint_data_for(restricted)": "item 10: the constrained P_T",
+    "conditions.second_adjoint_terminal(restricted)": "item 10: the constrained P_T",
 }
 
 
