@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (_along, _at, _contract, _hessian, _linear_steps, _on_paths, _total,
+from .forward import (_along, _at, _contract, _feed, _hessian, _linear_steps, _total,
                       semigroup_step, simulate_first_variation)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
@@ -121,7 +121,7 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
     y = time_major_zeros(M, N + 1, (n,) + comp)
     Y = time_major_zeros(M, N + 1, (n, d) + comp)
     y[:, N] = np.broadcast_to(yT, (M, n) + comp)
-    f_arr = _on_paths(f, M, N, (n,) + comp)
+    f_at = _feed([f], M, N, ((n,) + comp)[:-1])
     if P_T is not None:
         a_xx, b_xx = along("drift_xx"), along("diffusion_xx")
         P = time_major_zeros(M, N + 1, (n, n))
@@ -144,7 +144,7 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemb
         Y[:, k] = Yk
         drift = _total(_contract("pij,pi...->pj...", Jk, y[:, k + 1]),
                        _contract("pilj,pil...->pj...", Kk, Yk),
-                       None if f_arr is None else -f_arr[:, k])
+                       None if f_at is None else -f_at(k))
         target_y = Sy if drift is None else Sy + drift * dt
         if k in psi.atoms:
             target_y = target_y - psi.atom(k, M, n)
@@ -194,9 +194,10 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
           + E sum_{k >= t} <phi_k, mu_k>
 
     The draws sit on a trailing axis: eta is (n, C) or (M, n, C), f1
-    broadcasts to (M, N+1, n, C) and f2 to (M, N+1, n, d, C).  The C test
-    processes d phi = (A phi + f1) ds + f2 dW from phi(t) = eta are stepped
-    as one stream alongside the sums and never stored; the draw-independent
+    broadcasts to (M, N+1, n, C) and f2 to (M, N+1, n, d, C), each fed to
+    the stream and the sums by one ``forward._feed``.  The C test processes
+    d phi = (A phi + f1) ds + f2 dW from phi(t) = eta are stepped as one
+    stream alongside the sums and never stored; the draw-independent
     integrand is formed once per step.  An SE is the Monte Carlo standard
     error of that draw's pathwise LHS-RHS.
     """
@@ -205,15 +206,13 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     C = np.shape(eta)[-1]
     eta = np.broadcast_to(np.asarray(eta, dtype=float), (M, n, C))
+    f1, f2, f = _feed([f1], M, N, (n,)), _feed([f2], M, N, (n, d)), _feed([f], M, N, ())
     steps = _linear_steps(spec, grid, paths, eta, None, None, f1, f2, t_index=t_index,
                           what="test process")
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_x, b_x = along("drift_x"), along("diffusion_x")
-    f1_arr = _on_paths(f1, M, N, (n, C))
-    f2_arr = _on_paths(f2, M, N, (n, d, C))
-    f_arr = _on_paths(f, M, N, (n,))
     y, Y = sol.y.values, sol.Y.values
 
     # family-major (C, M) sums, so each draw's row reduces as its path vector
@@ -225,15 +224,14 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
             break
         integrand = _total(_contract("pij,pi->pj", _at(a_x, k), y[:, k + 1]),
                            _contract("pilj,pil->pj", _at(b_x, k), Y[:, k]),
-                           None if f_arr is None else -f_arr[:, k])
+                           None if f is None else -f(k))
         if integrand is not None:
             lhs += dt * np.einsum("pic,pi->cp", phi, integrand)
-        if f1_arr is not None:
+        if f1 is not None:
             # <E f1_k, y_{k+1}> = <f1_k, E* y_{k+1}>
-            rhs += dt * np.einsum("pic,pi->cp", f1_arr[:, k],
-                                  np.einsum("ji,pj->pi", E, y[:, k + 1]))
-        if f2_arr is not None:
-            rhs += dt * np.einsum("pilc,pil->cp", f2_arr[:, k], Y[:, k])
+            rhs += dt * np.einsum("pic,pi->cp", f1(k), np.einsum("ji,pj->pi", E, y[:, k + 1]))
+        if f2 is not None:
+            rhs += dt * np.einsum("pilc,pil->cp", f2(k), Y[:, k])
         if k in psi.atoms:
             rhs += np.einsum("pic,pi->cp", phi, psi.atom(k, M, n))
     mean, se = mc_mean(lhs - rhs)

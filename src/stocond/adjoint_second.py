@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjoint_first import TranspositionSolution
-from .forward import _along, _at, _contract, _hessian, _on_paths, _steps, _total
+from .forward import _along, _at, _contract, _feed, _hessian, _steps, _total
 from .model import BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array
 from .reporting import mc_mean
 
@@ -48,8 +48,10 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     None.  The test processes phi1 and phi2 of every draw are stepped as one
     (M, n, 2C) process by ``forward._steps``, whose step adds that step's
     terms: J, K and F are evaluated once per step, and K phi serves both the
-    noise and the f_hat terms.  The Q-view channels Q_l phi1 and Q_l^T phi2
-    are formed per step; nothing is stored.
+    noise and the f_hat terms.  The sources of phi1 and phi2 reach each step
+    side by side through one ``forward._feed`` per family, an absent one as
+    zeros.  The Q-view channels Q_l phi1 and Q_l^T phi2 are formed per
+    step; nothing is stored.
     """
     M, d, n, N = paths.M, paths.d, spec.n, grid.N
     dt = grid.dt
@@ -58,20 +60,17 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
     C = np.shape(xi1)[-1]
     x0 = np.concatenate([np.broadcast_to(np.asarray(xi, dtype=float), (M, n, C))
                          for xi in (xi1, xi2)], axis=-1)
-    ft1, ft2 = (_on_paths(f, M, N, (n, C)) for f in (ft1, ft2))
-    fh1, fh2 = (_on_paths(f, M, N, (n, d, C)) for f in (fh1, fh2))
     along = _along(spec, grid, base, as_control_array(u_bar, grid, M, spec.m))
     J, K, a_xx, b_xx = (along(name) for name in
                         ("drift_x", "diffusion_x", "drift_xx", "diffusion_xx"))
 
     def joined(f1, f2, tail):
-        """k -> the sources of phi1 and phi2 at step k side by side on the
-        trailing axis, path innermost, an absent one as zeros; None when
-        both are absent."""
+        # phi1's and phi2's sources side by side, each C wide and an absent
+        # one zeros; None when both are absent
         if f1 is None and f2 is None:
             return None
-        zero = np.zeros((C,) + tail[::-1] + (M,))
-        return lambda k: np.concatenate([zero if f is None else f[:, k].T for f in (f1, f2)]).T
+        return _feed([np.broadcast_to(0.0 if f is None else f, np.shape(f)[:-1] + (C,))
+                      for f in (f1, f2)], M, N, tail)
 
     ft, fh = joined(ft1, ft2, (n,)), joined(fh1, fh2, (n, d))
     y, Y, P, Q = sol.y.values, sol.Y.values, sol.P.values, sol.Q.values
@@ -85,32 +84,32 @@ def check_relaxed_identity(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEns
         nonlocal lhs, rhs
         phi1, phi2 = X[..., :C], X[..., C:]
         Pk, Qk = P[:, k], Q[:, k]
+        FT, FH = _at(ft, k), _at(fh, k)
         Hk = _hessian(_at(a_xx, k), _at(b_xx, k), y[:, k], Y[:, k])
         if Hk is not None:
             lhs += dt * pair(Hk, phi1, phi2)      # - <F phi1, phi2>, F = -H_xx
         if ft1 is not None:
             # as <P^T phi2, f_tilde1>: P then meets no path-broadcast source
-            rhs += dt * pair(Pk.transpose(0, 2, 1), phi2, ft1[:, k])
+            rhs += dt * pair(Pk.transpose(0, 2, 1), phi2, FT[..., :C])
         if ft2 is not None:
-            rhs += dt * pair(Pk, phi1, ft2[:, k])
+            rhs += dt * pair(Pk, phi1, FT[..., C:])
         KX = _contract("pilj,pj...->pil...", _at(K, k), X)
         if fh2 is not None:
             # <P K phi1 + Q phi1, f_hat2>, P channel-wise
             G = np.einsum("pijl,pjc->pilc", Qk, phi1)
             if KX is not None:
                 G += np.einsum("pij,pjlc->pilc", Pk, KX[..., :C])
-            rhs += dt * np.einsum("pilc,pilc->cp", G, fh2[:, k])
+            rhs += dt * np.einsum("pilc,pilc->cp", G, FH[..., C:])
         if fh1 is not None:
             # <P f_hat1, K phi2 + f_hat2> and <f_hat1, Q^T phi2>, the hat
             # family's channels
             other = np.einsum("pjil,pjc->pilc", Qk, phi2)
             rest = _total(None if KX is None else KX[..., C:],
-                          None if fh2 is None else fh2[:, k])
+                          None if fh2 is None else FH[..., C:])
             if rest is not None:
                 other += np.einsum("pji,pjlc->pilc", Pk, rest)
-            rhs += dt * np.einsum("pilc,pilc->cp", fh1[:, k], other)
-        return (_total(_contract("pij,pj...->pi...", _at(J, k), X), _at(ft, k)),
-                _total(KX, _at(fh, k)))
+            rhs += dt * np.einsum("pilc,pilc->cp", FH[..., :C], other)
+        return (_total(_contract("pij,pj...->pi...", _at(J, k), X), FT), _total(KX, FH))
 
     steps = _steps(spec, grid, paths, x0, step, t_index, what="relaxed test process")
     lhs = np.zeros((C, M))

@@ -23,7 +23,7 @@ from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, _at, _contract, _hessian, _steps, _total
+from .forward import _along, _at, _contract, _feed, _hessian, _steps, _total
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -148,7 +148,9 @@ def sample_tangent_directions(spec: ProblemSpec, grid: TimeGrid, base: PathEnsem
         v = np.broadcast_to(f[None, ...], (M, grid.N + 1, spec.m)) \
             if f.ndim == 2 else f
         v = tangent_project_field(spec.U, u_arr, v)
-        nrm = np.sqrt(np.mean(np.sum(v[:, :-1, :] ** 2, axis=2)) * grid.T
+        # a field that varies by no path has the norm of its one row
+        rows = v[:1] if v.strides[0] == 0 else v
+        nrm = np.sqrt(np.mean(np.sum(rows[:, :-1, :] ** 2, axis=2)) * grid.T
                       + np.sum(nus[i] ** 2))
         if nrm > 1e-14:
             # a field that the projection left a broadcast view stays one
@@ -413,17 +415,6 @@ def second_adjoint_terminal(spec: ProblemSpec, base: PathEnsemble,
     return -np.asarray(spec.terminal_cost.hess(xT))
 
 
-def _on_direction_axis(fields, grid: TimeGrid, M: int, m: int):
-    """k -> the control fields at step k on a trailing direction axis: (1, m, C)
-    from one (N+1, m, C) array when every field is deterministic, else
-    (M, m, C)."""
-    arrs = [as_control_array(f, grid, M, m) for f in fields]
-    if all(a.strides[0] == 0 for a in arrs):
-        fixed = np.stack([a[0] for a in arrs], axis=-1)
-        return lambda k: fixed[k][None]
-    return lambda k: np.stack([a[:, k] for a in arrs], axis=-1)
-
-
 def _apply(h, w):
     """h w per path and direction, one einsum along the unit-stride path
     axis: h is (M,) + head + (b,) and w (M or 1, b, C); the result is
@@ -509,8 +500,9 @@ def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsembl
     phi_cols = np.arange(C)
     phi_cols[moved] = np.arange(C, width)
     u1s = [u for (_, u), _ in directions]
-    drive = _on_direction_axis(u1s + [u1s[c] for c in moved]
-                               + [u for _, (_, u) in directions], grid, M, m)
+    drive = _feed([np.asarray(u, dtype=float)[..., None] for u in
+                   u1s + [u1s[c] for c in moved] + [u for _, (_, u) in directions]],
+                  M, N, (m,))
     x0 = np.concatenate([nu1, np.zeros((n, len(moved)))] + ([nu2] if with_x2 else []), axis=1)
     cols = x0.shape[1]
 

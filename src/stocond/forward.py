@@ -62,11 +62,25 @@ def _check_cap(x: np.ndarray, cap: float, what: str) -> None:
         raise BlowUp(f"{what} norm exceeded cap {cap:.3g} (max component {mx:.3g})")
 
 
-def _on_paths(f, M: int, N: int, tail: tuple):
-    """Path data broadcast to every path and grid time, (M, N+1) + tail;
-    None stays None."""
-    return None if f is None else np.broadcast_to(np.asarray(f, dtype=float),
-                                                  (M, N + 1) + tail)
+def _feed(fields, M: int, N: int, tail: tuple):
+    """k -> the fields at step k side by side on a trailing axis; None when
+    every field is None.  The one place that decides how per-step data reach
+    a stepped process.
+
+    Each field broadcasts to (M, N+1) + tail + (c,), c its own last axis.
+    When none varies by path they are joined once into an (N+1,) + tail +
+    (C,) array and step k is its (1,) + tail + (C,) slice, which broadcasts
+    over the paths; otherwise step k is (M,) + tail + (C,), stored with
+    paths innermost.
+    """
+    if all(f is None for f in fields):
+        return None
+    arrs = [np.broadcast_to(np.asarray(f, dtype=float), (M, N + 1) + tail + np.shape(f)[-1:])
+            for f in fields]
+    if all(a.strides[0] == 0 for a in arrs):
+        fixed = np.concatenate([a[0] for a in arrs], axis=-1)
+        return lambda k: fixed[k][None]
+    return lambda k: np.concatenate([a[:, k].T for a in arrs]).T
 
 
 def _steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble, x0, step,
@@ -163,28 +177,17 @@ def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     """The ``_steps`` stream of d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW
     from t_index.
 
-    J and K are callables k -> (M, n, n) and (M, n, d, n); f_tilde and f_hat are
-    callables k -> (M, n) and (M, n, d) or arrays broadcastable to
-    (M, N+1, n) and (M, N+1, n, d).  Any of the four may be None.  An
-    (M, n, C) x0 carries C processes on a trailing axis, as in ``_steps``:
-    J and K act on each, and the sources then carry the axis last too,
-    (M, n, C) and (M, n, d, C) per step.
+    J and K are callables k -> (M, n, n) and (M, n, d, n), f_tilde and f_hat
+    callables k -> (M or 1, n) and (M or 1, n, d), such as ``_feed`` makes;
+    any of the four may be None.  An (M, n, C) x0 carries C processes on a
+    trailing axis, as in ``_steps``: J and K act on each, and the sources
+    then carry the axis last too, (M or 1, n, C) and (M or 1, n, d, C) per
+    step.
     """
-    M, n, d = paths.M, spec.n, paths.d
-    comp = np.shape(x0)[2:]
-
-    def per_step(f, tail):
-        if f is None or callable(f):
-            return f
-        f = _on_paths(f, M, grid.N, tail + comp)
-        return lambda k: f[:, k]
-
-    ft, fh = per_step(f_tilde, (n,)), per_step(f_hat, (n, d))
-
     def step(k, x):
         # (J x + f_tilde, K x + f_hat), an absent part dropped
-        return (_total(_contract("pij,pj...->pi...", _at(J, k), x), _at(ft, k)),
-                _total(_contract("pilj,pj...->pil...", _at(K, k), x), _at(fh, k)))
+        return (_total(_contract("pij,pj...->pi...", _at(J, k), x), _at(f_tilde, k)),
+                _total(_contract("pilj,pj...->pil...", _at(K, k), x), _at(f_hat, k)))
     return _steps(spec, grid, paths, x0, step, t_index, what=what)
 
 

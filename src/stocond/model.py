@@ -215,11 +215,9 @@ def generate_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianEnse
 def as_control_array(u, grid: TimeGrid, M: int, m: int) -> np.ndarray:
     """Broadcast a control specification to a full (M, N+1, m) array.
 
-    Accepts a PathEnsemble, an (M, N+1, m) array, a deterministic (N+1, m)
-    array, or a constant (m,) vector.
+    Accepts an (M, N+1, m) array, a deterministic (N+1, m) array, or a
+    constant (m,) vector.
     """
-    if isinstance(u, PathEnsemble):
-        u = u.values
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = np.broadcast_to(u, (grid.N + 1, m))

@@ -9,6 +9,7 @@ columns coincide (e.g. all paths identical in zero-noise instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -26,20 +27,15 @@ class PolynomialBasis:
     degree: int = 2
 
     def features(self, x: np.ndarray) -> np.ndarray:
+        """The constant, then the monomials of each degree 1..degree in
+        ``combinations_with_replacement`` order, each formed left to right:
+        a monomial is its leading factors' column times its last factor."""
         M, n = x.shape
-        cols = [np.ones(M)]
-        if self.degree >= 1:
-            cols.extend(x[:, i] for i in range(n))
-        if self.degree >= 2:
-            for i in range(n):
-                for j in range(i, n):
-                    cols.append(x[:, i] * x[:, j])
-        if self.degree >= 3:
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(j, n):
-                        cols.append(x[:, i] * x[:, j] * x[:, k])
-        return np.column_stack(cols)
+        cols = {(): np.ones(M)}
+        for deg in range(1, self.degree + 1):
+            for idx in combinations_with_replacement(range(n), deg):
+                cols[idx] = x[:, idx[0]] if deg == 1 else cols[idx[:-1]] * x[:, idx[-1]]
+        return np.column_stack(list(cols.values()))
 
 
 class ConditionalRegression:

@@ -750,10 +750,12 @@ def _random_descriptor(rng: np.random.Generator):
     return cones.WholeSpace(n)
 
 
-def cone_suite(cases: int = 200, poly_instances: int = 100, seed: int = 37):
-    """Closed forms against the epsilon-ladder oracle plus the polyhedral
-    multiplier identities, whose residuals are gated at 1e-8."""
+def cone_suite(seed: int = 37):
+    """Closed forms against the epsilon-ladder oracle on 200 decidable cases,
+    plus the polyhedral multiplier identities on 100 random instances each,
+    whose residuals are gated at 1e-8."""
     decomposition_gate = 1e-8
+    cases, poly_instances = 200, 100
     rng = np.random.default_rng(seed)
     contradictions = 0
     inconclusive = 0

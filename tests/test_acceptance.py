@@ -94,7 +94,7 @@ def test_criterion_9_second_order_check():
 
 
 def test_criterion_10_cone_suite():
-    checks, _ = suites.cone_suite(cases=200, poly_instances=100, seed=37)
+    checks, _ = suites.cone_suite(seed=37)
     assert _emit("10. cone suite (oracle agreement, decompositions <= 1e-8)",
                  checks)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_dual
                                    check_transposition_identity, solve_first_adjoint)
 from stocond.benchmarks import adjoint_oracle_lq, lq_unconstrained
 from stocond.errors import SingularRegression
-from stocond.forward import _linear_steps, _stored, semigroup_step, simulate_forward
+from stocond.forward import _feed, _linear_steps, _stored, semigroup_step, simulate_forward
 from stocond.model import Functional, ProblemSpec, TimeGrid, generate_brownian, zero_map
 from stocond.regression import PolynomialBasis
 from stocond.suites import _lq_setup
@@ -231,7 +233,32 @@ class TestTranspositionIdentity:
 def _test_process_steps(spec, g, paths, t_index, eta, f1, f2):
     """The steps of d phi = (A phi + f1) ds + f2 dW from phi(t_index) = eta,
     as ``check_transposition_identity`` streams them."""
-    return _linear_steps(spec, g, paths, eta, None, None, f1, f2, t_index=t_index)
+    M, N, n = paths.M, g.N, spec.n
+    return _linear_steps(spec, g, paths, eta, None, None, _feed([f1], M, N, ()),
+                         _feed([f2], M, N, (n,)), t_index=t_index)
+
+
+class TestPolynomialBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_four_has_every_monomial(self, n):
+        x = np.random.default_rng(n).standard_normal((50, n))
+        phi = PolynomialBasis(4).features(x)
+        assert phi.shape == (50, math.comb(n + 4, 4))
+        x0 = x[:, 0]
+        # the first degree-4 column, after the C(n+3, 3) of degree <= 3
+        assert np.array_equal(phi[:, math.comb(n + 3, 3)], x0 * x0 * x0 * x0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_low_degrees_are_the_hand_built_monomials(self, degree, n):
+        x = np.random.default_rng(10 * degree + n).standard_normal((50, n))
+        cols = [np.ones(50)] + [x[:, i] for i in range(n)]
+        if degree >= 2:
+            cols += [x[:, i] * x[:, j] for i in range(n) for j in range(i, n)]
+        if degree >= 3:
+            cols += [x[:, i] * x[:, j] * x[:, k]
+                     for i in range(n) for j in range(i, n) for k in range(j, n)]
+        assert np.array_equal(PolynomialBasis(degree).features(x), np.column_stack(cols))
 
 
 class TestTestProcess:

@@ -11,7 +11,7 @@ from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
 from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_terminal,
                                 second_order_check, smooth_random_fields)
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.forward import (_along, _linear_steps, _stored, semigroup_step,
+from stocond.forward import (_along, _feed, _linear_steps, _stored, semigroup_step,
                              simulate_first_variation, simulate_forward)
 from stocond.model import PathEnsemble, TimeGrid, as_control_array, generate_brownian, with_maps
 from stocond.regression import ConditionalRegression, PolynomialBasis
@@ -23,10 +23,13 @@ from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
 def _phi(spec, g, paths, base, u, t_index, xi, ft, fh):
     """The relaxed identity's test process from t_index, J = drift_x and
     K = diffusion_x along (base, u), as the streamed steps of
-    ``forward._linear_steps``, collected."""
-    along = _along(spec, g, base, as_control_array(u, g, paths.M, spec.m))
+    ``forward._linear_steps``, collected; the sources reach it through
+    ``forward._feed``."""
+    M, N, n = paths.M, g.N, spec.n
+    along = _along(spec, g, base, as_control_array(u, g, M, spec.m))
     return _stored(_linear_steps(spec, g, paths, xi, along("drift_x"), along("diffusion_x"),
-                                 ft, fh, t_index=t_index), paths.M, g.N, spec.n)
+                                 _feed([ft], M, N, ()), _feed([fh], M, N, (n,)),
+                                 t_index=t_index), M, N, n)
 
 
 def _both_adjoints(spec, g, paths, base, u):
@@ -433,6 +436,11 @@ def test_batch_equals_its_one_draw_batches(t_index, with_fh):
                                     for test in (data1, data2)))
         assert abs(resid[c] - one) <= 1e-10 * max(one, one_se)
         assert abs(se[c] - one_se) <= 1e-10 * one_se
+    # a source of width 1 serves every draw, as its broadcast to width C does
+    common = rng.standard_normal((N + 1, n, 1))
+    narrow = check((data1[0], common, data1[2]), data2)
+    wide = check((data1[0], np.broadcast_to(common, (N + 1, n, C)), data1[2]), data2)
+    assert np.array_equal(narrow, wide)
 
 
 class TestSimulatePhiAgainstReference:

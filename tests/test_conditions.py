@@ -17,7 +17,7 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, analyze_active_se
                                 smooth_random_fields, tangent_project_field)
 from stocond.adjoint_second import check_relaxed_identity
 from stocond.errors import AdjointMismatch, NotCritical
-from stocond.forward import (_along, _at, _contract, _hessian, _linear_steps, _quadratic,
+from stocond.forward import (_along, _at, _contract, _feed, _hessian, _linear_steps, _quadratic,
                              _stored, _total, simulate_first_variation, simulate_forward,
                              simulate_second_variation)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
@@ -341,20 +341,25 @@ class TestFirstOrderChecks:
 
     def test_whole_space_directions_stay_broadcast_views(self):
         # each field keeps one (N+1, m) array behind a stride-0 path axis and
-        # equals, bit for bit, the full array normalized as before
+        # equals, bit for bit, the full array normalized over every path,
+        # although its norm is taken on its one row; the extra field, which
+        # varies by path, is normalized over its M rows
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 20, 64, seed=3)
         assert isinstance(spec.U, cones.WholeSpace)
-        dirs = sample_tangent_directions(spec, g, base, u, 4, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        fields = smooth_random_fields(g, spec.m, 4, rng)
+        fields = list(smooth_random_fields(g, spec.m, 4, rng))
+        scale = 1.0 + 0.1 * np.random.default_rng(6).standard_normal((base.M, 1, 1))
+        fields.append(scale * fields[0])
         C_ka = cones.adjacent_cone(spec.Ka, base.values[0, 0, :spec.Ka.dim])
-        nus = cones.sample_cone_points(C_ka, 4, rng)
-        for (nu, v), f, nu_raw in zip(dirs, fields, nus):
+        nus = cones.sample_cone_points(C_ka, 5, rng)
+        dirs = sample_tangent_directions(spec, g, base, u, 4, np.random.default_rng(5),
+                                         extra_fields=fields[4:])
+        for i, ((nu, v), f, nu_raw) in enumerate(zip(dirs, fields, nus)):
             full = np.array(np.broadcast_to(f, v.shape))
             nrm = np.sqrt(np.mean(np.sum(full[:, :-1, :] ** 2, axis=2)) * g.T
                           + np.sum(nu_raw ** 2))
-            assert v.strides[0] == 0
+            assert (v.strides[0] == 0) == (i < 4)
             assert np.array_equal(v, full / nrm) and np.array_equal(nu, nu_raw / nrm)
 
     def test_singleton_control_reduces_to_initial_condition(self):
@@ -657,8 +662,8 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj,
     for k in range(N):
         ft[:, k] = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k])
         fh[:, k] = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k])
-    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), along("drift_x"), b_x, ft, fh),
-                  M, N, n)
+    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), along("drift_x"), b_x,
+                                _feed([ft], M, N, ()), _feed([fh], M, N, (n,))), M, N, n)
     per_path = np.zeros(M)
     for k in range(N):
         yk, Yk, Pk, Qk = adj.y.values[:, k], adj.Y.values[:, k], adj.P.values[:, k], \

@@ -5,7 +5,7 @@ from stocond import cones
 from stocond.benchmarks import (lq_reduced_spec, lq_to_spec, lq_unconstrained,
                                 make_bilinear_scalar, make_polynomial_scalar)
 from stocond.errors import BlowUp
-from stocond.forward import (VariationData, remainder_study_first,
+from stocond.forward import (VariationData, _feed, remainder_study_first,
                              remainder_study_second, simulate_first_variation,
                              semigroup_step, simulate_forward,
                              simulate_second_variation, sup_moment_norm)
@@ -29,6 +29,45 @@ def _free_spec(n, A, diffusion=None, diffusion_x=None, d=1):
         terminal_cost=Functional(lambda x: 0.5 * np.sum(x ** 2, axis=-1),
                                  lambda x: x.copy()),
         U=cones.WholeSpace(1), Ka=cones.Singleton(np.zeros(n)))
+
+
+class TestFeed:
+    M, N, n = 5, 4, 2
+
+    def fields(self, rng):
+        # widths 2 and 3: one field over the grid, one constant in time
+        return rng.standard_normal((self.N + 1, self.n, 2)), rng.standard_normal((self.n, 3))
+
+    def joined(self, *fields):
+        return np.concatenate([np.broadcast_to(f, (self.M, self.N + 1, self.n, f.shape[-1]))
+                               for f in fields], axis=-1)
+
+    def test_path_independent_fields_give_one_row(self):
+        a, b = self.fields(np.random.default_rng(0))
+        feed, full = _feed([a, b], self.M, self.N, (self.n,)), self.joined(a, b)
+        for k in range(self.N + 1):
+            assert feed(k).shape == (1, self.n, 5)
+            assert np.array_equal(np.broadcast_to(feed(k), full[:, k].shape), full[:, k])
+
+    def test_a_per_path_field_gives_every_path(self):
+        rng = np.random.default_rng(1)
+        a, b = self.fields(rng)
+        per_path = rng.standard_normal((self.M, self.N + 1, self.n, 2))
+        for fields in ([a, per_path, b], [per_path]):
+            feed, full = _feed(fields, self.M, self.N, (self.n,)), self.joined(*fields)
+            for k in range(self.N + 1):
+                assert feed(k).shape == (self.M, self.n, full.shape[-1])
+                assert np.array_equal(feed(k), full[:, k])
+        # a materialised copy of path-independent data is per path too
+        copy = np.array(np.broadcast_to(a, (self.M,) + a.shape))
+        assert _feed([copy], self.M, self.N, (self.n,))(0).shape == (self.M, self.n, 2)
+
+    def test_fields_without_a_component_axis_and_absent_fields(self):
+        # a source of an (M, n) process is fed with tail (), its width n
+        f = np.random.default_rng(2).standard_normal((self.N + 1, self.n))
+        feed = _feed([f], self.M, self.N, ())
+        assert feed(3).shape == (1, self.n) and np.array_equal(feed(3)[0], f[3])
+        assert _feed([None], self.M, self.N, ()) is None
 
 
 class TestForward:

@@ -516,7 +516,9 @@ def test_time_slices_are_contiguous(swept_ensembles, name):
 
 def test_results_do_not_depend_on_the_layout():
     """Path-first, C-ordered copies of the base, paths and solutions give the
-    stored layout's results to round-off: the layout affects speed only."""
+    stored layout's results to round-off: the layout affects speed only.  So
+    do per-path copies of path-independent test data and directions, which
+    the checks feed per path instead of as one row."""
     spec, grid, paths, _, base, u = _lq_setup(lq_unconstrained(), 12, 200, seed=4)
     N, n, d = grid.N, spec.n, paths.d
     c = np.ascontiguousarray
@@ -529,20 +531,35 @@ def test_results_do_not_depend_on_the_layout():
     f2 = np.cos(2 * times)[..., None] * np.ones((n, d, 1))
     eta = c(base.values[:, N // 4, :, None] + 0.1)
     xi1, xi2 = np.full((n, 1), 0.5), np.full((n, 1), 0.3)
+    u1 = np.sin(np.pi * grid.times)[:, None] * np.ones(spec.m)
+    u2 = np.cos(np.pi * grid.times)[:, None] * np.ones(spec.m)
+    nu1, nu2 = np.full(n, 0.2), np.full(n, -0.1)
 
-    def run(paths, base, u, copy):
+    def run(paths, base, u, copy, data=lambda a: a):
         sol = solve_first_adjoint(spec, grid, paths, base, u, yT,
                                   P_T=second_adjoint_terminal(spec, base, mult))
         sol_in = TranspositionSolution(*(PathEnsemble(copy(part.values))
                                          for part in (sol.y, sol.Y, sol.P, sol.Q)))
         return {"y": sol.y.values, "Y": sol.Y.values, "P": sol.P.values, "Q": sol.Q.values,
                 "transposition": check_transposition_identity(
-                    spec, grid, paths, base, u, sol_in, N // 4, eta, f1, f2),
-                "relaxed": check_relaxed_identity(spec, grid, paths, base, u, sol_in, 0,
-                                                  (xi1, f1, f2), (xi2, 0.5 * f1, f2))}
+                    spec, grid, paths, base, u, sol_in, N // 4, eta, data(f1), data(f2)),
+                "relaxed": check_relaxed_identity(
+                    spec, grid, paths, base, u, sol_in, 0, (xi1, data(f1), data(f2)),
+                    (xi2, data(0.5 * f1), data(f2))),
+                "second_order": [(rep.worst_violation, rep.se) for rep in second_order_check(
+                    spec, grid, paths, base, u, mult, sol_in,
+                    [((nu1, data(u1)), (nu2, data(u2))), ((0 * nu1, data(u2)), (nu2, u1))],
+                    delta_act=1e6)]}
+
+    def per_path(a):
+        return c(np.broadcast_to(a, (paths.M,) + a.shape))
 
     stored = run(paths, base, u, lambda a: a)
     path_first = run(paths_c, base_c, u_c, c)
+    materialised = run(paths, base, u, lambda a: a, per_path)
     for name, ref in stored.items():
         got, ref = np.asarray(path_first[name]), np.asarray(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+    for name in ("transposition", "relaxed", "second_order"):
+        got, ref = np.asarray(materialised[name]), np.asarray(stored[name])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
