@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (_along, _at, _contract, _feed, _hessian, _linear_steps, _total,
-                      semigroup_step, simulate_first_variation)
+from .forward import (_along, _at, _contract, _feed, _hessian, _steps, _total, semigroup_step,
+                      simulate_variations)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import ConditionalRegression, PolynomialBasis
@@ -207,8 +207,8 @@ def check_transposition_identity(spec: ProblemSpec, grid: TimeGrid,
     C = np.shape(eta)[-1]
     eta = np.broadcast_to(np.asarray(eta, dtype=float), (M, n, C))
     f1, f2, f = _feed([f1], M, N, (n,)), _feed([f2], M, N, (n, d)), _feed([f], M, N, ())
-    steps = _linear_steps(spec, grid, paths, eta, None, None, f1, f2, t_index=t_index,
-                          what="test process")
+    steps = _steps(spec, grid, paths, eta, lambda k, x: (_at(f1, k), _at(f2, k)), t_index,
+                   what="test process")
     E = semigroup_step(spec.A, grid.dt)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
@@ -254,7 +254,7 @@ def check_first_variation_duality(spec: ProblemSpec, grid: TimeGrid,
     psi = psi or DiscreteBVMeasure()
     u_arr = as_control_array(u_bar, grid, M, spec.m)
     u1_arr = as_control_array(u1, grid, M, spec.m)
-    x1 = simulate_first_variation(spec, grid, paths, base_state, u_arr, nu1, u1_arr)
+    x1, = simulate_variations(spec, grid, paths, base_state, u_arr, nu1, u1_arr)
     dt = grid.dt
     along = _along(spec, grid, base_state, u_arr)
     a_u, b_u = along("drift_u"), along("diffusion_u")

@@ -80,8 +80,11 @@ class Scenario:
         if self.suite in RUNS and self.benchmark not in RUNS[self.suite][0]:
             raise ConfigError(f"suite {self.suite!r} is not defined for "
                               f"benchmark {self.benchmark!r}")
-        if self.paths < 1 or self.steps < 1:
-            raise ConfigError("paths and steps must be positive")
+        if self.paths < 2:
+            raise ConfigError(f"a Monte Carlo standard error needs at least 2 paths, "
+                              f"got {self.paths}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be positive, got {self.steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not math.isfinite(self.perturb):

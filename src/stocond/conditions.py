@@ -23,7 +23,8 @@ from . import cones
 from .adjoint_first import (DiscreteBVMeasure, TranspositionSolution,
                             solve_first_adjoint)
 from .errors import AdjointMismatch, Infeasible, NotCritical
-from .forward import _along, _at, _contract, _feed, _hessian, _steps, _total
+from .forward import (_along, _apply, _at, _bilinear, _contract, _curvature, _feed, _hessian,
+                      _steps, _total, _with_x2_source)
 from .model import (BrownianEnsemble, PathEnsemble, ProblemSpec, TimeGrid, as_control_array,
                     time_major_zeros)
 from .regression import PolynomialBasis
@@ -413,44 +414,6 @@ def second_adjoint_terminal(spec: ProblemSpec, base: PathEnsemble,
             PT = PT - lam * np.asarray(spec.terminal_constraints[j].hess(xT))
         return PT
     return -np.asarray(spec.terminal_cost.hess(xT))
-
-
-def _apply(h, w):
-    """h w per path and direction, one einsum along the unit-stride path
-    axis: h is (M,) + head + (b,) and w (M or 1, b, C); the result is
-    (M,) + head + (C,).  None for a declared-zero h."""
-    if h is None:
-        return None
-    return np.einsum("p...b,pbc->p...c", h, w)
-
-
-def _bilinear(h, v, w):
-    """h(v, w) per path and direction: h is (M,) + head + (a, b), v and w are
-    (M or 1, a, C) and (M or 1, b, C); the result is (M,) + head + (C,).
-    None for a declared-zero h."""
-    if h is None:
-        return None
-    v = v.reshape(v.shape[:1] + (1,) * (h.ndim - 3) + v.shape[1:])
-    return np.sum(_apply(h, w) * v, axis=-2)
-
-
-def _curvature(h_xx, h_xu, h_uu, x1, u1):
-    """A second variation's curvature source h_xx(x1, x1) / 2 + h_xu(x1, u1)
-    + h_uu(u1, u1) / 2 per path and direction; None when all three maps are
-    declared zeros."""
-    return _total(_bilinear(h_xx, 0.5 * x1, x1), _bilinear(h_xu, x1, u1),
-                  _bilinear(h_uu, 0.5 * u1, u1))
-
-
-def _with_x2_source(f, width, src):
-    """f, a source over every column of the process, with src added to its
-    x2 columns (those from ``width`` on); an absent f or src counts as zero."""
-    if src is None:
-        return f
-    if f is None:
-        f = np.zeros(src.shape[:-1] + (width + src.shape[-1],))
-    f[..., width:] += src
-    return f
 
 
 def second_order_check(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,

@@ -164,31 +164,42 @@ def _hessian(a, b, p, q):
     return _total(_contract("pijk,pi->pjk", a, p), _contract("piljk,pil->pjk", b, q))
 
 
-def _quadratic(h, v, w):
-    """h(v, w) = sum_jk h[..., j, k] v_j w_k per path, as one two-operand
-    contraction against the outer product of v and w (an einsum outer
-    product: broadcasting ``v[:, :, None] * w[:, None, :]`` runs about 2x
-    slower on these short trailing axes)."""
-    return np.einsum("p...jk,pjk->p...", h, np.einsum("pj,pk->pjk", v, w))
+def _apply(h, w):
+    """h w per path and direction, one einsum along the unit-stride path
+    axis: h is (M,) + head + (b,) and w (M or 1, b, C); the result is
+    (M,) + head + (C,).  None for a declared-zero h."""
+    if h is None:
+        return None
+    return np.einsum("p...b,pbc->p...c", h, w)
 
 
-def _linear_steps(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                  x0, J, K, f_tilde, f_hat, t_index: int = 0, what: str = "state"):
-    """The ``_steps`` stream of d x = [(A + J) x + f_tilde] ds + (K x + f_hat) dW
-    from t_index.
+def _bilinear(h, v, w):
+    """h(v, w) per path and direction: h is (M,) + head + (a, b), v and w are
+    (M or 1, a, C) and (M or 1, b, C); the result is (M,) + head + (C,).
+    None for a declared-zero h."""
+    if h is None:
+        return None
+    v = v.reshape(v.shape[:1] + (1,) * (h.ndim - 3) + v.shape[1:])
+    return np.sum(_apply(h, w) * v, axis=-2)
 
-    J and K are callables k -> (M, n, n) and (M, n, d, n), f_tilde and f_hat
-    callables k -> (M or 1, n) and (M or 1, n, d), such as ``_feed`` makes;
-    any of the four may be None.  An (M, n, C) x0 carries C processes on a
-    trailing axis, as in ``_steps``: J and K act on each, and the sources
-    then carry the axis last too, (M or 1, n, C) and (M or 1, n, d, C) per
-    step.
-    """
-    def step(k, x):
-        # (J x + f_tilde, K x + f_hat), an absent part dropped
-        return (_total(_contract("pij,pj...->pi...", _at(J, k), x), _at(f_tilde, k)),
-                _total(_contract("pilj,pj...->pil...", _at(K, k), x), _at(f_hat, k)))
-    return _steps(spec, grid, paths, x0, step, t_index, what=what)
+
+def _curvature(h_xx, h_xu, h_uu, x1, u1):
+    """A second variation's curvature source h_xx(x1, x1) / 2 + h_xu(x1, u1)
+    + h_uu(u1, u1) / 2 per path and direction; None when all three maps are
+    declared zeros."""
+    return _total(_bilinear(h_xx, 0.5 * x1, x1), _bilinear(h_xu, x1, u1),
+                  _bilinear(h_uu, 0.5 * u1, u1))
+
+
+def _with_x2_source(f, width, src):
+    """f, a source over every column of the process, with src added to its
+    x2 columns (those from ``width`` on); an absent f or src counts as zero."""
+    if src is None:
+        return f
+    if f is None:
+        f = np.zeros(src.shape[:-1] + (width + src.shape[-1],))
+    f[..., width:] += src
+    return f
 
 
 def _along(spec: ProblemSpec, grid: TimeGrid, base: PathEnsemble, u_bar: np.ndarray):
@@ -241,58 +252,51 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     return _stored(_steps(spec, grid, paths, nu0, step, cap=cap), M, grid.N, spec.n)
 
 
-def simulate_first_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                             base: PathEnsemble, u_bar, nu1: np.ndarray, u1) -> PathEnsemble:
-    """Linearized dynamics around (base, u_bar) driven by (nu1, u1).
+def simulate_variations(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
+                        base: PathEnsemble, u_bar, nu1: np.ndarray, u1,
+                        nu2: np.ndarray | None = None, u2=None) -> tuple[PathEnsemble, ...]:
+    """The first variation x1 around (base, u_bar) driven by (nu1, u1) and,
+    when (nu2, u2) are given, the second variation x2; returns (x1,) or
+    (x1, x2).
 
-    Exactly linear in (nu1, u1) path by path.
+    Both solve the linearized dynamics; x1 is exactly linear in (nu1, u1)
+    path by path, and x2 is driven by (nu2, u2) plus the ``_curvature``
+    source of the drift and the diffusion, 1/2 h_xx(x1, x1) + h_xu(x1, u1)
+    + 1/2 h_uu(u1, u1) along the nominal pair.  They are stepped as one
+    (M, n, 1 or 2) ``_steps`` process: x2's source reads x1 at the same
+    step, and each derivative map is evaluated once per step for both.
     """
-    M = paths.M
-    u_bar = as_control_array(u_bar, grid, M, spec.m)
-    u1 = as_control_array(u1, grid, M, spec.m)
-    along = _along(spec, grid, base, u_bar)
-    a_u, b_u = along("drift_u"), along("diffusion_u")
-    return _stored(_linear_steps(
-        spec, grid, paths, nu1, along("drift_x"), along("diffusion_x"),
-        f_tilde=None if a_u is None else lambda k: np.einsum("pij,pj->pi", a_u(k), u1[:, k]),
-        f_hat=None if b_u is None else lambda k: np.einsum("pilj,pj->pil", b_u(k), u1[:, k]),
-        what="first variation"), M, grid.N, spec.n)
+    M, n, N = paths.M, spec.n, grid.N
+    if (nu2 is None) != (u2 is None):
+        raise ValueError("the second variation needs both nu2 and u2")
+    second = nu2 is not None
+    drives = [(nu1, u1), (nu2, u2)][:1 + second]
+    x0 = np.stack([np.broadcast_to(np.asarray(nu, dtype=float), (M, n)) for nu, _ in drives],
+                  axis=-1)
+    drive = _feed([as_control_array(u, grid, M, spec.m)[..., None] for _, u in drives],
+                  M, N, (spec.m,))
+    along = _along(spec, grid, base, as_control_array(u_bar, grid, M, spec.m))
+    a_x, b_x, a_u, b_u = (along(name) for name in
+                          ("drift_x", "diffusion_x", "drift_u", "diffusion_u"))
+    if second:
+        # the (xx, xu, uu) maps of the drift and of the diffusion
+        a2, b2 = ([along(head + wrt) for wrt in ("_xx", "_xu", "_uu")]
+                  for head in ("drift", "diffusion"))
 
+    def step(k, X):
+        D = drive(k)
+        ft, fh = _apply(_at(a_u, k), D), _apply(_at(b_u, k), D)
+        if second:
+            x1, U1 = X[..., :1], D[..., :1]
+            ft = _with_x2_source(ft, 1, _curvature(*(_at(h, k) for h in a2), x1, U1))
+            fh = _with_x2_source(fh, 1, _curvature(*(_at(h, k) for h in b2), x1, U1))
+        return _total(_apply(_at(a_x, k), X), ft), _total(_apply(_at(b_x, k), X), fh)
 
-def simulate_second_variation(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
-                              base: PathEnsemble, u_bar, x1: PathEnsemble,
-                              u1, nu2: np.ndarray, u2) -> PathEnsemble:
-    """Second order variational dynamics with curvature source terms.
-
-    The drift carries 1/2 a_xx(x1, x1) + a_xu(x1, u1) + 1/2 a_uu(u1, u1)
-    evaluated along the nominal pair, and the diffusion the analogous terms.
-    """
-    M = paths.M
-    u_bar = as_control_array(u_bar, grid, M, spec.m)
-    u1 = as_control_array(u1, grid, M, spec.m)
-    u2 = as_control_array(u2, grid, M, spec.m)
-    along = _along(spec, grid, base, u_bar)
-
-    def source(head):
-        # (head)_u u2 + 1/2 (head)_xx(x1, x1) + (head)_xu(x1, u1) + 1/2 (head)_uu(u1, u1),
-        # less the terms whose map is a declared zero
-        h_u, h_xx, h_xu, h_uu = (along(head + wrt) for wrt in ("_u", "_xx", "_xu", "_uu"))
-        if all(h is None for h in (h_u, h_xx, h_xu, h_uu)):
-            return None
-
-        def f(k):
-            x1k, u1k = x1.values[:, k], u1[:, k]
-            return _total(
-                _contract("p...j,pj->p...", _at(h_u, k), u2[:, k]),
-                None if h_xx is None else 0.5 * _quadratic(h_xx(k), x1k, x1k),
-                None if h_xu is None else _quadratic(h_xu(k), x1k, u1k),
-                None if h_uu is None else 0.5 * _quadratic(h_uu(k), u1k, u1k))
-        return f
-
-    return _stored(_linear_steps(
-        spec, grid, paths, nu2, along("drift_x"), along("diffusion_x"),
-        f_tilde=source("drift"), f_hat=source("diffusion"),
-        what="second variation"), M, grid.N, spec.n)
+    out = [time_major_zeros(M, N + 1, (n,)) for _ in drives]
+    for k, X in _steps(spec, grid, paths, x0, step, what="variation"):
+        for c, x in enumerate(out):
+            x[:, k] = X[..., c]
+    return tuple(PathEnsemble(x) for x in out)
 
 
 def sup_moment_norm(values: np.ndarray) -> tuple[float, float]:
@@ -320,22 +324,19 @@ def _remainder_study(spec: ProblemSpec, grid: TimeGrid, paths: BrownianEnsemble,
     u_bar + sum_j eps^j u_j, for j = 1..order."""
     M = paths.M
     u_bar = as_control_array(u_bar, grid, M, spec.m)
-    u1 = as_control_array(var.u1, grid, M, spec.m)
+    drives = [(np.asarray(nu_j, dtype=float), as_control_array(u_j, grid, M, spec.m))
+              for nu_j, u_j in [(var.nu1, var.u1), (var.nu2, var.u2)][:order]]
     base = simulate_forward(spec, grid, paths, nu0, u_bar)
-    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, var.nu1, u1)
-    terms = [(var.nu1, u1, x1)]
-    if order == 2:
-        u2 = as_control_array(var.u2, grid, M, spec.m)
-        terms.append((var.nu2, u2, simulate_second_variation(
-            spec, grid, paths, base, u_bar, x1, u1, var.nu2, u2)))
+    xs = simulate_variations(spec, grid, paths, base, u_bar,
+                             *(v for drive in drives for v in drive))
     eps_arr = np.asarray(var.epsilon_ladder, dtype=float)
     norms, ses = [], []
     for eps in eps_arr:
         nu, u = np.asarray(nu0, dtype=float), u_bar
-        for j, (nu_j, u_j, _) in enumerate(terms, 1):
-            nu, u = nu + eps ** j * np.asarray(nu_j, dtype=float), u + eps ** j * u_j
+        for j, (nu_j, u_j) in enumerate(drives, 1):
+            nu, u = nu + eps ** j * nu_j, u + eps ** j * u_j
         r = simulate_forward(spec, grid, paths, nu, u).values - base.values
-        for j, (_, _, x_j) in enumerate(terms, 1):
+        for j, x_j in enumerate(xs, 1):
             r = r - eps ** j * x_j.values
         nrm, se = sup_moment_norm(r / eps ** order)
         norms.append(nrm)

@@ -6,11 +6,6 @@ and asserts the criterion at its pinned tolerance.  Tolerances follow the
 noise is involved; fixed numeric gates are stated inline.
 """
 
-
-
-
-import pytest
-
 from stocond import cli, suites
 
 

@@ -8,7 +8,7 @@ from stocond.adjoint_first import (DiscreteBVMeasure, check_first_variation_dual
                                    check_transposition_identity, solve_first_adjoint)
 from stocond.benchmarks import adjoint_oracle_lq, lq_unconstrained
 from stocond.errors import SingularRegression
-from stocond.forward import _feed, _linear_steps, _stored, semigroup_step, simulate_forward
+from stocond.forward import _at, _feed, _steps, _stored, semigroup_step, simulate_forward
 from stocond.model import Functional, ProblemSpec, TimeGrid, generate_brownian, zero_map
 from stocond.regression import PolynomialBasis
 from stocond.suites import _lq_setup
@@ -234,8 +234,8 @@ def _test_process_steps(spec, g, paths, t_index, eta, f1, f2):
     """The steps of d phi = (A phi + f1) ds + f2 dW from phi(t_index) = eta,
     as ``check_transposition_identity`` streams them."""
     M, N, n = paths.M, g.N, spec.n
-    return _linear_steps(spec, g, paths, eta, None, None, _feed([f1], M, N, ()),
-                         _feed([f2], M, N, (n,)), t_index=t_index)
+    f1, f2 = _feed([f1], M, N, ()), _feed([f2], M, N, (n,))
+    return _steps(spec, g, paths, eta, lambda k, x: (_at(f1, k), _at(f2, k)), t_index)
 
 
 class TestPolynomialBasis:

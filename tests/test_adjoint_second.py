@@ -11,8 +11,8 @@ from stocond.benchmarks import (lq_second_adjoint_ode, lq_unconstrained)
 from stocond.conditions import (MultiplierSet, _smooth_field, second_adjoint_terminal,
                                 second_order_check, smooth_random_fields)
 from stocond.adjoint_first import DiscreteBVMeasure
-from stocond.forward import (_along, _feed, _linear_steps, _stored, semigroup_step,
-                             simulate_first_variation, simulate_forward)
+from stocond.forward import (_along, _at, _contract, _feed, _steps, _stored, _total,
+                             semigroup_step, simulate_forward, simulate_variations)
 from stocond.model import PathEnsemble, TimeGrid, as_control_array, generate_brownian, with_maps
 from stocond.regression import ConditionalRegression, PolynomialBasis
 from stocond.suites import _lq_setup, second_order_suite
@@ -22,14 +22,18 @@ from tests.test_forward import REFERENCE_CASES, assert_matches, reference_case
 
 def _phi(spec, g, paths, base, u, t_index, xi, ft, fh):
     """The relaxed identity's test process from t_index, J = drift_x and
-    K = diffusion_x along (base, u), as the streamed steps of
-    ``forward._linear_steps``, collected; the sources reach it through
-    ``forward._feed``."""
+    K = diffusion_x along (base, u), stepped by ``forward._steps`` with
+    (J phi + f_tilde, K phi + f_hat) per step and collected; the sources
+    reach it through ``forward._feed``."""
     M, N, n = paths.M, g.N, spec.n
     along = _along(spec, g, base, as_control_array(u, g, M, spec.m))
-    return _stored(_linear_steps(spec, g, paths, xi, along("drift_x"), along("diffusion_x"),
-                                 _feed([ft], M, N, ()), _feed([fh], M, N, (n,)),
-                                 t_index=t_index), M, N, n)
+    J, K = along("drift_x"), along("diffusion_x")
+    ft, fh = _feed([ft], M, N, ()), _feed([fh], M, N, (n,))
+
+    def step(k, x):
+        return (_total(_contract("pij,pj->pi", _at(J, k), x), _at(ft, k)),
+                _total(_contract("pilj,pj->pil", _at(K, k), x), _at(fh, k)))
+    return _stored(_steps(spec, g, paths, xi, step, t_index), M, N, n)
 
 
 def _both_adjoints(spec, g, paths, base, u):
@@ -150,7 +154,7 @@ class TestApplyQ:
         lq = lq_unconstrained()
         spec, g, paths, ric, base, u = _lq_setup(lq, 30, 500, seed=7)
         u1 = np.sin(np.pi * g.times)[:, None]
-        x1 = simulate_first_variation(spec, g, paths, base, u, np.zeros(spec.n), u1)
+        x1, = simulate_variations(spec, g, paths, base, u, np.zeros(spec.n), u1)
         M = base.M
         ft = np.zeros((M, g.N + 1, spec.n))
         fh = np.zeros((M, g.N + 1, spec.n, 1))

@@ -120,15 +120,19 @@ class TestExitCodes:
          "configuration error: seed must be non-negative"),
         (["--suite", "first-order", "--perturb", "nan", "--paths", "50", "--steps", "8"],
          "configuration error: perturb must be finite"),
-        # a run that stops on a toolkit error: one path cannot fit a regression
-        (["--suite", "first-order", "--paths", "1", "--steps", "8"],
-         "run stopped: SingularRegression"),
+        # every Monte Carlo SE needs two paths
+        (["--suite", "remainder", "--paths", "1", "--steps", "1"],
+         "configuration error: a Monte Carlo standard error needs at least 2 paths, got 1"),
+        # a run that stops on a toolkit error: two paths cannot fit a regression
+        (["--suite", "first-order", "--paths", "2", "--steps", "8"],
+         "run stopped: SingularRegression: 6 features for 2 paths"),
         # the coarse dt-bias ladder runs at N // 4 and N // 2 steps
         (["--suite", "first-order", "--paths", "50", "--steps", "3"],
          "configuration error: the coarse dt-bias ladder needs at least 4 steps, got 3"),
         (["--suite", "first-order", "--perturb", "1e300", "--paths", "50", "--steps", "8"],
          "run stopped: BlowUp: state became non-finite")],
-        ids=["negative_seed", "nan_perturb", "one_path", "three_steps", "overflow"])
+        ids=["negative_seed", "nan_perturb", "one_path", "two_paths", "three_steps",
+             "overflow"])
     def test_bad_input_exit_1_with_a_message(self, tmp_path, capsys, recwarn, argv, message):
         code = cli.main(["run", "lq_unconstrained", *argv, "--out", str(tmp_path / "o")])
         assert code == 1

@@ -17,9 +17,8 @@ from stocond.conditions import (MultiplierSet, _hamiltonian_u, analyze_active_se
                                 smooth_random_fields, tangent_project_field)
 from stocond.adjoint_second import check_relaxed_identity
 from stocond.errors import AdjointMismatch, NotCritical
-from stocond.forward import (_along, _at, _contract, _feed, _hessian, _linear_steps, _quadratic,
-                             _stored, _total, simulate_first_variation, simulate_forward,
-                             simulate_second_variation)
+from stocond.forward import (_along, _at, _contract, _feed, _hessian, _steps, _stored, _total,
+                             simulate_forward, simulate_variations)
 from stocond.model import (Functional, PathEnsemble, ProblemSpec, TimeGrid,
                            as_control_array, extend_initial_state, generate_brownian,
                            time_major_zeros)
@@ -190,10 +189,12 @@ class TestDerivativeMapCalls:
         expect("drift_x", "diffusion_x")
         hamiltonian_u_field(counted, g, base, u, sol)
         expect("drift_u", "diffusion_u")
-        x1 = simulate_first_variation(counted, g, paths, base, u, nu, u1)
+        # the variations: x1 alone reads the four first derivative maps, and
+        # the (x1, x2) stream each of the ten once per step for both
+        simulate_variations(counted, g, paths, base, u, nu, u1)
         first = ("drift_x", "drift_u", "diffusion_x", "diffusion_u")
         expect(*first)
-        simulate_second_variation(counted, g, paths, base, u, x1, u1, nu, u2)
+        simulate_variations(counted, g, paths, base, u, nu, u1, nu, u2)
         expect(*COEFF_MAPS)
         # the check: one pass evaluates each map it needs once per step,
         # whatever the number of directions and nu1; the curvature maps of
@@ -646,8 +647,7 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj,
     step's terms are grouped as the check groups them: the Hessian blocks,
     <P x1, a_u u1>, and one pairing of P (b_x x1 + b_u u1 / 2) +
     (Q + Q^T) phi / 2 against b_u u1."""
-    x1 = simulate_first_variation(spec, g, paths, base, u, nu1, u1)
-    x2 = simulate_second_variation(spec, g, paths, base, u, x1, u1, nu2, u2)
+    x1, x2 = simulate_variations(spec, g, paths, base, u, nu1, u1, nu2, u2)
     M, n, d, N, dt = base.M, spec.n, spec.d, g.N, g.dt
     u_arr, u1_arr, u2_arr = (as_control_array(v, g, M, spec.m) for v in (u, u1, u2))
     y0 = adj.y.values[:, 0, :].mean(axis=0)
@@ -662,8 +662,12 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj,
     for k in range(N):
         ft[:, k] = np.einsum("pij,pj->pi", a_u(k), u1_arr[:, k])
         fh[:, k] = np.einsum("pilj,pj->pil", b_u(k), u1_arr[:, k])
-    phi = _stored(_linear_steps(spec, g, paths, np.zeros(n), along("drift_x"), b_x,
-                                _feed([ft], M, N, ()), _feed([fh], M, N, (n,))), M, N, n)
+    a_x, ft_k, fh_k = along("drift_x"), _feed([ft], M, N, ()), _feed([fh], M, N, (n,))
+
+    def phi_step(k, x):
+        return (_total(_contract("pij,pj->pi", _at(a_x, k), x), ft_k(k)),
+                _total(_contract("pilj,pj->pil", _at(b_x, k), x), fh_k(k)))
+    phi = _stored(_steps(spec, g, paths, np.zeros(n), phi_step), M, N, n)
     per_path = np.zeros(M)
     for k in range(N):
         yk, Yk, Pk, Qk = adj.y.values[:, k], adj.Y.values[:, k], adj.P.values[:, k], \
@@ -676,7 +680,7 @@ def _second_order_value_from_processes(spec, g, paths, base, u, mult, adj,
         per_path += dt * _total(
             np.einsum("pj,pj->p", _hamiltonian_u(a_u(k), b_u(k), yk, Yk), u2_arr[:, k]),
             None if Hxu is None else np.einsum("pj,pjk,pk->p", x1k, Hxu, u1k),
-            None if Huu is None else 0.5 * _quadratic(Huu, u1k, u1k),
+            None if Huu is None else 0.5 * np.einsum("pj,pjk,pk->p", u1k, Huu, u1k),
             np.einsum("pi,pij,pj->p", ft[:, k], Pk, x1k),
             np.einsum("pil,pil->p", G, fhk))
     for k in sorted(mult.psi.atoms):

@@ -6,9 +6,8 @@ from stocond.benchmarks import (lq_reduced_spec, lq_to_spec, lq_unconstrained,
                                 make_bilinear_scalar, make_polynomial_scalar)
 from stocond.errors import BlowUp
 from stocond.forward import (VariationData, _feed, remainder_study_first,
-                             remainder_study_second, simulate_first_variation,
-                             semigroup_step, simulate_forward,
-                             simulate_second_variation, sup_moment_norm)
+                             remainder_study_second, semigroup_step, simulate_forward,
+                             simulate_variations, sup_moment_norm)
 from stocond.model import (Functional, ProblemSpec, TimeGrid, as_control_array,
                            extend_initial_state, generate_brownian, zero_map)
 from stocond.suites import forward_strong_convergence, simulate_closed_loop
@@ -121,7 +120,7 @@ class TestFirstVariation:
         paths = generate_brownian(g, 16, spec.d, seed=3)
         base = simulate_forward(spec, g, paths, np.array([1.0]),
                                 np.zeros((21, 1)))
-        x1 = simulate_first_variation(spec, g, paths, base, np.zeros((21, 1)),
+        x1, = simulate_variations(spec, g, paths, base, np.zeros((21, 1)),
                                       np.zeros(1), np.zeros((21, 1)))
         assert np.all(x1.values == 0.0)
 
@@ -134,7 +133,7 @@ class TestFirstVariation:
         base = simulate_forward(spec, g, paths, nu0, u_bar)
         nu1 = np.array([0.7])
         u1 = np.sin(np.pi * g.times)[:, None]
-        x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
+        x1, = simulate_variations(spec, g, paths, base, u_bar, nu1, u1)
         for eps in (0.5, 1e-3):
             xe = simulate_forward(spec, g, paths, nu0 + eps * nu1,
                                   u_bar + eps * u1)
@@ -149,9 +148,9 @@ class TestFirstVariation:
         base = simulate_forward(spec, g, paths, np.array([1.0]), u_bar)
         nu1 = np.array([0.3])
         u1 = np.cos(np.pi * g.times)[:, None]
-        x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
+        x1, = simulate_variations(spec, g, paths, base, u_bar, nu1, u1)
         alpha = 3.7
-        x1s = simulate_first_variation(spec, g, paths, base, u_bar,
+        x1s, = simulate_variations(spec, g, paths, base, u_bar,
                                        alpha * nu1, alpha * u1)
         rel = np.max(np.abs(x1s.values - alpha * x1.values)) \
             / max(np.max(np.abs(x1s.values)), 1e-300)
@@ -168,7 +167,7 @@ class TestFirstVariation:
         base = simulate_forward(spec, g, paths, nu0, u_bar)
         nu1 = np.array([0.4])
         u1 = np.sin(np.pi * g.times)[:, None]
-        x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
+        x1, = simulate_variations(spec, g, paths, base, u_bar, nu1, u1)
         eps1, eps2 = 1e-2, 1e-3
         d1 = (simulate_forward(spec, g, paths, nu0 + eps1 * nu1,
                                u_bar + eps1 * u1).values - base.values) / eps1
@@ -188,11 +187,19 @@ class TestSecondVariation:
         u_bar = np.zeros((31, 1))
         base = simulate_forward(spec, g, paths, np.array([1.0]), u_bar)
         u1 = np.ones((31, 1))
-        x1 = simulate_first_variation(spec, g, paths, base, u_bar,
-                                      np.array([0.5]), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, u1,
-                                       np.zeros(1), np.zeros((31, 1)))
+        _, x2 = simulate_variations(spec, g, paths, base, u_bar, np.array([0.5]), u1,
+                                    np.zeros(1), np.zeros((31, 1)))
         assert np.all(x2.values == 0.0)
+
+    @pytest.mark.parametrize("given", ["nu2", "u2"])
+    def test_half_of_the_second_drive_raises(self, given):
+        spec = lq_to_spec(lq_unconstrained())
+        g = TimeGrid(4, 1.0)
+        paths = generate_brownian(g, 4, spec.d, seed=7)
+        u = np.zeros((5, 1))
+        base = simulate_forward(spec, g, paths, np.array([1.0]), u)
+        with pytest.raises(ValueError, match="both nu2 and u2"):
+            simulate_variations(spec, g, paths, base, u, np.zeros(1), u, **{given: np.zeros(1)})
 
     def test_quadratic_drift_taylor_oracle(self):
         # a = x^2 / 2, deterministic: second derivative in the initial state
@@ -204,9 +211,7 @@ class TestSecondVariation:
         nu0 = np.array([1.0])
         base = simulate_forward(spec, g, paths, nu0, u0)
         nu1 = np.array([1.0])
-        x1 = simulate_first_variation(spec, g, paths, base, u0, nu1, u0)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1, u0,
-                                       np.zeros(1), u0)
+        _, x2 = simulate_variations(spec, g, paths, base, u0, nu1, u0, np.zeros(1), u0)
         eps = 2.5e-4
         xp = simulate_forward(spec, g, paths, nu0 + eps, u0).values[0, -1, 0]
         xm = simulate_forward(spec, g, paths, nu0 - eps, u0).values[0, -1, 0]
@@ -238,9 +243,7 @@ class TestSecondVariation:
         u0 = np.zeros((65, 1))
         base = simulate_forward(spec, g, paths, np.zeros(1), u0)
         u1 = np.sin(np.pi * g.times)[:, None]
-        x1 = simulate_first_variation(spec, g, paths, base, u0, np.zeros(1), u1)
-        x2 = simulate_second_variation(spec, g, paths, base, u0, x1,
-                                       u1, np.zeros(1), u0)
+        _, x2 = simulate_variations(spec, g, paths, base, u0, np.zeros(1), u1, np.zeros(1), u0)
         oracle = float(np.sum(u1[:-1, 0] ** 2) * g.dt)
         assert x2.values[:, -1, 0] == pytest.approx(oracle, abs=1e-12)
 
@@ -447,10 +450,12 @@ class TestSharedLoopAgainstReference:
         nu1, nu2 = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
         u1 = rng.standard_normal((paths.M, g.N + 1, spec.m))
         u2 = rng.standard_normal((g.N + 1, spec.m))
-        x1 = simulate_first_variation(spec, g, paths, base, u_bar, nu1, u1)
+        x1, x2 = simulate_variations(spec, g, paths, base, u_bar, nu1, u1, nu2, u2)
         assert_matches(x1.values, _ref_first_variation(spec, g, paths, base.values,
                                                        u_bar, nu1, u1))
-        x2 = simulate_second_variation(spec, g, paths, base, u_bar, x1, u1, nu2, u2)
+        # the x1 column of the (x1, x2) stream is x1 stepped alone
+        x1_alone, = simulate_variations(spec, g, paths, base, u_bar, nu1, u1)
+        assert_matches(x1.values, x1_alone.values)
         ref = _ref_second_variation(spec, g, paths, base.values, u_bar, x1.values, u1,
                                     nu2, as_control_array(u2, g, paths.M, spec.m))
         assert_matches(x2.values, ref)

@@ -9,14 +9,13 @@ from stocond.adjoint_second import check_relaxed_identity
 from dataclasses import replace
 
 from stocond.benchmarks import (LQSpec, double_integrator_state_constrained, heat_lq,
-                                lq_box_constrained, lq_reduced_spec, lq_running_cost,
-                                lq_terminal_constrained, lq_to_spec, lq_unconstrained,
-                                make_bilinear_scalar, make_polynomial_scalar)
+                                lq_box_constrained, lq_running_cost, lq_terminal_constrained,
+                                lq_to_spec, lq_unconstrained, make_bilinear_scalar,
+                                make_polynomial_scalar)
 from stocond.conditions import (MultiplierSet, hamiltonian_u_field, second_adjoint_terminal,
                                second_order_check)
 from stocond.errors import NonFiniteValue
-from stocond.forward import (_along, simulate_first_variation, simulate_forward,
-                             simulate_second_variation)
+from stocond.forward import _along, simulate_forward, simulate_variations
 from stocond.model import (COEFFICIENT_MAPS, DERIVATIVE_MAPS, Functional, PathEnsemble,
                            ProblemSpec, RunningCost, TimeGrid, bolza_reduce,
                            extend_initial_state, generate_brownian, is_zero_map, map_shape,
@@ -377,8 +376,7 @@ def _consumer_outputs(spec):
     nu1, nu2 = rng.standard_normal(n), rng.standard_normal(n)
     u1, u2 = rng.standard_normal((N + 1, m)), rng.standard_normal((N + 1, m))
     base = simulate_forward(spec, grid, paths, nu0, u_bar)
-    x1 = simulate_first_variation(spec, grid, paths, base, u_bar, nu1, u1)
-    x2 = simulate_second_variation(spec, grid, paths, base, u_bar, x1, u1, nu2, u2)
+    x1, x2 = simulate_variations(spec, grid, paths, base, u_bar, nu1, u1, nu2, u2)
     f = rng.standard_normal((N + 1, n))
     psi = DiscreteBVMeasure({2: rng.standard_normal(n)})
     mult = MultiplierSet(1.0, {}, DiscreteBVMeasure())
@@ -390,8 +388,8 @@ def _consumer_outputs(spec):
                                  [((nu1, u1), (nu2, u2))], delta_act=1e6)
     return {
         "simulate_forward": base.values,
-        "simulate_first_variation": x1.values,
-        "simulate_second_variation": x2.values,
+        "simulate_variations_x1": x1.values,
+        "simulate_variations_x2": x2.values,
         "solve_first_adjoint_y": sol.y.values,
         "solve_first_adjoint_Y": sol.Y.values,
         "hamiltonian_u_field": hamiltonian_u_field(spec, grid, base, u_bar, sol),
@@ -474,17 +472,15 @@ def swept_ensembles():
     spec, grid, paths, _, base, u = _lq_setup(lq_unconstrained(), 10, 32, seed=0)
     M, N, n = paths.M, grid.N, spec.n
     u1 = np.full((N + 1, spec.m), 0.3)
-    x1 = simulate_first_variation(spec, grid, paths, base, u, np.zeros(n), u1)
-    x2 = simulate_second_variation(spec, grid, paths, base, u, x1, u1,
-                                   np.zeros(n), u1)
+    x1, x2 = simulate_variations(spec, grid, paths, base, u, np.zeros(n), u1, np.zeros(n), u1)
     yT = -np.asarray(spec.terminal_cost.grad(base.values[:, N]))
     sol = solve_first_adjoint(spec, grid, paths, base, u, yT)
     sol_c = solve_first_adjoint(spec, grid, paths, base, u, np.stack([yT, 2 * yT], axis=-1))
     rel = solve_first_adjoint(spec, grid, paths, base, u, yT, P_T=np.eye(n))
     return {
         "simulate_forward": simulate_forward(spec, grid, paths, np.ones(n), u).values,
-        "simulate_first_variation": x1.values,
-        "simulate_second_variation": x2.values,
+        "simulate_variations_x1": x1.values,
+        "simulate_variations_x2": x2.values,
         "closed_loop_X": base.values,
         "closed_loop_U": u,
         "first_adjoint_y": sol.y.values,
@@ -499,7 +495,7 @@ def swept_ensembles():
 
 
 @pytest.mark.parametrize("name", [
-    "simulate_forward", "simulate_first_variation", "simulate_second_variation",
+    "simulate_forward", "simulate_variations_x1", "simulate_variations_x2",
     "closed_loop_X", "closed_loop_U",
     "first_adjoint_y", "first_adjoint_Y", "first_adjoint_y_components",
     "first_adjoint_Y_components", "hamiltonian_u_field", "second_adjoint_P",

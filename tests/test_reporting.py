@@ -271,3 +271,26 @@ def test_every_field_is_read():
               if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
               and field.target.id not in read]
     assert not unread, "fields that nothing reads: " + ", ".join(unread)
+
+
+def test_every_import_is_used():
+    """Every name that a module of src/, tests/ or perfbench/ imports is read
+    in that module; an import that nothing reads is left over from code that
+    moved.  ``from __future__`` and the package ``__init__.py``, which imports
+    to re-export, are skipped."""
+    unused = []
+    for tree_dir in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            if path == SRC / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = [(alias.asname or alias.name.split(".")[0], node.lineno)
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Import)
+                        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                        for alias in node.names]
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                       for name, line in imported if name not in read]
+    assert not unused, "imports that nothing reads: " + ", ".join(unused)
